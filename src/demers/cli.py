@@ -133,6 +133,7 @@ class RunResult:
     status: str  # "ok", "partial", or "error: ..."
     layouts: list[SquareLayout] = field(default_factory=list)
     leaders_per_layout: list[list] = field(default_factory=list)
+    unroutable_per_layout: list[int] = field(default_factory=list)
     report: metricsmod.MetricsReport | None = None
     solver_stats: list[dict] = field(default_factory=list)
     wall_time: float = 0.0
@@ -154,6 +155,8 @@ def _solution_stats(sol: Solution) -> dict:
         "iterations": sol.iterations,
         "nodes": sol.nodes,
         "engine": sol.engine,
+        "method": sol.method,
+        "crossover_nit": sol.crossover_nit,
         "wall_time": sol.wall_time,
     }
 
@@ -291,6 +294,7 @@ def run(config: RunConfig) -> RunResult:
         epsilon = compute_epsilon(table, map)
 
         leaders_per_layout: list[list] = []
+        unroutable_per_layout: list[int] = []
         if variant.is_frc:
             layouts, stats, partial = _run_frc_variant(
                 variant, config, map, table, epsilon
@@ -309,10 +313,12 @@ def run(config: RunConfig) -> RunResult:
                 variant, config, map, table, cs
             )
             for lay in layouts:
-                routed, _ = leadersmod.all_leaders(lay, cs, map)
+                routed, routing = leadersmod.all_leaders(lay, cs, map)
                 leaders_per_layout.append(routed)
+                unroutable_per_layout.append(len(routing.unroutable))
         if not leaders_per_layout:
             leaders_per_layout = [[] for _ in layouts]
+            unroutable_per_layout = [0] * len(layouts)
 
         report = metricsmod.evaluate(layouts, map)
         result = RunResult(
@@ -320,6 +326,7 @@ def run(config: RunConfig) -> RunResult:
             status="partial" if partial else "ok",
             layouts=layouts,
             leaders_per_layout=leaders_per_layout,
+            unroutable_per_layout=unroutable_per_layout,
             report=report,
             solver_stats=stats,
             wall_time=time.perf_counter() - t0,
@@ -370,6 +377,7 @@ def _write_artifacts(result: RunResult, out: Path, config: RunConfig) -> None:
         "wall_time": result.wall_time,
         "solves": result.solver_stats,
         "leader_counts": [len(ls) for ls in result.leaders_per_layout],
+        "unroutable_counts": result.unroutable_per_layout,
     }
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -188,10 +188,6 @@ def max_violation(problem: LpProblem, values: dict[str, float]) -> float:
     return worst
 
 
-def objective_value(problem: LpProblem, values: dict[str, float]) -> float:
-    return sum(c * values.get(v, 0.0) for v, c in problem.objective.items())
-
-
 # ---------------------------------------------------------------------------
 # model configuration
 
@@ -449,7 +445,8 @@ def build_cnt_ilp(
     optimal count is preserved. Distances enter the objective with a small
     weight to break ties toward closer squares.
     """
-    spec = _as_cnt(spec)
+    if spec.objective_kind is not ObjectiveKind.CNT:
+        raise ModelError("spec.objective_kind must be CNT")
     prob = LpProblem(name="demers_CNT_single")
     block = _emit_block(prob, "0", 0, map, sides, cs, spec, with_binaries=True)
     prob.validate()
@@ -461,12 +458,6 @@ def build_cnt_ilp(
         diagonal=map.diagonal(),
         spec=spec,
     )
-
-
-def _as_cnt(spec: ModelSpec) -> ModelSpec:
-    if spec.objective_kind is not ObjectiveKind.CNT:
-        raise ModelError("spec.objective_kind must be CNT")
-    return spec
 
 
 def _coupling_pairs(k: int, stability: Stability) -> list[tuple[int, int]]:

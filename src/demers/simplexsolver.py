@@ -8,7 +8,20 @@ bound with deeper nodes preferred on ties.
 
 Problems past ``AUTO_SIMPLEX_MAX_ROWS`` rows are routed to scipy's HiGHS
 ``linprog`` backend behind the same interface; both engines are available
-explicitly via ``engine=``.
+explicitly via ``engine=``. HiGHS runs dual simplex below
+``HIGHS_IPM_MIN_ROWS`` rows and interior point with crossover from there on.
+The all-pairs direction terms make the cartogram LPs grow as n^2, and on
+those LPs dual simplex pivots through long degenerate stretches: the
+100-region TOP model (18 162 rows) took 12 214 pivots and about 7 s, interior
+point 28 iterations and about 1.1 s, on one core. On jittered grid models
+(TOP, k = 1) dual simplex won every model up to 730 rows (by 4-16%), the
+two were within noise from 980 to 1 132 rows, and interior point won every
+model from 1 314 rows on (15-82% faster, about twice as fast at 2 130). The
+threshold sits in the gap between the last two. Crossover ends interior
+point at a basic optimal solution, so large LPs still decode from a vertex
+like small ones do. On the interior-point path ``iterations`` counts
+interior-point iterations, not pivots; the crossover's pivots are
+``crossover_nit``.
 """
 
 from __future__ import annotations
@@ -28,6 +41,9 @@ INF = math.inf
 
 # engine="auto" keeps the bundled simplex for problems up to this many rows
 AUTO_SIMPLEX_MAX_ROWS = 220
+# HiGHS solves LPs with at least this many rows by interior point + crossover,
+# smaller ones by dual simplex (see the module docstring for the measurements)
+HIGHS_IPM_MIN_ROWS = 1200
 
 FEAS_TOL = 1e-7  # absolute, on the scaled constraints
 OPT_TOL = 1e-9  # reduced-cost optimality threshold
@@ -59,6 +75,8 @@ class Solution:
     wall_time: float = 0.0
     dual_objective: float | None = None
     engine: str = ""
+    method: str = ""  # HiGHS method: "ipm" (interior point) or "ds" (dual simplex)
+    crossover_nit: int = 0  # crossover pivots after interior point
 
     @property
     def optimal(self) -> bool:
@@ -89,13 +107,19 @@ def solve_ilp(
 
     Nodes are explored best-first on the parent relaxation bound, deeper
     nodes first on ties, branching on the most fractional binary. Hitting
-    the node limit returns the incumbent with status NODE_LIMIT.
+    the node limit or ``time_limit`` returns the incumbent with status
+    NODE_LIMIT; every relaxation is given what is left of ``time_limit``.
     """
     binaries = [v.name for v in problem.variables if v.binary]
     if not binaries:
-        return _dispatch(problem, engine, None, log)
+        return _dispatch(problem, engine, None, log, time_limit)
     t0 = time.perf_counter()
     deadline = t0 + time_limit if time_limit else None
+
+    def remaining() -> float | None:
+        # a positive floor: a zero limit would read as no limit at all
+        return max(deadline - time.perf_counter(), 1e-3) if deadline else None
+
     relaxed_vars = [
         replace(v, binary=False) if v.binary else v for v in problem.variables
     ]
@@ -110,6 +134,7 @@ def solve_ilp(
     incumbent: Solution | None = None
     nodes = 0
     total_iters = 0
+    total_crossover = 0
     # dive depth-first along the rounding of the current relaxation; the
     # sibling of every dive step waits in a best-bound heap for restarts
     heap: list[tuple[float, int, dict[str, int]]] = []
@@ -128,8 +153,11 @@ def solve_ilp(
             exhausted = False
             break
         nodes += 1
-        rel = _dispatch(_with_fixings(base, var_index, fixings), engine, None, False)
+        rel = _dispatch(
+            _with_fixings(base, var_index, fixings), engine, None, False, remaining()
+        )
         total_iters += rel.iterations
+        total_crossover += rel.crossover_nit
         if log:
             print(
                 f"[bnb] node={nodes} depth={len(fixings)} status={rel.status.value} "
@@ -138,6 +166,11 @@ def solve_ilp(
             )
         if rel.status is SolveStatus.INFEASIBLE:
             continue
+        if rel.status is SolveStatus.ITERATION_LIMIT and deadline and (
+            time.perf_counter() >= deadline
+        ):
+            exhausted = False  # HiGHS stopped the relaxation at the time limit
+            break
         if rel.status is not SolveStatus.OPTIMAL:
             raise SolverError(f"relaxation ended with {rel.status} in branch and bound")
         if incumbent is not None and rel.objective >= incumbent.objective - 1e-9:
@@ -165,9 +198,11 @@ def solve_ilp(
                     val = rel.values.get(name, 0.0)
                     probe_fix[name] = 1 if val > INT_TOL else 0
             probe = _dispatch(
-                _with_fixings(base, var_index, probe_fix), engine, None, False
+                _with_fixings(base, var_index, probe_fix), engine, None, False,
+                remaining(),
             )
             total_iters += probe.iterations
+            total_crossover += probe.crossover_nit
             if probe.status is SolveStatus.OPTIMAL:
                 vals = dict(probe.values)
                 for name in binaries:
@@ -201,6 +236,8 @@ def solve_ilp(
         wall_time=wall,
         dual_objective=incumbent.dual_objective,
         engine=incumbent.engine,
+        method=incumbent.method,
+        crossover_nit=total_crossover,
     )
 
 
@@ -281,6 +318,7 @@ def _solve_highs(
         (None if v.lb == -INF else v.lb, None if v.ub == INF else v.ub)
         for v in problem.variables
     ]
+    method = "ipm" if len(problem.constraints) >= HIGHS_IPM_MIN_ROWS else "ds"
     res = linprog(
         c,
         A_ub=mat(ub_coo, len(ub_rhs)),
@@ -288,20 +326,23 @@ def _solve_highs(
         A_eq=mat(eq_coo, len(eq_rhs)),
         b_eq=np.asarray(eq_rhs) if eq_rhs else None,
         bounds=bounds,
-        method="highs",
+        method=f"highs-{method}",
         options={"disp": bool(log), **({"time_limit": time_limit} if time_limit else {})},
     )
     wall = time.perf_counter() - t0
-    iters = int(getattr(res, "nit", 0) or 0)
+    counts = {
+        "iterations": int(getattr(res, "nit", 0) or 0),
+        "crossover_nit": int(getattr(res, "crossover_nit", 0) or 0),
+        "wall_time": wall,
+        "engine": "highs",
+        "method": method,
+    }
     if res.status == 2:
-        return Solution(SolveStatus.INFEASIBLE, iterations=iters, wall_time=wall,
-                        engine="highs")
+        return Solution(SolveStatus.INFEASIBLE, **counts)
     if res.status == 3:
-        return Solution(SolveStatus.UNBOUNDED, iterations=iters, wall_time=wall,
-                        engine="highs")
+        return Solution(SolveStatus.UNBOUNDED, **counts)
     if res.status == 1:
-        return Solution(SolveStatus.ITERATION_LIMIT, iterations=iters, wall_time=wall,
-                        engine="highs")
+        return Solution(SolveStatus.ITERATION_LIMIT, **counts)
     if res.status != 0:
         raise SolverError(f"HiGHS failed: {res.message}")
     values = {name: float(res.x[i]) for name, i in index.items()}
@@ -322,10 +363,8 @@ def _solve_highs(
         SolveStatus.OPTIMAL,
         values=values,
         objective=float(res.fun),
-        iterations=iters,
-        wall_time=wall,
         dual_objective=dual,
-        engine="highs",
+        **counts,
     )
 
 
@@ -485,16 +524,31 @@ class _Simplex:
     def xb(self) -> np.ndarray:
         return self.binv @ self.b if self.m else np.zeros(0)
 
-    def run_phase(self, c: np.ndarray, allowed: np.ndarray) -> str:
+    def run_phase(
+        self, c: np.ndarray, allowed: np.ndarray, bounded: bool = False
+    ) -> str:
+        """Pivot to optimality on costs ``c`` over the ``allowed`` columns.
+
+        ``bounded`` says the objective cannot fall below zero (phase 1). An
+        improving column with no positive pivot entry would then be a ray
+        along which it does, so its negative reduced cost is round-off. The
+        basis inverse is refactored to shed the drift; if the column still
+        looks like a ray it is skipped until a pivot lowers the objective.
+        Skips last through degenerate pivots: while the vertex stays put the
+        skipped set only grows, so Bland's rule cannot cycle.
+        """
         if self.m == 0:
             return "optimal"
         since_refactor = 0
+        skipped: list[int] = []
         while True:
             if self.iterations >= self.limit:
                 return "iteration_limit"
             y = c[self.basis] @ self.binv
             reduced = c - y @ self.A
             reduced[self.basis] = 0.0
+            if skipped:
+                reduced[skipped] = 0.0
             cand = np.flatnonzero(allowed & (reduced < -OPT_TOL))
             if cand.size == 0:
                 return "optimal"
@@ -505,13 +559,22 @@ class _Simplex:
             d = self.binv @ self.A[:, j]
             pos = np.flatnonzero(d > PIVOT_TOL)
             if pos.size == 0:
-                return "unbounded"
+                if not bounded:
+                    return "unbounded"
+                if since_refactor:
+                    self._refactor()
+                    since_refactor = 0
+                else:
+                    skipped.append(j)
+                continue
             xb = self.xb()
             ratios = xb[pos] / d[pos]
             best = float(np.min(ratios))
             ties = pos[ratios <= best + 1e-12]
             r = int(ties[np.argmin(self.basis[ties])])
             self.streak = self.streak + 1 if best <= 1e-12 else 0
+            if best > 1e-12:
+                skipped.clear()
             self.basis[r] = j
             piv = d[r]
             self.binv[r, :] /= piv
@@ -571,7 +634,7 @@ def _solve_simplex(
     if bool((sx.basis >= sx.n_real).any()):
         c1 = np.zeros(n_all)
         c1[sx.n_real :] = 1.0
-        status = sx.run_phase(c1, allowed=np.ones(n_all, dtype=bool))
+        status = sx.run_phase(c1, allowed=np.ones(n_all, dtype=bool), bounded=True)
         if status == "iteration_limit":
             return finish(SolveStatus.ITERATION_LIMIT, with_values=False)
         xb = sx.xb()

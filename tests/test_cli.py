@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -226,3 +227,38 @@ class TestMain:
         assert code == 0
         combined = (tmp_path / "m" / "combined.csv").read_text()
         assert combined.count("sample3") == 2
+
+
+class TestManifest:
+    def test_solves_record_highs_method(self, tmp_path, sample3_paths):
+        res = run_sample(tmp_path, sample3_paths, "TOP-S-SU", engine="highs")
+        assert res.ok
+        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
+        for solve in manifest["solves"]:
+            assert solve["engine"] == "highs"
+            assert solve["method"] == "ds"  # far below the interior-point size
+            assert solve["crossover_nit"] == 0
+
+    def test_unroutable_counts_recorded(self, tmp_path, sample3_paths, monkeypatch):
+        from demers import leaders as leadersmod
+
+        real = leadersmod.all_leaders
+
+        def one_unroutable(layout, cs, map):
+            routed, report = real(layout, cs, map)
+            failure = ("a", "b", "no leader")
+            return routed, dataclasses.replace(
+                report, unroutable=report.unroutable + (failure,)
+            )
+
+        monkeypatch.setattr(leadersmod, "all_leaders", one_unroutable)
+        res = run_sample(tmp_path, sample3_paths, "TOP-W-SU")
+        assert res.ok
+        assert res.unroutable_per_layout == [1, 1]
+        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
+        assert manifest["unroutable_counts"] == [1, 1]
+
+    def test_force_runs_record_no_unroutable(self, tmp_path, sample3_paths):
+        res = run_sample(tmp_path, sample3_paths, "FRC-O-U", frc_max_iterations=200)
+        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
+        assert manifest["unroutable_counts"] == [0] * len(res.layouts)

@@ -1,9 +1,11 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from demers import simplexsolver as ss
 from demers.lpmodel import LpProblem, max_violation
 from demers.simplexsolver import SolveStatus, SolverError, solve_ilp, solve_lp
 from oracle_simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, oracle_solve
@@ -212,3 +214,166 @@ class TestSolveIlp:
         assert sol.status in (SolveStatus.NODE_LIMIT, SolveStatus.OPTIMAL)
         if sol.status is SolveStatus.NODE_LIMIT and sol.values:
             assert max_violation(p, sol.values) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# cartogram LPs: the solver paths on the models the pipeline builds
+
+
+def jittered_model(tmp_path, cols, seed, objective, setting, k=1):
+    """Cartogram model of a jittered synth grid, read back from its files."""
+    from demers.lpmodel import ModelSpec, Stability, build_multi_lp, build_single_lp
+    from demers.mapdata import (
+        WeightKind, compute_epsilon, load_map, load_weights, scale_weights,
+    )
+    from demers.sepconstraints import derive_constraints
+    from demers.synth import write_instance
+
+    map_path, csv_path = write_instance(
+        tmp_path / f"k{k}", cols, seed, k=k, rows=cols, jitter=0.3
+    )
+    g = load_map(map_path)
+    table = scale_weights(load_weights(csv_path, g, WeightKind.TIME_SERIES), g)
+    cs = derive_constraints(g, compute_epsilon(table, g), setting)
+    if k == 1:
+        spec = ModelSpec(objective_kind=objective, setting=setting, stability=Stability.NONE)
+        return g, build_single_lp(g, table.function_sides(0), cs, spec)
+    spec = ModelSpec(objective_kind=objective, setting=setting, stability=Stability.SU)
+    return g, build_multi_lp(g, table, cs, spec)
+
+
+class TestDegeneratePhaseOne:
+    @pytest.mark.parametrize("seed", [24, 31, 2000])
+    def test_jittered_top_s_lp_is_feasible(self, tmp_path, seed):
+        # long degenerate stretches in phase 1 leave round-off reduced costs
+        # on columns without a positive pivot entry; they are not rays
+        from demers.lpmodel import ObjectiveKind
+        from demers.sepconstraints import Setting
+
+        _, model = jittered_model(tmp_path, 3, seed, ObjectiveKind.TOP, Setting.STRONG)
+        assert len(model.problem.constraints) <= ss.AUTO_SIMPLEX_MAX_ROWS
+        ref = solve_lp(model.problem, engine="highs")
+        for engine in ("simplex", "auto"):
+            sol = solve_lp(model.problem, engine=engine)
+            assert sol.status is SolveStatus.OPTIMAL, engine
+            assert sol.engine == "simplex"
+            assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
+            assert max_violation(model.problem, sol.values) <= 1e-6
+
+
+def highs_recorder(monkeypatch):
+    """Record the time limit of every call into the HiGHS backend."""
+    seen: list[float | None] = []
+    real = ss._solve_highs
+
+    def spy(problem, log, time_limit=None):
+        seen.append(time_limit)
+        return real(problem, log, time_limit)
+
+    monkeypatch.setattr(ss, "_solve_highs", spy)
+    return seen
+
+
+class TestTimeLimit:
+    def test_binary_free_ilp_forwards_limit(self, monkeypatch):
+        seen = highs_recorder(monkeypatch)
+        p = LpProblem()
+        p.add_var("x")
+        p.add_constraint({"x": 1.0}, ">=", 3.0)
+        p.add_objective("x", 1.0)
+        sol = solve_ilp(p, engine="highs", time_limit=7.5)
+        assert sol.optimal
+        assert seen == [7.5]
+
+    def test_node_relaxations_get_remaining_time(self, monkeypatch):
+        seen = highs_recorder(monkeypatch)
+        p = LpProblem()
+        names = [f"b{i}" for i in range(4)]
+        for nm in names:
+            p.add_var(nm, 0, 1, binary=True)
+        p.add_constraint({nm: 2 for nm in names}, ">=", 3)
+        for i, nm in enumerate(names):
+            p.add_objective(nm, 1.0 + 0.1 * i)
+        sol = solve_ilp(p, engine="highs", time_limit=30.0)
+        assert sol.optimal
+        assert sol.objective == pytest.approx(2.1)
+        assert len(seen) >= 2
+        assert all(t is not None and 0 < t <= 30.0 for t in seen)
+        assert seen == sorted(seen, reverse=True)
+
+    def test_relaxation_stopped_by_limit_ends_search(self, monkeypatch):
+        # HiGHS reports a relaxation cut off by its time limit as an
+        # iteration limit; past the deadline that ends the search
+        def stopped(problem, log, time_limit=None):
+            time.sleep(time_limit)
+            return ss.Solution(SolveStatus.ITERATION_LIMIT, engine="highs")
+
+        monkeypatch.setattr(ss, "_solve_highs", stopped)
+        p = LpProblem()
+        p.add_var("b", 0, 1, binary=True)
+        p.add_objective("b", 1.0)
+        sol = solve_ilp(p, engine="highs", time_limit=0.05)
+        assert sol.status is SolveStatus.NODE_LIMIT
+        assert sol.nodes == 1
+
+
+def sized_lp(rows):
+    """A feasible LP with exactly ``rows`` constraints."""
+    rng = random.Random(rows)
+    p = LpProblem()
+    n = 20
+    names = [f"x{i}" for i in range(n)]
+    for nm in names:
+        p.add_var(nm, 0.0, 10.0)
+        p.add_objective(nm, rng.uniform(-1.0, 1.0))
+    for _ in range(rows):
+        picks = rng.sample(names, 3)
+        p.add_constraint({nm: rng.uniform(0.1, 1.0) for nm in picks}, "<=", 15.0)
+    return p
+
+
+class TestHighsMethod:
+    def test_method_switches_at_threshold(self):
+        below = solve_lp(sized_lp(ss.HIGHS_IPM_MIN_ROWS - 1), engine="highs")
+        above = solve_lp(sized_lp(ss.HIGHS_IPM_MIN_ROWS), engine="highs")
+        assert (below.engine, below.method) == ("highs", "ds")
+        assert (above.engine, above.method) == ("highs", "ipm")
+        assert below.optimal and above.optimal
+        assert below.crossover_nit == 0
+        assert above.crossover_nit >= 0
+
+    def test_bundled_simplex_records_no_method(self):
+        sol = solve_lp(sized_lp(5), engine="simplex")
+        assert (sol.engine, sol.method, sol.crossover_nit) == ("simplex", "", 0)
+
+    @pytest.mark.parametrize(
+        "objective,setting,k",
+        [("TOP", "STRONG", 1), ("ORG", "WEAK", 2)],
+    )
+    def test_interior_point_matches_dual_simplex(
+        self, tmp_path, monkeypatch, objective, setting, k
+    ):
+        from demers.layout import anchor_to_origins, decode, validity_violations
+        from demers.lpmodel import ObjectiveKind
+        from demers.sepconstraints import Setting
+
+        kind = ObjectiveKind[objective]
+        g, model = jittered_model(tmp_path, 7, 0, kind, Setting[setting], k=k)
+        assert len(model.problem.constraints) >= ss.HIGHS_IPM_MIN_ROWS
+        ipm = solve_lp(model.problem, engine="auto")
+        monkeypatch.setattr(ss, "HIGHS_IPM_MIN_ROWS", 10**9)
+        ds = solve_lp(model.problem, engine="auto")
+        assert (ipm.method, ds.method) == ("ipm", "ds")
+        assert ipm.objective == pytest.approx(ds.objective, abs=1e-7)
+
+        layouts = []
+        for sol in (ipm, ds):
+            lays = decode(sol, model)
+            if kind is not ObjectiveKind.ORG:
+                lays = anchor_to_origins(lays, {r.id: r.centroid for r in g.regions})
+            assert all(validity_violations(lay) == [] for lay in lays)
+            layouts.append(lays)
+        for a, b in zip(*layouts):
+            for rid, (x, y) in a.centers.items():
+                assert x == pytest.approx(b.centers[rid][0], abs=1e-7)
+                assert y == pytest.approx(b.centers[rid][1], abs=1e-7)
