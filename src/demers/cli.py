@@ -203,7 +203,7 @@ def _solve_lp_variant(
                 time_limit=config.lp_time_limit,
                 log=config.solver_log,
             )
-        stats.append(_solution_stats(sol))
+        stats.append({**_solution_stats(sol), **model.problem.size()})
         if not sol.values:
             raise RuntimeError(f"solver returned {sol.status.value} with no point")
         return sol

@@ -12,6 +12,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .lpmodel import CartogramModel
 from .sepconstraints import SeparationConstraintSet
 from .simplexsolver import Solution
@@ -132,30 +134,41 @@ class Violation:
 
 
 def validity_violations(layout: SquareLayout) -> list[Violation]:
-    """All constraint/disjointness violations beyond the solver tolerance."""
+    """All constraint/disjointness violations beyond the solver tolerance.
+
+    Separation violations come first (H pairs, then V pairs, each sorted),
+    then interior overlaps by sorted region pair.
+    """
     cs = layout.constraint_ref
     if cs is None:
         raise LayoutError("layout has no constraint set to validate against")
     tol = VALIDITY_TOL * (layout.diagonal or 1.0)
-    out: list[Violation] = []
-    centers, sides = layout.centers, layout.sides
-
-    def w(a: str, b: str) -> float:
-        return (sides[a] + sides[b]) / 2.0
-
-    for axis, pairs, coord in (("H", cs.sorted_h(), 0), ("V", cs.sorted_v(), 1)):
-        for a, b in pairs:
-            need = w(a, b) + cs.gap(axis, (a, b))
-            got = centers[b][coord] - centers[a][coord]
-            if got < need - tol:
-                out.append(Violation(f"separation[{axis}]", (a, b), need - got))
     ids = layout.region_ids()
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            dx = abs(centers[a][0] - centers[b][0])
-            dy = abs(centers[a][1] - centers[b][1])
-            if max(dx, dy) < w(a, b) - tol:
-                out.append(Violation("interior-disjoint", (a, b), w(a, b) - max(dx, dy)))
+    pos = {rid: i for i, rid in enumerate(ids)}
+    centers = np.array([layout.centers[r] for r in ids], dtype=float).reshape(-1, 2)
+    sides = np.array([layout.sides[r] for r in ids], dtype=float)
+    out: list[Violation] = []
+
+    for axis, coord in (("H", 0), ("V", 1)):
+        pairs, gaps = cs.gapped_pairs(axis)
+        if not pairs:
+            continue
+        ia = np.array([pos[a] for a, _ in pairs])
+        ib = np.array([pos[b] for _, b in pairs])
+        need = (sides[ia] + sides[ib]) / 2.0 + np.array(gaps)
+        got = centers[ib, coord] - centers[ia, coord]
+        for k in np.flatnonzero(got < need - tol).tolist():
+            amount = float(need[k] - got[k])
+            out.append(Violation(f"separation[{axis}]", pairs[k], amount))
+    ia, ib = np.triu_indices(len(ids), 1)
+    w = (sides[ia] + sides[ib]) / 2.0
+    dist = np.maximum(
+        np.abs(centers[ia, 0] - centers[ib, 0]), np.abs(centers[ia, 1] - centers[ib, 1])
+    )
+    for k in np.flatnonzero(dist < w - tol).tolist():
+        out.append(Violation(
+            "interior-disjoint", (ids[ia[k]], ids[ib[k]]), float(w[k] - dist[k])
+        ))
     return out
 
 

@@ -5,14 +5,20 @@ variables for adjacent pairs, directional-deviation variables, and optional
 origin-displacement or inter-block stability variables. Objectives cover
 total adjacent distance (TOP), origin displacement (ORG) and lost-adjacency
 count (CNT, with binaries).
+
+``LpProblem`` keeps its columns and its sparse rows as numpy arrays, which
+both solver engines read directly; the builders emit each constraint family
+with one bulk call over region-index arrays.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .mapdata import AdjacencyGraph, SideLengthTable
 from .sepconstraints import SeparationConstraintSet, Setting
@@ -46,20 +52,145 @@ class LinConstraint:
     name: str = ""
 
 
-@dataclass
-class LpProblem:
-    """A linear (or binary-integer) program, objective minimized."""
+SENSES = ("<=", ">=", "=")  # a row's sense code indexes this
+LE, GE, EQ = range(3)
+_SENSE_CODE = {s: i for i, s in enumerate(SENSES)}
 
-    name: str = "lp"
-    variables: list[Variable] = field(default_factory=list)
-    constraints: list[LinConstraint] = field(default_factory=list)
-    objective: dict[str, float] = field(default_factory=dict)
+
+class _Buffer:
+    """A 1-d array grown in chunks, joined on the first read after a write."""
+
+    __slots__ = ("dtype", "_parts")
+
+    def __init__(self, dtype, data=()) -> None:
+        self.dtype = dtype
+        self._parts = [np.asarray(data, dtype=dtype).ravel()]
+
+    def extend(self, values) -> None:
+        self._parts.append(np.asarray(values, dtype=self.dtype).ravel())
+
+    @property
+    def array(self) -> np.ndarray:
+        if len(self._parts) > 1:
+            self._parts = [np.concatenate(self._parts)]
+        return self._parts[0]
+
+
+class LpProblem:
+    """A linear (or binary-integer) program, objective minimized.
+
+    Columns are arrays: ``col_names``, bounds ``lb``/``ub``, the ``binary``
+    mask and the objective vector ``cost``. Rows are COO triplets ``row``,
+    ``col``, ``val`` (ordered by row, a row's entries in insertion order)
+    with a ``sense`` code into ``SENSES`` and an ``rhs`` per row;
+    ``row_names`` maps the rows that have a name. Rows never hold an exact
+    zero coefficient. ``variables``, ``constraints`` and ``objective`` are
+    read-only views built from the arrays on demand.
+    """
+
+    def __init__(
+        self,
+        name: str = "lp",
+        variables=(),
+        constraints=(),
+        objective: dict[str, float] | None = None,
+    ) -> None:
+        self.name = name
+        self.col_names: list[str] = []
+        self.col_index: dict[str, int] = {}
+        self.row_names: dict[int, str] = {}
+        self.num_rows = 0
+        self._lb, self._ub = _Buffer(float), _Buffer(float)
+        self._binary, self._cost = _Buffer(bool), _Buffer(float)
+        self._row, self._col = _Buffer(np.int64), _Buffer(np.int64)
+        self._val, self._rhs = _Buffer(float), _Buffer(float)
+        self._sense = _Buffer(np.int8)
+        self._views: dict[str, tuple] = {}
+        for v in variables:
+            self.add_var(v.name, v.lb, v.ub, v.binary)
+        for con in constraints:
+            self.add_constraint(dict(con.coeffs), con.relation, con.rhs, con.name)
+        for vname, coeff in (objective or {}).items():
+            self.add_objective(vname, coeff)
+
+    # -- arrays ------------------------------------------------------------
+
+    lb = property(lambda self: self._lb.array)
+    ub = property(lambda self: self._ub.array)
+    binary = property(lambda self: self._binary.array)
+    cost = property(lambda self: self._cost.array)
+    row = property(lambda self: self._row.array)
+    col = property(lambda self: self._col.array)
+    val = property(lambda self: self._val.array)
+    sense = property(lambda self: self._sense.array)
+    rhs = property(lambda self: self._rhs.array)
+
+    @property
+    def num_cols(self) -> int:
+        return len(self.col_names)
+
+    @property
+    def nnz(self) -> int:
+        return self.val.size
+
+    @property
+    def num_binaries(self) -> int:
+        return int(self.binary.sum())
+
+    def size(self) -> dict[str, int]:
+        """Model size as rows, columns, nonzeros and binaries."""
+        return {"rows": self.num_rows, "cols": self.num_cols,
+                "nnz": self.nnz, "binaries": self.num_binaries}
+
+    # -- building ----------------------------------------------------------
+
+    def add_vars(
+        self, names: list[str], lb: float = 0.0, ub: float = INF, binary: bool = False
+    ) -> np.ndarray:
+        """Append columns; returns their indices."""
+        start = len(self.col_names)
+        self.col_names.extend(names)
+        self.col_index.update(zip(names, range(start, start + len(names))))
+        if len(self.col_index) != len(self.col_names):
+            raise ModelError("duplicate variable name")
+        n = len(names)
+        self._lb.extend(np.full(n, lb, dtype=float))
+        self._ub.extend(np.full(n, ub, dtype=float))
+        self._binary.extend(np.full(n, binary, dtype=bool))
+        self._cost.extend(np.zeros(n))
+        self._views.clear()
+        return np.arange(start, start + n)
 
     def add_var(
         self, name: str, lb: float = 0.0, ub: float = INF, binary: bool = False
     ) -> str:
-        self.variables.append(Variable(name, lb, ub, binary))
+        self.add_vars([name], lb, ub, binary)
         return name
+
+    def add_rows(
+        self, cols, vals, relation: str, rhs, names: list[str] | None = None
+    ) -> None:
+        """Append one row per line of the (m, p) column-index array ``cols``.
+
+        ``vals`` broadcasts to the shape of ``cols`` and ``rhs`` to (m,).
+        Exact-zero coefficients are dropped, as ``add_constraint`` drops them.
+        """
+        if relation not in _SENSE_CODE:
+            raise ModelError(f"bad relation {relation!r}")
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.broadcast_to(np.asarray(vals, dtype=float), cols.shape).ravel()
+        m = cols.shape[0]
+        rows = np.repeat(np.arange(self.num_rows, self.num_rows + m), cols.shape[1])
+        keep = vals != 0.0
+        self._row.extend(rows[keep])
+        self._col.extend(cols.ravel()[keep])
+        self._val.extend(vals[keep])
+        self._sense.extend(np.full(m, _SENSE_CODE[relation], dtype=np.int8))
+        self._rhs.extend(np.broadcast_to(np.asarray(rhs, dtype=float), (m,)))
+        if names is not None:
+            self.row_names.update(zip(range(self.num_rows, self.num_rows + m), names))
+        self.num_rows += m
+        self._views.clear()
 
     def add_constraint(
         self,
@@ -68,36 +199,101 @@ class LpProblem:
         rhs: float,
         name: str = "",
     ) -> None:
-        if relation not in ("<=", ">=", "="):
-            raise ModelError(f"bad relation {relation!r}")
-        items = tuple((v, float(c)) for v, c in coeffs.items() if c != 0.0)
-        self.constraints.append(LinConstraint(items, relation, float(rhs), name))
+        cols = [self._column(v, "constraint") for v in coeffs]
+        self.add_rows(
+            [cols], [[float(c) for c in coeffs.values()]], relation, float(rhs),
+            names=[name] if name else None,
+        )
 
     def add_objective(self, name: str, coeff: float) -> None:
         if coeff == 0.0:
             return
-        self.objective[name] = self.objective.get(name, 0.0) + coeff
+        self.cost[self._column(name, "objective")] += coeff
+        self._views.clear()
+
+    def add_objective_terms(self, cols, coeffs) -> None:
+        """Add ``coeffs`` to the objective coefficients of columns ``cols``."""
+        np.add.at(self.cost, np.asarray(cols), coeffs)
+        self._views.clear()
+
+    def _column(self, name: str, what: str) -> int:
+        try:
+            return self.col_index[name]
+        except KeyError:
+            raise ModelError(f"{what} references unknown {name!r}") from None
+
+    def with_bounds(
+        self, lb: np.ndarray, ub: np.ndarray, binary: np.ndarray | None = None
+    ) -> "LpProblem":
+        """A copy with the same rows and objective and new column bounds.
+
+        The copy shares the row arrays and takes ``lb``, ``ub`` and ``binary``
+        as given; none of them is ever written in place.
+        """
+        out = LpProblem(self.name)
+        out.col_names = list(self.col_names)
+        out.col_index = dict(self.col_index)
+        out.row_names = dict(self.row_names)
+        out.num_rows = self.num_rows
+        out._lb, out._ub = _Buffer(float, lb), _Buffer(float, ub)
+        out._binary = _Buffer(bool, self.binary if binary is None else binary)
+        out._cost = _Buffer(float, self.cost.copy())
+        out._row, out._col = _Buffer(np.int64, self.row), _Buffer(np.int64, self.col)
+        out._val, out._rhs = _Buffer(float, self.val), _Buffer(float, self.rhs)
+        out._sense = _Buffer(np.int8, self.sense)
+        return out
+
+    # -- views -------------------------------------------------------------
 
     @property
-    def num_binaries(self) -> int:
-        return sum(1 for v in self.variables if v.binary)
+    def variables(self) -> tuple[Variable, ...]:
+        if "variables" not in self._views:
+            self._views["variables"] = tuple(
+                Variable(n, lo, hi, b)
+                for n, lo, hi, b in zip(
+                    self.col_names, self.lb.tolist(), self.ub.tolist(),
+                    self.binary.tolist(),
+                )
+            )
+        return self._views["variables"]
 
-    def var_names(self) -> list[str]:
-        return [v.name for v in self.variables]
+    @property
+    def constraints(self) -> tuple[LinConstraint, ...]:
+        if "constraints" not in self._views:
+            names = self.col_names
+            ends = np.cumsum(np.bincount(self.row, minlength=self.num_rows)).tolist()
+            cols, vals = self.col.tolist(), self.val.tolist()
+            out = []
+            start = 0
+            for i, (end, sense, rhs) in enumerate(
+                zip(ends, self.sense.tolist(), self.rhs.tolist())
+            ):
+                coeffs = tuple(zip([names[j] for j in cols[start:end]], vals[start:end]))
+                name = self.row_names.get(i, "")
+                out.append(LinConstraint(coeffs, SENSES[sense], rhs, name))
+                start = end
+            self._views["constraints"] = tuple(out)
+        return self._views["constraints"]
+
+    @property
+    def objective(self) -> dict[str, float]:
+        nz = np.flatnonzero(self.cost)
+        return dict(zip([self.col_names[j] for j in nz], self.cost[nz].tolist()))
 
     def validate(self) -> None:
-        declared = {v.name for v in self.variables}
-        for c in self.constraints:
-            for vname, coeff in c.coeffs:
-                if vname not in declared:
-                    raise ModelError(f"constraint references unknown {vname!r}")
-                if not math.isfinite(coeff):
-                    raise ModelError(f"non-finite coefficient on {vname!r}")
-        for vname, coeff in self.objective.items():
-            if vname not in declared:
-                raise ModelError(f"objective references unknown {vname!r}")
-            if not math.isfinite(coeff):
-                raise ModelError(f"non-finite objective coefficient on {vname!r}")
+        col = self.col
+        if col.size and (col.min() < 0 or col.max() >= self.num_cols):
+            raise ModelError("constraint references an unknown column")
+        bad = np.flatnonzero(~np.isfinite(self.val))
+        if bad.size:
+            raise ModelError(
+                f"non-finite coefficient on {self.col_names[col[bad[0]]]!r}"
+            )
+        bad = np.flatnonzero(~np.isfinite(self.cost))
+        if bad.size:
+            raise ModelError(
+                f"non-finite objective coefficient on {self.col_names[bad[0]]!r}"
+            )
 
     def to_lp_format(self) -> str:
         """Serialize in CPLEX-style LP file syntax."""
@@ -106,14 +302,13 @@ class LpProblem:
         obj_terms = _format_terms(
             [(safe[v], c) for v, c in sorted(self.objective.items())]
         )
-        out.append(f" obj: {obj_terms if obj_terms else '0 ' + safe[self.variables[0].name]}"
-                   if self.variables else " obj: 0")
+        out.append(f" obj: {obj_terms if obj_terms else '0 ' + safe[self.col_names[0]]}"
+                   if self.col_names else " obj: 0")
         out.append("Subject To")
         for i, c in enumerate(self.constraints):
-            rel = {"<=": "<=", ">=": ">=", "=": "="}[c.relation]
             label = safe[c.name] if c.name else f"c{i}"
             terms = _format_terms([(safe[v], k) for v, k in c.coeffs])
-            out.append(f" {label}: {terms} {rel} {_num(c.rhs)}")
+            out.append(f" {label}: {terms} {c.relation} {_num(c.rhs)}")
         out.append("Bounds")
         for v in self.variables:
             if v.binary:
@@ -173,19 +368,19 @@ def _format_terms(terms: list[tuple[str, float]]) -> str:
 
 def max_violation(problem: LpProblem, values: dict[str, float]) -> float:
     """Largest constraint/bound violation of an assignment (0 if feasible)."""
-    worst = 0.0
-    for v in problem.variables:
-        x = values.get(v.name, 0.0)
-        worst = max(worst, v.lb - x, x - v.ub)
-    for c in problem.constraints:
-        lhs = sum(coeff * values.get(name, 0.0) for name, coeff in c.coeffs)
-        if c.relation == "<=":
-            worst = max(worst, lhs - c.rhs)
-        elif c.relation == ">=":
-            worst = max(worst, c.rhs - lhs)
-        else:
-            worst = max(worst, abs(lhs - c.rhs))
-    return worst
+    x = np.array([values.get(name, 0.0) for name in problem.col_names], dtype=float)
+    lhs = np.bincount(
+        problem.row, weights=problem.val * x[problem.col], minlength=problem.num_rows
+    )
+    excess = lhs - problem.rhs
+    sense = problem.sense
+    row_viol = np.where(sense == LE, excess, np.where(sense == GE, -excess, np.abs(excess)))
+    return float(max(
+        0.0,
+        np.max(problem.lb - x, initial=0.0),
+        np.max(x - problem.ub, initial=0.0),
+        np.max(row_viol, initial=0.0),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +450,10 @@ def _pair_key(a: str, b: str) -> str:
     return f"{x}__{y}"
 
 
+def _columns(prob: LpProblem, names: dict[str, str], ids: list[str]) -> np.ndarray:
+    return np.array([prob.col_index[names[rid]] for rid in ids], dtype=np.int64)
+
+
 def _emit_block(
     prob: LpProblem,
     tag: str,
@@ -267,125 +466,158 @@ def _emit_block(
     with_binaries: bool = False,
     primary_weight: float = 1.0,
 ) -> BlockMeta:
-    """Emit one weight function's variables, constraints and objective terms."""
-    ids = sorted(map.region_ids)
-    centroids = {r.id: r.centroid for r in map.regions}
-    eps = cs.epsilon
-    x = {rid: prob.add_var(f"x{tag}_{rid}", -INF, INF) for rid in ids}
-    y = {rid: prob.add_var(f"y{tag}_{rid}", -INF, INF) for rid in ids}
+    """Emit one weight function's variables, constraints and objective terms.
 
-    def w(a: str, b: str) -> float:
-        return (sides[a] + sides[b]) / 2.0
+    Each constraint family is one bulk append over region-index arrays.
+    """
+    ids = sorted(map.region_ids)
+    pos = {rid: i for i, rid in enumerate(ids)}
+    centroids = {r.id: r.centroid for r in map.regions}
+    cen = np.array([centroids[rid] for rid in ids], dtype=float).reshape(-1, 2)
+    side = np.array([sides[rid] for rid in ids], dtype=float)
+    eps = cs.epsilon
+    xc = prob.add_vars([f"x{tag}_{rid}" for rid in ids], -INF, INF)
+    yc = prob.add_vars([f"y{tag}_{rid}" for rid in ids], -INF, INF)
+
+    def index(regions) -> np.ndarray:
+        return np.array([pos[r] for r in regions], dtype=np.int64)
+
+    def w(ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+        return (side[ia] + side[ib]) / 2.0
 
     # separation constraints: center distance at least half-sides plus gap
-    for axis, pairs, coord in (("H", cs.sorted_h(), x), ("V", cs.sorted_v(), y)):
-        for a, b in pairs:
-            prob.add_constraint(
-                {coord[b]: 1.0, coord[a]: -1.0},
-                ">=",
-                w(a, b) + cs.gap(axis, (a, b)),
-                name=f"sep{axis}{tag}_{a}__{b}",
-            )
+    for axis, coord in (("H", xc), ("V", yc)):
+        pairs, gaps = cs.gapped_pairs(axis)
+        if not pairs:
+            continue
+        ia, ib = index(a for a, _ in pairs), index(b for _, b in pairs)
+        prob.add_rows(
+            np.stack([coord[ib], coord[ia]], axis=1), [1.0, -1.0], ">=",
+            w(ia, ib) + np.array(gaps),
+            names=[f"sep{axis}{tag}_{a}__{b}" for a, b in pairs],
+        )
 
     # distance variables per adjacency, with the corner-contact correction:
     # the off-axis distance only reaches zero once the squares share a
     # boundary segment at least epsilon long
     edges = map.edge_list()
-    h_names: dict[tuple[str, str], str] = {}
-    v_names: dict[tuple[str, str], str] = {}
+    on_v = []
     for a, b in edges:
         prim = cs.primary_axis_of(a, b)
         if prim is None:
             raise ModelError(f"adjacent pair ({a!r}, {b!r}) has no primary constraint")
-        axis = prim[0]
-        key = _pair_key(a, b)
-        hv = prob.add_var(f"h{tag}_{key}")
-        vv = prob.add_var(f"v{tag}_{key}")
-        h_names[(a, b)] = hv
-        v_names[(a, b)] = vv
-        fix_h = eps if axis == "V" else 0.0
-        fix_v = eps if axis == "H" else 0.0
-        for u, v_ in ((a, b), (b, a)):
-            prob.add_constraint(
-                {x[u]: 1.0, x[v_]: -1.0, hv: -1.0}, "<=", w(a, b) - fix_h
-            )
-            prob.add_constraint(
-                {y[u]: 1.0, y[v_]: -1.0, vv: -1.0}, "<=", w(a, b) - fix_v
-            )
+        on_v.append(prim[0] == "V")
+    hv = prob.add_vars(
+        [f"{p}{tag}_{_pair_key(a, b)}" for a, b in edges for p in ("h", "v")]
+    )
+    h, v = hv[0::2], hv[1::2]
+    if edges:
+        ea, eb = index(a for a, _ in edges), index(b for _, b in edges)
+        ww = w(ea, eb)
+        fix_h = np.where(on_v, eps, 0.0)
+        fix_v = np.where(on_v, 0.0, eps)
+        # per edge: x and y rows for (a, b), then for (b, a)
+        cols = np.stack([
+            np.stack([xc[ea], xc[eb], h], axis=1),
+            np.stack([yc[ea], yc[eb], v], axis=1),
+            np.stack([xc[eb], xc[ea], h], axis=1),
+            np.stack([yc[eb], yc[ea], v], axis=1),
+        ], axis=1)
+        rhs = np.stack([ww - fix_h, ww - fix_v, ww - fix_h, ww - fix_v], axis=1)
+        prob.add_rows(cols.reshape(-1, 3), [1.0, -1.0, -1.0], "<=", rhs.ravel())
 
     # directional deviation from the centroid ray, one term per region pair;
     # the transposed formula keeps the slope coefficient finite when the
     # pair's dominant centroid distance is vertical
-    if spec.objective_kind is not ObjectiveKind.CNT:
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                (ax_, ay_), (bx_, by_) = centroids[a], centroids[b]
-                dx_, dy_ = bx_ - ax_, by_ - ay_
-                if dx_ == 0.0 and dy_ == 0.0:
-                    raise ModelError(f"coincident centroids for {a!r} and {b!r}")
-                if abs(dx_) >= abs(dy_):
-                    axis = "H"
-                    slope = dy_ / dx_
-                    expr = {y[a]: 1.0, y[b]: -1.0, x[b]: slope, x[a]: -slope}
-                else:
-                    axis = "V"
-                    slope = dx_ / dy_
-                    expr = {x[a]: 1.0, x[b]: -1.0, y[b]: slope, y[a]: -slope}
-                d = prob.add_var(f"d{tag}_{axis}_{a}__{b}")
-                prob.add_constraint({**expr, d: -1.0}, "<=", 0.0)
-                prob.add_constraint({k: -c for k, c in expr.items()} | {d: -1.0}, "<=", 0.0)
-                boost = (
-                    spec.adjacent_direction_boost if cs.is_adjacent(a, b) else 1.0
-                )
-                prob.add_objective(d, spec.secondary_weight * boost)
+    if spec.objective_kind is not ObjectiveKind.CNT and len(ids) > 1:
+        ia, ib = np.triu_indices(len(ids), 1)
+        dx = cen[ib, 0] - cen[ia, 0]
+        dy = cen[ib, 1] - cen[ia, 1]
+        same = np.flatnonzero((dx == 0.0) & (dy == 0.0))
+        if same.size:
+            a, b = ids[ia[same[0]]], ids[ib[same[0]]]
+            raise ModelError(f"coincident centroids for {a!r} and {b!r}")
+        horiz = np.abs(dx) >= np.abs(dy)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(horiz, dy / dx, dx / dy)
+        d = prob.add_vars([
+            f"d{tag}_{'H' if hz else 'V'}_{ids[i]}__{ids[j]}"
+            for i, j, hz in zip(ia.tolist(), ib.tolist(), horiz.tolist())
+        ])
+        # H: y_a - y_b + slope (x_b - x_a); V: x_a - x_b + slope (y_b - y_a)
+        main = np.where(horiz, yc[ia], xc[ia]), np.where(horiz, yc[ib], xc[ib])
+        cross = np.where(horiz, xc[ib], yc[ib]), np.where(horiz, xc[ia], yc[ia])
+        cols = np.stack([main[0], main[1], cross[0], cross[1], d], axis=1)
+        one = np.ones_like(slope)
+        expr = np.stack([one, -one, slope, -slope], axis=1)
+        vals = np.stack([
+            np.column_stack([expr, -one]), np.column_stack([-expr, -one]),
+        ], axis=1)
+        prob.add_rows(
+            np.repeat(cols, 2, axis=0), vals.reshape(-1, 5), "<=", 0.0
+        )
+        adjacent = np.zeros((len(ids), len(ids)), dtype=bool)
+        for pair in cs.adjacencies:
+            if len(pair) == 2 and all(r in pos for r in pair):
+                i, j = (pos[r] for r in pair)
+                adjacent[i, j] = adjacent[j, i] = True
+        boost = np.where(adjacent[ia, ib], spec.adjacent_direction_boost, 1.0)
+        prob.add_objective_terms(d, spec.secondary_weight * boost)
 
     if spec.objective_kind is ObjectiveKind.TOP:
-        for name in list(h_names.values()) + list(v_names.values()):
-            prob.add_objective(name, primary_weight)
+        prob.add_objective_terms(hv, primary_weight)
     elif spec.objective_kind is ObjectiveKind.ORG:
-        _emit_displacement(
-            prob, f"o{tag}", ids, x, y,
-            {rid: centroids[rid] for rid in ids}, primary_weight,
-        )
+        _emit_displacement(prob, f"o{tag}", ids, xc, yc, cen, primary_weight)
     elif spec.objective_kind is ObjectiveKind.CNT:
         if not with_binaries:
             raise ModelError("CNT objective requires the integer builder")
         n = len(ids)
         big_m = 2.0 * (sum(sides.values()) + max(0, n - 1) * eps)
-        for a, b in edges:
-            bvar = prob.add_var(f"b{tag}_{_pair_key(a, b)}", 0.0, 1.0, binary=True)
-            prob.add_constraint(
-                {h_names[(a, b)]: 1.0, v_names[(a, b)]: 1.0, bvar: -big_m},
-                "<=",
-                0.0,
-            )
-            prob.add_objective(bvar, primary_weight)
-        for name in list(h_names.values()) + list(v_names.values()):
-            prob.add_objective(name, spec.secondary_weight)
+        bvars = prob.add_vars(
+            [f"b{tag}_{_pair_key(a, b)}" for a, b in edges], 0.0, 1.0, binary=True
+        )
+        prob.add_rows(
+            np.stack([h, v, bvars], axis=1), [1.0, 1.0, -big_m], "<=", 0.0
+        )
+        prob.add_objective_terms(bvars, primary_weight)
+        prob.add_objective_terms(hv, spec.secondary_weight)
 
-    return BlockMeta(function_index=function_index, sides=dict(sides), x=x, y=y)
+    return BlockMeta(
+        function_index=function_index,
+        sides=dict(sides),
+        x=dict(zip(ids, (prob.col_names[j] for j in xc))),
+        y=dict(zip(ids, (prob.col_names[j] for j in yc))),
+    )
+
+
+def _points(points: dict[str, Point], ids: list[str]) -> np.ndarray:
+    return np.array([points[rid] for rid in ids], dtype=float).reshape(-1, 2)
 
 
 def _emit_displacement(
     prob: LpProblem,
     tag: str,
     ids: list[str],
-    x: dict[str, str],
-    y: dict[str, str],
-    targets: dict[str, Point],
+    xc: np.ndarray,
+    yc: np.ndarray,
+    targets: np.ndarray,
     weight: float,
 ) -> None:
-    """L1 distance of each center to a fixed target point, added to the objective."""
-    for rid in ids:
-        tx, ty = targets[rid]
-        px = prob.add_var(f"px{tag}_{rid}")
-        py = prob.add_var(f"py{tag}_{rid}")
-        prob.add_constraint({x[rid]: 1.0, px: -1.0}, "<=", tx)
-        prob.add_constraint({x[rid]: -1.0, px: -1.0}, "<=", -tx)
-        prob.add_constraint({y[rid]: 1.0, py: -1.0}, "<=", ty)
-        prob.add_constraint({y[rid]: -1.0, py: -1.0}, "<=", -ty)
-        prob.add_objective(px, weight)
-        prob.add_objective(py, weight)
+    """L1 distance of each center to a fixed target point, added to the objective.
+
+    ``xc``/``yc`` are the center columns and ``targets`` the (n, 2) points,
+    both in ``ids`` order.
+    """
+    pxy = prob.add_vars([f"{p}{tag}_{rid}" for rid in ids for p in ("px", "py")])
+    px, py = pxy[0::2], pxy[1::2]
+    tx, ty = targets[:, 0], targets[:, 1]
+    # per region: x - px <= tx, -x - px <= -tx, then the same for y
+    cols = np.stack([np.stack([xc, px], axis=1)] * 2 + [np.stack([yc, py], axis=1)] * 2,
+                    axis=1)
+    vals = np.broadcast_to([[1.0, -1.0], [-1.0, -1.0]] * 2, cols.shape)
+    rhs = np.stack([tx, -tx, ty, -ty], axis=1)
+    prob.add_rows(cols.reshape(-1, 2), vals.reshape(-1, 2), "<=", rhs.ravel())
+    prob.add_objective_terms(pxy, weight)
 
 
 def _emit_coupling(
@@ -397,15 +629,17 @@ def _emit_coupling(
 ) -> None:
     """Displacement variables tying the same region's centers in two blocks."""
     i, j = bi.function_index, bj.function_index
-    for rid in ids:
-        cx = prob.add_var(f"cx_{rid}_{i}_{j}")
-        cy = prob.add_var(f"cy_{rid}_{i}_{j}")
-        prob.add_constraint({bi.x[rid]: 1.0, bj.x[rid]: -1.0, cx: -1.0}, "<=", 0.0)
-        prob.add_constraint({bj.x[rid]: 1.0, bi.x[rid]: -1.0, cx: -1.0}, "<=", 0.0)
-        prob.add_constraint({bi.y[rid]: 1.0, bj.y[rid]: -1.0, cy: -1.0}, "<=", 0.0)
-        prob.add_constraint({bj.y[rid]: 1.0, bi.y[rid]: -1.0, cy: -1.0}, "<=", 0.0)
-        prob.add_objective(cx, weight)
-        prob.add_objective(cy, weight)
+    cxy = prob.add_vars([f"{p}_{rid}_{i}_{j}" for rid in ids for p in ("cx", "cy")])
+    cx, cy = cxy[0::2], cxy[1::2]
+    xi, xj, yi, yj = (_columns(prob, names, ids) for names in (bi.x, bj.x, bi.y, bj.y))
+    cols = np.stack([
+        np.stack([xi, xj, cx], axis=1),
+        np.stack([xj, xi, cx], axis=1),
+        np.stack([yi, yj, cy], axis=1),
+        np.stack([yj, yi, cy], axis=1),
+    ], axis=1)
+    prob.add_rows(cols.reshape(-1, 3), [1.0, -1.0, -1.0], "<=", 0.0)
+    prob.add_objective_terms(cxy, weight)
 
 
 def build_single_lp(
@@ -553,6 +787,7 @@ class IterativeSequence:
             prob, "0", i, self.map, self.table.function_sides(i), self.cs, spec,
             with_binaries=with_binaries,
         )
+        xc, yc = _columns(prob, block.x, ids), _columns(prob, block.y, ids)
         if i == 0:
             # ORG already measures origin displacement as its primary term.
             # Other objectives get the origin term only as an anchor and
@@ -560,7 +795,7 @@ class IterativeSequence:
             if spec.objective_kind is not ObjectiveKind.ORG:
                 origins = {r.id: r.centroid for r in self.map.regions}
                 _emit_displacement(
-                    prob, "it", ids, block.x, block.y, origins,
+                    prob, "it", ids, xc, yc, _points(origins, ids),
                     spec.secondary_weight,
                 )
         else:
@@ -568,7 +803,7 @@ class IterativeSequence:
             if missing:
                 raise ModelError(f"previous solution missing regions {sorted(missing)}")
             _emit_displacement(
-                prob, "it", ids, block.x, block.y, previous_centers,
+                prob, "it", ids, xc, yc, _points(previous_centers, ids),
                 spec.stability_weight,
             )
         prob.validate()

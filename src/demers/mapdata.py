@@ -33,19 +33,15 @@ class WeightKind(Enum):
 
 @dataclass(frozen=True)
 class Region:
-    """A map region: polygon rings, centroid, and the displacement anchor.
+    """A map region: polygon rings and centroid.
 
-    ``origin`` is an alias of the centroid; it is the point displacement
-    objectives and metrics measure against.
+    The centroid is the point displacement objectives and metrics measure
+    against.
     """
 
     id: str
     polygon: list[Ring]
     centroid: Point
-
-    @property
-    def origin(self) -> Point:
-        return self.centroid
 
     def bbox(self) -> tuple[float, float, float, float]:
         xs = [p[0] for ring in self.polygon for p in ring]

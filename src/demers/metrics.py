@@ -12,8 +12,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-from .layout import SquareLayout, l1_gap
-from .leaders import LOST_TOL
+import numpy as np
+
+from .layout import SquareLayout
+from .leaders import lost_adjacencies
 from .mapdata import AdjacencyGraph
 
 Rect = tuple[float, float, float, float]
@@ -71,22 +73,53 @@ def _zone_change(zv_a: tuple[float, ...], zv_b: tuple[float, ...]) -> float:
     return 0.5 * sum(abs(a - b) for a, b in zip(zv_a, zv_b))
 
 
+def _zone_tensor(rects: np.ndarray) -> np.ndarray:
+    """(n, n, 8) zone vectors: entry [i, j] is ``zone_vector(rects[i], rects[j])``.
+
+    The same arithmetic as ``zone_vector``, broadcast over all pairs.
+    """
+    if np.any(rects[:, 2] - rects[:, 0] <= 0) or np.any(rects[:, 3] - rects[:, 1] <= 0):
+        raise ValueError("zone vectors need rectangles of positive area")
+    rx0, ry0, rx1, ry1 = (rects[:, None, k] for k in range(4))  # reference: rows
+    ox0, oy0, ox1, oy1 = (rects[None, :, k] for k in range(4))  # other: columns
+    area = (ox1 - ox0) * (oy1 - oy0)
+    x_left = np.maximum(0.0, np.minimum(ox1, rx0) - ox0)
+    x_mid = np.maximum(0.0, np.minimum(ox1, rx1) - np.maximum(ox0, rx0))
+    x_right = np.maximum(0.0, ox1 - np.maximum(ox0, rx1))
+    y_bot = np.maximum(0.0, np.minimum(oy1, ry0) - oy0)
+    y_mid = np.maximum(0.0, np.minimum(oy1, ry1) - np.maximum(oy0, ry0))
+    y_top = np.maximum(0.0, oy1 - np.maximum(oy0, ry1))
+    raw = np.stack([
+        x_mid * y_top, x_right * y_top, x_right * y_mid, x_right * y_bot,
+        x_mid * y_bot, x_left * y_bot, x_left * y_mid, x_left * y_top,
+    ], axis=-1)  # in ZONES order
+    outside = area - x_mid * y_mid
+    inside = outside <= 1e-12 * area
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zones = raw / outside[..., None]
+    zones[inside] = 1.0 / 8.0
+    return zones
+
+
 def _pairwise_zone_change(
     rects_a: dict[str, Rect], rects_b: dict[str, Rect]
 ) -> float:
     """Mean zone-vector change over all ordered region pairs."""
     ids = sorted(rects_a)
-    total, count = 0.0, 0
-    vectors_a: dict[tuple[str, str], tuple[float, ...]] = {}
-    for r in ids:
-        for s in ids:
-            if r == s:
-                continue
-            za = zone_vector(rects_a[r], rects_a[s])
-            zb = zone_vector(rects_b[r], rects_b[s])
-            total += _zone_change(za, zb)
-            count += 1
-    return total / count if count else 0.0
+    n = len(ids)
+    if n < 2:
+        return 0.0
+    diff = np.abs(
+        _zone_tensor(np.array([rects_a[r] for r in ids], dtype=float))
+        - _zone_tensor(np.array([rects_b[r] for r in ids], dtype=float))
+    )
+    # zones summed left to right and pairs in (r, s) order, as _zone_change
+    # and a loop over the pairs would
+    change = diff[..., 0]
+    for z in range(1, len(ZONES)):
+        change = change + diff[..., z]
+    change = 0.5 * change[~np.eye(n, dtype=bool)]
+    return float(np.cumsum(change)[-1]) / change.size
 
 
 def _map_rects(map: AdjacencyGraph) -> dict[str, Rect]:
@@ -106,13 +139,8 @@ def madj(layouts: list[SquareLayout], map: AdjacencyGraph) -> float:
     edges = map.edge_list()
     if not edges or not layouts:
         return 0.0
-    lost = sum(len(lost_edges(lay, map)) for lay in layouts)
+    lost = sum(len(lost_adjacencies(lay, map)) for lay in layouts)
     return _clamp01(lost / (len(layouts) * len(edges)), "madj")
-
-
-def lost_edges(layout: SquareLayout, map: AdjacencyGraph) -> list[tuple[str, str]]:
-    tol = LOST_TOL * (layout.diagonal or map.diagonal())
-    return [e for e in map.edge_list() if l1_gap(layout, *e) > tol]
 
 
 def mrel(layouts: list[SquareLayout], map: AdjacencyGraph) -> float:
@@ -251,7 +279,7 @@ def evaluate(layouts: list[SquareLayout], map: AdjacencyGraph) -> MetricsReport:
     """
     edges = map.edge_list()
     k = len(layouts)
-    lost = [len(lost_edges(lay, map)) for lay in layouts]
+    lost = [len(lost_adjacencies(lay, map)) for lay in layouts]
     madj_vals = [
         _clamp01(n / len(edges), "madj") if edges else 0.0 for n in lost
     ]

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 
 from .mapdata import AdjacencyGraph
 
@@ -71,6 +73,17 @@ class SeparationConstraintSet:
 
     def sorted_v(self) -> list[Pair]:
         return sorted(self.V)
+
+    def gapped_pairs(self, axis: str) -> tuple[tuple[Pair, ...], tuple[float, ...]]:
+        """One axis's sorted pairs and their ``gap`` values, computed once."""
+        return self._gapped[axis]
+
+    @cached_property
+    def _gapped(self) -> dict[str, tuple[tuple[Pair, ...], tuple[float, ...]]]:
+        out = {}
+        for axis, pairs in (("H", self.sorted_h()), ("V", self.sorted_v())):
+            out[axis] = (tuple(pairs), tuple(self.gap(axis, p) for p in pairs))
+        return out
 
     def to_dot(self) -> str:
         """DOT digraph of all constraints, secondary ones dashed."""
@@ -208,40 +221,45 @@ def reduce_transitive(cs: SeparationConstraintSet) -> SeparationConstraintSet:
     pairs always stay. Sound because epsilon never exceeds any square side,
     so a two-step chain already forces more separation than the direct
     constraint requires, whatever the gap values along the chain.
+
+    Reachability is one bitset per region, filled in reverse topological
+    order, so H and V must each be acyclic (see ``validate_dag``).
     """
 
-    def reduced(edges: frozenset[Pair], axis: str) -> frozenset[Pair]:
-        adj: dict[str, set[str]] = {}
-        for a, b in edges:
-            adj.setdefault(a, set()).add(b)
-        out = set()
+    def reduced(edges: frozenset[Pair]) -> frozenset[Pair]:
+        succ: dict[str, list[str]] = {}
         for a, b in sorted(edges):
-            if cs.is_adjacent(a, b):
-                out.add((a, b))
-            elif not _reachable_avoiding(adj, a, b):
-                out.add((a, b))
+            succ.setdefault(a, []).append(b)
+            succ.setdefault(b, [])
+        bit = {r: 1 << i for i, r in enumerate(succ)}
+        reach: dict[str, int] = {}  # regions reachable by one or more edges
+        try:
+            # successors first: TopologicalSorter reads them as predecessors
+            order = list(TopologicalSorter(succ).static_order())
+        except CycleError as exc:
+            raise ConstraintError(f"directed cycle {exc.args[1]}") from None
+        for r in order:
+            acc = 0
+            for s in succ[r]:
+                acc |= bit[s] | reach[s]
+            reach[r] = acc
+        out = set()
+        for a, targets in succ.items():
+            # reachable from a by two or more edges; in a DAG no successor
+            # reaches itself, so the direct edge (a, b) is never counted
+            longer = 0
+            for s in targets:
+                longer |= reach[s]
+            out.update(
+                (a, b) for b in targets if cs.is_adjacent(a, b) or not longer & bit[b]
+            )
         return frozenset(out)
 
-    new_h = reduced(cs.H, "H")
-    new_v = reduced(cs.V, "V")
+    new_h = reduced(cs.H)
+    new_v = reduced(cs.V)
     new_secondary = frozenset(
         (axis, a, b)
         for axis, a, b in cs.secondary
         if (a, b) in (new_h if axis == "H" else new_v)
     )
     return replace(cs, H=new_h, V=new_v, secondary=new_secondary)
-
-
-def _reachable_avoiding(adj: dict[str, set[str]], src: str, dst: str) -> bool:
-    """True if dst is reachable from src by a path of length at least two."""
-    stack = [n for n in adj.get(src, ()) if n != dst]
-    seen = set(stack)
-    while stack:
-        node = stack.pop()
-        if node == dst:
-            return True
-        for nxt in adj.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False

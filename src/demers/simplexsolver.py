@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lpmodel import LpProblem
+from .lpmodel import EQ, GE, LE, LpProblem
 
 INF = math.inf
 
@@ -110,9 +110,9 @@ def solve_ilp(
     the node limit or ``time_limit`` returns the incumbent with status
     NODE_LIMIT; every relaxation is given what is left of ``time_limit``.
     """
-    binaries = [v.name for v in problem.variables if v.binary]
-    if not binaries:
+    if not problem.num_binaries:
         return _dispatch(problem, engine, None, log, time_limit)
+    binaries = [problem.col_names[j] for j in np.flatnonzero(problem.binary)]
     t0 = time.perf_counter()
     deadline = t0 + time_limit if time_limit else None
 
@@ -120,16 +120,9 @@ def solve_ilp(
         # a positive floor: a zero limit would read as no limit at all
         return max(deadline - time.perf_counter(), 1e-3) if deadline else None
 
-    relaxed_vars = [
-        replace(v, binary=False) if v.binary else v for v in problem.variables
-    ]
-    base = LpProblem(
-        name=problem.name,
-        variables=relaxed_vars,
-        constraints=problem.constraints,
-        objective=problem.objective,
+    base = problem.with_bounds(
+        problem.lb, problem.ub, binary=np.zeros(problem.num_cols, dtype=bool)
     )
-    var_index = {v.name: i for i, v in enumerate(base.variables)}
 
     incumbent: Solution | None = None
     nodes = 0
@@ -154,7 +147,7 @@ def solve_ilp(
             break
         nodes += 1
         rel = _dispatch(
-            _with_fixings(base, var_index, fixings), engine, None, False, remaining()
+            _with_fixings(base, fixings), engine, None, False, remaining()
         )
         total_iters += rel.iterations
         total_crossover += rel.crossover_nit
@@ -198,7 +191,7 @@ def solve_ilp(
                     val = rel.values.get(name, 0.0)
                     probe_fix[name] = 1 if val > INT_TOL else 0
             probe = _dispatch(
-                _with_fixings(base, var_index, probe_fix), engine, None, False,
+                _with_fixings(base, probe_fix), engine, None, False,
                 remaining(),
             )
             total_iters += probe.iterations
@@ -241,21 +234,13 @@ def solve_ilp(
     )
 
 
-def _with_fixings(
-    base: LpProblem, var_index: dict[str, int], fixings: dict[str, int]
-) -> LpProblem:
+def _with_fixings(base: LpProblem, fixings: dict[str, int]) -> LpProblem:
     if not fixings:
         return base
-    variables = list(base.variables)
-    for name, val in fixings.items():
-        i = var_index[name]
-        variables[i] = replace(variables[i], lb=float(val), ub=float(val))
-    return LpProblem(
-        name=base.name,
-        variables=variables,
-        constraints=base.constraints,
-        objective=base.objective,
-    )
+    lb, ub = base.lb.copy(), base.ub.copy()
+    cols = [base.col_index[name] for name in fixings]
+    lb[cols] = ub[cols] = list(fixings.values())
+    return base.with_bounds(lb, ub)
 
 
 def _dispatch(
@@ -266,11 +251,9 @@ def _dispatch(
     time_limit: float | None = None,
 ) -> Solution:
     if engine == "auto":
-        engine = (
-            "simplex" if len(problem.constraints) <= AUTO_SIMPLEX_MAX_ROWS else "highs"
-        )
+        engine = "simplex" if problem.num_rows <= AUTO_SIMPLEX_MAX_ROWS else "highs"
     if engine == "simplex":
-        return _solve_simplex(problem, iteration_limit, log)
+        return _solve_simplex(problem, iteration_limit, log, time_limit)
     if engine == "highs":
         return _solve_highs(problem, log, time_limit)
     raise SolverError(f"unknown engine {engine!r}")
@@ -287,44 +270,33 @@ def _solve_highs(
     from scipy.optimize import linprog
 
     t0 = time.perf_counter()
-    index = {v.name: i for i, v in enumerate(problem.variables)}
-    n = len(problem.variables)
-    c = np.zeros(n)
-    for name, coeff in problem.objective.items():
-        c[index[name]] = coeff
+    n = problem.num_cols
+    sense, row, col = problem.sense, problem.row, problem.col
+    sign = np.where(sense == GE, -1.0, 1.0)  # ">=" rows flip into "<=" rows
+    signed_val, signed_rhs = problem.val * sign[row], problem.rhs * sign
 
-    ub_rhs: list[float] = []
-    eq_rhs: list[float] = []
-    ub_coo: list[tuple[int, int, float]] = []
-    eq_coo: list[tuple[int, int, float]] = []
-    for con in problem.constraints:
-        if con.relation == "=":
-            row = len(eq_rhs)
-            eq_rhs.append(con.rhs)
-            eq_coo.extend((row, index[v], k) for v, k in con.coeffs)
-        else:
-            sign = 1.0 if con.relation == "<=" else -1.0
-            row = len(ub_rhs)
-            ub_rhs.append(sign * con.rhs)
-            ub_coo.extend((row, index[v], sign * k) for v, k in con.coeffs)
+    def part(rows: np.ndarray):
+        """Sparse matrix and rhs of the ``rows`` mask, None when empty."""
+        if not rows.any():
+            return None, None
+        renumber = np.cumsum(rows) - 1
+        keep = rows[row]
+        A = sparse.csc_matrix(
+            (signed_val[keep], (renumber[row[keep]], col[keep])),
+            shape=(int(rows.sum()), n),
+        )
+        return A, signed_rhs[rows]
 
-    def mat(coo, nrows):
-        if not nrows:
-            return None
-        rows, cols, vals = zip(*coo) if coo else ((), (), ())
-        return sparse.csc_matrix((vals, (rows, cols)), shape=(nrows, n))
-
-    bounds = [
-        (None if v.lb == -INF else v.lb, None if v.ub == INF else v.ub)
-        for v in problem.variables
-    ]
-    method = "ipm" if len(problem.constraints) >= HIGHS_IPM_MIN_ROWS else "ds"
+    A_ub, b_ub = part(sense != EQ)
+    A_eq, b_eq = part(sense == EQ)
+    bounds = np.column_stack([problem.lb, problem.ub])
+    method = "ipm" if problem.num_rows >= HIGHS_IPM_MIN_ROWS else "ds"
     res = linprog(
-        c,
-        A_ub=mat(ub_coo, len(ub_rhs)),
-        b_ub=np.asarray(ub_rhs) if ub_rhs else None,
-        A_eq=mat(eq_coo, len(eq_rhs)),
-        b_eq=np.asarray(eq_rhs) if eq_rhs else None,
+        problem.cost,
+        A_ub=A_ub,
+        b_ub=b_ub,
+        A_eq=A_eq,
+        b_eq=b_eq,
         bounds=bounds,
         method=f"highs-{method}",
         options={"disp": bool(log), **({"time_limit": time_limit} if time_limit else {})},
@@ -345,18 +317,17 @@ def _solve_highs(
         return Solution(SolveStatus.ITERATION_LIMIT, **counts)
     if res.status != 0:
         raise SolverError(f"HiGHS failed: {res.message}")
-    values = {name: float(res.x[i]) for name, i in index.items()}
+    values = dict(zip(problem.col_names, res.x.tolist()))
     try:
         dual = 0.0
-        if ub_rhs:
-            dual += float(np.dot(res.ineqlin.marginals, np.asarray(ub_rhs)))
-        if eq_rhs:
-            dual += float(np.dot(res.eqlin.marginals, np.asarray(eq_rhs)))
-        for j, (lo, hi) in enumerate(bounds):
-            if lo is not None:
-                dual += float(res.lower.marginals[j]) * lo
-            if hi is not None:
-                dual += float(res.upper.marginals[j]) * hi
+        if b_ub is not None:
+            dual += float(np.dot(res.ineqlin.marginals, b_ub))
+        if b_eq is not None:
+            dual += float(np.dot(res.eqlin.marginals, b_eq))
+        for marginals, bound in ((res.lower.marginals, problem.lb),
+                                 (res.upper.marginals, problem.ub)):
+            finite = np.isfinite(bound)
+            dual += float(np.dot(marginals[finite], bound[finite]))
     except AttributeError:
         dual = None
     return Solution(
@@ -376,93 +347,75 @@ def _solve_highs(
 class _StdForm:
     """min c.t  s.t.  A t = b, t >= 0, with bookkeeping to map back.
 
-    Each user variable is x = shift + sum(sign * t_col / col_scale) over its
-    ``pieces``; fixed variables carry no columns at all.
+    User variable j is x = shift[j] + sum over k of
+    piece_sign[j, k] * t[piece[j, k]] / col_scale[piece[j, k]], for the
+    pieces k with piece[j, k] >= 0; fixed variables have no pieces and
+    ``shift`` holds their value. Row ``slack_rows[i]`` has its slack in
+    column ``slack_cols[i]``.
     """
 
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
     offset: float
-    pieces: dict[str, tuple[float, list[tuple[int, float]]]]
-    fixed: dict[str, float]
+    shift: np.ndarray
+    piece: np.ndarray  # (n, 2) column per piece, -1 for none
+    piece_sign: np.ndarray  # (n, 2)
+    fixed: np.ndarray
     col_scale: np.ndarray
-    slack_sign: dict[int, tuple[int, float]]  # row -> (column, coefficient sign)
+    slack_rows: np.ndarray
+    slack_cols: np.ndarray
 
 
 def _standardize(problem: LpProblem) -> _StdForm:
-    obj = problem.objective
-    n_struct = 0
-    c_list: list[float] = []
-    pieces: dict[str, tuple[float, list[tuple[int, float]]]] = {}
-    fixed: dict[str, float] = {}
-    bound_rows: list[tuple[str, float]] = []  # x <= ub rows for doubly bounded vars
+    lb, ub, cost = problem.lb, problem.ub, problem.cost
+    infeasible = lb > ub
+    fixed = infeasible | (lb == ub)
+    free = ~fixed & (lb == -INF) & (ub == INF)
+    lower = ~fixed & ~free & (lb != -INF)  # x = lb + t
+    upper = ~fixed & ~free & ~lower  # x = ub - t
+    width = np.where(fixed, 0, np.where(free, 2, 1))
+    first = np.cumsum(width) - width
+    n_struct = int(width.sum())
+    piece = np.full((lb.size, 2), -1)
+    piece[~fixed, 0] = first[~fixed]
+    piece[free, 1] = first[free] + 1
+    piece_sign = np.zeros((lb.size, 2))
+    piece_sign[~fixed, 0] = np.where(upper, -1.0, 1.0)[~fixed]
+    piece_sign[free, 1] = -1.0
+    shift = np.where(fixed | lower, lb, np.where(upper, ub, 0.0))
+    c_struct = np.zeros(n_struct)
+    for k in (0, 1):
+        has = piece[:, k] >= 0
+        c_struct[piece[has, k]] = cost[has] * piece_sign[has, k]
     offset = 0.0
-    infeasible_marker = False
+    for term in np.where(infeasible | free, 0.0, cost * shift).tolist():
+        offset += term
 
-    def new_col(cost: float) -> int:
-        nonlocal n_struct
-        c_list.append(cost)
-        n_struct += 1
-        return n_struct - 1
+    # the problem's rows, then x <= ub for doubly bounded variables, then
+    # an unsatisfiable row when some variable has lb > ub
+    bounded = np.flatnonzero(lower & (ub != INF))
+    m0 = problem.num_rows
+    sense = np.concatenate([problem.sense, np.full(bounded.size, LE, np.int8),
+                            np.full(int(infeasible.any()), GE, np.int8)])
+    rhs = np.concatenate([problem.rhs, ub[bounded], np.ones(int(infeasible.any()))])
+    rows = np.concatenate([problem.row, m0 + np.arange(bounded.size)])
+    cols = np.concatenate([problem.col, bounded])
+    vals = np.concatenate([problem.val, np.ones(bounded.size)])
 
-    for v in problem.variables:
-        cost = obj.get(v.name, 0.0)
-        if v.lb > v.ub:
-            infeasible_marker = True
-            fixed[v.name] = v.lb
-            continue
-        if v.lb == v.ub:
-            fixed[v.name] = v.lb
-            offset += cost * v.lb
-            continue
-        if v.lb == -INF and v.ub == INF:
-            jp, jm = new_col(cost), new_col(-cost)
-            pieces[v.name] = (0.0, [(jp, 1.0), (jm, -1.0)])
-        elif v.lb != -INF:
-            j = new_col(cost)
-            pieces[v.name] = (v.lb, [(j, 1.0)])
-            offset += cost * v.lb
-            if v.ub != INF:
-                bound_rows.append((v.name, v.ub))
-        else:
-            # upper bound only: x = ub - t with t >= 0
-            j = new_col(-cost)
-            pieces[v.name] = (v.ub, [(j, -1.0)])
-            offset += cost * v.ub
-
-    rows: list[tuple[dict[str, float], str, float]] = [
-        (dict(con.coeffs), con.relation, con.rhs) for con in problem.constraints
-    ]
-    rows.extend(({name: 1.0}, "<=", ub) for name, ub in bound_rows)
-    if infeasible_marker:
-        rows.append(({}, ">=", 1.0))
-
-    m = len(rows)
-    n_slack = sum(1 for _, rel, _ in rows if rel != "=")
-    A = np.zeros((m, n_struct + n_slack))
-    b = np.zeros(m)
-    c = np.zeros(n_struct + n_slack)
-    c[:n_struct] = c_list
-    slack_sign: dict[int, tuple[int, float]] = {}
-
-    next_slack = n_struct
-    for i, (coeffs, rel, rhs) in enumerate(rows):
-        acc = rhs
-        for vname, coeff in coeffs.items():
-            if vname in fixed:
-                acc -= coeff * fixed[vname]
-                continue
-            shift, cols = pieces[vname]
-            acc -= coeff * shift
-            for j, sign in cols:
-                A[i, j] += coeff * sign
-        b[i] = acc
-        if rel != "=":
-            sign = 1.0 if rel == "<=" else -1.0
-            A[i, next_slack] = sign
-            slack_sign[i] = (next_slack, sign)
-            next_slack += 1
+    m = sense.size
+    slack_rows = np.flatnonzero(sense != EQ)
+    slack_cols = n_struct + np.arange(slack_rows.size)
+    A = np.zeros((m, n_struct + slack_rows.size))
+    b = rhs.copy()
+    np.subtract.at(b, rows, vals * shift[cols])
+    for k in (0, 1):
+        has = piece[cols, k] >= 0
+        np.add.at(A, (rows[has], piece[cols[has], k]),
+                  vals[has] * piece_sign[cols[has], k])
+    A[slack_rows, slack_cols] = np.where(sense[slack_rows] == LE, 1.0, -1.0)
+    c = np.zeros(A.shape[1])
+    c[:n_struct] = c_struct
 
     # equilibrate rows then columns with powers of two
     if m:
@@ -479,17 +432,22 @@ def _standardize(problem: LpProblem) -> _StdForm:
         c = c / col_scale
 
     return _StdForm(
-        A=A, b=b, c=c, offset=offset, pieces=pieces, fixed=fixed,
-        col_scale=col_scale, slack_sign=slack_sign,
+        A=A, b=b, c=c, offset=offset, shift=shift, piece=piece,
+        piece_sign=piece_sign, fixed=fixed, col_scale=col_scale,
+        slack_rows=slack_rows, slack_cols=slack_cols,
     )
 
 
 class _Simplex:
     """Revised simplex state: tableau-free pivoting on a dense basis inverse."""
 
-    def __init__(self, std: _StdForm, iteration_limit: int, log: bool) -> None:
+    def __init__(
+        self, std: _StdForm, iteration_limit: int, log: bool,
+        deadline: float | None = None,
+    ) -> None:
         self.log = log
         self.limit = iteration_limit
+        self.deadline = deadline
         self.iterations = 0
         self.streak = 0
 
@@ -503,12 +461,10 @@ class _Simplex:
         self.A = np.hstack([A, np.eye(m)]) if m else A
         self.b = b
         self.basis = np.arange(n, n + m)
-        for row, (col, sign) in std.slack_sign.items():
-            # a slack that still points positive after row normalization can
-            # seed the basis instead of an artificial
-            coeff = self.A[row, col]
-            if coeff > PIVOT_TOL:
-                self.basis[row] = col
+        # a slack that still points positive after row normalization can
+        # seed the basis instead of an artificial
+        seeds = self.A[std.slack_rows, std.slack_cols] > PIVOT_TOL
+        self.basis[std.slack_rows[seeds]] = std.slack_cols[seeds]
         self.binv = np.zeros((0, 0))
         self._refactor()
 
@@ -535,14 +491,17 @@ class _Simplex:
         basis inverse is refactored to shed the drift; if the column still
         looks like a ray it is skipped until a pivot lowers the objective.
         Skips last through degenerate pivots: while the vertex stays put the
-        skipped set only grows, so Bland's rule cannot cycle.
+        skipped set only grows, so Bland's rule cannot cycle. Past the
+        iteration limit or the deadline it returns "iteration_limit".
         """
         if self.m == 0:
             return "optimal"
         since_refactor = 0
         skipped: list[int] = []
         while True:
-            if self.iterations >= self.limit:
+            if self.iterations >= self.limit or (
+                self.deadline is not None and time.perf_counter() > self.deadline
+            ):
                 return "iteration_limit"
             y = c[self.basis] @ self.binv
             reduced = c - y @ self.A
@@ -591,13 +550,16 @@ class _Simplex:
 
 
 def _solve_simplex(
-    problem: LpProblem, iteration_limit: int | None, log: bool
+    problem: LpProblem,
+    iteration_limit: int | None,
+    log: bool,
+    time_limit: float | None = None,
 ) -> Solution:
     t0 = time.perf_counter()
     std = _standardize(problem)
     m, n_cols = std.A.shape
     limit = iteration_limit or max(2000, 50 * (m + n_cols))
-    sx = _Simplex(std, limit, log)
+    sx = _Simplex(std, limit, log, t0 + time_limit if time_limit else None)
     n_all = sx.A.shape[1]
     art_mask = np.zeros(n_all, dtype=bool)
     art_mask[sx.n_real :] = True
@@ -610,12 +572,17 @@ def _solve_simplex(
         xb = np.maximum(sx.xb(), 0.0)
         t = np.zeros(n_all)
         t[sx.basis] = xb
-        values = {name: float(v) for name, v in std.fixed.items()}
-        for name, (shift, cols) in std.pieces.items():
-            values[name] = float(
-                shift + sum(sign * t[j] / std.col_scale[j] for j, sign in cols)
-            )
-        obj = sum(problem.objective.get(nm, 0.0) * v for nm, v in values.items())
+        pieces = np.zeros(std.shift.size)
+        for k in (0, 1):
+            has = std.piece[:, k] >= 0
+            j = std.piece[has, k]
+            pieces[has] += std.piece_sign[has, k] * t[j] / std.col_scale[j]
+        x = np.where(std.fixed, std.shift, std.shift + pieces).tolist()
+        # fixed variables first, as the objective sum below runs in this order
+        order = np.concatenate([np.flatnonzero(std.fixed), np.flatnonzero(~std.fixed)])
+        values = {problem.col_names[j]: x[j] for j in order.tolist()}
+        cost = problem.cost.tolist()
+        obj = sum(cost[j] * x[j] for j in order.tolist())
         y = c2[sx.basis] @ sx.binv if sx.m else np.zeros(0)
         dual = float(y @ sx.b) + std.offset if sx.m else std.offset
         return Solution(

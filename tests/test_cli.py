@@ -239,6 +239,36 @@ class TestManifest:
             assert solve["method"] == "ds"  # far below the interior-point size
             assert solve["crossover_nit"] == 0
 
+    @pytest.mark.parametrize("variant", ["TOP-S-SU", "CNT-W-IT"])
+    def test_solves_record_model_size(self, tmp_path, sample3_paths, variant, monkeypatch):
+        import demers.cli as climod
+
+        # every model the run solves passes _maybe_dump_lp first; count it
+        # there from its row and column views
+        sizes = []
+
+        def count(config, model, stem):
+            p = model.problem
+            sizes.append({
+                "rows": len(p.constraints),
+                "cols": len(p.variables),
+                "nnz": sum(len(c.coeffs) for c in p.constraints),
+                "binaries": sum(v.binary for v in p.variables),
+            })
+
+        monkeypatch.setattr(climod, "_maybe_dump_lp", count)
+        res = run_sample(tmp_path, sample3_paths, variant)
+        assert res.ok
+        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
+        recorded = [
+            {k: solve[k] for k in ("rows", "cols", "nnz", "binaries")}
+            for solve in manifest["solves"]
+        ]
+        assert recorded == sizes
+        assert len(sizes) == (len(res.layouts) if variant.endswith("IT") else 1)
+        assert all(s["rows"] and s["nnz"] for s in sizes)
+        assert all(s["binaries"] > 0 for s in sizes) == variant.startswith("CNT")
+
     def test_unroutable_counts_recorded(self, tmp_path, sample3_paths, monkeypatch):
         from demers import leaders as leadersmod
 

@@ -2,11 +2,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import overlapping_pairs, square_map
 from demers.layout import (
     LayoutError,
     SquareLayout,
+    Violation,
     anchor_to_origins,
     decode,
     interpolate,
@@ -17,6 +20,7 @@ from demers.layout import (
 from demers.lpmodel import ModelSpec, build_single_lp
 from demers.sepconstraints import Setting, derive_constraints
 from demers.simplexsolver import solve_lp
+from demers.synth import grid_map
 
 
 def layout_of(squares, cs=None, diagonal=20.0):
@@ -172,3 +176,55 @@ class TestSerialization:
         assert lay.to_json() == lay.to_json()
         ids = [r["id"] for r in json.loads(lay.to_json())["regions"]]
         assert ids == sorted(ids)
+
+
+def violations_by_loop(layout):
+    """Reference: the scalar validity check, one Python test per pair."""
+    cs = layout.constraint_ref
+    tol = 1e-6 * (layout.diagonal or 1.0)
+    centers, sides = layout.centers, layout.sides
+    out = []
+
+    def w(a, b):
+        return (sides[a] + sides[b]) / 2.0
+
+    for axis, pairs, coord in (("H", cs.sorted_h(), 0), ("V", cs.sorted_v(), 1)):
+        for a, b in pairs:
+            need = w(a, b) + cs.gap(axis, (a, b))
+            got = centers[b][coord] - centers[a][coord]
+            if got < need - tol:
+                out.append(Violation(f"separation[{axis}]", (a, b), need - got))
+    ids = sorted(centers)
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            dx = abs(centers[a][0] - centers[b][0])
+            dy = abs(centers[a][1] - centers[b][1])
+            if max(dx, dy) < w(a, b) - tol:
+                out.append(Violation("interior-disjoint", (a, b), w(a, b) - max(dx, dy)))
+    return out
+
+
+@st.composite
+def perturbed_layouts(draw):
+    """A grid map's constraint set with a random layout, some squares stacked."""
+    cols, rows = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    jitter = draw(st.sampled_from([0.0, 0.3]))
+    g = grid_map(cols, rows, jitter=jitter, seed=draw(st.integers(0, 9)))
+    setting = draw(st.sampled_from([Setting.WEAK, Setting.STRONG]))
+    cs = derive_constraints(g, draw(st.sampled_from([0.05, 0.2])), setting)
+    ids = sorted(g.region_ids)
+    value = st.floats(-3.0, 8.0, allow_nan=False)
+    centers = {rid: (draw(value), draw(value)) for rid in ids}
+    sides = {rid: draw(st.floats(0.1, 2.0)) for rid in ids}
+    # inject overlaps: put some squares on top of (or just beside) others
+    for rid in draw(st.lists(st.sampled_from(ids), max_size=len(ids))):
+        x, y = centers[draw(st.sampled_from(ids))]
+        shift = draw(st.sampled_from([0.0, 1e-9, 0.5]))
+        centers[rid] = (x + shift, y)
+    return SquareLayout(centers, sides, constraint_ref=cs, diagonal=g.diagonal())
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_layouts())
+def test_vectorized_violations_match_scalar_reference(layout):
+    assert validity_violations(layout) == violations_by_loop(layout)

@@ -1,11 +1,17 @@
 import random
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import square_map
 from demers.layout import SquareLayout
 from demers.metrics import (
+    _pairwise_zone_change,
+    _zone_change,
+    _zone_tensor,
     evaluate,
     madj,
     mdis,
@@ -188,3 +194,62 @@ class TestBoundsAndReport:
         doc = report.to_json_dict()
         assert doc["schema_version"] == 1
         assert set(doc) >= {"madj", "mrel", "mdis", "sdis", "srel", "lost_counts"}
+
+
+def pairwise_change_by_loop(rects_a, rects_b):
+    """Reference: the mean zone-vector change, one scalar call per ordered pair."""
+    ids = sorted(rects_a)
+    changes = [
+        _zone_change(zone_vector(rects_a[r], rects_a[s]), zone_vector(rects_b[r], rects_b[s]))
+        for r in ids for s in ids if r != s
+    ]
+    return sum(changes) / len(changes)
+
+
+@st.composite
+def rect_lists(draw, n):
+    """n rectangles on a coarse grid, with copies, nested and touching ones."""
+    coord = st.integers(0, 16).map(lambda v: v / 4)
+    size = st.integers(1, 12).map(lambda v: v / 4)
+    rects = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["free", "copy", "nested", "touching"]))
+        if not rects or kind == "free":
+            x0, y0 = draw(coord), draw(coord)
+            rects.append((x0, y0, x0 + draw(size), y0 + draw(size)))
+            continue
+        x0, y0, x1, y1 = draw(st.sampled_from(rects))
+        if kind == "copy":
+            rects.append((x0, y0, x1, y1))
+        elif kind == "nested":
+            f = draw(st.sampled_from([0.0, 0.25]))
+            rects.append((x0 + f * (x1 - x0), y0 + f * (y1 - y0), x1, y1 - f * (y1 - y0)))
+        else:
+            rects.append((x1, y0, x1 + draw(size), y1))
+    return rects
+
+
+@st.composite
+def layout_pairs(draw):
+    n = draw(st.integers(2, 30))
+    ids = [f"r{i:02d}" for i in range(n)]
+    return dict(zip(ids, draw(rect_lists(n)))), dict(zip(ids, draw(rect_lists(n))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(layout_pairs())
+def test_vectorized_zone_change_matches_scalar_loop(pair):
+    # the same float operations in the same order, so the results are equal
+    rects_a, rects_b = pair
+    assert _pairwise_zone_change(rects_a, rects_b) == pairwise_change_by_loop(rects_a, rects_b)
+    ids = sorted(rects_a)
+    tensor = _zone_tensor(np.array([rects_a[r] for r in ids]))
+    for i, r in enumerate(ids):
+        for j, s in enumerate(ids):
+            assert tuple(tensor[i, j].tolist()) == zone_vector(rects_a[r], rects_a[s])
+
+
+def test_zone_tensor_rejects_degenerate_rectangles():
+    with pytest.raises(ValueError, match="positive area"):
+        _pairwise_zone_change({"a": (0, 0, 1, 1), "b": (2, 2, 2, 3)},
+                              {"a": (0, 0, 1, 1), "b": (2, 2, 3, 3)})

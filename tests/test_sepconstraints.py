@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import square_map
 from demers.lpmodel import ModelSpec, ObjectiveKind, build_single_lp
@@ -203,3 +205,73 @@ class TestReduceTransitive:
         full = solve_lp(build_single_lp(g, sides, cs, spec).problem)
         red = solve_lp(build_single_lp(g, sides, reduce_transitive(cs), spec).problem)
         assert full.objective == pytest.approx(red.objective, abs=1e-6)
+
+    def test_cycle_is_rejected(self):
+        with pytest.raises(ConstraintError, match="cycle"):
+            reduce_transitive(self.make({("a", "b"), ("b", "c"), ("c", "a")}))
+
+
+def reduce_by_dfs(cs: SeparationConstraintSet) -> SeparationConstraintSet:
+    """Reference reduction: one depth-first search per constraint."""
+
+    def reachable_avoiding(adj, src, dst):
+        stack = [n for n in adj.get(src, ()) if n != dst]
+        seen = set(stack)
+        while stack:
+            node = stack.pop()
+            if node == dst:
+                return True
+            for nxt in adj.get(node, ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
+
+    def reduced(edges):
+        adj = {}
+        for a, b in edges:
+            adj.setdefault(a, set()).add(b)
+        return frozenset(
+            (a, b) for a, b in edges
+            if cs.is_adjacent(a, b) or not reachable_avoiding(adj, a, b)
+        )
+
+    new_h, new_v = reduced(cs.H), reduced(cs.V)
+    secondary = frozenset(
+        (axis, a, b) for axis, a, b in cs.secondary
+        if (a, b) in (new_h if axis == "H" else new_v)
+    )
+    return SeparationConstraintSet(
+        H=new_h, V=new_v, secondary=secondary, epsilon=cs.epsilon,
+        setting=cs.setting, adjacencies=cs.adjacencies,
+    )
+
+
+@st.composite
+def random_dag_sets(draw):
+    """Constraint sets whose H and V are random DAGs over up to 12 regions."""
+    n = draw(st.integers(1, 12))
+    ids = [f"r{i}" for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def dag():
+        # edges follow a random topological order, so there is no cycle
+        order = draw(st.permutations(ids))
+        picked = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        return frozenset((order[i], order[j]) for i, j in picked)
+
+    H, V = dag(), dag()
+    adjacent = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    marked = draw(st.lists(st.sampled_from(sorted(
+        [("H", a, b) for a, b in H] + [("V", a, b) for a, b in V]
+    )), unique=True)) if H or V else []
+    return SeparationConstraintSet(
+        H=H, V=V, secondary=frozenset(marked), epsilon=0.1, setting=Setting.STRONG,
+        adjacencies=frozenset(frozenset((ids[i], ids[j])) for i, j in adjacent),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_dag_sets())
+def test_bitset_reduction_matches_dfs_reference(cs):
+    assert reduce_transitive(cs) == reduce_by_dfs(cs)

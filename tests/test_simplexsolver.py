@@ -316,6 +316,19 @@ class TestTimeLimit:
         assert sol.status is SolveStatus.NODE_LIMIT
         assert sol.nodes == 1
 
+    def test_bundled_simplex_stops_at_time_limit(self, tmp_path):
+        # without the limit this 1 132-row LP runs for seconds on the
+        # bundled simplex; the deadline is checked between pivots
+        from demers.lpmodel import ObjectiveKind
+        from demers.sepconstraints import Setting
+
+        _, model = jittered_model(tmp_path, 5, 0, ObjectiveKind.TOP, Setting.STRONG)
+        t0 = time.perf_counter()
+        sol = solve_lp(model.problem, engine="simplex", time_limit=0.05)
+        assert time.perf_counter() - t0 < 1.0
+        assert sol.status is SolveStatus.ITERATION_LIMIT
+        assert sol.engine == "simplex"
+
 
 def sized_lp(rows):
     """A feasible LP with exactly ``rows`` constraints."""
