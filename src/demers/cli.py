@@ -11,12 +11,15 @@ origin-based initialization).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import logging
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,7 +46,13 @@ from .mapdata import (
     scale_weights,
 )
 from .render import RenderStyle, render_frames, render_svg
-from .sepconstraints import Setting, derive_constraints, reduce_transitive, validate_dag
+from .sepconstraints import (
+    SeparationConstraintSet,
+    Setting,
+    derive_constraints,
+    reduce_transitive,
+    validate_dag,
+)
 from .simplexsolver import SolveStatus, Solution, solve_ilp, solve_lp
 from .synth import write_instance
 
@@ -113,7 +122,6 @@ class RunConfig:
     secondary_weight: float = 1e-3
     adjacent_direction_boost: float = 10.0
     stability_weight: float = 1.0
-    transitive_reduce: bool = False
     engine: str = "auto"
     lp_time_limit: float = 60.0
     ilp_time_limit: float = 300.0
@@ -136,8 +144,13 @@ class RunResult:
     unroutable_per_layout: list[int] = field(default_factory=list)
     report: metricsmod.MetricsReport | None = None
     solver_stats: list[dict] = field(default_factory=list)
+    # pair counts per axis of the derived set and of the reduced set the
+    # LP/ILP rows come from; None for force runs
+    constraint_counts: dict[str, dict[str, int]] | None = None
     wall_time: float = 0.0
     artifacts: list[str] = field(default_factory=list)
+    error_stage: str | None = None  # pipeline stage that raised, on failure
+    traceback: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -161,14 +174,36 @@ def _solution_stats(sol: Solution) -> dict:
     }
 
 
+class _Stage:
+    """The pipeline stage a run is in, named in its failure report."""
+
+    def __init__(self) -> None:
+        self.name = "variant"
+
+    def enter(self, name: str) -> None:
+        self.name = name
+
+
+def _pair_counts(cs: SeparationConstraintSet) -> dict[str, int]:
+    return {"H": len(cs.H), "V": len(cs.V), "secondary": len(cs.secondary)}
+
+
 def _solve_lp_variant(
     variant: Variant,
     config: RunConfig,
     map: AdjacencyGraph,
     table,
-    cs,
-) -> tuple[list[SquareLayout], list[dict], bool]:
-    """Solve the requested LP/ILP variant; returns layouts, stats, partial flag."""
+    cs: SeparationConstraintSet,
+    lp_cs: SeparationConstraintSet,
+    stats: list[dict],
+    stage: _Stage,
+) -> tuple[list[SquareLayout], bool]:
+    """Solve the requested LP/ILP variant; returns layouts and a partial flag.
+
+    The model rows come from ``lp_cs``, the transitive reduction of ``cs``;
+    every layout is validated against, and refers to, the full set ``cs``.
+    Each solve appends its statistics to ``stats``.
+    """
     stability = variant.stability
     if table.k == 1 and stability is not Stability.IT:
         stability = Stability.NONE  # nothing to couple
@@ -181,11 +216,11 @@ def _solve_lp_variant(
         stability_weight=config.stability_weight,
     )
     is_cnt = variant.objective is ObjectiveKind.CNT
-    stats: list[dict] = []
     partial = False
 
     def run_one(model: CartogramModel) -> Solution:
         nonlocal partial
+        stage.enter("solve")
         if model.problem.num_binaries:
             sol = solve_ilp(
                 model.problem,
@@ -206,36 +241,39 @@ def _solve_lp_variant(
         stats.append({**_solution_stats(sol), **model.problem.size()})
         if not sol.values:
             raise RuntimeError(f"solver returned {sol.status.value} with no point")
+        stage.enter("decode")
         return sol
 
     anchored = variant.objective is ObjectiveKind.ORG
+    stage.enter("model")
     if spec.stability is Stability.NONE:
         sides = table.function_sides(0)
-        model = build_cnt_ilp(map, sides, cs, spec) if is_cnt else build_single_lp(
-            map, sides, cs, spec
+        model = build_cnt_ilp(map, sides, lp_cs, spec) if is_cnt else build_single_lp(
+            map, sides, lp_cs, spec
         )
         _maybe_dump_lp(config, model, "model")
-        layouts = decode(run_one(model), model)
+        layouts = decode(run_one(model), model, cs)
     elif spec.stability is Stability.IT:
         anchored = True
-        seq = build_iterative_sequence(map, table, cs, spec)
+        seq = build_iterative_sequence(map, table, lp_cs, spec)
         layouts = []
         prev = None
         for i in range(len(seq)):
+            stage.enter("model")
             model = seq.problem(i, prev)
             _maybe_dump_lp(config, model, f"model_step{i}")
-            lay = decode(run_one(model), model)[0]
+            lay = decode(run_one(model), model, cs)[0]
             layouts.append(lay)
             prev = lay.centers
     else:
-        model = build_multi_lp(map, table, cs, spec)
+        model = build_multi_lp(map, table, lp_cs, spec)
         _maybe_dump_lp(config, model, "model")
-        layouts = decode(run_one(model), model)
+        layouts = decode(run_one(model), model, cs)
 
     if not anchored:
         origins = {r.id: r.centroid for r in map.regions}
         layouts = anchor_to_origins(layouts, origins)
-    return layouts, stats, partial
+    return layouts, partial
 
 
 def _maybe_dump_lp(config: RunConfig, model: CartogramModel, stem: str) -> None:
@@ -250,8 +288,8 @@ def _run_frc_variant(
     map: AdjacencyGraph,
     table,
     epsilon: float,
-) -> tuple[list[SquareLayout], list[dict], bool]:
-    stats: list[dict] = []
+    stats: list[dict],
+) -> tuple[list[SquareLayout], bool]:
     layouts: list[SquareLayout] = []
     previous = None
     all_converged = True
@@ -277,17 +315,26 @@ def _run_frc_variant(
                 "engine": "frc",
             }
         )
-    return layouts, stats, not all_converged
+    return layouts, not all_converged
 
 
 def run(config: RunConfig) -> RunResult:
-    """Execute one variant end to end and write its artifacts."""
+    """Execute one variant end to end and write its artifacts.
+
+    A failure in any stage becomes an ``error: ...`` status. The result then
+    keeps the stage that failed and the traceback, and ``manifest.json``
+    records them next to the solves made before the failure.
+    """
     t0 = time.perf_counter()
     out = Path(config.out_dir) if config.out_dir else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
+    stage = _Stage()
+    stats: list[dict] = []
+    counts = None
     try:
         variant = parse_variant(config.variant)
+        stage.enter("ingest")
         map = load_map(config.map_path)
         weights = load_weights(config.weights_path, map, config.kind)
         table = scale_weights(weights, map, area_proportional=config.area_proportional)
@@ -296,22 +343,24 @@ def run(config: RunConfig) -> RunResult:
         leaders_per_layout: list[list] = []
         unroutable_per_layout: list[int] = []
         if variant.is_frc:
-            layouts, stats, partial = _run_frc_variant(
-                variant, config, map, table, epsilon
+            stage.enter("force")
+            layouts, partial = _run_frc_variant(
+                variant, config, map, table, epsilon, stats
             )
-            cs = None
         else:
+            stage.enter("constraints")
             cs = derive_constraints(map, epsilon, variant.setting)
             cycle = validate_dag(cs)
             if cycle is not None:
                 raise RuntimeError(f"constraint derivation produced a cycle: {cycle}")
-            if config.transitive_reduce:
-                cs = reduce_transitive(cs)
+            lp_cs = reduce_transitive(cs)
+            counts = {"derived": _pair_counts(cs), "kept": _pair_counts(lp_cs)}
             if config.dump_constraints and out:
                 (out / "constraints.dot").write_text(cs.to_dot(), encoding="utf-8")
-            layouts, stats, partial = _solve_lp_variant(
-                variant, config, map, table, cs
+            layouts, partial = _solve_lp_variant(
+                variant, config, map, table, cs, lp_cs, stats, stage
             )
+            stage.enter("leaders")
             for lay in layouts:
                 routed, routing = leadersmod.all_leaders(lay, cs, map)
                 leaders_per_layout.append(routed)
@@ -320,6 +369,7 @@ def run(config: RunConfig) -> RunResult:
             leaders_per_layout = [[] for _ in layouts]
             unroutable_per_layout = [0] * len(layouts)
 
+        stage.enter("metrics")
         report = metricsmod.evaluate(layouts, map)
         result = RunResult(
             config=config,
@@ -329,17 +379,27 @@ def run(config: RunConfig) -> RunResult:
             unroutable_per_layout=unroutable_per_layout,
             report=report,
             solver_stats=stats,
+            constraint_counts=counts,
             wall_time=time.perf_counter() - t0,
         )
         if out:
+            stage.enter("artifacts")
             _write_artifacts(result, out, config)
         return result
     except Exception as exc:  # noqa: BLE001 - per-run failures become statuses
-        return RunResult(
+        result = RunResult(
             config=config,
             status=f"error: {exc}",
+            solver_stats=stats,
+            constraint_counts=counts,
             wall_time=time.perf_counter() - t0,
+            error_stage=stage.name,
+            traceback=traceback.format_exc(),
         )
+        if out:
+            with contextlib.suppress(OSError):
+                _write_manifest(result, out)
+        return result
 
 
 def _write_artifacts(result: RunResult, out: Path, config: RunConfig) -> None:
@@ -366,6 +426,11 @@ def _write_artifacts(result: RunResult, out: Path, config: RunConfig) -> None:
         encoding="utf-8",
     )
     (out / "metrics.csv").write_text(matrix_csv([result]), encoding="utf-8")
+    result.artifacts += [str(p_metrics), _write_manifest(result, out)]
+
+
+def _write_manifest(result: RunResult, out: Path) -> str:
+    config = result.config
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "variant": config.variant,
@@ -374,15 +439,17 @@ def _write_artifacts(result: RunResult, out: Path, config: RunConfig) -> None:
         "kind": config.kind.value,
         "seed": config.seed,
         "status": result.status,
+        "error_stage": result.error_stage,
+        "traceback": result.traceback,
         "wall_time": result.wall_time,
+        "constraints": result.constraint_counts,
         "solves": result.solver_stats,
         "leader_counts": [len(ls) for ls in result.leaders_per_layout],
         "unroutable_counts": result.unroutable_per_layout,
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    result.artifacts += [str(p_metrics), str(out / "manifest.json")]
+    path = out / "manifest.json"
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return str(path)
 
 
 CSV_FIELDS = [
@@ -461,7 +528,6 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--secondary-weight", type=float, default=1e-3)
     p.add_argument("--direction-boost", type=float, default=10.0)
     p.add_argument("--stability-weight", type=float, default=1.0)
-    p.add_argument("--transitive-reduce", action="store_true")
     p.add_argument("--engine", choices=["auto", "simplex", "highs"], default="auto")
     p.add_argument("--node-limit", type=int, default=100_000)
     p.add_argument("--frames", type=int, default=0)
@@ -483,7 +549,6 @@ def _config_from_args(args: argparse.Namespace, variant: str, out_dir: str) -> R
         secondary_weight=args.secondary_weight,
         adjacent_direction_boost=args.direction_boost,
         stability_weight=args.stability_weight,
-        transitive_reduce=args.transitive_reduce,
         engine=args.engine,
         node_limit=args.node_limit,
         frames=args.frames,
@@ -492,6 +557,22 @@ def _config_from_args(args: argparse.Namespace, variant: str, out_dir: str) -> R
         solver_log=args.solver_log,
         labels=args.labels,
     )
+
+
+@contextlib.contextmanager
+def _progress_to_stderr():
+    """Print the solvers' progress lines (``--solver-log``) on stderr."""
+    logger = logging.getLogger("demers")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -523,7 +604,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "run":
         config = _config_from_args(args, args.variant, args.out)
-        result = run(config)
+        with _progress_to_stderr() if args.solver_log else contextlib.nullcontext():
+            result = run(config)
         print(f"{config.variant}: {result.status} ({result.wall_time:.2f}s)")
         if result.report:
             r = result.report

@@ -180,12 +180,20 @@ def is_valid(layout: SquareLayout) -> bool:
 # operations
 
 
-def decode(sol: Solution, model: CartogramModel) -> list[SquareLayout]:
+def decode(
+    sol: Solution,
+    model: CartogramModel,
+    constraint_ref: SeparationConstraintSet | None = None,
+) -> list[SquareLayout]:
     """Turn a solver solution into one layout per weight-function block.
 
-    Raises when the solution is not usable or any decoded layout breaks the
-    constraint set it was built from (which would mean a solver/model bug).
+    Each layout refers to, and is validated against, ``constraint_ref``, by
+    default the set the model was built from. A model built from the
+    transitive reduction of a set passes the full set here, since the
+    reduction implies it. Raises when the solution is not usable or any
+    decoded layout breaks that set (which would mean a solver/model bug).
     """
+    cs = model.cs if constraint_ref is None else constraint_ref
     if not sol.values:
         raise LayoutError(f"cannot decode a solution with status {sol.status.value}")
     layouts = []
@@ -198,7 +206,7 @@ def decode(sol: Solution, model: CartogramModel) -> list[SquareLayout]:
             centers=centers,
             sides=dict(block.sides),
             function_index=block.function_index,
-            constraint_ref=model.cs,
+            constraint_ref=cs,
             diagonal=model.diagonal,
         )
         bad = validity_violations(layout)

@@ -218,9 +218,16 @@ def reduce_transitive(cs: SeparationConstraintSet) -> SeparationConstraintSet:
     """Drop same-axis constraints implied by a chain of other constraints.
 
     Only constraints between nonadjacent regions are candidates; adjacency
-    pairs always stay. Sound because epsilon never exceeds any square side,
-    so a two-step chain already forces more separation than the direct
-    constraint requires, whatever the gap values along the chain.
+    pairs always stay. Sound because epsilon never exceeds any square side
+    (``compute_epsilon`` takes the smallest side, capped at 5% of the map
+    diagonal): a chain a < m < b forces
+    x_b - x_a >= (s_a + s_b) / 2 + s_m >= (s_a + s_b) / 2 + epsilon,
+    the most the direct constraint asks for, whatever the gaps along the
+    chain. The feasible region, and so every LP optimum, stays the same.
+    ``cli.run`` builds its LP/ILP rows from the reduced set and keeps the
+    full set as every layout's ``constraint_ref``: ``leaders._minimal_in``
+    only looks for two-step chains, so on the reduced set it could call a
+    pair minimal that the full set does not.
 
     Reachability is one bitset per region, filled in reverse topological
     order, so H and V must each be acyclic (see ``validate_dag``).

@@ -2,9 +2,13 @@
 
 The bundled engine is a two-phase primal revised simplex on a dense basis
 inverse: equilibration, Dantzig pricing with a Bland fallback after a
-degenerate streak, periodic refactorization. Integer problems are solved by
-branch and bound over the binary variables, best-first on the relaxation
-bound with deeper nodes preferred on ties.
+degenerate streak, periodic refactorization. It starts from a basis of unit
+columns (artificials, and slacks that the power-of-two scaling leaves at
+exactly +1), so the starting inverse is the identity and needs no
+factorization. Integer problems are solved by branch and bound over the
+binary variables, best-first on the relaxation bound with deeper nodes
+preferred on ties. With ``log=True`` both report progress through this
+module's logger at INFO level.
 
 Problems past ``AUTO_SIMPLEX_MAX_ROWS`` rows are routed to scipy's HiGHS
 ``linprog`` backend behind the same interface; both engines are available
@@ -27,8 +31,8 @@ interior-point iterations, not pivots; the crossover's pivots are
 from __future__ import annotations
 
 import heapq
+import logging
 import math
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -38,6 +42,10 @@ import numpy as np
 from .lpmodel import EQ, GE, LE, LpProblem
 
 INF = math.inf
+
+# progress lines ("[bnb] ...", "[simplex] ..."), emitted at INFO when a
+# solve is called with log=True; ``demers run --solver-log`` shows them
+logger = logging.getLogger(__name__)
 
 # engine="auto" keeps the bundled simplex for problems up to this many rows
 AUTO_SIMPLEX_MAX_ROWS = 220
@@ -152,10 +160,9 @@ def solve_ilp(
         total_iters += rel.iterations
         total_crossover += rel.crossover_nit
         if log:
-            print(
-                f"[bnb] node={nodes} depth={len(fixings)} status={rel.status.value} "
-                f"obj={rel.objective:.6g}",
-                file=sys.stderr,
+            logger.info(
+                "[bnb] node=%d depth=%d status=%s obj=%.6g",
+                nodes, len(fixings), rel.status.value, rel.objective,
             )
         if rel.status is SolveStatus.INFEASIBLE:
             continue
@@ -202,10 +209,7 @@ def solve_ilp(
                     vals[name] = float(probe_fix[name])
                 incumbent = replace(probe, values=vals)
                 if log:
-                    print(
-                        f"[bnb] probe incumbent obj={probe.objective:.6g}",
-                        file=sys.stderr,
-                    )
+                    logger.info("[bnb] probe incumbent obj=%.6g", probe.objective)
         prefer = 1 if rel.values.get(frac_name, 0.0) >= 0.5 else 0
         seq += 1
         heapq.heappush(
@@ -465,8 +469,10 @@ class _Simplex:
         # seed the basis instead of an artificial
         seeds = self.A[std.slack_rows, std.slack_cols] > PIVOT_TOL
         self.basis[std.slack_rows[seeds]] = std.slack_cols[seeds]
-        self.binv = np.zeros((0, 0))
-        self._refactor()
+        # every starting basis column is a unit column: an artificial, or a
+        # slack, whose one entry the power-of-two scaling leaves at exactly
+        # +-1 and the seeding above only takes at +1; so B = I and B^-1 = I
+        self.binv = np.eye(m)
 
     def _refactor(self) -> None:
         if self.m == 0:
@@ -539,14 +545,14 @@ class _Simplex:
             self.binv[r, :] /= piv
             col = d.copy()
             col[r] = 0.0
-            self.binv -= np.outer(col, self.binv[r, :])
+            self.binv -= col[:, None] * self.binv[r, :]
             self.iterations += 1
             since_refactor += 1
             if since_refactor >= REFACTOR_EVERY:
                 self._refactor()
                 since_refactor = 0
             if self.log and self.iterations % 200 == 0:
-                print(f"[simplex] iter={self.iterations}", file=sys.stderr)
+                logger.info("[simplex] iter=%d", self.iterations)
 
 
 def _solve_simplex(
@@ -623,7 +629,7 @@ def _solve_simplex(
                 sx.binv[i, :] /= piv
                 col = d.copy()
                 col[i] = 0.0
-                sx.binv -= np.outer(col, sx.binv[i, :])
+                sx.binv -= col[:, None] * sx.binv[i, :]
 
     status = sx.run_phase(c2, allowed=~art_mask)
     if status == "unbounded":

@@ -292,3 +292,101 @@ class TestManifest:
         res = run_sample(tmp_path, sample3_paths, "FRC-O-U", frc_max_iterations=200)
         manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
         assert manifest["unroutable_counts"] == [0] * len(res.layouts)
+
+
+class TestReducedConstraints:
+    # k = 1 builds one single-function model, k = 2 a multi-function LP or
+    # an iterative sequence: each path decodes against the full set
+    @pytest.mark.parametrize("variant,k", [("ORG-S-SU", 1), ("TOP-S-SU", 2), ("CNT-W-IT", 2)])
+    def test_layouts_refer_to_full_derived_set(self, tmp_path, variant, k):
+        from demers.layout import constraint_set_id
+        from demers.mapdata import compute_epsilon, load_map, load_weights, scale_weights
+        from demers.sepconstraints import derive_constraints, reduce_transitive
+        from demers.synth import write_instance
+
+        map_path, csv_path = write_instance(tmp_path / "inst", 3, 0, k=k)
+        res = run(RunConfig(map_path, csv_path, variant, out_dir=str(tmp_path / "out")))
+        assert res.ok
+        g = load_map(map_path)
+        table = scale_weights(load_weights(csv_path, g, res.config.kind), g)
+        full = derive_constraints(g, compute_epsilon(table, g), parse_variant(variant).setting)
+        kept = reduce_transitive(full)
+        assert len(kept.H) + len(kept.V) < len(full.H) + len(full.V)
+        for lay in res.layouts:
+            ref = lay.constraint_ref
+            assert len(ref.H) + len(ref.V) == len(full.H) + len(full.V)
+            assert ref == full
+        out = Path(res.config.out_dir)
+        doc = json.loads((out / "layout_0.json").read_text())
+        assert doc["constraint_ref"] == constraint_set_id(full)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["constraints"] == {
+            name: {"H": len(s.H), "V": len(s.V), "secondary": len(s.secondary)}
+            for name, s in (("derived", full), ("kept", kept))
+        }
+
+    def test_force_runs_record_no_constraints(self, tmp_path, sample3_paths):
+        res = run_sample(tmp_path, sample3_paths, "FRC-O-U", frc_max_iterations=200)
+        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
+        assert manifest["constraints"] is None
+
+
+class TestFailureReport:
+    def test_ingest_failure_keeps_stage_and_traceback(self, tmp_path):
+        res = run(RunConfig("missing.geojson", "missing.csv", "TOP-W-IT",
+                            out_dir=str(tmp_path / "x")))
+        assert res.status.startswith("error:")
+        assert res.error_stage == "ingest"
+        assert res.traceback.startswith("Traceback")
+        manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+        assert manifest["status"] == res.status
+        assert manifest["error_stage"] == "ingest"
+        assert manifest["traceback"] == res.traceback
+        assert manifest["solves"] == []
+
+    def test_variant_failure_names_variant_stage(self, tmp_path, sample3_paths):
+        res = run_sample(tmp_path, sample3_paths, "TOP-X-SU")
+        assert res.error_stage == "variant"
+        assert "VariantError" in res.traceback
+
+    def test_solve_failure_keeps_the_solves_made(self, tmp_path, sample3_paths, monkeypatch):
+        import demers.cli as climod
+        from demers.simplexsolver import Solution, SolveStatus
+
+        def infeasible(problem, **kw):
+            return Solution(SolveStatus.INFEASIBLE, engine="simplex")
+
+        monkeypatch.setattr(climod, "solve_lp", infeasible)
+        res = run_sample(tmp_path, sample3_paths, "TOP-W-IT")
+        assert res.status == "error: solver returned infeasible with no point"
+        assert res.error_stage == "solve"
+        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
+        assert manifest["error_stage"] == "solve"
+        assert [s["status"] for s in manifest["solves"]] == ["infeasible"]
+        assert manifest["constraints"]["derived"]["H"] >= manifest["constraints"]["kept"]["H"]
+
+    def test_ok_run_reports_no_failure(self, tmp_path, sample3_paths):
+        res = run_sample(tmp_path, sample3_paths, "TOP-W-IT")
+        assert res.ok and res.error_stage is None and res.traceback is None
+        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
+        assert manifest["error_stage"] is None and manifest["traceback"] is None
+
+
+class TestSolverLog:
+    def test_progress_lines_go_to_stderr(self, tmp_path, sample3_paths, capsys):
+        import logging
+
+        argv = [
+            "run",
+            "--map", str(sample3_paths[0]),
+            "--weights", str(sample3_paths[1]),
+            "--variant", "CNT-W-SU",
+            "--out", str(tmp_path / "out"),
+            "--engine", "simplex",
+        ]
+        assert main(argv + ["--solver-log"]) == 0
+        err = capsys.readouterr().err
+        assert "[bnb] node=1 depth=0 status=optimal" in err
+        assert logging.getLogger("demers").handlers == []
+        assert main(argv) == 0
+        assert "[bnb]" not in capsys.readouterr().err

@@ -275,3 +275,44 @@ def random_dag_sets(draw):
 @given(random_dag_sets())
 def test_bitset_reduction_matches_dfs_reference(cs):
     assert reduce_transitive(cs) == reduce_by_dfs(cs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cols=st.integers(2, 4),
+    rows=st.integers(1, 4),
+    jitter=st.one_of(st.just(0.0), st.floats(0.05, 0.4)),
+    seed=st.integers(0, 10_000),
+    k=st.integers(1, 3),
+    setting=st.sampled_from(list(Setting)),
+    objective=st.sampled_from([ObjectiveKind.TOP, ObjectiveKind.ORG]),
+)
+def test_reduced_lp_matches_full_lp_on_grids(cols, rows, jitter, seed, k, setting, objective):
+    # the LP on the reduced set reaches the full set's optimum, and its
+    # layouts satisfy every constraint of the full set
+    from demers.layout import decode, validity_violations
+    from demers.lpmodel import Stability, build_multi_lp
+    from demers.mapdata import compute_epsilon, scale_weights
+    from demers.synth import grid_map, lognormal_weights
+
+    g = grid_map(cols, rows, jitter=jitter, seed=seed)
+    table = scale_weights(lognormal_weights(g, k=k, seed=seed), g)
+    cs = derive_constraints(g, compute_epsilon(table, g), setting)
+    reduced = reduce_transitive(cs)
+
+    def build(constraints):
+        if k == 1:
+            spec = ModelSpec(objective, setting)
+            return build_single_lp(g, table.function_sides(0), constraints, spec)
+        return build_multi_lp(g, table, constraints, ModelSpec(objective, setting, Stability.SU))
+
+    full = solve_lp(build(cs).problem)
+    model = build(reduced)
+    sol = solve_lp(model.problem)
+    assert sol.optimal and full.optimal
+    assert sol.objective == pytest.approx(full.objective, rel=1e-7, abs=1e-12)
+    layouts = decode(sol, model, cs)
+    assert len(layouts) == k
+    for lay in layouts:
+        assert lay.constraint_ref is cs
+        assert validity_violations(lay) == []

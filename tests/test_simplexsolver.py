@@ -3,12 +3,14 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from demers import simplexsolver as ss
 from demers.lpmodel import LpProblem, max_violation
 from demers.simplexsolver import SolveStatus, SolverError, solve_ilp, solve_lp
 from oracle_simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, oracle_solve
+from test_lp_golden import golden_problems
 
 STATUS_OF = {
     OPTIMAL: SolveStatus.OPTIMAL,
@@ -390,3 +392,78 @@ class TestHighsMethod:
             for rid, (x, y) in a.centers.items():
                 assert x == pytest.approx(b.centers[rid][0], abs=1e-7)
                 assert y == pytest.approx(b.centers[rid][1], abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the starting basis: unit columns, so the bundled simplex starts from B^-1 = I
+
+
+def assert_identity_start(problem):
+    sx = ss._Simplex(ss._standardize(problem), 1, False)
+    eye = np.eye(sx.m)
+    assert np.array_equal(sx.A[:, sx.basis], eye)
+    assert np.array_equal(sx.binv, eye)
+
+
+class TestStartingBasis:
+    @pytest.mark.parametrize("stem", sorted(golden_problems()))
+    def test_golden_models(self, stem):
+        assert_identity_start(golden_problems()[stem])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_lps(self, seed):
+        # mixed senses and negative right-hand sides flip rows and seed
+        # some slacks, leaving artificials elsewhere
+        assert_identity_start(as_problem(*random_lp(seed)))
+
+    @pytest.mark.parametrize("setting", ["WEAK", "STRONG"])
+    def test_cnt_node_relaxations(self, monkeypatch, setting):
+        from demers.lpmodel import ModelSpec, ObjectiveKind, build_cnt_ilp
+        from demers.mapdata import compute_epsilon, scale_weights
+        from demers.sepconstraints import Setting, derive_constraints, reduce_transitive
+        from demers.synth import grid_map, lognormal_weights
+
+        g = grid_map(3, jitter=0.3, seed=4)
+        table = scale_weights(lognormal_weights(g, k=1, seed=4), g)
+        cs = reduce_transitive(
+            derive_constraints(g, compute_epsilon(table, g), Setting[setting])
+        )
+        model = build_cnt_ilp(
+            g, table.function_sides(0), cs,
+            ModelSpec(ObjectiveKind.CNT, Setting[setting]),
+        )
+        seen = []
+        real = ss._solve_simplex
+
+        def spy(problem, *args):
+            seen.append(problem)
+            return real(problem, *args)
+
+        monkeypatch.setattr(ss, "_solve_simplex", spy)
+        sol = solve_ilp(model.problem, engine="simplex")
+        assert sol.optimal
+        # the nodes below the root pin binaries, which drops their pieces
+        pinned = [p for p in seen if np.any((p.lb == p.ub) & model.problem.binary)]
+        assert pinned and len(pinned) < len(seen)
+        for problem in seen:
+            assert_identity_start(problem)
+
+
+def test_progress_lines_are_logged(caplog):
+    from demers.lpmodel import ModelSpec, ObjectiveKind, Stability, build_multi_lp
+    from demers.mapdata import compute_epsilon, scale_weights
+    from demers.sepconstraints import Setting, derive_constraints
+    from demers.synth import grid_map, lognormal_weights
+
+    g = grid_map(3, jitter=0.3, seed=1)
+    table = scale_weights(lognormal_weights(g, k=2, seed=1), g)
+    cs = derive_constraints(g, compute_epsilon(table, g), Setting.WEAK)
+    model = build_multi_lp(g, table, cs, ModelSpec(ObjectiveKind.TOP, Setting.WEAK, Stability.SU))
+    with caplog.at_level("INFO", logger="demers"):
+        quiet = solve_lp(model.problem, engine="simplex")
+        assert caplog.records == []
+        sol = solve_lp(model.problem, engine="simplex", log=True)
+    assert sol.iterations == quiet.iterations >= 200
+    lines = [r.getMessage() for r in caplog.records]
+    assert lines == [f"[simplex] iter={i}" for i in range(200, sol.iterations + 1, 200)]
+    assert {r.name for r in caplog.records} == {"demers.simplexsolver"}
