@@ -312,6 +312,7 @@ def _run_frc_variant(
                 "iterations": result.iterations,
                 "max_force": result.max_force,
                 "residual_overlap_area": result.residual_overlap_area,
+                "residual_overlap_frac": result.residual_overlap_frac,
                 "engine": "frc",
             }
         )
@@ -530,6 +531,12 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stability-weight", type=float, default=1.0)
     p.add_argument("--engine", choices=["auto", "simplex", "highs"], default="auto")
     p.add_argument("--node-limit", type=int, default=100_000)
+    p.add_argument("--lp-time-limit", type=float, default=60.0,
+                   help="seconds per LP solve")
+    p.add_argument("--ilp-time-limit", type=float, default=300.0,
+                   help="seconds per ILP branch and bound")
+    p.add_argument("--frc-max-iterations", type=int, default=100_000,
+                   help="iteration cap per force layout")
     p.add_argument("--frames", type=int, default=0)
     p.add_argument("--dump-lp", action="store_true")
     p.add_argument("--dump-constraints", action="store_true")
@@ -550,12 +557,15 @@ def _config_from_args(args: argparse.Namespace, variant: str, out_dir: str) -> R
         adjacent_direction_boost=args.direction_boost,
         stability_weight=args.stability_weight,
         engine=args.engine,
+        lp_time_limit=args.lp_time_limit,
+        ilp_time_limit=args.ilp_time_limit,
         node_limit=args.node_limit,
         frames=args.frames,
         dump_lp=args.dump_lp,
         dump_constraints=args.dump_constraints,
         solver_log=args.solver_log,
         labels=args.labels,
+        frc_max_iterations=args.frc_max_iterations,
     )
 
 

@@ -5,6 +5,13 @@ Chebyshev penetration) and are attracted either to their map origins or to
 their topological neighbors. Forces are rescaled globally each step so no
 square can jump over another, then applied synchronously. Separation
 constraints play no role here, so the result may keep slight overlaps.
+
+Each iteration is one pass over the n x n pair arrays (``_ForceField.sweep``):
+the raw force, the clamped force and the stiffness-sized step all come from
+the same differences, distances and penetrations, and every pair quantity
+that does not move with the squares is computed once per layout. The sums
+keep the term order of the straightforward per-pair evaluation (see
+``sweep``), so layouts are reproducible to the bit.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import warnings
 import zlib
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +77,7 @@ class FrcResult:
     iterations: int
     max_force: float
     residual_overlap_area: float
+    residual_overlap_frac: float  # residual area over total square area
 
 
 def _pair_jitter(a: str, b: str) -> tuple[float, float]:
@@ -81,8 +90,21 @@ def _pair_jitter(a: str, b: str) -> tuple[float, float]:
     return ux, uy
 
 
+class _Sweep(NamedTuple):
+    """One iteration's forces and step, each a (2, n) array of x and y planes."""
+
+    raw: np.ndarray  # force before the global rescale
+    clamped: np.ndarray  # force after it
+    move: np.ndarray  # displacement the iteration applies
+
+
 class _ForceField:
-    """Vectorized force evaluation over all region pairs."""
+    """Vectorized force evaluation over all region pairs.
+
+    Everything that does not depend on the positions (separation distances,
+    their squares, the diagonal mask, degrees, quality-force stiffness) is
+    computed once here, so an iteration is one ``sweep``.
+    """
 
     def __init__(
         self,
@@ -106,47 +128,85 @@ class _ForceField:
         np.fill_diagonal(gap, 0.0)
         self.adj = adj
         self.m = (s[:, None] + s[None, :]) / 2.0 + gap
+        self.m2 = self.m * self.m
+        # added to the Chebyshev distances and the Euclidean norms, so no
+        # square pushes or pulls itself
+        self.diag_inf = np.zeros((n, n))
+        np.fill_diagonal(self.diag_inf, np.inf)
         self.origins = np.array([map.region(r).centroid for r in self.ids])
         ox0, oy0 = self.origins.min(axis=0)
         ox1, oy1 = self.origins.max(axis=0)
         self.origin_diag = math.hypot(ox1 - ox0, oy1 - oy0)
-        self.jitter = np.zeros((n, n, 2))
-        for i, a in enumerate(self.ids):
-            for j, b in enumerate(self.ids):
-                if i != j:
-                    self.jitter[i, j] = _pair_jitter(a, b)
+        self.four_scale = 4.0 * cfg.disjointness_scale
+        self.deg = np.maximum(adj.sum(axis=1), 1)
+        if cfg.quality_variant is QualityForce.ORIGIN:
+            self.kq = 1.0 / self.origin_diag if self.origin_diag > 0 else 0.0
+        else:
+            self.kq = 2.0 * (adj / self.m).sum(axis=1) / self.deg
 
-    def forces(self, pos: np.ndarray) -> np.ndarray:
-        n = pos.shape[0]
-        d = pos[:, None, :] - pos[None, :, :]  # d[i,j] = r_i - r_j
-        dist = np.hypot(d[..., 0], d[..., 1])
-        cheb = np.maximum(np.abs(d[..., 0]), np.abs(d[..., 1]))
-        np.fill_diagonal(cheb, np.inf)
+    def sweep(self, pos: np.ndarray) -> _Sweep:
+        """Forces and step for centres ``pos``, a (2, n) array, in one pairwise pass.
 
-        unit = np.zeros_like(d)
-        nz = dist > 0
-        unit[nz] = d[nz] / dist[nz][:, None]
-        coincident = ~nz
-        np.fill_diagonal(coincident, False)
-        unit[coincident] = self.jitter[coincident]
+        Every pair quantity is built once, on x and y planes stacked in
+        (2, n, n) arrays. The force sums run along the first pair axis:
+        ``u[:, j, i] = -u[:, i, j]`` and the magnitudes are symmetric, so
+        ``-(u * mag).sum(axis=1)`` adds region i's pair terms one after
+        another, in the same order and with the same rounding as a
+        sequential sum over j. A sum along the contiguous last axis would
+        use pairwise summation and change the last bits of the layout. The
+        stiffness sums take symmetric terms and stay on the last axis.
+        """
+        cfg = self.cfg
+        # a C-ordered pos makes every pair array C-ordered, which fixes the
+        # order the sums below add their terms in
+        pos = np.ascontiguousarray(pos)
+        d = pos[:, :, None] - pos[:, None, :]  # d[:, i, j] = r_i - r_j
+        ad = np.abs(d)
+        cheb = np.maximum(ad[0], ad[1]) + self.diag_inf
+        dist = np.hypot(d[0], d[1]) + self.diag_inf
+        if not dist.all():
+            coincident = dist == 0.0
+            unit = d / np.where(coincident, 1.0, dist)
+            for i, j in zip(*np.nonzero(coincident)):
+                unit[:, i, j] = _pair_jitter(self.ids[i], self.ids[j])
+        else:
+            unit = d / dist
+        pen = np.maximum(self.m - cheb, 0.0)  # > 0 exactly where squares overlap
+        raw = (unit * np.square(pen / self.m)).sum(axis=1)
+        raw *= -cfg.disjointness_scale
 
-        overlap = cheb < self.m
-        mag_d = np.zeros((n, n))
-        mag_d[overlap] = ((self.m[overlap] - cheb[overlap]) / self.m[overlap]) ** 2
-        f = self.cfg.disjointness_scale * (unit * mag_d[..., None]).sum(axis=1)
-
-        if self.cfg.quality_variant is QualityForce.ORIGIN:
+        if cfg.quality_variant is QualityForce.ORIGIN:
             if self.origin_diag > 0:
                 # unit direction times |o - r| / diag collapses to (o - r) / diag
-                f += (self.origins - pos) / self.origin_diag
+                raw += (self.origins.T - pos) / self.origin_diag
         else:
-            mag_q = np.zeros((n, n))
-            apart = self.adj & ~overlap & np.isfinite(cheb)
-            mag_q[apart] = (cheb[apart] - self.m[apart]) / self.m[apart]
-            pull = (-unit * mag_q[..., None]).sum(axis=1)
-            deg = np.maximum(self.adj.sum(axis=1), 1)
-            f += pull / deg[:, None]
-        return f
+            apart = self.adj & (pen == 0.0)  # the map has no self-loops
+            mag_q = np.where(apart, (cheb - self.m) / self.m, 0.0)
+            # unit[:, j, i] = -unit[:, i, j] points from i toward j: a pull
+            raw += (unit * mag_q).sum(axis=1) / self.deg
+
+        clamped = self.rescale(raw.T).T
+        if not cfg.damped_steps:
+            return _Sweep(raw, clamped, clamped)
+        # Per-axis displacement bounded by a local stiffness (Newton) step.
+        # Contact stiffness acts along each overlapping pair's dominant
+        # axis; the quality force adds its own slope. The applied step per
+        # axis is the smaller of the clamped force and the stiffness-sized
+        # step, so soft modes move at full speed while contacts relax
+        # instead of bouncing.
+        kc = self.four_scale * pen / self.m2
+        kc_x = np.where(ad[0] >= ad[1], kc, 0.0)
+        k = np.empty_like(pos)
+        kc_x.sum(axis=1, out=k[0])
+        (kc - kc_x).sum(axis=1, out=k[1])  # the pairs with ad[1] > ad[0]
+        k += self.kq
+        newton = cfg.over_relax * np.abs(raw) / np.maximum(k, 1e-12)
+        move = np.sign(clamped) * np.minimum(np.abs(clamped), newton)
+        return _Sweep(raw, clamped, move)
+
+    def forces(self, pos: np.ndarray) -> np.ndarray:
+        """Raw force on every region, an (n, 2) array, for (n, 2) centres."""
+        return self.sweep(pos.T).raw.T
 
     def rescale(self, f: np.ndarray) -> np.ndarray:
         norms = np.hypot(f[:, 0], f[:, 1])
@@ -155,41 +215,6 @@ class _ForceField:
             return f * (self.min_side / peak)
         return f
 
-    def damped_displacement(
-        self, pos: np.ndarray, raw: np.ndarray, clamped: np.ndarray, omega: float
-    ) -> np.ndarray:
-        """Per-axis displacement bounded by a local stiffness (Newton) step.
-
-        Contact stiffness acts along each overlapping pair's dominant axis;
-        the quality force contributes its own slope. The applied step per
-        axis is the smaller of the paper's clamped force and the stiffness-
-        sized step, so soft modes move at full speed while contacts relax
-        instead of bouncing.
-        """
-        d = pos[:, None, :] - pos[None, :, :]
-        adx = np.abs(d[..., 0])
-        ady = np.abs(d[..., 1])
-        cheb = np.maximum(adx, ady)
-        np.fill_diagonal(cheb, np.inf)
-        pen = np.maximum(self.m - cheb, 0.0)
-        kc = 4.0 * self.cfg.disjointness_scale * pen / (self.m * self.m)
-        kx = np.where(adx >= ady, kc, 0.0).sum(axis=1)
-        ky = np.where(ady > adx, kc, 0.0).sum(axis=1)
-        if self.cfg.quality_variant is QualityForce.ORIGIN:
-            kq = 1.0 / self.origin_diag if self.origin_diag > 0 else 0.0
-        else:
-            deg = np.maximum(self.adj.sum(axis=1), 1)
-            kq = 2.0 * (self.adj / self.m).sum(axis=1) / deg
-        kx = kx + kq
-        ky = ky + kq
-        sx = np.sign(clamped[:, 0]) * np.minimum(
-            np.abs(clamped[:, 0]), omega * np.abs(raw[:, 0]) / np.maximum(kx, 1e-12)
-        )
-        sy = np.sign(clamped[:, 1]) * np.minimum(
-            np.abs(clamped[:, 1]), omega * np.abs(raw[:, 1]) / np.maximum(ky, 1e-12)
-        )
-        return np.stack([sx, sy], axis=1)
-
 
 def force_step(
     centers: dict[str, Point],
@@ -197,12 +222,11 @@ def force_step(
     map: AdjacencyGraph,
     cfg: ForceConfig,
 ) -> dict[str, Point]:
-    """One synchronous update of all square centers."""
+    """One synchronous update of all square centers by the clamped force."""
     field = _ForceField(map, sides, cfg)
-    pos = np.array([centers[r] for r in field.ids])
-    f = field.rescale(field.forces(pos))
-    new = pos + f
-    return {r: (float(new[i, 0]), float(new[i, 1])) for i, r in enumerate(field.ids)}
+    pos = np.array([centers[r] for r in field.ids]).T
+    new = pos + field.sweep(pos).clamped
+    return {r: (float(new[0, i]), float(new[1, i])) for i, r in enumerate(field.ids)}
 
 
 def run_frc(
@@ -221,9 +245,9 @@ def run_frc(
         raise ValueError("previous layout required for stable initialization")
     field = _ForceField(map, sides, cfg)
     if cfg.init is InitMode.PREVIOUS_LAYOUT:
-        pos = np.array([previous.centers[r] for r in field.ids])
+        pos = np.array([previous.centers[r] for r in field.ids]).T
     else:
-        pos = field.origins.copy()
+        pos = field.origins.T.copy()
 
     limit = cfg.convergence_threshold * field.min_side
     converged = False
@@ -233,19 +257,15 @@ def run_frc(
         converged = True
     else:
         for iterations in range(1, cfg.max_iterations + 1):
-            raw = field.forces(pos)
-            f = field.rescale(raw)
-            max_force = float(np.hypot(f[:, 0], f[:, 1]).max())
+            step = field.sweep(pos)
+            max_force = float(np.hypot(step.clamped[0], step.clamped[1]).max())
             if max_force < limit:
                 converged = True
                 break
-            if cfg.damped_steps:
-                pos = pos + field.damped_displacement(pos, raw, f, cfg.over_relax)
-            else:
-                pos = pos + f
+            pos = pos + step.move
 
     layout = SquareLayout(
-        centers={r: (float(pos[i, 0]), float(pos[i, 1])) for i, r in enumerate(field.ids)},
+        centers={r: (float(pos[0, i]), float(pos[1, i])) for i, r in enumerate(field.ids)},
         sides={r: float(s) for r, s in zip(field.ids, field.sides)},
         function_index=0,
         constraint_ref=None,
@@ -254,15 +274,14 @@ def run_frc(
     )
     residual = overlap_area(layout)
     total = total_square_area(layout)
+    frac = residual / total if total > 0 else 0.0
     if total > 0 and residual > 1e-3 * total:
-        warnings.warn(
-            f"force layout kept {residual / total:.2%} residual overlap area",
-            stacklevel=2,
-        )
+        warnings.warn(f"force layout kept {frac:.2%} residual overlap area", stacklevel=2)
     return FrcResult(
         layout=layout,
         converged=converged,
         iterations=iterations,
         max_force=max_force,
         residual_overlap_area=residual,
+        residual_overlap_frac=frac,
     )

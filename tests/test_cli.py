@@ -14,6 +14,7 @@ from demers.cli import (
     run_matrix,
 )
 from demers.forcelayout import QualityForce
+from demers.layout import overlap_area, total_square_area
 from demers.lpmodel import ObjectiveKind, Stability
 from demers.sepconstraints import Setting
 
@@ -84,13 +85,30 @@ class TestRun:
         assert doc["schema_version"] == 1
         assert doc["leaders"] == []
 
-    def test_frc_run_flagged_with_overlap_stats(self, tmp_path, sample3_paths):
+    def test_frc_run_flagged_with_overlap_stats(
+        self, tmp_path, sample3_paths, luxembourg_paths
+    ):
         res = run_sample(tmp_path, sample3_paths, "FRC-O-U")
         assert res.status in ("ok", "partial")
         doc = json.loads((Path(res.config.out_dir) / "layout_0.json").read_text())
         assert doc["method"] == "frc"
         manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
         assert "residual_overlap_area" in manifest["solves"][0]
+        # one iteration on luxembourg leaves overlap above the warning threshold
+        capped = RunConfig(
+            map_path=str(luxembourg_paths[0]),
+            weights_path=str(luxembourg_paths[1]),
+            variant="FRC-O-U",
+            out_dir=str(tmp_path / "capped"),
+            frc_max_iterations=1,
+        )
+        with pytest.warns(UserWarning, match="residual overlap"):
+            res = run(capped)
+        manifest = json.loads((Path(capped.out_dir) / "manifest.json").read_text())
+        [solve] = manifest["solves"]
+        area = overlap_area(res.layouts[0])
+        assert solve["residual_overlap_area"] == area
+        assert solve["residual_overlap_frac"] == area / total_square_area(res.layouts[0]) > 1e-3
 
     def test_cnt_on_k4_reports_one_lost(self, tmp_path, luxembourg_paths):
         cfg = RunConfig(
@@ -370,6 +388,31 @@ class TestFailureReport:
         assert res.ok and res.error_stage is None and res.traceback is None
         manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
         assert manifest["error_stage"] is None and manifest["traceback"] is None
+
+
+class TestRunFlags:
+    def test_limit_flags_reach_the_config(self, tmp_path, sample3_paths, monkeypatch):
+        seen = []
+        monkeypatch.setattr("demers.cli.run", lambda config: seen.append(config) or run(config))
+        argv = [
+            "run",
+            "--map", str(sample3_paths[0]),
+            "--weights", str(sample3_paths[1]),
+            "--variant", "FRC-T-S",
+            "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 0
+        limits = ("--lp-time-limit", "7.5", "--ilp-time-limit", "12", "--frc-max-iterations", "3")
+        assert main(argv + list(limits)) == 1  # capped: partial
+        default, flagged = seen
+        assert (default.lp_time_limit, default.ilp_time_limit, default.frc_max_iterations) == (
+            RunConfig.lp_time_limit, RunConfig.ilp_time_limit, RunConfig.frc_max_iterations
+        )
+        assert (flagged.lp_time_limit, flagged.ilp_time_limit, flagged.frc_max_iterations) == (
+            7.5, 12.0, 3
+        )
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert [s["iterations"] for s in manifest["solves"]] == [3, 3]
 
 
 class TestSolverLog:
