@@ -168,6 +168,7 @@ def _solution_stats(sol: Solution) -> dict:
         "iterations": sol.iterations,
         "nodes": sol.nodes,
         "engine": sol.engine,
+        "engine_reason": sol.engine_reason,
         "method": sol.method,
         "crossover_nit": sol.crossover_nit,
         "wall_time": sol.wall_time,
@@ -238,7 +239,10 @@ def _solve_lp_variant(
                 time_limit=config.lp_time_limit,
                 log=config.solver_log,
             )
-        stats.append({**_solution_stats(sol), **model.problem.size()})
+        entry = _solution_stats(sol)
+        if model.problem.num_binaries:
+            entry["root_iterations"] = sol.root_iterations
+        stats.append({**entry, **model.problem.size()})
         if not sol.values:
             raise RuntimeError(f"solver returned {sol.status.value} with no point")
         stage.enter("decode")

@@ -257,6 +257,24 @@ class TestManifest:
             assert solve["method"] == "ds"  # far below the interior-point size
             assert solve["crossover_nit"] == 0
 
+    @pytest.mark.parametrize("variant", ["TOP-S-SU", "CNT-W-SU"])
+    @pytest.mark.parametrize("engine", ["auto", "simplex", "highs"])
+    def test_solves_record_engine_reason(self, tmp_path, sample3_paths, variant, engine):
+        res = run_sample(tmp_path, sample3_paths, variant, engine=engine)
+        assert res.ok
+        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
+        assert manifest["solves"]
+        for solve in manifest["solves"]:
+            if engine == "auto":
+                assert solve["engine"] == "simplex"
+                assert solve["engine_reason"] == f"auto: {solve['rows']} rows <= 220"
+            else:
+                assert (solve["engine"], solve["engine_reason"]) == (engine, "explicit")
+            if variant.startswith("CNT"):
+                assert 0 < solve["root_iterations"] <= solve["iterations"]
+            else:
+                assert "root_iterations" not in solve
+
     @pytest.mark.parametrize("variant", ["TOP-S-SU", "CNT-W-IT"])
     def test_solves_record_model_size(self, tmp_path, sample3_paths, variant, monkeypatch):
         import demers.cli as climod

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demers import simplexsolver as ss
 from demers.lpmodel import LpProblem, max_violation
@@ -417,36 +419,78 @@ class TestStartingBasis:
         assert_identity_start(as_problem(*random_lp(seed)))
 
     @pytest.mark.parametrize("setting", ["WEAK", "STRONG"])
-    def test_cnt_node_relaxations(self, monkeypatch, setting):
-        from demers.lpmodel import ModelSpec, ObjectiveKind, build_cnt_ilp
-        from demers.mapdata import compute_epsilon, scale_weights
-        from demers.sepconstraints import Setting, derive_constraints, reduce_transitive
-        from demers.synth import grid_map, lognormal_weights
+    def test_cnt_nodes_start_from_parent_basis(self, monkeypatch, setting):
+        # the root starts from B^-1 = I; every node relaxation is the root's
+        # standard form with another b, and the dual simplex starts from the
+        # parent's final basis (the primal probe from the node it probes)
+        model = cnt_model(setting)
+        calls, loaded = [], []
+        real_solve, real_dual = ss._WarmNodes.solve, ss._Simplex.run_dual
 
-        g = grid_map(3, jitter=0.3, seed=4)
-        table = scale_weights(lognormal_weights(g, k=1, seed=4), g)
-        cs = reduce_transitive(
-            derive_constraints(g, compute_epsilon(table, g), Setting[setting])
-        )
-        model = build_cnt_ilp(
-            g, table.function_sides(0), cs,
-            ModelSpec(ObjectiveKind.CNT, Setting[setting]),
-        )
-        seen = []
-        real = ss._solve_simplex
+        def dual_spy(self):
+            loaded.append((self.basis.copy(), self.binv))
+            status = real_dual(self)
+            # the dual ratio test keeps every reduced cost nonnegative
+            reduced = self.c - (self.c[self.basis] @ self.binv) @ self.A
+            assert reduced[self.real].min() >= -1e-9
+            return status
 
-        def spy(problem, *args):
-            seen.append(problem)
-            return real(problem, *args)
+        def spy(self, fixings, start):
+            root = self.root
+            std = self.relaxation(fixings)
+            assert np.array_equal(std.A, root.A) and np.array_equal(std.c, root.c)
+            assert np.array_equal(std.col_scale, root.col_scale)
+            assert np.array_equal(std.row_scale, root.row_scale)
+            assert np.array_equal(std.b, root.b) == (not fixings)
+            if start is None:
+                assert np.array_equal(self.sx.binv, np.eye(self.sx.m))
+                assert np.array_equal(self.sx.A[:, self.sx.basis], np.eye(self.sx.m))
+            loaded.clear()
+            sol, basis = real_solve(self, fixings, start)
+            first = loaded[0] if loaded else None
+            final = None if basis is None else (basis.cols.copy(), basis.binv)
+            calls.append((list(fixings.items()), first, final, sol.iterations))
+            return sol, basis
 
-        monkeypatch.setattr(ss, "_solve_simplex", spy)
+        monkeypatch.setattr(ss._Simplex, "run_dual", dual_spy)
+        monkeypatch.setattr(ss._WarmNodes, "solve", spy)
         sol = solve_ilp(model.problem, engine="simplex")
-        assert sol.optimal
-        # the nodes below the root pin binaries, which drops their pieces
-        pinned = [p for p in seen if np.any((p.lb == p.ub) & model.problem.binary)]
-        assert pinned and len(pinned) < len(seen)
-        for problem in seen:
-            assert_identity_start(problem)
+        assert sol.optimal and sol.nodes > 2
+        assert calls[0][:2] == ([], None)
+        inherited = 0
+        for i, (items, first, _, _) in enumerate(calls[1:], start=1):
+            # the parent: the latest earlier call fixing a proper prefix
+            parent = max(
+                (c for c in calls[:i] if len(c[0]) < len(items) and items[: len(c[0])] == c[0]),
+                key=lambda c: len(c[0]),
+            )
+            cols, binv = first
+            assert np.array_equal(cols, parent[2][0])
+            inherited += binv is parent[2][1]
+        # dive children update their parent's inverse; nodes from the heap
+        # (and the probe) start from a refactored one
+        assert 0 < inherited < len(calls) - 1
+        # the root and its probe run before the first branch, whose nodes
+        # fix one binary
+        branch = next(i for i, c in enumerate(calls) if len(c[0]) == 1)
+        assert sol.root_iterations == sum(c[3] for c in calls[:branch]) > 0
+
+
+def cnt_model(setting):
+    """CNT ILP of a jittered 3x3 grid; branch and bound needs a few nodes."""
+    from demers.lpmodel import ModelSpec, ObjectiveKind, build_cnt_ilp
+    from demers.mapdata import compute_epsilon, scale_weights
+    from demers.sepconstraints import Setting, derive_constraints, reduce_transitive
+    from demers.synth import grid_map, lognormal_weights
+
+    g = grid_map(3, jitter=0.3, seed=4)
+    table = scale_weights(lognormal_weights(g, k=1, seed=4), g)
+    cs = reduce_transitive(
+        derive_constraints(g, compute_epsilon(table, g), Setting[setting])
+    )
+    return build_cnt_ilp(
+        g, table.function_sides(0), cs, ModelSpec(ObjectiveKind.CNT, Setting[setting])
+    )
 
 
 def test_progress_lines_are_logged(caplog):
@@ -467,3 +511,145 @@ def test_progress_lines_are_logged(caplog):
     lines = [r.getMessage() for r in caplog.records]
     assert lines == [f"[simplex] iter={i}" for i in range(200, sol.iterations + 1, 200)]
     assert {r.name for r in caplog.records} == {"demers.simplexsolver"}
+
+
+# ---------------------------------------------------------------------------
+# the warm-started search against the cold one it replaced
+
+
+def reference_solve_ilp(problem, node_limit=100_000):
+    """Branch and bound as it was before warm starts, without its limits'
+    timing and logging: every node relaxation is its own LP, standardized
+    with the fixed binaries dropped and solved cold by the bundled simplex."""
+    import heapq
+    from dataclasses import replace
+
+    binaries = [problem.col_names[j] for j in np.flatnonzero(problem.binary)]
+    base = problem.with_bounds(
+        problem.lb, problem.ub, binary=np.zeros(problem.num_cols, dtype=bool)
+    )
+
+    def relax(fixings):
+        return ss._solve_simplex(ss._with_fixings(base, fixings), None, False)
+
+    incumbent = None
+    nodes = 0
+    heap = []
+    stack = [(-ss.INF, {})]
+    seq = 0
+    exhausted = True
+    while stack or heap:
+        if stack:
+            bound, fixings = stack.pop()
+        else:
+            bound, _, fixings = heapq.heappop(heap)
+        if incumbent is not None and bound >= incumbent.objective - 1e-9:
+            continue
+        if nodes >= node_limit:
+            exhausted = False
+            break
+        nodes += 1
+        rel = relax(fixings)
+        if rel.status is SolveStatus.INFEASIBLE:
+            continue
+        assert rel.status is SolveStatus.OPTIMAL
+        if incumbent is not None and rel.objective >= incumbent.objective - 1e-9:
+            continue
+        frac_name, frac_dist = None, -1.0
+        for name in binaries:
+            if name in fixings:
+                continue
+            val = rel.values.get(name, 0.0)
+            dist = min(val, 1.0 - val)
+            if dist > ss.INT_TOL and dist > frac_dist:
+                frac_name, frac_dist = name, dist
+        if frac_name is None:
+            vals = dict(rel.values)
+            for name in binaries:
+                vals[name] = 1.0 if vals.get(name, 0.0) > 0.5 else 0.0
+            incumbent = replace(rel, values=vals)
+            continue
+        if incumbent is None:
+            probe_fix = dict(fixings)
+            for name in binaries:
+                if name not in probe_fix:
+                    val = rel.values.get(name, 0.0)
+                    probe_fix[name] = 1 if val > ss.INT_TOL else 0
+            probe = relax(probe_fix)
+            if probe.status is SolveStatus.OPTIMAL:
+                vals = dict(probe.values)
+                for name in binaries:
+                    vals[name] = float(probe_fix[name])
+                incumbent = replace(probe, values=vals)
+        prefer = 1 if rel.values.get(frac_name, 0.0) >= 0.5 else 0
+        seq += 1
+        heapq.heappush(heap, (rel.objective, seq, {**fixings, frac_name: 1 - prefer}))
+        stack.append((rel.objective, {**fixings, frac_name: prefer}))
+    if incumbent is None:
+        status = SolveStatus.INFEASIBLE if exhausted else SolveStatus.NODE_LIMIT
+        return ss.Solution(status, nodes=nodes)
+    status = SolveStatus.OPTIMAL if exhausted else SolveStatus.NODE_LIMIT
+    return replace(incumbent, status=status, nodes=nodes)
+
+
+def assert_same_optimum(problem):
+    ref = reference_solve_ilp(problem)
+    assert ref.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE)
+    for engine in ("simplex", "highs"):
+        sol = solve_ilp(problem, engine=engine)
+        assert sol.status is ref.status, engine
+        if ref.optimal:
+            assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-12), engine
+            assert max_violation(problem, sol.values) <= 1e-6, engine
+            binaries = [problem.col_names[j] for j in np.flatnonzero(problem.binary)]
+            assert all(sol.values[nm] in (0.0, 1.0) for nm in binaries), engine
+
+
+@st.composite
+def binary_programs(draw):
+    """Small mixed binary programs with integer data; some are infeasible."""
+    n_bin = draw(st.integers(1, 7))
+    n_cont = draw(st.integers(0, 3))
+    p = LpProblem()
+    names = [f"b{i}" for i in range(n_bin)] + [f"x{i}" for i in range(n_cont)]
+    coef = st.integers(-4, 4)
+    for i, nm in enumerate(names):
+        if i < n_bin:
+            p.add_var(nm, 0, 1, binary=True)
+        else:
+            p.add_var(nm, draw(st.sampled_from([0.0, -3.0])), draw(st.sampled_from([0.0, 2.5, 5.0])))
+        p.add_objective(nm, draw(coef))
+    for _ in range(draw(st.integers(1, 6))):
+        coeffs = {nm: draw(coef) for nm in names}
+        p.add_constraint(coeffs, draw(st.sampled_from(["<=", ">=", "="])), draw(st.integers(-3, 5)))
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(binary_programs())
+def test_warm_search_matches_cold_on_binary_programs(problem):
+    assert_same_optimum(problem)
+
+
+@st.composite
+def cnt_ilps(draw):
+    """CNT ILPs of jittered 2x2 to 3x3 grids, weak and strong."""
+    from demers.lpmodel import ModelSpec, ObjectiveKind, build_cnt_ilp
+    from demers.mapdata import compute_epsilon, scale_weights
+    from demers.sepconstraints import Setting, derive_constraints, reduce_transitive
+    from demers.synth import grid_map, lognormal_weights
+
+    cols, rows = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    seed = draw(st.integers(0, 10_000))
+    setting = draw(st.sampled_from([Setting.WEAK, Setting.STRONG]))
+    g = grid_map(cols, rows, jitter=draw(st.sampled_from([0.0, 0.15, 0.3])), seed=seed)
+    table = scale_weights(lognormal_weights(g, k=1, seed=seed), g)
+    cs = reduce_transitive(derive_constraints(g, compute_epsilon(table, g), setting))
+    spec = ModelSpec(ObjectiveKind.CNT, setting)
+    return build_cnt_ilp(g, table.function_sides(0), cs, spec).problem
+
+
+@settings(max_examples=25, deadline=None)
+@given(cnt_ilps())
+def test_warm_search_matches_cold_on_cnt_ilps(problem):
+    assert_same_optimum(problem)
