@@ -482,7 +482,7 @@ def matrix_csv(results: list[RunResult]) -> str:
         row = {
             "dataset": name,
             "variant": res.config.variant,
-            "status": res.status if res.status.startswith("error") else res.status,
+            "status": res.status,
             "k": len(res.layouts),
             "madj": "",
             "mrel": "",

@@ -3,8 +3,11 @@
 Squares repel pairwise while overlapping (quadratic in the normalized
 Chebyshev penetration) and are attracted either to their map origins or to
 their topological neighbors. Forces are rescaled globally each step so no
-square can jump over another, then applied synchronously. Separation
-constraints play no role here, so the result may keep slight overlaps.
+square can jump over another. ``run_frc`` caps each region's step per axis
+by a local stiffness (Newton) estimate, so contacts settle instead of
+bouncing, and applies all steps synchronously; ``force_step`` applies the
+rescaled force alone. Separation constraints play no role here, so the
+result may keep slight overlaps.
 
 Each iteration is one pass over the n x n pair arrays (``_ForceField.sweep``):
 the raw force, the clamped force and the stiffness-sized step all come from
@@ -45,13 +48,13 @@ class InitMode(Enum):
 class ForceConfig:
     """Force-law constants and iteration policy.
 
-    ``damped_steps`` keeps the forces untouched but sizes each applied
+    ``run_frc`` keeps the forces untouched but sizes each applied
     displacement per region and axis from a local stiffness estimate
-    (contact penalty slope plus quality-force slope). The raw update rule
-    overshoots around contact equilibria because the disjointness penalty
-    is extremely stiff, which leaves the iteration bouncing instead of
-    settling; stiffness-sized steps restore convergence to the stated
-    force threshold.
+    (contact penalty slope plus quality-force slope), scaled by
+    ``over_relax``. The raw update rule overshoots around contact
+    equilibria because the disjointness penalty is extremely stiff, which
+    leaves the iteration bouncing instead of settling; stiffness-sized steps
+    restore convergence to the stated force threshold.
     """
 
     quality_variant: QualityForce = QualityForce.ORIGIN
@@ -60,7 +63,6 @@ class ForceConfig:
     disjointness_scale: float = 50_000.0
     convergence_threshold: float = 1e-5
     max_iterations: int = 100_000
-    damped_steps: bool = True
     over_relax: float = 1.7
 
     def __post_init__(self) -> None:
@@ -186,8 +188,6 @@ class _ForceField:
             raw += (unit * mag_q).sum(axis=1) / self.deg
 
         clamped = self.rescale(raw.T).T
-        if not cfg.damped_steps:
-            return _Sweep(raw, clamped, clamped)
         # Per-axis displacement bounded by a local stiffness (Newton) step.
         # Contact stiffness acts along each overlapping pair's dominant
         # axis; the quality force adds its own slope. The applied step per

@@ -8,6 +8,10 @@ shared horizontal strip or walk the staircase that hugs the bottom-right
 corners of the blocking squares. A two-bend variant ascends to the first
 blocker bottom, crosses, and closes; its bend bound needs constraints from
 the strong setting.
+
+``all_leaders`` routes the minimal construction for every lost adjacency.
+Its ``RoutingReport`` counts the leaders routed and lists each unroutable
+pair with the reason; ``two_bend_leader`` is called directly.
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ class LeaderError(ValueError):
     pass
 
 
+class NotMinimalError(LeaderError):
+    """The minimal construction does not apply to the pair, or found no
+    crossing-free leader; ``all_leaders`` retries without minimality."""
+
+
 @dataclass(frozen=True)
 class Leader:
     endpoints: tuple[str, str]
@@ -42,15 +51,11 @@ class Leader:
             "points": [[x, y] for x, y in self.polyline],
         }
 
-    def segments(self) -> list[tuple[Point, Point]]:
-        return list(zip(self.polyline, self.polyline[1:]))
-
 
 @dataclass(frozen=True)
 class RoutingReport:
     routed: int
     unroutable: tuple[tuple[str, str, str], ...]  # (r1, r2, reason)
-    leader_pair_overlaps: int
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +127,7 @@ def _pick_axis(
     for axis, a, b in candidates:
         if _minimal_in(cs, axis, a, b):
             return axis, a, b
-    raise LeaderError(f"pair ({r1!r}, {r2!r}) is not minimal in H or V")
+    raise NotMinimalError(f"pair ({r1!r}, {r2!r}) is not minimal in H or V")
 
 
 def _canonical(
@@ -346,7 +351,7 @@ def _route_minimal(
             )
         if crossing not in blocked:
             blocked.append(crossing)
-    raise LeaderError(
+    raise NotMinimalError(
         f"no crossing-free minimal leader for ({r1!r}, {r2!r}); blocked by {blocked}"
     )
 
@@ -421,58 +426,24 @@ def all_leaders(
     layout: SquareLayout,
     cs: SeparationConstraintSet,
     map: AdjacencyGraph,
-    style: str = "min",
 ) -> tuple[list[Leader], RoutingReport]:
-    """Route a leader for every lost adjacency; failures are reported, not raised.
+    """Route a minimal leader for every lost adjacency; failures are reported, not raised.
 
-    Pairs outside the minimality hypothesis still get a leader when one of
-    the constructions passes the crossing check (common when a small third
-    region sits between the pair but leaves the shared strip open); nothing
-    unverified is ever emitted.
+    A pair outside the minimality hypothesis, or one the minimal construction
+    found blocked (``NotMinimalError``), is routed again without that
+    hypothesis. It still gets a leader when one of the constructions passes
+    the crossing check (common when a small third region sits between the
+    pair but leaves the shared strip open); nothing unverified is ever
+    emitted.
     """
-    route = min_leader if style == "min" else two_bend_leader
     leaders: list[Leader] = []
     failures: list[tuple[str, str, str]] = []
     for a, b in lost_adjacencies(layout, map):
         try:
-            leaders.append(route(layout, cs, a, b))
+            try:
+                leaders.append(min_leader(layout, cs, a, b))
+            except NotMinimalError:
+                leaders.append(_route_minimal(layout, cs, a, b, require_minimal=False))
         except LeaderError as exc:
-            if style == "min" and "minimal" in str(exc):
-                try:
-                    leaders.append(_route_minimal(layout, cs, a, b, require_minimal=False))
-                    continue
-                except LeaderError as exc2:
-                    exc = exc2
             failures.append((a, b, str(exc)))
-    report = RoutingReport(
-        routed=len(leaders),
-        unroutable=tuple(failures),
-        leader_pair_overlaps=_count_pair_overlaps(leaders),
-    )
-    return leaders, report
-
-
-def _count_pair_overlaps(leaders: list[Leader]) -> int:
-    count = 0
-    for i, la in enumerate(leaders):
-        for lb in leaders[i + 1 :]:
-            if _polylines_touch(la, lb):
-                count += 1
-    return count
-
-
-def _polylines_touch(a: Leader, b: Leader) -> bool:
-    for p0, p1 in a.segments():
-        for q0, q1 in b.segments():
-            if _segments_intersect(p0, p1, q0, q1):
-                return True
-    return False
-
-
-def _segments_intersect(p0: Point, p1: Point, q0: Point, q1: Point) -> bool:
-    """Axis-parallel segment intersection, touching included."""
-    ax0, ax1 = sorted((p0[0], p1[0]))
-    ay0, ay1 = sorted((p0[1], p1[1]))
-    bx0, bx1 = sorted((q0[0], q1[0]))
-    by0, by1 = sorted((q0[1], q1[1]))
-    return ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1
+    return leaders, RoutingReport(routed=len(leaders), unroutable=tuple(failures))

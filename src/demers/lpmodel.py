@@ -462,9 +462,6 @@ def _emit_block(
     sides: dict[str, float],
     cs: SeparationConstraintSet,
     spec: ModelSpec,
-    *,
-    with_binaries: bool = False,
-    primary_weight: float = 1.0,
 ) -> BlockMeta:
     """Emit one weight function's variables, constraints and objective terms.
 
@@ -565,12 +562,10 @@ def _emit_block(
         prob.add_objective_terms(d, spec.secondary_weight * boost)
 
     if spec.objective_kind is ObjectiveKind.TOP:
-        prob.add_objective_terms(hv, primary_weight)
+        prob.add_objective_terms(hv, 1.0)
     elif spec.objective_kind is ObjectiveKind.ORG:
-        _emit_displacement(prob, f"o{tag}", ids, xc, yc, cen, primary_weight)
+        _emit_displacement(prob, f"o{tag}", ids, xc, yc, cen, 1.0)
     elif spec.objective_kind is ObjectiveKind.CNT:
-        if not with_binaries:
-            raise ModelError("CNT objective requires the integer builder")
         n = len(ids)
         big_m = 2.0 * (sum(sides.values()) + max(0, n - 1) * eps)
         bvars = prob.add_vars(
@@ -579,7 +574,7 @@ def _emit_block(
         prob.add_rows(
             np.stack([h, v, bvars], axis=1), [1.0, 1.0, -big_m], "<=", 0.0
         )
-        prob.add_objective_terms(bvars, primary_weight)
+        prob.add_objective_terms(bvars, 1.0)
         prob.add_objective_terms(hv, spec.secondary_weight)
 
     return BlockMeta(
@@ -642,6 +637,25 @@ def _emit_coupling(
     prob.add_objective_terms(cxy, weight)
 
 
+def _model(
+    prob: LpProblem,
+    blocks: list[BlockMeta],
+    map: AdjacencyGraph,
+    cs: SeparationConstraintSet,
+    spec: ModelSpec,
+) -> CartogramModel:
+    """Validate a finished problem and wrap it with what ``decode`` needs."""
+    prob.validate()
+    return CartogramModel(
+        problem=prob,
+        blocks=blocks,
+        cs=cs,
+        region_ids=sorted(map.region_ids),
+        diagonal=map.diagonal(),
+        spec=spec,
+    )
+
+
 def build_single_lp(
     map: AdjacencyGraph,
     sides: dict[str, float],
@@ -655,15 +669,7 @@ def build_single_lp(
         raise ModelError("use build_cnt_ilp for the lost-adjacency objective")
     prob = LpProblem(name=f"demers_{spec.objective_kind.value}_single")
     block = _emit_block(prob, "0", 0, map, sides, cs, spec)
-    prob.validate()
-    return CartogramModel(
-        problem=prob,
-        blocks=[block],
-        cs=cs,
-        region_ids=sorted(map.region_ids),
-        diagonal=map.diagonal(),
-        spec=spec,
-    )
+    return _model(prob, [block], map, cs, spec)
 
 
 def build_cnt_ilp(
@@ -682,16 +688,8 @@ def build_cnt_ilp(
     if spec.objective_kind is not ObjectiveKind.CNT:
         raise ModelError("spec.objective_kind must be CNT")
     prob = LpProblem(name="demers_CNT_single")
-    block = _emit_block(prob, "0", 0, map, sides, cs, spec, with_binaries=True)
-    prob.validate()
-    return CartogramModel(
-        problem=prob,
-        blocks=[block],
-        cs=cs,
-        region_ids=sorted(map.region_ids),
-        diagonal=map.diagonal(),
-        spec=spec,
-    )
+    block = _emit_block(prob, "0", 0, map, sides, cs, spec)
+    return _model(prob, [block], map, cs, spec)
 
 
 def _coupling_pairs(k: int, stability: Stability) -> list[tuple[int, int]]:
@@ -722,29 +720,17 @@ def build_multi_lp(
         raise ModelError("multi-function LP needs at least two weight functions")
     if spec.stability not in (Stability.CO, Stability.SU, Stability.CENTRAL):
         raise ModelError(f"unsupported stability {spec.stability} for one coupled LP")
-    with_binaries = spec.objective_kind is ObjectiveKind.CNT
     prob = LpProblem(
         name=f"demers_{spec.objective_kind.value}_{spec.stability.value}_k{k}"
     )
     ids = sorted(map.region_ids)
     blocks = [
-        _emit_block(
-            prob, str(i), i, map, table.function_sides(i), cs, spec,
-            with_binaries=with_binaries,
-        )
+        _emit_block(prob, str(i), i, map, table.function_sides(i), cs, spec)
         for i in range(k)
     ]
     for i, j in _coupling_pairs(k, spec.stability):
         _emit_coupling(prob, ids, blocks[i], blocks[j], spec.stability_weight)
-    prob.validate()
-    return CartogramModel(
-        problem=prob,
-        blocks=blocks,
-        cs=cs,
-        region_ids=ids,
-        diagonal=map.diagonal(),
-        spec=spec,
-    )
+    return _model(prob, blocks, map, cs, spec)
 
 
 class IterativeSequence:
@@ -779,13 +765,11 @@ class IterativeSequence:
             raise ModelError(f"step {i} needs the previously solved centers")
         spec = self.spec
         ids = sorted(self.map.region_ids)
-        with_binaries = spec.objective_kind is ObjectiveKind.CNT
         prob = LpProblem(
             name=f"demers_{spec.objective_kind.value}_IT_step{i}"
         )
         block = _emit_block(
-            prob, "0", i, self.map, self.table.function_sides(i), self.cs, spec,
-            with_binaries=with_binaries,
+            prob, "0", i, self.map, self.table.function_sides(i), self.cs, spec
         )
         xc, yc = _columns(prob, block.x, ids), _columns(prob, block.y, ids)
         if i == 0:
@@ -806,15 +790,7 @@ class IterativeSequence:
                 prob, "it", ids, xc, yc, _points(previous_centers, ids),
                 spec.stability_weight,
             )
-        prob.validate()
-        return CartogramModel(
-            problem=prob,
-            blocks=[block],
-            cs=self.cs,
-            region_ids=ids,
-            diagonal=self.map.diagonal(),
-            spec=spec,
-        )
+        return _model(prob, [block], self.map, self.cs, spec)
 
 
 def build_iterative_sequence(

@@ -243,31 +243,24 @@ def load_map(geojson_path: str | Path) -> AdjacencyGraph:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise MapDataError(f"cannot parse GeoJSON {path}: {exc}") from exc
-    if doc.get("type") != "FeatureCollection":
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise MapDataError("expected a GeoJSON FeatureCollection")
 
     regions: list[Region] = []
     seen: set[str] = set()
     for feat in doc.get("features", []):
-        rid = feat.get("id") or feat.get("properties", {}).get("id")
+        if not isinstance(feat, dict):
+            raise MapDataError("feature is not a JSON object")
+        rid = feat.get("id")
+        if rid is None and isinstance(feat.get("properties"), dict):
+            rid = feat["properties"].get("id")
         if rid is None:
             raise MapDataError("feature without id")
         rid = str(rid)
         if rid in seen:
             raise MapDataError(f"duplicate region id {rid!r}")
         seen.add(rid)
-        geom = feat.get("geometry", {})
-        gtype = geom.get("type")
-        if gtype == "Polygon":
-            parts = [geom["coordinates"]]
-        elif gtype == "MultiPolygon":
-            parts = geom["coordinates"]
-        else:
-            raise MapDataError(f"feature {rid!r}: unsupported geometry {gtype!r}")
-        part_rings = [
-            [[_to_point(pt) for pt in _close_ring(ring)] for ring in part]
-            for part in parts
-        ]
+        part_rings = _polygon_parts(rid, feat.get("geometry"))
         # centroid of the largest part stands in for multi-part regions
         best = max(part_rings, key=lambda rr: polygon_centroid(rr)[1])
         centroid, _ = polygon_centroid(best)
@@ -288,6 +281,27 @@ def load_map(geojson_path: str | Path) -> AdjacencyGraph:
             if shared_boundary_length(ra.polygon, rb.polygon, tol) > 0:
                 edges.add(frozenset((ra.id, rb.id)))
     return AdjacencyGraph(regions=regions, edges=frozenset(edges))
+
+
+def _polygon_parts(rid: str, geom) -> list[list[Ring]]:
+    """The rings of each part of a Polygon or MultiPolygon geometry."""
+    gtype = geom.get("type") if isinstance(geom, dict) else None
+    if gtype == "Polygon":
+        parts = [geom.get("coordinates")]
+    elif gtype == "MultiPolygon":
+        parts = geom.get("coordinates")
+    else:
+        raise MapDataError(f"feature {rid!r}: unsupported geometry {gtype!r}")
+    try:
+        part_rings = [
+            [[_to_point(pt) for pt in _close_ring(ring)] for ring in part]
+            for part in parts
+        ]
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
+        raise MapDataError(f"feature {rid!r}: malformed coordinates ({exc})") from exc
+    if not part_rings or not all(part_rings):
+        raise MapDataError(f"feature {rid!r}: polygon without rings")
+    return part_rings
 
 
 def _to_point(pt) -> Point:
@@ -326,6 +340,8 @@ def load_weights(
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise MapDataError(f"weights CSV needs columns {sorted(required)}")
         for row in reader:
+            if any(row[key] is None for key in required):
+                raise MapDataError(f"weights CSV line {reader.line_num} is short")
             rid = row["region_id"].strip()
             fname = row["function_name"].strip()
             if rid not in known:

@@ -165,53 +165,38 @@ def validate_dag(cs: SeparationConstraintSet) -> list[str] | None:
     legitimately carry a primary constraint one way and a secondary constraint
     the opposite way in the other axis (one axis orders them left-right, the
     other bottom-top), so the raw union of all four orientations need not be
-    acyclic in the strong setting. Returns None when consistent.
+    acyclic in the strong setting. Returns the cycle's distinct regions in
+    edge order, or None when consistent.
     """
     for edges in (
         cs.sorted_h(),
         cs.sorted_v(),
         sorted(set(cs.primary_pairs("H")) | set(cs.primary_pairs("V"))),
     ):
-        cycle = _find_cycle(edges)
-        if cycle is not None:
-            return cycle
+        try:
+            _successors_first(edges)
+        except CycleError as exc:
+            return exc.args[1]
     return None
 
 
-def _find_cycle(edges: list[Pair]) -> list[str] | None:
-    adj: dict[str, list[str]] = {}
+def _successors_first(edges: list[Pair]) -> tuple[dict[str, list[str]], list[str]]:
+    """Successor lists of the regions in ``edges``, and those regions ordered
+    so that each comes after all of its successors.
+
+    Raises ``CycleError`` whose ``args[1]`` is a directed cycle: its distinct
+    regions in edge order.
+    """
+    succ: dict[str, list[str]] = {}
     for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, [])
-    state: dict[str, int] = {}  # 0 unseen, 1 on stack, 2 done
-    parent: dict[str, str] = {}
-    for root in sorted(adj):
-        if state.get(root, 0) != 0:
-            continue
-        stack = [(root, iter(adj[root]))]
-        state[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if state.get(nxt, 0) == 0:
-                    state[nxt] = 1
-                    parent[nxt] = node
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-                if state.get(nxt) == 1:
-                    cycle = [node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
-                state[node] = 2
-                stack.pop()
-    return None
+        succ.setdefault(a, []).append(b)
+        succ.setdefault(b, [])
+    try:
+        # TopologicalSorter reads the successors as predecessors, so it puts
+        # them first and reports a cycle against the edges' direction
+        return succ, list(TopologicalSorter(succ).static_order())
+    except CycleError as exc:
+        raise CycleError("directed cycle", exc.args[1][:0:-1]) from None
 
 
 def reduce_transitive(cs: SeparationConstraintSet) -> SeparationConstraintSet:
@@ -234,17 +219,12 @@ def reduce_transitive(cs: SeparationConstraintSet) -> SeparationConstraintSet:
     """
 
     def reduced(edges: frozenset[Pair]) -> frozenset[Pair]:
-        succ: dict[str, list[str]] = {}
-        for a, b in sorted(edges):
-            succ.setdefault(a, []).append(b)
-            succ.setdefault(b, [])
-        bit = {r: 1 << i for i, r in enumerate(succ)}
-        reach: dict[str, int] = {}  # regions reachable by one or more edges
         try:
-            # successors first: TopologicalSorter reads them as predecessors
-            order = list(TopologicalSorter(succ).static_order())
+            succ, order = _successors_first(sorted(edges))
         except CycleError as exc:
             raise ConstraintError(f"directed cycle {exc.args[1]}") from None
+        bit = {r: 1 << i for i, r in enumerate(succ)}
+        reach: dict[str, int] = {}  # regions reachable by one or more edges
         for r in order:
             acc = 0
             for s in succ[r]:

@@ -275,13 +275,18 @@ def _rounded(rel: Solution, binaries: list[str]) -> Solution:
     return replace(rel, values=vals)
 
 
-def _with_fixings(base: LpProblem, fixings: dict[str, int]) -> LpProblem:
-    if not fixings:
-        return base
+def _fixed_bounds(
+    base: LpProblem, fixings: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Column bounds of ``base`` with every fixed binary pinned to its value."""
     lb, ub = base.lb.copy(), base.ub.copy()
     cols = [base.col_index[name] for name in fixings]
     lb[cols] = ub[cols] = list(fixings.values())
-    return base.with_bounds(lb, ub)
+    return lb, ub
+
+
+def _with_fixings(base: LpProblem, fixings: dict[str, int]) -> LpProblem:
+    return base.with_bounds(*_fixed_bounds(base, fixings)) if fixings else base
 
 
 class _ColdNodes:
@@ -622,11 +627,12 @@ class _Simplex:
     ) -> str:
         """Pivot to optimality on costs ``c`` over the ``allowed`` columns.
 
-        ``bounded`` says the objective cannot fall below zero (phase 1). An
-        improving column with no positive pivot entry would then be a ray
-        along which it does, so its negative reduced cost is round-off. The
-        basis inverse is refactored to shed the drift; if the column still
-        looks like a ray it is skipped until a pivot lowers the objective.
+        An improving column with no positive pivot entry is a ray only if
+        the basis inverse has not drifted: unless it was just refactored,
+        the inverse is refactored and the columns priced again. ``bounded``
+        says the objective cannot fall below zero (phase 1): a column that
+        still looks like a ray there has a negative reduced cost from
+        round-off, and it is skipped until a pivot lowers the objective.
         Skips last through degenerate pivots: while the vertex stays put the
         skipped set only grows, so Bland's rule cannot cycle. Past the
         iteration limit or the deadline it returns "iteration_limit".
@@ -653,11 +659,11 @@ class _Simplex:
             d = self.binv @ self.A[:, j]
             pos = np.flatnonzero(d > PIVOT_TOL)
             if pos.size == 0:
-                if not bounded:
-                    return "unbounded"
                 if since_refactor:
                     self._refactor()
                     since_refactor = 0
+                elif not bounded:
+                    return "unbounded"
                 else:
                     skipped.append(j)
                 continue
@@ -827,10 +833,7 @@ class _WarmNodes:
     def relaxation(self, fixings: dict[str, int]) -> _StdForm:
         if not fixings:
             return self.root
-        lb, ub = self.base.lb.copy(), self.base.ub.copy()
-        cols = [self.base.col_index[name] for name in fixings]
-        lb[cols] = ub[cols] = list(fixings.values())
-        return self.root.rebound(lb, ub)
+        return self.root.rebound(*_fixed_bounds(self.base, fixings))
 
     def solve(
         self, fixings: dict[str, int], start: _Basis | None

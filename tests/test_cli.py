@@ -182,6 +182,46 @@ class TestMatrix:
         csv_text = matrix_csv(run_matrix(configs))
         assert "error:" in csv_text
 
+    def test_two_workers_match_one(self, tmp_path, sample3_paths):
+        from demers.synth import write_instance
+
+        grid = write_instance(tmp_path / "grid", 4, 0, k=2, rows=3, jitter=0.3)
+        runs = [(sample3_paths, v) for v in ("TOP-S-SU", "CNT-W-SU", "ORG-W-IT", "FRC-O-S")]
+        runs += [(grid, v) for v in ("TOP-S-SU", "ORG-W-IT")]
+        csvs, trees = [], []
+        for workers in (1, 2):
+            root = tmp_path / f"w{workers}"
+            configs = [
+                RunConfig(
+                    map_path=str(m), weights_path=str(w), variant=v,
+                    out_dir=str(root / Path(m).stem / v), dataset_name=Path(m).stem,
+                    frc_max_iterations=2_000,
+                )
+                for (m, w), v in runs
+            ]
+            results = run_matrix(configs, workers=workers)
+            assert [r.config for r in results] == configs
+            assert all(r.ok for r in results)
+            csvs.append(matrix_csv(results))
+            tree = {}
+            for path in sorted(root.rglob("*")):
+                if path.is_dir():
+                    continue
+                if path.name == "manifest.json":
+                    # everything but the wall times
+                    doc = json.loads(path.read_text())
+                    del doc["wall_time"]
+                    for solve in doc["solves"]:
+                        solve.pop("wall_time", None)
+                    tree[path.relative_to(root)] = doc
+                else:
+                    tree[path.relative_to(root)] = path.read_bytes()
+            trees.append(tree)
+        assert csvs[0] == csvs[1]
+        assert trees[0].keys() == trees[1].keys()
+        for name, content in trees[0].items():
+            assert content == trees[1][name], name
+
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, tmp_path, sample3_paths):

@@ -323,7 +323,6 @@ def force_cases(draw):
     cfg = ForceConfig(
         quality_variant=draw(st.sampled_from(list(QualityForce))),
         epsilon=epsilon,
-        damped_steps=draw(st.booleans()),
     )
     squares = {rid: (*origins[i], sides[i]) for i, rid in enumerate(ids)}
     g = square_map(squares, {(ids[a], ids[b]) for a, b in edges})
@@ -337,10 +336,7 @@ def test_sweep_matches_two_pass_kernel(case):
     field = _ForceField(g, sides, cfg)
     raw = reference_forces(field, pos)
     clamped = reference_rescale(field, raw)
-    if cfg.damped_steps:
-        move = reference_damped_displacement(field, pos, raw, clamped, cfg.over_relax)
-    else:
-        move = clamped
+    move = reference_damped_displacement(field, pos, raw, clamped, cfg.over_relax)
     step = field.sweep(pos.T)
     assert np.array_equal(step.raw.T, raw)
     assert np.array_equal(step.clamped.T, clamped)

@@ -258,3 +258,62 @@ class TestOnSolvedLayouts:
         doc = ld.to_json_dict()
         assert doc["from"] == "a" and doc["to"] == "b"
         assert doc["points"][0] == [2.0, 0.0]
+
+
+class TestRetryWithoutMinimality:
+    """``all_leaders`` routes a pair again without the minimality hypothesis
+    exactly when the minimal construction raises ``NotMinimalError``."""
+
+    def route(self, monkeypatch, squares, edges, cs=None):
+        from demers import leaders
+
+        g, derived, lay = layout_for(squares, edges)
+        calls = []
+        real = leaders._route_minimal
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("require_minimal", True))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(leaders, "_route_minimal", spy)
+        routed, report = all_leaders(lay, derived if cs is None else cs, g)
+        return routed, report, calls
+
+    def test_pair_not_minimal_is_routed_on_retry(self, monkeypatch):
+        squares = {"a": (0, 0, 2.0), "mid": (5, 1, 2.0), "b": (10, 0, 2.0)}
+        routed, report, calls = self.route(monkeypatch, squares, {("a", "b")})
+        assert calls == [True, False]
+        assert [ld.endpoints for ld in routed] == [("a", "b")]
+        assert report.unroutable == ()
+
+    def test_blocked_minimal_pair_is_retried(self, monkeypatch):
+        # the tall square is V-related to both, so (a, b) is minimal in H,
+        # but it covers the whole shared strip
+        squares = {"a": (0, 0, 2.0), "tall": (5, 6, 14.2), "b": (10, 0, 2.0)}
+        routed, report, calls = self.route(monkeypatch, squares, {("a", "b")})
+        assert calls == [True, False]
+        assert routed == []
+        [(_, _, reason)] = report.unroutable
+        assert reason.startswith("no crossing-free minimal leader")
+
+    def test_walled_off_pair_is_not_retried(self, monkeypatch):
+        # the wall's id puts "minimal" into the error text
+        squares = {"r1": (0, 0, 2.0), "r2": (6, 6, 2.0), "minimal": (4.5, 3, 4.2)}
+        routed, report, calls = self.route(monkeypatch, squares, {("r1", "r2")})
+        assert calls == [True]
+        assert routed == []
+        assert report.unroutable == (
+            ("r1", "r2", "corridor for ('r1', 'r2') is walled off by 'minimal'"),
+        )
+
+    def test_pair_without_constraint_is_not_retried(self, monkeypatch):
+        import dataclasses
+
+        squares = {"minimal_a": (0, 0, 2.0), "b": (8, 0, 2.0)}
+        _, cs, _ = layout_for(squares, {("minimal_a", "b")})
+        bare = dataclasses.replace(cs, H=frozenset(), V=frozenset(), secondary=frozenset())
+        routed, report, calls = self.route(monkeypatch, squares, {("minimal_a", "b")}, bare)
+        assert calls == [True]
+        assert routed == []
+        [(_, _, reason)] = report.unroutable
+        assert "no separation constraint" in reason

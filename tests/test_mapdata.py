@@ -75,6 +75,28 @@ class TestLoadMap:
         with pytest.raises(MapDataError, match="degenerate"):
             load_map(path)
 
+    def test_numeric_feature_id_zero(self, tmp_path):
+        feat = {**feature("x", unit_square(0, 0)), "id": 0}
+        path = write_geojson(tmp_path / "m.geojson", [feat])
+        assert load_map(path).region_ids == ["0"]
+
+    @pytest.mark.parametrize(
+        "feat,match",
+        [
+            ({**feature("a", unit_square(0, 0)), "properties": None}, "without id"),
+            (feature("a", []), "without rings"),
+            (feature("a", [], "MultiPolygon"), "without rings"),
+            ({**feature("a", unit_square(0, 0)), "geometry": None}, "unsupported geometry"),
+            (feature("a", [[[0, 0], [1], [1, 1]]]), "malformed coordinates"),
+        ],
+        ids=["null-properties", "empty-polygon", "empty-multipolygon", "null-geometry",
+             "short-point"],
+    )
+    def test_malformed_feature_rejected(self, tmp_path, feat, match):
+        path = write_geojson(tmp_path / "m.geojson", [feat])
+        with pytest.raises(MapDataError, match=match):
+            load_map(path)
+
     def test_parse_failure(self, tmp_path):
         path = tmp_path / "bad.geojson"
         path.write_text("{not json", encoding="utf-8")
@@ -146,6 +168,13 @@ class TestLoadWeights:
     def test_unknown_region(self, tmp_path, map3):
         rows = ["a,y1,1", "zz,y1,1"]
         with pytest.raises(MapDataError, match="unknown region"):
+            load_weights(self.write_csv(tmp_path / "w.csv", rows), map3,
+                         WeightKind.TIME_SERIES)
+
+    @pytest.mark.parametrize("short", ["c,y1", "c"])
+    def test_short_row_rejected(self, tmp_path, map3, short):
+        rows = ["a,y1,1", "b,y1,2", short]
+        with pytest.raises(MapDataError, match="line 4 is short"):
             load_weights(self.write_csv(tmp_path / "w.csv", rows), map3,
                          WeightKind.TIME_SERIES)
 

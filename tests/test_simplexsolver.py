@@ -653,3 +653,75 @@ def cnt_ilps(draw):
 @given(cnt_ilps())
 def test_warm_search_matches_cold_on_cnt_ilps(problem):
     assert_same_optimum(problem)
+
+
+@st.composite
+def cartogram_lps(draw):
+    """TOP and ORG LPs of jittered 2x2 to 3x3 grids, weak and strong, k = 1
+    or 2 (coupled SU), with the full derived constraint set."""
+    from demers.lpmodel import (
+        ModelSpec, ObjectiveKind, Stability, build_multi_lp, build_single_lp,
+    )
+    from demers.mapdata import compute_epsilon, scale_weights
+    from demers.sepconstraints import Setting, derive_constraints, reduce_transitive
+    from demers.synth import grid_map, lognormal_weights
+
+    cols, rows = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    seed = draw(st.integers(0, 10_000))
+    kind = draw(st.sampled_from([ObjectiveKind.TOP, ObjectiveKind.ORG]))
+    setting = draw(st.sampled_from([Setting.WEAK, Setting.STRONG]))
+    k = draw(st.integers(1, 2))
+    g = grid_map(cols, rows, jitter=draw(st.sampled_from([0.0, 0.15, 0.3])), seed=seed)
+    table = scale_weights(lognormal_weights(g, k=k, seed=seed), g)
+    cs = derive_constraints(g, compute_epsilon(table, g), setting)
+    if k == 1:
+        model = build_single_lp(
+            g, table.function_sides(0), reduce_transitive(cs), ModelSpec(kind, setting)
+        )
+    else:
+        spec = ModelSpec(kind, setting, Stability.SU)
+        model = build_multi_lp(g, table, reduce_transitive(cs), spec)
+    return model, cs
+
+
+@settings(max_examples=40, deadline=None)
+@given(cartogram_lps())
+def test_engines_agree_on_cartogram_lps(case):
+    from demers.layout import decode, validity_violations
+
+    model, cs = case
+    highs = solve_lp(model.problem, engine="highs")
+    assert highs.optimal
+    solutions = [highs]
+    try:
+        solutions.append(solve_lp(model.problem, engine="simplex"))
+    except SolverError as exc:
+        # the documented limit of the bundled simplex, which engine="auto"
+        # never reaches: 3x3 grids at k = 2 have 324 to 400 rows
+        assert str(exc) == "singular basis"
+        assert model.problem.num_rows > ss.AUTO_SIMPLEX_MAX_ROWS
+    for sol in solutions:
+        assert sol.optimal
+        # ORG optima can be exactly zero, hence the absolute floor
+        assert sol.objective == pytest.approx(highs.objective, rel=1e-7, abs=1e-12)
+        for lay in decode(sol, model, cs):
+            assert validity_violations(lay) == [], sol.engine
+
+
+def test_phase_two_refactors_before_reporting_a_ray():
+    # a 143-row TOP LP on which a drifted inverse showed a ray: the bundled
+    # simplex reported it unbounded, HiGHS found the optimum
+    from demers.lpmodel import ModelSpec, ObjectiveKind, build_single_lp
+    from demers.mapdata import compute_epsilon, scale_weights
+    from demers.sepconstraints import Setting, derive_constraints, reduce_transitive
+    from demers.synth import grid_map, lognormal_weights
+
+    g = grid_map(3, 3, jitter=0.15, seed=0)
+    table = scale_weights(lognormal_weights(g, k=1, seed=0), g)
+    cs = reduce_transitive(derive_constraints(g, compute_epsilon(table, g), Setting.WEAK))
+    model = build_single_lp(g, table.function_sides(0), cs, ModelSpec())
+    assert model.problem.num_rows <= ss.AUTO_SIMPLEX_MAX_ROWS
+    sol = solve_lp(model.problem, engine="auto")
+    assert (sol.engine, sol.status) == ("simplex", SolveStatus.OPTIMAL)
+    highs = solve_lp(model.problem, engine="highs")
+    assert sol.objective == pytest.approx(highs.objective, rel=1e-9)
