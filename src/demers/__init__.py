@@ -15,7 +15,6 @@ from .layout import (
     anchor_to_origins,
     decode,
     interpolate,
-    is_valid,
     l1_gap,
     validity_violations,
 )
@@ -43,7 +42,7 @@ from .mapdata import (
     scale_weights,
 )
 from .metrics import MetricsReport, evaluate, madj, mdis, mrel, sdis, srel, zone_vector
-from .render import RenderStyle, render_frames, render_svg
+from .render import render_frames, render_svg
 from .sepconstraints import (
     SeparationConstraintSet,
     Setting,
@@ -68,7 +67,6 @@ __all__ = [
     "ObjectiveKind",
     "QualityForce",
     "Region",
-    "RenderStyle",
     "SeparationConstraintSet",
     "Setting",
     "SideLengthTable",
@@ -90,7 +88,6 @@ __all__ = [
     "evaluate",
     "force_step",
     "interpolate",
-    "is_valid",
     "l1_gap",
     "load_map",
     "load_weights",

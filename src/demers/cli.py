@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import logging
-import os
 import sys
 import time
 import traceback
@@ -45,7 +44,7 @@ from .mapdata import (
     load_weights,
     scale_weights,
 )
-from .render import RenderStyle, render_frames, render_svg
+from .render import render_frames, render_svg
 from .sepconstraints import (
     SeparationConstraintSet,
     Setting,
@@ -74,7 +73,6 @@ class VariantError(ValueError):
 
 @dataclass(frozen=True)
 class Variant:
-    raw: str
     objective: ObjectiveKind | None = None
     setting: Setting | None = None
     stability: Stability | None = None
@@ -92,7 +90,6 @@ def parse_variant(raw: str) -> Variant:
         if parts[1] not in ("O", "T") or parts[2] not in ("S", "U"):
             raise VariantError(f"bad force variant {raw!r}")
         return Variant(
-            raw=raw,
             frc_quality=QualityForce.ORIGIN if parts[1] == "O" else QualityForce.TOPOLOGY,
             frc_stable_init=parts[2] == "S",
         )
@@ -100,7 +97,6 @@ def parse_variant(raw: str) -> Variant:
         if parts[1] not in LP_SETTINGS or parts[2] not in LP_STABILITIES:
             raise VariantError(f"bad variant {raw!r}")
         return Variant(
-            raw=raw,
             objective=LP_OBJECTIVES[parts[0]],
             setting=LP_SETTINGS[parts[1]],
             stability=LP_STABILITIES[parts[2]],
@@ -117,11 +113,10 @@ class RunConfig:
     variant: str
     out_dir: str | None = None
     kind: WeightKind = WeightKind.TIME_SERIES
+    # accepted and ignored: no stage draws random numbers, so runs are
+    # deterministic without it
     seed: int = 0
     area_proportional: bool = False
-    secondary_weight: float = 1e-3
-    adjacent_direction_boost: float = 10.0
-    stability_weight: float = 1.0
     engine: str = "auto"
     lp_time_limit: float = 60.0
     ilp_time_limit: float = 300.0
@@ -212,9 +207,6 @@ def _solve_lp_variant(
         objective_kind=variant.objective,
         setting=variant.setting,
         stability=stability,
-        secondary_weight=config.secondary_weight,
-        adjacent_direction_boost=config.adjacent_direction_boost,
-        stability_weight=config.stability_weight,
     )
     is_cnt = variant.objective is ObjectiveKind.CNT
     partial = False
@@ -332,12 +324,14 @@ def run(config: RunConfig) -> RunResult:
     """
     t0 = time.perf_counter()
     out = Path(config.out_dir) if config.out_dir else None
-    if out:
-        out.mkdir(parents=True, exist_ok=True)
     stage = _Stage()
     stats: list[dict] = []
     counts = None
     try:
+        if out:
+            stage.enter("artifacts")
+            out.mkdir(parents=True, exist_ok=True)
+            stage.enter("variant")
         variant = parse_variant(config.variant)
         stage.enter("ingest")
         map = load_map(config.map_path)
@@ -408,13 +402,12 @@ def run(config: RunConfig) -> RunResult:
 
 
 def _write_artifacts(result: RunResult, out: Path, config: RunConfig) -> None:
-    style = RenderStyle(labels=config.labels)
     for lay, routed in zip(result.layouts, result.leaders_per_layout):
         i = lay.function_index
         p_json = out / f"layout_{i}.json"
         p_json.write_text(lay.to_json(routed) + "\n", encoding="utf-8")
         p_svg = out / f"cartogram_{i}.svg"
-        p_svg.write_text(render_svg(lay, routed, style), encoding="utf-8")
+        p_svg.write_text(render_svg(lay, routed, labels=config.labels), encoding="utf-8")
         result.artifacts += [str(p_json), str(p_svg)]
     if config.frames >= 2 and len(result.layouts) >= 2:
         for i in range(len(result.layouts) - 1):
@@ -423,7 +416,7 @@ def _write_artifacts(result: RunResult, out: Path, config: RunConfig) -> None:
                 continue
             frame_dir = out / f"frames_{a.function_index}_{b.function_index}"
             frame_dir.mkdir(exist_ok=True)
-            for j, doc in enumerate(render_frames(a, b, config.frames, style)):
+            for j, doc in enumerate(render_frames(a, b, config.frames, labels=config.labels)):
                 (frame_dir / f"frame_{j:04d}.svg").write_text(doc, encoding="utf-8")
     p_metrics = out / "metrics.json"
     p_metrics.write_text(
@@ -442,7 +435,6 @@ def _write_manifest(result: RunResult, out: Path) -> str:
         "map": str(config.map_path),
         "weights": str(config.weights_path),
         "kind": config.kind.value,
-        "seed": config.seed,
         "status": result.status,
         "error_stage": result.error_stage,
         "traceback": result.traceback,
@@ -506,12 +498,9 @@ def matrix_csv(results: list[RunResult]) -> str:
     return buf.getvalue()
 
 
-def run_matrix(configs: list[RunConfig], workers: int | None = None) -> list[RunResult]:
+def run_matrix(configs: list[RunConfig], workers: int = 1) -> list[RunResult]:
     """Run independent configs, optionally in parallel; order-stable results."""
-    if workers is None:
-        workers = int(os.environ.get("DEMERS_THREADS", "1"))
-    workers = max(1, workers)
-    if workers == 1:
+    if workers <= 1:
         return [run(c) for c in configs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, configs))
@@ -527,12 +516,8 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", required=True, help="e.g. TOP-S-SU, CNT-W-IT, FRC-O-U")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--kind", choices=["timeseries", "vectors"], default="timeseries")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--area-proportional", action="store_true",
                    help="map value to square area instead of side length")
-    p.add_argument("--secondary-weight", type=float, default=1e-3)
-    p.add_argument("--direction-boost", type=float, default=10.0)
-    p.add_argument("--stability-weight", type=float, default=1.0)
     p.add_argument("--engine", choices=["auto", "simplex", "highs"], default="auto")
     p.add_argument("--node-limit", type=int, default=100_000)
     p.add_argument("--lp-time-limit", type=float, default=60.0,
@@ -555,11 +540,7 @@ def _config_from_args(args: argparse.Namespace, variant: str, out_dir: str) -> R
         variant=variant,
         out_dir=out_dir,
         kind=WeightKind.TIME_SERIES if args.kind == "timeseries" else WeightKind.WEIGHT_VECTORS,
-        seed=args.seed,
         area_proportional=args.area_proportional,
-        secondary_weight=args.secondary_weight,
-        adjacent_direction_boost=args.direction_boost,
-        stability_weight=args.stability_weight,
         engine=args.engine,
         lp_time_limit=args.lp_time_limit,
         ilp_time_limit=args.ilp_time_limit,
@@ -601,7 +582,7 @@ def main(argv: list[str] | None = None) -> int:
     p_matrix = sub.add_parser("matrix", help="run a variant/dataset grid from a spec file")
     p_matrix.add_argument("--spec", required=True, help="JSON matrix spec")
     p_matrix.add_argument("--out", required=True, help="output directory")
-    p_matrix.add_argument("--workers", type=int, default=None)
+    p_matrix.add_argument("--workers", type=int, default=1)
 
     p_synth = sub.add_parser("synth", help="generate synthetic grid instances")
     p_synth.add_argument("--grid", type=int, default=5)
@@ -647,7 +628,6 @@ def main(argv: list[str] | None = None) -> int:
                         kind=WeightKind.TIME_SERIES
                         if ds.get("kind", "timeseries") == "timeseries"
                         else WeightKind.WEIGHT_VECTORS,
-                        seed=int(spec.get("seed", 0)),
                         dataset_name=ds["name"],
                         node_limit=int(spec.get("node_limit", 100_000)),
                     )

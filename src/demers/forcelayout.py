@@ -7,7 +7,10 @@ square can jump over another. ``run_frc`` caps each region's step per axis
 by a local stiffness (Newton) estimate, so contacts settle instead of
 bouncing, and applies all steps synchronously; ``force_step`` applies the
 rescaled force alone. Separation constraints play no role here, so the
-result may keep slight overlaps.
+result may keep slight overlaps. ``ForceConfig`` holds what a run chooses
+(quality force, initialization, gap, iteration cap); the force law itself
+is fixed by the module constants ``DISJOINTNESS_SCALE``,
+``CONVERGENCE_THRESHOLD`` and ``OVER_RELAX``.
 
 Each iteration is one pass over the n x n pair arrays (``_ForceField.sweep``):
 the raw force, the clamped force and the stiffness-sized step all come from
@@ -44,30 +47,34 @@ class InitMode(Enum):
     PREVIOUS_LAYOUT = "previous_layout"
 
 
+# Force-law constants. DISJOINTNESS_SCALE weighs the overlap penalty
+# against the quality force; a run converges once the largest clamped force
+# falls under CONVERGENCE_THRESHOLD times the smallest side; OVER_RELAX
+# scales the stiffness-sized step (see ``ForceConfig``).
+DISJOINTNESS_SCALE = 50_000.0
+CONVERGENCE_THRESHOLD = 1e-5
+OVER_RELAX = 1.7
+
+
 @dataclass(frozen=True)
 class ForceConfig:
-    """Force-law constants and iteration policy.
+    """Quality force, initialization, gap and iteration cap of one force run.
 
     ``run_frc`` keeps the forces untouched but sizes each applied
     displacement per region and axis from a local stiffness estimate
     (contact penalty slope plus quality-force slope), scaled by
-    ``over_relax``. The raw update rule overshoots around contact
+    ``OVER_RELAX``. The raw update rule overshoots around contact
     equilibria because the disjointness penalty is extremely stiff, which
     leaves the iteration bouncing instead of settling; stiffness-sized steps
-    restore convergence to the stated force threshold.
+    restore convergence to ``CONVERGENCE_THRESHOLD``.
     """
 
     quality_variant: QualityForce = QualityForce.ORIGIN
     init: InitMode = InitMode.MAP_ORIGINS
     epsilon: float = 0.0
-    disjointness_scale: float = 50_000.0
-    convergence_threshold: float = 1e-5
     max_iterations: int = 100_000
-    over_relax: float = 1.7
 
     def __post_init__(self) -> None:
-        if self.convergence_threshold <= 0:
-            raise ValueError("convergence threshold must be positive")
         if self.max_iterations < 1:
             raise ValueError("max iterations must be at least 1")
 
@@ -135,11 +142,12 @@ class _ForceField:
         # square pushes or pulls itself
         self.diag_inf = np.zeros((n, n))
         np.fill_diagonal(self.diag_inf, np.inf)
-        self.origins = np.array([map.region(r).centroid for r in self.ids])
+        centroids = {r.id: r.centroid for r in map.regions}
+        self.origins = np.array([centroids[r] for r in self.ids])
         ox0, oy0 = self.origins.min(axis=0)
         ox1, oy1 = self.origins.max(axis=0)
         self.origin_diag = math.hypot(ox1 - ox0, oy1 - oy0)
-        self.four_scale = 4.0 * cfg.disjointness_scale
+        self.four_scale = 4.0 * DISJOINTNESS_SCALE
         self.deg = np.maximum(adj.sum(axis=1), 1)
         if cfg.quality_variant is QualityForce.ORIGIN:
             self.kq = 1.0 / self.origin_diag if self.origin_diag > 0 else 0.0
@@ -175,7 +183,7 @@ class _ForceField:
             unit = d / dist
         pen = np.maximum(self.m - cheb, 0.0)  # > 0 exactly where squares overlap
         raw = (unit * np.square(pen / self.m)).sum(axis=1)
-        raw *= -cfg.disjointness_scale
+        raw *= -DISJOINTNESS_SCALE
 
         if cfg.quality_variant is QualityForce.ORIGIN:
             if self.origin_diag > 0:
@@ -200,7 +208,7 @@ class _ForceField:
         kc_x.sum(axis=1, out=k[0])
         (kc - kc_x).sum(axis=1, out=k[1])  # the pairs with ad[1] > ad[0]
         k += self.kq
-        newton = cfg.over_relax * np.abs(raw) / np.maximum(k, 1e-12)
+        newton = OVER_RELAX * np.abs(raw) / np.maximum(k, 1e-12)
         move = np.sign(clamped) * np.minimum(np.abs(clamped), newton)
         return _Sweep(raw, clamped, move)
 
@@ -249,7 +257,7 @@ def run_frc(
     else:
         pos = field.origins.T.copy()
 
-    limit = cfg.convergence_threshold * field.min_side
+    limit = CONVERGENCE_THRESHOLD * field.min_side
     converged = False
     max_force = 0.0
     iterations = 0

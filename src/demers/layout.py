@@ -172,10 +172,6 @@ def validity_violations(layout: SquareLayout) -> list[Violation]:
     return out
 
 
-def is_valid(layout: SquareLayout) -> bool:
-    return not validity_violations(layout)
-
-
 # ---------------------------------------------------------------------------
 # operations
 

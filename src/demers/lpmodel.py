@@ -4,7 +4,9 @@ One variable block per weight function: square centers (x, y), L1 distance
 variables for adjacent pairs, directional-deviation variables, and optional
 origin-displacement or inter-block stability variables. Objectives cover
 total adjacent distance (TOP), origin displacement (ORG) and lost-adjacency
-count (CNT, with binaries).
+count (CNT, with binaries). ``ModelSpec`` picks the objective, setting and
+stability scheme; the weights between the terms are the module constants
+``SECONDARY_WEIGHT``, ``ADJACENT_DIRECTION_BOOST`` and ``STABILITY_WEIGHT``.
 
 ``LpProblem`` keeps its columns and its sparse rows as numpy arrays, which
 both solver engines read directly; the builders emit each constraint family
@@ -24,6 +26,18 @@ from .mapdata import AdjacencyGraph, SideLengthTable
 from .sepconstraints import SeparationConstraintSet, Setting
 
 INF = math.inf
+
+# Objective trade-offs. SECONDARY_WEIGHT scales the direction-deviation
+# terms, CNT's distance tie-breakers and the origin anchor of the first IT
+# step. It must stay small enough that they can never override a
+# primary-objective improvement; 1e-3, with deviations bounded by the map
+# extent, satisfies that for the bundled data scales.
+SECONDARY_WEIGHT = 1e-3
+# Direction deviations of adjacent pairs weigh this much more than others.
+ADJACENT_DIRECTION_BOOST = 10.0
+# Weight of the displacement terms that tie layouts of different weight
+# functions together (CO, SU, CENTRAL and IT stability).
+STABILITY_WEIGHT = 1.0
 
 Point = tuple[float, float]
 
@@ -403,20 +417,11 @@ class Stability(Enum):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Objective/stability configuration and trade-off weights.
-
-    ``secondary_weight`` must stay small enough that the direction terms it
-    scales can never override a primary-objective improvement; the default
-    1e-3 with deviations bounded by the map extent satisfies that for the
-    bundled data scales.
-    """
+    """Objective and stability configuration; the trade-off weights are constants."""
 
     objective_kind: ObjectiveKind = ObjectiveKind.TOP
     setting: Setting = Setting.WEAK
     stability: Stability = Stability.NONE
-    secondary_weight: float = 1e-3
-    adjacent_direction_boost: float = 10.0
-    stability_weight: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -558,8 +563,8 @@ def _emit_block(
             if len(pair) == 2 and all(r in pos for r in pair):
                 i, j = (pos[r] for r in pair)
                 adjacent[i, j] = adjacent[j, i] = True
-        boost = np.where(adjacent[ia, ib], spec.adjacent_direction_boost, 1.0)
-        prob.add_objective_terms(d, spec.secondary_weight * boost)
+        boost = np.where(adjacent[ia, ib], ADJACENT_DIRECTION_BOOST, 1.0)
+        prob.add_objective_terms(d, SECONDARY_WEIGHT * boost)
 
     if spec.objective_kind is ObjectiveKind.TOP:
         prob.add_objective_terms(hv, 1.0)
@@ -575,7 +580,7 @@ def _emit_block(
             np.stack([h, v, bvars], axis=1), [1.0, 1.0, -big_m], "<=", 0.0
         )
         prob.add_objective_terms(bvars, 1.0)
-        prob.add_objective_terms(hv, spec.secondary_weight)
+        prob.add_objective_terms(hv, SECONDARY_WEIGHT)
 
     return BlockMeta(
         function_index=function_index,
@@ -713,7 +718,7 @@ def build_multi_lp(
     Emits k copies of the single-function block and ties region centers
     together with displacement variables for the chosen index pairs: all
     pairs (CO), successive pairs (SU) or everything to the first function
-    (CENTRAL). The stability terms are scaled by ``spec.stability_weight``.
+    (CENTRAL). The stability terms are scaled by ``STABILITY_WEIGHT``.
     """
     k = table.k
     if k < 2:
@@ -729,7 +734,7 @@ def build_multi_lp(
         for i in range(k)
     ]
     for i, j in _coupling_pairs(k, spec.stability):
-        _emit_coupling(prob, ids, blocks[i], blocks[j], spec.stability_weight)
+        _emit_coupling(prob, ids, blocks[i], blocks[j], STABILITY_WEIGHT)
     return _model(prob, blocks, map, cs, spec)
 
 
@@ -780,7 +785,7 @@ class IterativeSequence:
                 origins = {r.id: r.centroid for r in self.map.regions}
                 _emit_displacement(
                     prob, "it", ids, xc, yc, _points(origins, ids),
-                    spec.secondary_weight,
+                    SECONDARY_WEIGHT,
                 )
         else:
             missing = set(ids) - set(previous_centers)
@@ -788,7 +793,7 @@ class IterativeSequence:
                 raise ModelError(f"previous solution missing regions {sorted(missing)}")
             _emit_displacement(
                 prob, "it", ids, xc, yc, _points(previous_centers, ids),
-                spec.stability_weight,
+                STABILITY_WEIGHT,
             )
         return _model(prob, [block], self.map, self.cs, spec)
 

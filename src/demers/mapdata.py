@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -71,12 +71,6 @@ class AdjacencyGraph:
     def region_ids(self) -> list[str]:
         return [r.id for r in self.regions]
 
-    def region(self, rid: str) -> Region:
-        for r in self.regions:
-            if r.id == rid:
-                return r
-        raise KeyError(rid)
-
     def adjacent(self, a: str, b: str) -> bool:
         return frozenset((a, b)) in self.edges
 
@@ -109,9 +103,6 @@ class WeightSet:
     def k(self) -> int:
         return len(self.functions)
 
-    def names(self) -> list[str]:
-        return [name for name, _ in self.functions]
-
 
 @dataclass(frozen=True)
 class SideLengthTable:
@@ -119,7 +110,6 @@ class SideLengthTable:
 
     sides: dict[tuple[int, str], float]
     diagonal: float
-    function_names: list[str] = field(default_factory=list)
 
     @property
     def k(self) -> int:
@@ -397,9 +387,7 @@ def scale_weights(
             factor = target / peak
             for rid, v in vals.items():
                 sides[(i, rid)] = raw(v) * factor
-    return SideLengthTable(
-        sides=sides, diagonal=diag, function_names=weights.names()
-    )
+    return SideLengthTable(sides=sides, diagonal=diag)
 
 
 def compute_epsilon(table: SideLengthTable, map: AdjacencyGraph) -> float:

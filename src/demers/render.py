@@ -8,7 +8,6 @@ upward while SVG y grows downward, so geometry is flipped at emit time.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 
 from .layout import SquareLayout, validity_violations
 from .leaders import Leader
@@ -18,16 +17,6 @@ PALETTE = (
     "#66c2a5", "#fc8d62", "#8da0cb", "#e78ac3", "#a6d854", "#ffd92f",
     "#e5c494", "#b3b3b3", "#1b9e77", "#d95f02", "#7570b3", "#e7298a",
 )
-
-
-@dataclass(frozen=True)
-class RenderStyle:
-    leader_color: str = "#d62728"
-    leader_width_frac: float = 0.004  # of the layout diagonal
-    labels: bool = False
-    padding_frac: float = 0.05
-    frame_count: int = 10
-    background: str | None = None
 
 
 def region_color(rid: str) -> str:
@@ -43,10 +32,10 @@ def _fmt(x: float) -> str:
 def render_svg(
     layout: SquareLayout,
     leaders: list[Leader] | None = None,
-    style: RenderStyle | None = None,
+    *,
+    labels: bool = False,
 ) -> str:
-    """One SVG document for a layout plus its leaders."""
-    style = style or RenderStyle()
+    """One SVG document for a layout plus its leaders, with region labels if asked."""
     leaders = leaders or []
     x0, y0, x1, y1 = layout.bbox()
     for leader in leaders:
@@ -54,7 +43,7 @@ def render_svg(
             x0, y0 = min(x0, px), min(y0, py)
             x1, y1 = max(x1, px), max(y1, py)
     diag = layout.diagonal or ((x1 - x0) ** 2 + (y1 - y0) ** 2) ** 0.5 or 1.0
-    pad = style.padding_frac * max(x1 - x0, y1 - y0, 1e-9)
+    pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)  # margin around the drawing
     width = (x1 - x0) + 2 * pad
     height = (y1 - y0) + 2 * pad
 
@@ -68,13 +57,8 @@ def render_svg(
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+        '<g stroke="#333333" stroke-width="%s" fill-opacity="0.85">' % _fmt(diag * 0.001),
     ]
-    if style.background:
-        out.append(
-            f'<rect x="0" y="0" width="{_fmt(width)}" height="{_fmt(height)}" '
-            f'fill="{style.background}"/>'
-        )
-    out.append('<g stroke="#333333" stroke-width="%s" fill-opacity="0.85">' % _fmt(diag * 0.001))
     for rid in layout.region_ids():
         cx, cy = layout.centers[rid]
         s = layout.sides[rid]
@@ -85,17 +69,15 @@ def render_svg(
         )
     out.append("</g>")
     if leaders:
-        out.append(
-            f'<g stroke="{style.leader_color}" fill="none" '
-            f'stroke-width="{_fmt(style.leader_width_frac * diag)}">'
-        )
+        # red leaders, 0.4% of the layout diagonal wide
+        out.append(f'<g stroke="#d62728" fill="none" stroke-width="{_fmt(0.004 * diag)}">')
         for leader in leaders:
             pts = " ".join(
                 f"{_fmt(sx(px))},{_fmt(sy(py))}" for px, py in leader.polyline
             )
             out.append(f'<polyline points="{pts}"/>')
         out.append("</g>")
-    if style.labels:
+    if labels:
         font = diag * 0.02
         out.append(f'<g font-family="sans-serif" font-size="{_fmt(font)}" text-anchor="middle">')
         for rid in layout.region_ids():
@@ -112,7 +94,8 @@ def render_frames(
     a: SquareLayout,
     b: SquareLayout,
     n: int,
-    style: RenderStyle | None = None,
+    *,
+    labels: bool = False,
 ) -> list[str]:
     """SVG frames interpolating between two layouts; each frame is validated."""
     from .layout import interpolate
@@ -126,5 +109,5 @@ def render_frames(
         bad = validity_violations(lay)
         if bad:
             raise ValueError(f"frame {i} invalid: {bad[0]}")
-        frames.append(render_svg(lay, style=style))
+        frames.append(render_svg(lay, labels=labels))
     return frames

@@ -628,8 +628,9 @@ class _Simplex:
         """Pivot to optimality on costs ``c`` over the ``allowed`` columns.
 
         An improving column with no positive pivot entry is a ray only if
-        the basis inverse has not drifted: unless it was just refactored,
-        the inverse is refactored and the columns priced again. ``bounded``
+        the basis inverse has not drifted: unless no pivot has updated it
+        since its last refactor, in this call or before it, the inverse is
+        refactored and the columns priced again. ``bounded``
         says the objective cannot fall below zero (phase 1): a column that
         still looks like a ray there has a negative reduced cost from
         round-off, and it is skipped until a pivot lowers the objective.
@@ -659,7 +660,9 @@ class _Simplex:
             d = self.binv @ self.A[:, j]
             pos = np.flatnonzero(d > PIVOT_TOL)
             if pos.size == 0:
-                if since_refactor:
+                # self.updates also counts the pivots of an earlier phase
+                # and of the dual simplex, which may have drifted binv
+                if self.updates:
                     self._refactor()
                     since_refactor = 0
                 elif not bounded:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 from pathlib import Path
@@ -6,7 +7,9 @@ import pytest
 
 from demers.cli import (
     RunConfig,
+    RunResult,
     VariantError,
+    _add_run_args,
     main,
     matrix_csv,
     parse_variant,
@@ -16,6 +19,7 @@ from demers.cli import (
 from demers.forcelayout import QualityForce
 from demers.layout import overlap_area, total_square_area
 from demers.lpmodel import ObjectiveKind, Stability
+from demers.mapdata import WeightKind
 from demers.sepconstraints import Setting
 
 
@@ -181,6 +185,18 @@ class TestMatrix:
         ]
         csv_text = matrix_csv(run_matrix(configs))
         assert "error:" in csv_text
+
+    def test_uncreatable_out_dir_keeps_the_other_runs(self, tmp_path, sample3_paths):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        configs = [
+            RunConfig(str(sample3_paths[0]), str(sample3_paths[1]), "TOP-W-IT",
+                      out_dir=str(out), dataset_name=name)
+            for name, out in (("bad", blocker / "out"), ("good", tmp_path / "good"))
+        ]
+        bad, good = run_matrix(configs)
+        assert bad.status.startswith("error:") and bad.error_stage == "artifacts"
+        assert good.ok and (tmp_path / "good" / "manifest.json").exists()
 
     def test_two_workers_match_one(self, tmp_path, sample3_paths):
         from demers.synth import write_instance
@@ -420,6 +436,16 @@ class TestFailureReport:
         assert manifest["traceback"] == res.traceback
         assert manifest["solves"] == []
 
+    def test_uncreatable_out_dir_becomes_status(self, tmp_path, sample3_paths):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")  # a regular file cannot hold the output directory
+        res = run(RunConfig(str(sample3_paths[0]), str(sample3_paths[1]), "TOP-W-IT",
+                            out_dir=str(blocker / "out")))
+        assert res.status.startswith("error:")
+        assert res.exit_code == 1
+        assert res.error_stage == "artifacts"
+        assert "NotADirectoryError" in res.traceback
+
     def test_variant_failure_names_variant_stage(self, tmp_path, sample3_paths):
         res = run_sample(tmp_path, sample3_paths, "TOP-X-SU")
         assert res.error_stage == "variant"
@@ -449,6 +475,42 @@ class TestFailureReport:
 
 
 class TestRunFlags:
+    def test_every_flag_reaches_its_field(self, monkeypatch):
+        seen = []
+
+        def capture(config):
+            seen.append(config)
+            return RunResult(config=config, status="ok")
+
+        monkeypatch.setattr("demers.cli.run", capture)
+        required = ["run", "--map", "m.geojson", "--weights", "w.csv",
+                    "--variant", "ORG-W-CO", "--out", "o"]
+        flags = [
+            "--kind", "vectors", "--area-proportional", "--engine", "simplex",
+            "--node-limit", "17", "--lp-time-limit", "7.5", "--ilp-time-limit", "12",
+            "--frc-max-iterations", "3", "--frames", "4", "--dump-lp",
+            "--dump-constraints", "--solver-log", "--labels",
+        ]
+        parser = argparse.ArgumentParser(add_help=False)
+        _add_run_args(parser)
+        options = {s for a in parser._actions for s in a.option_strings}
+        assert options == {a for a in required + flags if a.startswith("--")}
+        assert main(required) == 0
+        assert main(required + flags) == 0
+        default, flagged = seen
+        assert default == RunConfig("m.geojson", "w.csv", "ORG-W-CO", out_dir="o")
+        assert flagged == RunConfig(
+            "m.geojson", "w.csv", "ORG-W-CO", out_dir="o",
+            kind=WeightKind.WEIGHT_VECTORS, area_proportional=True, engine="simplex",
+            node_limit=17, lp_time_limit=7.5, ilp_time_limit=12.0, frc_max_iterations=3,
+            frames=4, dump_lp=True, dump_constraints=True, solver_log=True, labels=True,
+        )
+        # every field a flag sets moved off its default
+        unchanged = [f.name for f in dataclasses.fields(RunConfig)
+                     if getattr(flagged, f.name) == getattr(default, f.name)]
+        assert unchanged == ["map_path", "weights_path", "variant", "out_dir", "seed",
+                             "dataset_name"]
+
     def test_limit_flags_reach_the_config(self, tmp_path, sample3_paths, monkeypatch):
         seen = []
         monkeypatch.setattr("demers.cli.run", lambda config: seen.append(config) or run(config))

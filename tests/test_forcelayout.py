@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import square_map
 from demers.forcelayout import (
+    DISJOINTNESS_SCALE,
+    OVER_RELAX,
     ForceConfig,
     InitMode,
     QualityForce,
@@ -32,7 +34,7 @@ class TestForceLaw:
         pos = np.array([[0.0, 0.0], [1.0, 0.0]])
         f = field.forces(pos)
         # adjacent pair: m = 2, Chebyshev distance 1, magnitude (1/2)^2 each
-        expect = cfg.disjointness_scale * 0.25
+        expect = DISJOINTNESS_SCALE * 0.25
         assert f[0, 0] == pytest.approx(-expect)  # a pushed left
         assert f[1, 0] == pytest.approx(expect - (0.0))  # b pushed right, origin pull 0 at start? no
         # action equals reaction for the disjointness part
@@ -226,7 +228,7 @@ def reference_forces(field, pos):
     overlap = cheb < field.m
     mag_d = np.zeros((n, n))
     mag_d[overlap] = ((field.m[overlap] - cheb[overlap]) / field.m[overlap]) ** 2
-    f = field.cfg.disjointness_scale * (unit * mag_d[..., None]).sum(axis=1)
+    f = DISJOINTNESS_SCALE * (unit * mag_d[..., None]).sum(axis=1)
 
     if field.cfg.quality_variant is QualityForce.ORIGIN:
         if field.origin_diag > 0:
@@ -256,7 +258,7 @@ def reference_damped_displacement(field, pos, raw, clamped, omega):
     cheb = np.maximum(adx, ady)
     np.fill_diagonal(cheb, np.inf)
     pen = np.maximum(field.m - cheb, 0.0)
-    kc = 4.0 * field.cfg.disjointness_scale * pen / (field.m * field.m)
+    kc = 4.0 * DISJOINTNESS_SCALE * pen / (field.m * field.m)
     kx = np.where(adx >= ady, kc, 0.0).sum(axis=1)
     ky = np.where(ady > adx, kc, 0.0).sum(axis=1)
     if field.cfg.quality_variant is QualityForce.ORIGIN:
@@ -336,7 +338,7 @@ def test_sweep_matches_two_pass_kernel(case):
     field = _ForceField(g, sides, cfg)
     raw = reference_forces(field, pos)
     clamped = reference_rescale(field, raw)
-    move = reference_damped_displacement(field, pos, raw, clamped, cfg.over_relax)
+    move = reference_damped_displacement(field, pos, raw, clamped, OVER_RELAX)
     step = field.sweep(pos.T)
     assert np.array_equal(step.raw.T, raw)
     assert np.array_equal(step.clamped.T, clamped)

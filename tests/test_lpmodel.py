@@ -33,12 +33,10 @@ def abc_instance():
 
 def table_of(map, per_function):
     sides = {}
-    names = []
     for i, func in enumerate(per_function):
-        names.append(f"w{i}")
         for rid, s in func.items():
             sides[(i, rid)] = s
-    return SideLengthTable(sides=sides, diagonal=map.diagonal(), function_names=names)
+    return SideLengthTable(sides=sides, diagonal=map.diagonal())
 
 
 def primary_term(problem, values, prefix=("h", "v")):

@@ -156,7 +156,7 @@ class TestLoadWeights:
         ws = load_weights(self.write_csv(tmp_path / "w.csv", rows), map3,
                           WeightKind.TIME_SERIES)
         assert ws.k == 2
-        assert ws.names() == ["y1", "y2"]
+        assert [name for name, _ in ws.functions] == ["y1", "y2"]
         assert ws.functions[1][1]["c"] == 3.0
 
     def test_nonpositive_value(self, tmp_path, map3):

@@ -6,7 +6,7 @@ from conftest import square_map
 from demers.layout import SquareLayout, decode
 from demers.leaders import min_leader
 from demers.lpmodel import ModelSpec, build_single_lp
-from demers.render import RenderStyle, render_frames, render_svg
+from demers.render import render_frames, render_svg
 from demers.sepconstraints import Setting, derive_constraints
 from demers.simplexsolver import solve_lp
 
@@ -33,8 +33,7 @@ class TestRenderSvg:
         assert svg.rstrip().endswith("</svg>")
 
     def test_byte_identical_for_identical_input(self, abc_layout):
-        style = RenderStyle(labels=True)
-        assert render_svg(abc_layout, style=style) == render_svg(abc_layout, style=style)
+        assert render_svg(abc_layout, labels=True) == render_svg(abc_layout, labels=True)
 
     def test_leaders_rendered_red(self):
         squares = {"a": (0.0, 0.0, 4.0), "b": (8.0, 0.0, 2.0)}
@@ -60,7 +59,7 @@ class TestRenderSvg:
 
     def test_labels_toggle(self, abc_layout):
         assert "<text" not in render_svg(abc_layout)
-        assert "<text" in render_svg(abc_layout, style=RenderStyle(labels=True))
+        assert "<text" in render_svg(abc_layout, labels=True)
 
 
 class TestRenderFrames:

@@ -725,3 +725,21 @@ def test_phase_two_refactors_before_reporting_a_ray():
     assert (sol.engine, sol.status) == ("simplex", SolveStatus.OPTIMAL)
     highs = solve_lp(model.problem, engine="highs")
     assert sol.objective == pytest.approx(highs.objective, rel=1e-9)
+
+
+def test_drifted_inverse_from_phase_one_is_refactored_before_a_ray(monkeypatch):
+    # min -x - y s.t. x + y >= 2, x <= 3, y <= 4: phase 1 pivots out the
+    # artificial of the first row, so phase 2 starts with an updated inverse
+    problem = as_problem([-1, -1], [([1, 1], ">=", 2), ([1, 0], "<=", 3), ([0, 1], "<=", 4)])
+    run_phase = ss._Simplex.run_phase
+
+    def drifted(self, c, allowed, bounded=False):
+        if not bounded:
+            assert self.updates > 0
+            self.binv = np.zeros_like(self.binv)  # every column now looks like a ray
+        return run_phase(self, c, allowed, bounded)
+
+    monkeypatch.setattr(ss._Simplex, "run_phase", drifted)
+    sol = solve_lp(problem, engine="simplex")
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(-7.0)
