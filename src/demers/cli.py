@@ -166,6 +166,7 @@ def _solution_stats(sol: Solution) -> dict:
         "engine_reason": sol.engine_reason,
         "method": sol.method,
         "crossover_nit": sol.crossover_nit,
+        "refactors": sol.refactors,
         "wall_time": sol.wall_time,
     }
 

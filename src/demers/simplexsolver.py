@@ -22,6 +22,17 @@ to about 6 100. HiGHS re-solves each node cold. Either way the search ends
 by fixing all of the incumbent's binaries and solving that LP cold, so a
 CNT layout depends on its binaries only, not on the path of the search.
 
+A warm-started node inherits its parent's basis inverse instead of
+computing one. The dive child updates it in place; the sibling pushed on the
+best-bound heap keeps a copy, taken before the dive, with the count of
+pivots that updated it since its last refactor (which sets the dual
+simplex's refactor cadence). Copying m x m floats costs microseconds,
+inverting them milliseconds. The copies the heap holds are capped at
+``HEAP_INVERSE_BYTES``; an entry pushed past the cap keeps only its basic
+columns and refactors when it is popped, as does the child of a node that
+was solved cold. On ``exact`` the heap holds at most 22 entries of
+m <= 98, about 1.7 MB, and the dense inverses per pass fell from 290 to 21.
+
 Known limit: asked for explicitly past ``AUTO_SIMPLEX_MAX_ROWS``, the
 bundled simplex drifts numerically and can raise ``SolverError("singular
 basis")``, as on jittered 4x4 ``TOP-S`` LPs (474 rows).
@@ -75,6 +86,9 @@ INT_TOL = 1e-6  # integrality threshold for binaries
 PIVOT_TOL = 1e-9
 DEGENERATE_STREAK = 30  # degenerate pivots before switching to Bland's rule
 REFACTOR_EVERY = 100
+# bytes of basis inverses the branch-and-bound heap may hold; a sibling
+# pushed past this keeps only its basic columns and is refactored when popped
+HEAP_INVERSE_BYTES = 8 << 20
 
 
 class SolverError(RuntimeError):
@@ -103,6 +117,7 @@ class Solution:
     crossover_nit: int = 0  # crossover pivots after interior point
     engine_reason: str = ""  # "explicit", or the auto rule: "auto: 96 rows <= 220"
     root_iterations: int = 0  # branch and bound: pivots before the first branch
+    refactors: int = 0  # dense basis inverses the bundled simplex computed
 
     @property
     def optimal(self) -> bool:
@@ -162,13 +177,15 @@ def solve_ilp(
     nodes = 0
     total_iters = 0
     total_crossover = 0
+    total_refactors = 0
     root_iters: int | None = None  # pivots spent before the first branch
     # dive depth-first along the rounding of the current relaxation; the
     # sibling of every dive step waits in a best-bound heap for restarts.
-    # Each entry carries the basis its relaxation starts from (None: cold)
+    # Each entry carries the basis its relaxation starts from (None: cold);
+    # ``held`` counts the bytes of the inverses kept by heap entries
     heap: list[tuple[float, int, dict[str, int], _Basis | None]] = []
     stack: list[tuple[float, dict[str, int], _Basis | None]] = [(-INF, {}, None)]
-    seq = 0
+    seq = held = 0
     exhausted = True
 
     while stack or heap:
@@ -176,6 +193,8 @@ def solve_ilp(
             bound, fixings, start = stack.pop()
         else:
             bound, _, fixings, start = heapq.heappop(heap)
+            if start is not None and start.binv is not None:
+                held -= start.binv.nbytes
         if incumbent is not None and bound >= incumbent.objective - 1e-9:
             continue
         if nodes >= node_limit or (deadline and time.perf_counter() > deadline):
@@ -185,6 +204,7 @@ def solve_ilp(
         rel, basis = relax.solve(fixings, start)
         total_iters += rel.iterations
         total_crossover += rel.crossover_nit
+        total_refactors += rel.refactors
         if log:
             logger.info(
                 "[bnb] node=%d depth=%d status=%s obj=%.6g",
@@ -223,6 +243,7 @@ def solve_ilp(
             probe, _ = relax.solve(probe_fix, None if basis is None else basis.copy())
             total_iters += probe.iterations
             total_crossover += probe.crossover_nit
+            total_refactors += probe.refactors
             if probe.status is SolveStatus.OPTIMAL:
                 incumbent = _rounded(probe, binaries)
                 if log:
@@ -231,15 +252,13 @@ def solve_ilp(
             root_iters = total_iters
         prefer = 1 if rel.values.get(frac_name, 0.0) >= 0.5 else 0
         seq += 1
-        heapq.heappush(
-            heap,
-            (rel.objective, seq, {**fixings, frac_name: 1 - prefer},
-             None if basis is None else _Basis(basis.cols)),
-        )
+        sibling = _sibling_basis(basis, held)
+        if sibling is not None and sibling.binv is not None:
+            held += sibling.binv.nbytes
+        heapq.heappush(heap, (rel.objective, seq, {**fixings, frac_name: 1 - prefer}, sibling))
         stack.append((rel.objective, {**fixings, frac_name: prefer}, basis))
 
-    counts = {"nodes": nodes, "engine": engine, "engine_reason": reason,
-              "root_iterations": total_iters if root_iters is None else root_iters}
+    root_iters = total_iters if root_iters is None else root_iters
     if incumbent is not None:
         # the layout comes from the incumbent's binaries alone, not from the
         # basis the search reached them with: fix them all and solve cold
@@ -247,19 +266,20 @@ def solve_ilp(
         final = _dispatch(_with_fixings(base, fixed), engine, None, False, remaining())
         total_iters += final.iterations
         total_crossover += final.crossover_nit
+        total_refactors += final.refactors
         if final.status is SolveStatus.OPTIMAL:
             incumbent = _rounded(final, binaries)
-    wall = time.perf_counter() - t0
+    counts = {"nodes": nodes, "engine": engine, "engine_reason": reason,
+              "root_iterations": root_iters, "iterations": total_iters,
+              "refactors": total_refactors, "wall_time": time.perf_counter() - t0}
     if incumbent is None:
         status = SolveStatus.INFEASIBLE if exhausted else SolveStatus.NODE_LIMIT
-        return Solution(status=status, iterations=total_iters, wall_time=wall, **counts)
+        return Solution(status=status, **counts)
     status = SolveStatus.OPTIMAL if exhausted else SolveStatus.NODE_LIMIT
     return Solution(
         status=status,
         values=incumbent.values,
         objective=incumbent.objective,
-        iterations=total_iters,
-        wall_time=wall,
         dual_objective=incumbent.dual_objective,
         method=incumbent.method,
         crossover_nit=total_crossover,
@@ -543,14 +563,31 @@ def _standardize(problem: LpProblem, keep: np.ndarray | None = None) -> _StdForm
 class _Basis:
     """Basic column per row, and the inverse of that basis when it is current.
 
-    Without ``binv`` the next solve refactors once from ``cols``.
+    Without ``binv`` the next solve refactors once from ``cols``. ``updates``
+    counts the pivots that updated ``binv`` since it was last refactored.
     """
 
     cols: np.ndarray
     binv: np.ndarray | None = None
+    updates: int = 0
 
     def copy(self) -> _Basis:
-        return _Basis(self.cols, None if self.binv is None else self.binv.copy())
+        return _Basis(self.cols, None if self.binv is None else self.binv.copy(), self.updates)
+
+
+def _sibling_basis(basis: _Basis | None, held: int) -> _Basis | None:
+    """The start of a node pushed on the branch-and-bound heap.
+
+    It is its parent's basis, with a copy of the inverse while the heap's
+    inverses, ``held`` bytes before this one, stay within
+    ``HEAP_INVERSE_BYTES``; past that only the columns, and the popped node
+    refactors. The copy is taken before the dive child updates the inverse.
+    """
+    if basis is None:
+        return None
+    if basis.binv is None or held + basis.binv.nbytes > HEAP_INVERSE_BYTES:
+        return _Basis(basis.cols)
+    return basis.copy()
 
 
 class _Simplex:
@@ -566,6 +603,7 @@ class _Simplex:
         self.iterations = 0
         self.streak = 0
         self.updates = 0  # rank-1 updates of binv since it was last refactored
+        self.refactors = 0  # dense inverses computed
 
         A, b = std.A.copy(), std.b.copy()
         m, n = A.shape
@@ -603,6 +641,7 @@ class _Simplex:
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular basis") from exc
         self.updates = 0
+        self.refactors += 1
 
     def xb(self) -> np.ndarray:
         return self.binv @ self.b if self.m else np.zeros(0)
@@ -613,13 +652,14 @@ class _Simplex:
         )
 
     def _pivot(self, r: int, j: int, d: np.ndarray) -> None:
-        """Column ``j`` (``d`` = B^-1 A_j) replaces the basic column of row ``r``."""
+        """Column ``j`` (``d`` = B^-1 A_j) replaces the basic column of row ``r``.
+
+        ``d`` is overwritten.
+        """
         self.basis[r] = j
-        piv = d[r]
-        self.binv[r, :] /= piv
-        col = d.copy()
-        col[r] = 0.0
-        self.binv -= col[:, None] * self.binv[r, :]
+        self.binv[r, :] /= d[r]
+        d[r] = 0.0
+        self.binv -= d[:, None] * self.binv[r, :]
         self.updates += 1
 
     def run_phase(
@@ -637,26 +677,32 @@ class _Simplex:
         Skips last through degenerate pivots: while the vertex stays put the
         skipped set only grows, so Bland's rule cannot cycle. Past the
         iteration limit or the deadline it returns "iteration_limit".
+
+        Basic, blocked and skipped columns price at zero, so neither rule
+        can pick one: the entering column is the smallest reduced cost
+        (Dantzig) or the first below ``-OPT_TOL`` (Bland), and none is
+        eligible when that is not below ``-OPT_TOL``.
         """
         if self.m == 0:
             return "optimal"
         since_refactor = 0
         skipped: list[int] = []
+        blocked = np.flatnonzero(~allowed)
         while True:
             if self._stopped():
                 return "iteration_limit"
             y = c[self.basis] @ self.binv
             reduced = c - y @ self.A
             reduced[self.basis] = 0.0
+            reduced[blocked] = 0.0
             if skipped:
                 reduced[skipped] = 0.0
-            cand = np.flatnonzero(allowed & (reduced < -OPT_TOL))
-            if cand.size == 0:
-                return "optimal"
             if self.streak >= DEGENERATE_STREAK:
-                j = int(cand[0])  # Bland: smallest eligible index
+                j = int(np.argmax(reduced < -OPT_TOL))  # Bland: smallest eligible index
             else:
-                j = int(cand[np.argmin(reduced[cand])])
+                j = int(np.argmin(reduced))
+            if not reduced[j] < -OPT_TOL:
+                return "optimal"
             d = self.binv @ self.A[:, j]
             pos = np.flatnonzero(d > PIVOT_TOL)
             if pos.size == 0:
@@ -765,7 +811,7 @@ class _Simplex:
         wall = time.perf_counter() - t0
         if not with_values:
             return Solution(status, iterations=self.iterations, wall_time=wall,
-                            engine="simplex")
+                            engine="simplex", refactors=self.refactors)
         xb = np.maximum(self.xb(), 0.0)
         t = np.zeros(self.A.shape[1])
         t[self.basis] = xb
@@ -790,6 +836,7 @@ class _Simplex:
             wall_time=wall,
             dual_objective=dual,
             engine="simplex",
+            refactors=self.refactors,
         )
 
 
@@ -850,11 +897,11 @@ class _WarmNodes:
         std, sx = self.relaxation(fixings), self.sx
         if start is None:
             sol = sx.solution(*sx.two_phase(), self.base, std, t0)
-            return sol, _Basis(sx.basis.copy(), sx.binv)
+            return sol, _Basis(sx.basis.copy(), sx.binv, sx.updates)
         status = self._warm(std, start)
         if status == "optimal":
             sol = sx.solution(SolveStatus.OPTIMAL, True, self.base, std, t0)
-            return sol, _Basis(sx.basis.copy(), sx.binv)
+            return sol, _Basis(sx.basis.copy(), sx.binv, sx.updates)
         if status == "infeasible":
             return sx.solution(SolveStatus.INFEASIBLE, False, self.base, std, t0), None
         if self.deadline is not None and time.perf_counter() > self.deadline:
@@ -864,18 +911,19 @@ class _WarmNodes:
         cold = _Simplex(std, self.limit, False, self.deadline)
         sol = cold.solution(*cold.two_phase(), self.base, std, t0)
         sol.iterations += sx.iterations
+        sol.refactors += sx.refactors
         return sol, _Basis(cold.basis.copy())
 
     def _warm(self, std: _StdForm, start: _Basis) -> str:
         sx = self.sx
         sx.b = std.b * sx.flip
         sx.basis = start.cols.copy()
-        sx.iterations = sx.streak = 0
+        sx.iterations = sx.streak = sx.refactors = 0
         try:
             if start.binv is None:
                 sx._refactor()
             else:
-                sx.binv = start.binv
+                sx.binv, sx.updates = start.binv, start.updates
             status = sx.run_dual()
             if status == "feasible":
                 status = sx.run_phase(sx.c, allowed=sx.real)

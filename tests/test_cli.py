@@ -331,6 +331,23 @@ class TestManifest:
             else:
                 assert "root_iterations" not in solve
 
+    @pytest.mark.parametrize("cap", ["default", 0])
+    @pytest.mark.parametrize("engine", ["simplex", "highs"])
+    def test_solves_record_refactors(self, tmp_path, sample3_paths, engine, cap, monkeypatch):
+        import demers.simplexsolver as ss
+
+        # the sample's CNT search pops three nodes from its heap; they start
+        # from their parents' kept inverses unless the byte cap is 0
+        if cap == 0:
+            monkeypatch.setattr(ss, "HEAP_INVERSE_BYTES", 0)
+        res = run_sample(tmp_path, sample3_paths, "CNT-W-SU", engine=engine)
+        assert res.ok
+        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
+        [solve] = manifest["solves"]
+        assert solve["nodes"] == 7
+        expected = 3 if (engine, cap) == ("simplex", 0) else 0
+        assert solve["refactors"] == expected
+
     @pytest.mark.parametrize("variant", ["TOP-S-SU", "CNT-W-IT"])
     def test_solves_record_model_size(self, tmp_path, sample3_paths, variant, monkeypatch):
         import demers.cli as climod

@@ -1,0 +1,93 @@
+"""LP layouts of the bundled simplex reproduce committed files byte for byte.
+
+The files ``tests/data/lp_layout_*.json`` pin what the non-CNT variants
+compute on the instances of the ``exact`` benchmark, which all stay on the
+bundled simplex: every layout's JSON with its leaders, and the status and
+pivot count of every LP the run solves. A change to the simplex that moves
+one pivot, or one bit of a centre, fails here. After an intended change to
+the solver or the models, regenerate them with
+``PYTHONPATH=src python tests/test_lp_layout_golden.py``.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from demers import cli
+from demers.synth import write_instance
+
+GOLDEN = Path(__file__).parent / "data"
+DATA = Path(__file__).parent.parent / "src" / "demers" / "data"
+
+DATASET_VARIANTS = ("TOP-S-SU", "ORG-W-SU", "TOP-W-IT", "ORG-S-IT", "TOP-S-CO")
+GRID_SEEDS = range(6)
+GRID_VARIANTS = ("TOP-S-SU", "ORG-W-SU")
+
+
+def _cases(tmp: Path) -> dict[str, tuple[str, str, str]]:
+    """File stem -> (map path, weights path, variant)."""
+    cases = {}
+    for name in ("sample3", "luxembourg"):
+        for v in DATASET_VARIANTS:
+            cases[f"lp_layout_{name}_{v}"] = (
+                str(DATA / f"{name}.geojson"), str(DATA / f"{name}_weights.csv"), v
+            )
+    for seed in GRID_SEEDS:
+        m, w = write_instance(tmp, 3, seed, k=1, rows=3)
+        for v in GRID_VARIANTS:
+            cases[f"lp_layout_grid3x3s{seed}_{v}"] = (m, w, v)
+    return cases
+
+
+def golden_documents() -> dict[str, str]:
+    """File stem -> JSON text of every pinned LP run."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for stem, (m, w, v) in _cases(Path(tmp)).items():
+            result = cli.run(cli.RunConfig(map_path=m, weights_path=w, variant=v))
+            assert result.ok, (stem, result.status)
+            doc = {
+                "layouts": [
+                    lay.to_json_dict(leaders)
+                    for lay, leaders in zip(result.layouts, result.leaders_per_layout)
+                ],
+                "solves": [
+                    {"engine": s["engine"], "status": s["status"], "iterations": s["iterations"]}
+                    for s in result.solver_stats
+                ],
+            }
+            out[stem] = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    return out
+
+
+@pytest.fixture(scope="module")
+def documents() -> dict[str, str]:
+    return golden_documents()
+
+
+STEMS = sorted(
+    [f"lp_layout_{n}_{v}" for n in ("sample3", "luxembourg") for v in DATASET_VARIANTS]
+    + [f"lp_layout_grid3x3s{s}_{v}" for s in GRID_SEEDS for v in GRID_VARIANTS]
+)
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_lp_layout_matches_golden_file(documents, stem):
+    expected = (GOLDEN / f"{stem}.json").read_text(encoding="utf-8")
+    assert documents[stem] == expected
+
+
+def test_every_golden_lp_layout_file_is_checked(documents):
+    assert {p.stem for p in GOLDEN.glob("lp_layout_*.json")} == set(documents) == set(STEMS)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for stem, text in golden_documents().items():
+        (GOLDEN / f"{stem}.json").write_text(text, encoding="utf-8")
+        print(f"wrote {GOLDEN / stem}.json", file=sys.stderr)
