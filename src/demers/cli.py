@@ -136,7 +136,7 @@ class RunResult:
     status: str  # "ok", "partial", or "error: ..."
     layouts: list[SquareLayout] = field(default_factory=list)
     leaders_per_layout: list[list] = field(default_factory=list)
-    unroutable_per_layout: list[int] = field(default_factory=list)
+    routing_per_layout: list[leadersmod.RoutingReport] = field(default_factory=list)
     report: metricsmod.MetricsReport | None = None
     solver_stats: list[dict] = field(default_factory=list)
     # pair counts per axis of the derived set and of the reduced set the
@@ -150,6 +150,10 @@ class RunResult:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
+
+    @property
+    def unroutable_per_layout(self) -> list[int]:
+        return [len(r.unroutable) for r in self.routing_per_layout]
 
     @property
     def exit_code(self) -> int:
@@ -341,7 +345,7 @@ def run(config: RunConfig) -> RunResult:
         epsilon = compute_epsilon(table, map)
 
         leaders_per_layout: list[list] = []
-        unroutable_per_layout: list[int] = []
+        routing_per_layout: list[leadersmod.RoutingReport] = []
         if variant.is_frc:
             stage.enter("force")
             layouts, partial = _run_frc_variant(
@@ -364,10 +368,10 @@ def run(config: RunConfig) -> RunResult:
             for lay in layouts:
                 routed, routing = leadersmod.all_leaders(lay, cs, map)
                 leaders_per_layout.append(routed)
-                unroutable_per_layout.append(len(routing.unroutable))
+                routing_per_layout.append(routing)
         if not leaders_per_layout:
             leaders_per_layout = [[] for _ in layouts]
-            unroutable_per_layout = [0] * len(layouts)
+            routing_per_layout = [leadersmod.RoutingReport(0, ())] * len(layouts)
 
         stage.enter("metrics")
         report = metricsmod.evaluate(layouts, map)
@@ -376,7 +380,7 @@ def run(config: RunConfig) -> RunResult:
             status="partial" if partial else "ok",
             layouts=layouts,
             leaders_per_layout=leaders_per_layout,
-            unroutable_per_layout=unroutable_per_layout,
+            routing_per_layout=routing_per_layout,
             report=report,
             solver_stats=stats,
             constraint_counts=counts,
@@ -444,6 +448,10 @@ def _write_manifest(result: RunResult, out: Path) -> str:
         "solves": result.solver_stats,
         "leader_counts": [len(ls) for ls in result.leaders_per_layout],
         "unroutable_counts": result.unroutable_per_layout,
+        "unroutable_pairs": [
+            [{"from": a, "to": b, "reason": why} for a, b, why in r.unroutable]
+            for r in result.routing_per_layout
+        ],
     }
     path = out / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")

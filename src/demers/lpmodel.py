@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .mapdata import AdjacencyGraph, SideLengthTable
-from .sepconstraints import SeparationConstraintSet, Setting
+from .sepconstraints import SeparationConstraintSet, Setting, adjacency_matrix
 
 INF = math.inf
 
@@ -38,6 +38,11 @@ ADJACENT_DIRECTION_BOOST = 10.0
 # Weight of the displacement terms that tie layouts of different weight
 # functions together (CO, SU, CENTRAL and IT stability).
 STABILITY_WEIGHT = 1.0
+# Direction slopes at or below this magnitude are round-off between the
+# centroids of one grid row or column and are emitted as 0. HiGHS drops
+# matrix values up to its small_matrix_value (1e-9) anyway, so both engines
+# read the same model.
+SLOPE_ROUNDOFF = 1e-9
 
 Point = tuple[float, float]
 
@@ -542,6 +547,7 @@ def _emit_block(
         horiz = np.abs(dx) >= np.abs(dy)
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = np.where(horiz, dy / dx, dx / dy)
+        slope[np.abs(slope) <= SLOPE_ROUNDOFF] = 0.0
         d = prob.add_vars([
             f"d{tag}_{'H' if hz else 'V'}_{ids[i]}__{ids[j]}"
             for i, j, hz in zip(ia.tolist(), ib.tolist(), horiz.tolist())
@@ -558,11 +564,7 @@ def _emit_block(
         prob.add_rows(
             np.repeat(cols, 2, axis=0), vals.reshape(-1, 5), "<=", 0.0
         )
-        adjacent = np.zeros((len(ids), len(ids)), dtype=bool)
-        for pair in cs.adjacencies:
-            if len(pair) == 2 and all(r in pos for r in pair):
-                i, j = (pos[r] for r in pair)
-                adjacent[i, j] = adjacent[j, i] = True
+        adjacent = adjacency_matrix(cs.adjacencies, pos)
         boost = np.where(adjacent[ia, ib], ADJACENT_DIRECTION_BOOST, 1.0)
         prob.add_objective_terms(d, SECONDARY_WEIGHT * boost)
 

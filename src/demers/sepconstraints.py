@@ -13,6 +13,8 @@ from enum import Enum
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 
+import numpy as np
+
 from .mapdata import AdjacencyGraph
 
 Pair = tuple[str, str]
@@ -56,10 +58,6 @@ class SeparationConstraintSet:
             return 0.0
         return self.epsilon
 
-    def primary_pairs(self, axis: str) -> list[Pair]:
-        pairs = self.H if axis == "H" else self.V
-        return sorted(p for p in pairs if not self.is_secondary(axis, p))
-
     def primary_axis_of(self, a: str, b: str) -> tuple[str, Pair] | None:
         """Axis and orientation of the primary constraint covering {a, b}."""
         for axis, pairs in (("H", self.H), ("V", self.V)):
@@ -85,6 +83,21 @@ class SeparationConstraintSet:
             out[axis] = (tuple(pairs), tuple(self.gap(axis, p) for p in pairs))
         return out
 
+    def successors(self, axis: str) -> dict[str, frozenset[str]]:
+        """Per region of one axis set, the regions it must precede there."""
+        return self._axis_index[axis][0]
+
+    def axis_order(self, axis: str) -> tuple[str, ...] | None:
+        """The regions of one axis set, each after all of its successors;
+        None when the set holds a directed cycle."""
+        return self._axis_index[axis][1]
+
+    @cached_property
+    def _axis_index(
+        self,
+    ) -> dict[str, tuple[dict[str, frozenset[str]], tuple[str, ...] | None]]:
+        return {"H": _axis_graph(self.H), "V": _axis_graph(self.V)}
+
     def to_dot(self) -> str:
         """DOT digraph of all constraints, secondary ones dashed."""
         lines = ["digraph separation {", "  rankdir=LR;"]
@@ -107,40 +120,45 @@ def derive_constraints(
     separated in H (left region first), otherwise in V (lower region first);
     exact ties go to H. Strong setting: nonadjacent pairs whose bounding boxes
     are strictly separated in both axes also get a secondary constraint in the
-    other axis, oriented by centroid order in that axis.
+    other axis, oriented by centroid order in that axis; a pair level in that
+    axis gets none. One array pass over all pairs of the regions sorted by id.
     """
-    H: set[Pair] = set()
-    V: set[Pair] = set()
-    secondary: set[tuple[str, str, str]] = set()
     regions = sorted(map.regions, key=lambda r: r.id)
-    boxes = {r.id: r.bbox() for r in regions}
-    for i, ra in enumerate(regions):
-        for rb in regions[i + 1 :]:
-            ax, ay = ra.centroid
-            bx, by = rb.centroid
-            dx, dy = bx - ax, by - ay
-            if dx == 0 and dy == 0:
-                raise ConstraintError(
-                    f"coincident centroids for {ra.id!r} and {rb.id!r}"
-                )
-            if abs(dx) >= abs(dy):
-                H.add((ra.id, rb.id) if dx > 0 else (rb.id, ra.id))
-                other_axis = "V"
-                ordered = (ra.id, rb.id) if dy > 0 else (rb.id, ra.id)
-                degenerate = dy == 0
-            else:
-                V.add((ra.id, rb.id) if dy > 0 else (rb.id, ra.id))
-                other_axis = "H"
-                ordered = (ra.id, rb.id) if dx > 0 else (rb.id, ra.id)
-                degenerate = dx == 0
-            if (
-                setting is Setting.STRONG
-                and not degenerate
-                and not map.adjacent(ra.id, rb.id)
-                and _both_separators(boxes[ra.id], boxes[rb.id])
-            ):
-                (H if other_axis == "H" else V).add(ordered)
-                secondary.add((other_axis, ordered[0], ordered[1]))
+    ids = np.array([r.id for r in regions], dtype=object)
+    n = len(regions)
+    cen = np.array([r.centroid for r in regions], dtype=float).reshape(n, 2)
+    box = np.array([r.bbox() for r in regions], dtype=float).reshape(n, 4)
+    ia, ib = np.triu_indices(n, 1)
+    dx = cen[ib, 0] - cen[ia, 0]
+    dy = cen[ib, 1] - cen[ia, 1]
+    same = np.flatnonzero((dx == 0) & (dy == 0))
+    if same.size:
+        k = same[0]
+        raise ConstraintError(
+            f"coincident centroids for {ids[ia[k]]!r} and {ids[ib[k]]!r}"
+        )
+    horiz = np.abs(dx) >= np.abs(dy)
+    main = np.where(horiz, dx, dy)  # signed distance in the primary axis
+    other = np.where(horiz, dy, dx)  # and in the other axis
+
+    def ordered(mask: np.ndarray, d: np.ndarray) -> set[Pair]:
+        """The masked pairs, first region at the smaller coordinate."""
+        a, b, fwd = ia[mask], ib[mask], d[mask] > 0
+        first, second = np.where(fwd, a, b), np.where(fwd, b, a)
+        return set(zip(ids[first].tolist(), ids[second].tolist()))
+
+    H = ordered(horiz, main)
+    V = ordered(~horiz, main)
+    secondary: set[tuple[str, str, str]] = set()
+    if setting is Setting.STRONG:
+        adjacent = adjacency_matrix(map.edges, {rid: i for i, rid in enumerate(ids.tolist())})
+        x_sep = (box[ia, 2] < box[ib, 0]) | (box[ib, 2] < box[ia, 0])
+        y_sep = (box[ia, 3] < box[ib, 1]) | (box[ib, 3] < box[ia, 1])
+        extra = (other != 0) & ~adjacent[ia, ib] & x_sep & y_sep
+        for axis, target, mask in (("V", V, extra & horiz), ("H", H, extra & ~horiz)):
+            pairs = ordered(mask, other)
+            target |= pairs
+            secondary.update((axis, a, b) for a, b in pairs)
     return SeparationConstraintSet(
         H=frozenset(H),
         V=frozenset(V),
@@ -151,10 +169,15 @@ def derive_constraints(
     )
 
 
-def _both_separators(a, b) -> bool:
-    x_sep = a[2] < b[0] or b[2] < a[0]
-    y_sep = a[3] < b[1] or b[3] < a[1]
-    return x_sep and y_sep
+def adjacency_matrix(edges, pos: dict[str, int]) -> np.ndarray:
+    """Symmetric boolean matrix of the two-region ``edges`` whose regions
+    both have an index in ``pos``."""
+    adjacent = np.zeros((len(pos), len(pos)), dtype=bool)
+    for edge in edges:
+        if len(edge) == 2 and all(r in pos for r in edge):
+            i, j = (pos[r] for r in edge)
+            adjacent[i, j] = adjacent[j, i] = True
+    return adjacent
 
 
 def validate_dag(cs: SeparationConstraintSet) -> list[str] | None:
@@ -167,36 +190,61 @@ def validate_dag(cs: SeparationConstraintSet) -> list[str] | None:
     other bottom-top), so the raw union of all four orientations need not be
     acyclic in the strong setting. Returns the cycle's distinct regions in
     edge order, or None when consistent.
+
+    H and V are checked through the set's cached axis index, whose orders
+    ``reduce_transitive`` then reuses; only the primary union gets a graph of
+    its own here. A cycle is looked for only once an order has failed, on
+    the sorted edges, so every process reports the same one.
     """
-    for edges in (
-        cs.sorted_h(),
-        cs.sorted_v(),
-        sorted(set(cs.primary_pairs("H")) | set(cs.primary_pairs("V"))),
-    ):
-        try:
-            _successors_first(edges)
-        except CycleError as exc:
-            return exc.args[1]
+    primary: set[Pair] = set()
+    for axis in ("H", "V"):
+        pairs = cs.H if axis == "H" else cs.V
+        if cs.axis_order(axis) is None:
+            return _find_cycle(pairs)
+        primary |= pairs - {(a, b) for ax, a, b in cs.secondary if ax == axis}
+    if _axis_graph(primary)[1] is None:
+        return _find_cycle(primary)
     return None
 
 
-def _successors_first(edges: list[Pair]) -> tuple[dict[str, list[str]], list[str]]:
-    """Successor lists of the regions in ``edges``, and those regions ordered
-    so that each comes after all of its successors.
-
-    Raises ``CycleError`` whose ``args[1]`` is a directed cycle: its distinct
-    regions in edge order.
-    """
-    succ: dict[str, list[str]] = {}
+def _axis_graph(edges) -> tuple[dict[str, frozenset[str]], tuple[str, ...] | None]:
+    """Successor sets of the regions in ``edges``, and those regions ordered
+    so that each comes after all of its successors; the order is None when
+    the edges hold a directed cycle (Kahn's algorithm)."""
+    succ: dict[str, set[str]] = {}
+    indeg: dict[str, int] = {}
     for a, b in edges:
+        succ.setdefault(a, set()).add(b)
+        indeg[b] = indeg.get(b, 0) + 1
+    for b in indeg:
+        succ.setdefault(b, set())
+    ready = [r for r in succ if r not in indeg]
+    order = []
+    while ready:
+        r = ready.pop()
+        order.append(r)
+        for s in succ[r]:
+            indeg[s] -= 1
+            if not indeg[s]:
+                ready.append(s)
+    frozen = {r: frozenset(s) for r, s in succ.items()}
+    return frozen, (tuple(reversed(order)) if len(order) == len(succ) else None)
+
+
+def _find_cycle(edges) -> list[str]:
+    """A directed cycle of a cyclic edge set, as its distinct regions in edge
+    order; the same edges give the same cycle in every process."""
+    succ: dict[str, list[str]] = {}
+    for a, b in sorted(edges):
         succ.setdefault(a, []).append(b)
         succ.setdefault(b, [])
     try:
-        # TopologicalSorter reads the successors as predecessors, so it puts
-        # them first and reports a cycle against the edges' direction
-        return succ, list(TopologicalSorter(succ).static_order())
+        # TopologicalSorter reads the successors as predecessors, so it
+        # reports the cycle against the edges' direction
+        TopologicalSorter(succ).prepare()
     except CycleError as exc:
-        raise CycleError("directed cycle", exc.args[1][:0:-1]) from None
+        return exc.args[1][:0:-1]
+    raise ValueError("the edges hold no directed cycle")
 
 
 def reduce_transitive(cs: SeparationConstraintSet) -> SeparationConstraintSet:
@@ -214,36 +262,38 @@ def reduce_transitive(cs: SeparationConstraintSet) -> SeparationConstraintSet:
     only looks for two-step chains, so on the reduced set it could call a
     pair minimal that the full set does not.
 
-    Reachability is one bitset per region, filled in reverse topological
-    order, so H and V must each be acyclic (see ``validate_dag``).
+    Reachability is one bitset per region, filled in the successors-first
+    order of the set's cached axis index, the same index ``validate_dag``
+    checked; so H and V must each be acyclic.
     """
 
-    def reduced(edges: frozenset[Pair]) -> frozenset[Pair]:
-        try:
-            succ, order = _successors_first(sorted(edges))
-        except CycleError as exc:
-            raise ConstraintError(f"directed cycle {exc.args[1]}") from None
-        bit = {r: 1 << i for i, r in enumerate(succ)}
+    def reduced(axis: str) -> frozenset[Pair]:
+        order = cs.axis_order(axis)
+        if order is None:
+            cycle = _find_cycle(cs.H if axis == "H" else cs.V)
+            raise ConstraintError(f"directed cycle {cycle}")
+        succ = cs.successors(axis)
+        bit = {r: 1 << i for i, r in enumerate(order)}
         reach: dict[str, int] = {}  # regions reachable by one or more edges
         for r in order:
             acc = 0
             for s in succ[r]:
                 acc |= bit[s] | reach[s]
             reach[r] = acc
-        out = set()
+        out = adjacent & (cs.H if axis == "H" else cs.V)  # always kept
         for a, targets in succ.items():
             # reachable from a by two or more edges; in a DAG no successor
             # reaches itself, so the direct edge (a, b) is never counted
             longer = 0
             for s in targets:
                 longer |= reach[s]
-            out.update(
-                (a, b) for b in targets if cs.is_adjacent(a, b) or not longer & bit[b]
-            )
+            out.update((a, b) for b in targets if not longer & bit[b])
         return frozenset(out)
 
-    new_h = reduced(cs.H)
-    new_v = reduced(cs.V)
+    adjacent = {(a, b) for e in cs.adjacencies for a in e for b in e if a != b}
+
+    new_h = reduced("H")
+    new_v = reduced("V")
     new_secondary = frozenset(
         (axis, a, b)
         for axis, a, b in cs.secondary

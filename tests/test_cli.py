@@ -401,6 +401,26 @@ class TestManifest:
         res = run_sample(tmp_path, sample3_paths, "FRC-O-U", frc_max_iterations=200)
         manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
         assert manifest["unroutable_counts"] == [0] * len(res.layouts)
+        assert manifest["unroutable_pairs"] == [[] for _ in res.layouts]
+
+    def test_unroutable_pairs_recorded(self, tmp_path):
+        # the 8x6 unit grid's TOP-W-SU layouts lose adjacencies whose
+        # corridors are walled off; each is listed with its reason
+        from demers.synth import write_instance
+
+        m, w = write_instance(tmp_path / "grid", 8, 7, k=4, rows=6)
+        res = run(RunConfig(map_path=m, weights_path=w, variant="TOP-W-SU",
+                            out_dir=str(tmp_path / "out")))
+        assert res.ok
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        pairs = manifest["unroutable_pairs"]
+        assert [len(p) for p in pairs] == manifest["unroutable_counts"]
+        assert any(pairs)
+        assert pairs == [
+            [{"from": a, "to": b, "reason": why} for a, b, why in r.unroutable]
+            for r in res.routing_per_layout
+        ]
+        assert all(p["reason"].startswith("corridor for") for ps in pairs for p in ps)
 
 
 class TestReducedConstraints:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import leader_crossings, polyline_monotone, square_map
 from demers.layout import SquareLayout, decode, l1_gap
@@ -317,3 +319,57 @@ class TestRetryWithoutMinimality:
         assert routed == []
         [(_, _, reason)] = report.unroutable
         assert "no separation constraint" in reason
+
+
+@st.composite
+def solved_layouts(draw):
+    """LP-solved layouts of random jittered grids, weak and strong."""
+    from demers.mapdata import compute_epsilon, scale_weights
+    from demers.synth import grid_map, lognormal_weights
+
+    cols, rows = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    jitter = draw(st.one_of(st.just(0.0), st.floats(0.05, 0.4)))
+    seed = draw(st.integers(0, 10_000))
+    setting = draw(st.sampled_from(list(Setting)))
+    objective = draw(st.sampled_from([ObjectiveKind.TOP, ObjectiveKind.ORG]))
+    g = grid_map(cols, rows, jitter=jitter, seed=seed)
+    ws = lognormal_weights(g, k=1, seed=seed, sigma=draw(st.floats(0.5, 2.0)))
+    table = scale_weights(ws, g)
+    cs = derive_constraints(g, compute_epsilon(table, g), setting)
+    model = build_single_lp(g, table.function_sides(0), cs, ModelSpec(objective, setting))
+    return g, cs, decode(solve_lp(model.problem), model)[0]
+
+
+@st.composite
+def lattice_layouts(draw):
+    """Squares on cells of a 5x5 lattice that realize their own constraint
+    set; sides near the cell size make touching edges, walled-off
+    corridors and pairs that are not minimal."""
+    from demers.layout import validity_violations
+
+    cells = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                          min_size=2, max_size=14, unique=True))
+    side = st.one_of(st.sampled_from([0.5, 0.9, 0.95]), st.floats(0.2, 0.95))
+    squares = {f"c{x}_{y}": (float(x), float(y), draw(side)) for x, y in cells}
+    ids = sorted(squares)
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    g, cs, lay = layout_for(squares, edges, draw(st.sampled_from(list(Setting))), 0.05)
+    assume(validity_violations(lay) == [])
+    return g, cs, lay
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(solved_layouts(), lattice_layouts()))
+def test_router_matches_frozen_oracle(instance):
+    # the indexed router returns the old router's leaders and reasons, and
+    # every leader is minimal, monotone and crosses no square
+    import oracle_leaders
+
+    g, cs, lay = instance
+    routed, report = all_leaders(lay, cs, g)
+    assert (routed, report) == oracle_leaders.all_leaders(lay, cs, g)
+    for ld in routed:
+        assert abs(ld.length - l1_gap(lay, *ld.endpoints)) <= 1e-9 * lay.diagonal
+        assert polyline_monotone(ld.polyline)
+        assert leader_crossings(ld, lay) == []

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import overlapping_pairs, square_map
@@ -367,6 +368,33 @@ class TestModelInvariants:
                 abs(v) < 1e-6
                 or abs(v - (dy - w + fix_v)) < 1e-6
             )
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_no_round_off_slopes_on_jittered_grids(self, tmp_path, k):
+        # polygon centroids of one jittered grid row, read back from
+        # GeoJSON, differ in y by round-off only; their slopes are emitted
+        # as 0, not as values HiGHS would drop
+        from demers.lpmodel import SLOPE_ROUNDOFF
+        from demers.mapdata import (
+            WeightKind, compute_epsilon, load_map, load_weights, scale_weights,
+        )
+        from demers.synth import write_instance
+
+        map_path, csv_path = write_instance(tmp_path, 7, 0, k=k, jitter=0.3)
+        g = load_map(map_path)
+        table = scale_weights(load_weights(csv_path, g, WeightKind.TIME_SERIES), g)
+        cs = derive_constraints(g, compute_epsilon(table, g), Setting.STRONG)
+        spec = ModelSpec(
+            objective_kind=ObjectiveKind.TOP, setting=Setting.STRONG,
+            stability=Stability.SU if k > 1 else Stability.NONE,
+        )
+        model = build_multi_lp(g, table, cs, spec) if k > 1 else build_single_lp(
+            g, table.function_sides(0), cs, spec
+        )
+        val = np.abs(model.problem.val)
+        assert SLOPE_ROUNDOFF == 1e-9
+        assert not np.any((val > 0) & (val <= SLOPE_ROUNDOFF))
+        assert val.min() > 0
 
 
 class TestLpFormat:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -316,3 +317,141 @@ def test_reduced_lp_matches_full_lp_on_grids(cols, rows, jitter, seed, k, settin
     for lay in layouts:
         assert lay.constraint_ref is cs
         assert validity_violations(lay) == []
+
+
+def derive_by_pairs(map, epsilon, setting):
+    """The pair loop ``derive_constraints`` ran before it became one array
+    pass, kept as a reference."""
+    H, V, secondary = set(), set(), set()
+    regions = sorted(map.regions, key=lambda r: r.id)
+    boxes = {r.id: r.bbox() for r in regions}
+
+    def both_separators(a, b):
+        x_sep = a[2] < b[0] or b[2] < a[0]
+        y_sep = a[3] < b[1] or b[3] < a[1]
+        return x_sep and y_sep
+
+    for i, ra in enumerate(regions):
+        for rb in regions[i + 1 :]:
+            ax, ay = ra.centroid
+            bx, by = rb.centroid
+            dx, dy = bx - ax, by - ay
+            if dx == 0 and dy == 0:
+                raise ConstraintError(f"coincident centroids for {ra.id!r} and {rb.id!r}")
+            if abs(dx) >= abs(dy):
+                H.add((ra.id, rb.id) if dx > 0 else (rb.id, ra.id))
+                other_axis = "V"
+                ordered = (ra.id, rb.id) if dy > 0 else (rb.id, ra.id)
+                degenerate = dy == 0
+            else:
+                V.add((ra.id, rb.id) if dy > 0 else (rb.id, ra.id))
+                other_axis = "H"
+                ordered = (ra.id, rb.id) if dx > 0 else (rb.id, ra.id)
+                degenerate = dx == 0
+            if (
+                setting is Setting.STRONG
+                and not degenerate
+                and not map.adjacent(ra.id, rb.id)
+                and both_separators(boxes[ra.id], boxes[rb.id])
+            ):
+                (H if other_axis == "H" else V).add(ordered)
+                secondary.add((other_axis, ordered[0], ordered[1]))
+    return SeparationConstraintSet(
+        H=frozenset(H), V=frozenset(V), secondary=frozenset(secondary),
+        epsilon=epsilon, setting=setting, adjacencies=frozenset(map.edges),
+    )
+
+
+@st.composite
+def tied_square_maps(draw):
+    """Square maps whose centroids sit on a coarse lattice, so equal
+    coordinates, |dx| == |dy| and coincident centroids all occur."""
+    n = draw(st.integers(0, 9))
+    step = draw(st.sampled_from([1.0, 0.1, 3.7]))
+    coord = st.one_of(st.integers(0, 4).map(lambda k: k * step), st.floats(0, 4 * step))
+    # lattice sides make boxes that touch without overlapping
+    side = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.05, 2.0)).map(
+        lambda s: s * step
+    )
+    squares = {f"r{i}": (draw(coord), draw(coord), draw(side)) for i in range(n)}
+    ids = sorted(squares)
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = square_map(squares, set(edges))
+    if draw(st.booleans()):
+        # centroids drawn apart from the boxes, so a pair level in its other
+        # axis can still have boxes separated in both
+        regions = [replace(r, centroid=(draw(coord), draw(coord))) for r in g.regions]
+        g = replace(g, regions=regions)
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_square_maps(), st.sampled_from(list(Setting)))
+def test_derive_matches_pair_loop(g, setting):
+    try:
+        want = derive_by_pairs(g, 0.1, setting)
+    except ConstraintError as exc:
+        with pytest.raises(ConstraintError) as got:
+            derive_constraints(g, 0.1, setting)
+        assert str(got.value) == str(exc)
+        return
+    assert derive_constraints(g, 0.1, setting) == want
+
+
+def dfs_cycle_free(edges) -> bool:
+    """Reference acyclicity check: a recursive depth-first search."""
+    succ = {}
+    for a, b in edges:
+        succ.setdefault(a, []).append(b)
+    state = {}  # 1 on the current path, 2 finished
+
+    def visit(r):
+        state[r] = 1
+        for s in succ.get(r, ()):
+            if state.get(s) == 1 or (s not in state and not visit(s)):
+                return False
+        state[r] = 2
+        return True
+
+    return all(r in state or visit(r) for r in list(succ))
+
+
+@st.composite
+def random_constraint_sets(draw):
+    """Constraint sets over up to 7 regions whose H and V each follow a
+    random order, plus up to two arbitrary edges that may close a cycle,
+    and a random secondary marking."""
+    n = draw(st.integers(1, 7))
+    ids = [f"r{i}" for i in range(n)]
+    ordered = [(a, b) for a in ids for b in ids if a != b]
+
+    def edges():
+        if not ordered:
+            return frozenset()
+        order = draw(st.permutations(ids))
+        forward = [(a, b) for a, b in ordered if order.index(a) < order.index(b)]
+        picked = draw(st.lists(st.sampled_from(forward), unique=True, max_size=10))
+        return frozenset(picked + draw(st.lists(st.sampled_from(ordered), max_size=2)))
+
+    H, V = edges(), edges()
+    marked = sorted([("H", a, b) for a, b in H] + [("V", a, b) for a, b in V])
+    secondary = draw(st.lists(st.sampled_from(marked), unique=True)) if marked else []
+    return SeparationConstraintSet(
+        H=H, V=V, secondary=frozenset(secondary), epsilon=0.1, setting=Setting.STRONG,
+        adjacencies=frozenset(),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_constraint_sets())
+def test_validate_dag_matches_dfs(cs):
+    primary = {(a, b) for a, b in cs.H if not cs.is_secondary("H", (a, b))}
+    primary |= {(a, b) for a, b in cs.V if not cs.is_secondary("V", (a, b))}
+    graphs = [cs.H, cs.V, primary]
+    cycle = validate_dag(cs)
+    assert (cycle is None) == all(dfs_cycle_free(edges) for edges in graphs)
+    if cycle is not None:
+        assert len(set(cycle)) == len(cycle) >= 2
+        steps = set(zip(cycle, cycle[1:] + cycle[:1]))
+        assert any(steps <= edges for edges in graphs)
