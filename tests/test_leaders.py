@@ -362,8 +362,8 @@ def lattice_layouts(draw):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(solved_layouts(), lattice_layouts()))
 def test_router_matches_frozen_oracle(instance):
-    # the indexed router returns the old router's leaders and reasons, and
-    # every leader is minimal, monotone and crosses no square
+    # the router returns the oracle's leaders and reasons, and every
+    # leader is minimal, monotone and crosses no square
     import oracle_leaders
 
     g, cs, lay = instance

@@ -320,8 +320,7 @@ def test_reduced_lp_matches_full_lp_on_grids(cols, rows, jitter, seed, k, settin
 
 
 def derive_by_pairs(map, epsilon, setting):
-    """The pair loop ``derive_constraints`` ran before it became one array
-    pass, kept as a reference."""
+    """Reference derivation, one region pair at a time."""
     H, V, secondary = set(), set(), set()
     regions = sorted(map.regions, key=lambda r: r.id)
     boxes = {r.id: r.bbox() for r in regions}
