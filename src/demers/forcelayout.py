@@ -112,7 +112,8 @@ class _ForceField:
 
     Everything that does not depend on the positions (separation distances,
     their squares, the diagonal mask, degrees, quality-force stiffness) is
-    computed once here, so an iteration is one ``sweep``.
+    computed once here from the map's cached views, so an iteration is one
+    ``sweep``.
     """
 
     def __init__(
@@ -121,29 +122,21 @@ class _ForceField:
         sides: dict[str, float],
         cfg: ForceConfig,
     ) -> None:
-        self.ids = sorted(map.region_ids)
+        self.ids = map.sorted_ids
         self.cfg = cfg
         n = len(self.ids)
-        idx = {rid: i for i, rid in enumerate(self.ids)}
         s = np.array([sides[r] for r in self.ids])
         self.sides = s
         self.min_side = float(np.min(s))
-        gap = np.full((n, n), cfg.epsilon)
-        adj = np.zeros((n, n), dtype=bool)
-        for a, b in map.edge_list():
-            i, j = idx[a], idx[b]
-            adj[i, j] = adj[j, i] = True
-            gap[i, j] = gap[j, i] = 0.0
-        np.fill_diagonal(gap, 0.0)
-        self.adj = adj
+        self.adj = adj = map.adjacency_mask
+        gap = np.where(adj | np.eye(n, dtype=bool), 0.0, cfg.epsilon)
         self.m = (s[:, None] + s[None, :]) / 2.0 + gap
         self.m2 = self.m * self.m
         # added to the Chebyshev distances and the Euclidean norms, so no
         # square pushes or pulls itself
         self.diag_inf = np.zeros((n, n))
         np.fill_diagonal(self.diag_inf, np.inf)
-        centroids = {r.id: r.centroid for r in map.regions}
-        self.origins = np.array([centroids[r] for r in self.ids])
+        self.origins = map.centroid_array
         ox0, oy0 = self.origins.min(axis=0)
         ox1, oy1 = self.origins.max(axis=0)
         self.origin_diag = math.hypot(ox1 - ox0, oy1 - oy0)

@@ -10,7 +10,8 @@ stability scheme; the weights between the terms are the module constants
 
 ``LpProblem`` keeps its columns and its sparse rows as numpy arrays, which
 both solver engines read directly; the builders emit each constraint family
-with one bulk call over region-index arrays.
+with one bulk call over region-index arrays: the rows of the map's cached
+views (``AdjacencyGraph.pair_table`` and the others), shared by all blocks.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .mapdata import AdjacencyGraph, SideLengthTable
-from .sepconstraints import SeparationConstraintSet, Setting, adjacency_matrix
+from .sepconstraints import SeparationConstraintSet, Setting
 
 INF = math.inf
 
@@ -460,7 +461,7 @@ def _pair_key(a: str, b: str) -> str:
     return f"{x}__{y}"
 
 
-def _columns(prob: LpProblem, names: dict[str, str], ids: list[str]) -> np.ndarray:
+def _columns(prob: LpProblem, names: dict[str, str], ids: tuple[str, ...]) -> np.ndarray:
     return np.array([prob.col_index[names[rid]] for rid in ids], dtype=np.int64)
 
 
@@ -477,10 +478,7 @@ def _emit_block(
 
     Each constraint family is one bulk append over region-index arrays.
     """
-    ids = sorted(map.region_ids)
-    pos = {rid: i for i, rid in enumerate(ids)}
-    centroids = {r.id: r.centroid for r in map.regions}
-    cen = np.array([centroids[rid] for rid in ids], dtype=float).reshape(-1, 2)
+    ids, pos = map.sorted_ids, map.position
     side = np.array([sides[rid] for rid in ids], dtype=float)
     eps = cs.epsilon
     xc = prob.add_vars([f"x{tag}_{rid}" for rid in ids], -INF, INF)
@@ -533,18 +531,11 @@ def _emit_block(
         rhs = np.stack([ww - fix_h, ww - fix_v, ww - fix_h, ww - fix_v], axis=1)
         prob.add_rows(cols.reshape(-1, 3), [1.0, -1.0, -1.0], "<=", rhs.ravel())
 
-    # directional deviation from the centroid ray, one term per region pair;
-    # the transposed formula keeps the slope coefficient finite when the
-    # pair's dominant centroid distance is vertical
+    # directional deviation from the centroid ray, one term per map pair; the
+    # transposed formula keeps the slope finite on V pairs (coincident
+    # centroids give a NaN slope, which ``LpProblem.validate`` rejects)
     if spec.objective_kind is not ObjectiveKind.CNT and len(ids) > 1:
-        ia, ib = np.triu_indices(len(ids), 1)
-        dx = cen[ib, 0] - cen[ia, 0]
-        dy = cen[ib, 1] - cen[ia, 1]
-        same = np.flatnonzero((dx == 0.0) & (dy == 0.0))
-        if same.size:
-            a, b = ids[ia[same[0]]], ids[ib[same[0]]]
-            raise ModelError(f"coincident centroids for {a!r} and {b!r}")
-        horiz = np.abs(dx) >= np.abs(dy)
+        ia, ib, dx, dy, horiz = map.pair_table
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = np.where(horiz, dy / dx, dx / dy)
         slope[np.abs(slope) <= SLOPE_ROUNDOFF] = 0.0
@@ -564,14 +555,13 @@ def _emit_block(
         prob.add_rows(
             np.repeat(cols, 2, axis=0), vals.reshape(-1, 5), "<=", 0.0
         )
-        adjacent = adjacency_matrix(cs.adjacencies, pos)
-        boost = np.where(adjacent[ia, ib], ADJACENT_DIRECTION_BOOST, 1.0)
+        boost = np.where(map.adjacency_mask[ia, ib], ADJACENT_DIRECTION_BOOST, 1.0)
         prob.add_objective_terms(d, SECONDARY_WEIGHT * boost)
 
     if spec.objective_kind is ObjectiveKind.TOP:
         prob.add_objective_terms(hv, 1.0)
     elif spec.objective_kind is ObjectiveKind.ORG:
-        _emit_displacement(prob, f"o{tag}", ids, xc, yc, cen, 1.0)
+        _emit_displacement(prob, f"o{tag}", ids, xc, yc, map.centroid_array, 1.0)
     elif spec.objective_kind is ObjectiveKind.CNT:
         n = len(ids)
         big_m = 2.0 * (sum(sides.values()) + max(0, n - 1) * eps)
@@ -592,14 +582,10 @@ def _emit_block(
     )
 
 
-def _points(points: dict[str, Point], ids: list[str]) -> np.ndarray:
-    return np.array([points[rid] for rid in ids], dtype=float).reshape(-1, 2)
-
-
 def _emit_displacement(
     prob: LpProblem,
     tag: str,
-    ids: list[str],
+    ids: tuple[str, ...],
     xc: np.ndarray,
     yc: np.ndarray,
     targets: np.ndarray,
@@ -624,7 +610,7 @@ def _emit_displacement(
 
 def _emit_coupling(
     prob: LpProblem,
-    ids: list[str],
+    ids: tuple[str, ...],
     bi: BlockMeta,
     bj: BlockMeta,
     weight: float,
@@ -657,7 +643,7 @@ def _model(
         problem=prob,
         blocks=blocks,
         cs=cs,
-        region_ids=sorted(map.region_ids),
+        region_ids=list(map.sorted_ids),
         diagonal=map.diagonal(),
         spec=spec,
     )
@@ -730,13 +716,12 @@ def build_multi_lp(
     prob = LpProblem(
         name=f"demers_{spec.objective_kind.value}_{spec.stability.value}_k{k}"
     )
-    ids = sorted(map.region_ids)
     blocks = [
         _emit_block(prob, str(i), i, map, table.function_sides(i), cs, spec)
         for i in range(k)
     ]
     for i, j in _coupling_pairs(k, spec.stability):
-        _emit_coupling(prob, ids, blocks[i], blocks[j], STABILITY_WEIGHT)
+        _emit_coupling(prob, map.sorted_ids, blocks[i], blocks[j], STABILITY_WEIGHT)
     return _model(prob, blocks, map, cs, spec)
 
 
@@ -771,7 +756,7 @@ class IterativeSequence:
         if i > 0 and previous_centers is None:
             raise ModelError(f"step {i} needs the previously solved centers")
         spec = self.spec
-        ids = sorted(self.map.region_ids)
+        ids = self.map.sorted_ids
         prob = LpProblem(
             name=f"demers_{spec.objective_kind.value}_IT_step{i}"
         )
@@ -784,18 +769,16 @@ class IterativeSequence:
             # Other objectives get the origin term only as an anchor and
             # tie-breaker, weighted so it cannot distort the primary optimum.
             if spec.objective_kind is not ObjectiveKind.ORG:
-                origins = {r.id: r.centroid for r in self.map.regions}
                 _emit_displacement(
-                    prob, "it", ids, xc, yc, _points(origins, ids),
-                    SECONDARY_WEIGHT,
+                    prob, "it", ids, xc, yc, self.map.centroid_array, SECONDARY_WEIGHT
                 )
         else:
             missing = set(ids) - set(previous_centers)
             if missing:
                 raise ModelError(f"previous solution missing regions {sorted(missing)}")
+            previous = np.array([previous_centers[rid] for rid in ids], dtype=float)
             _emit_displacement(
-                prob, "it", ids, xc, yc, _points(previous_centers, ids),
-                STABILITY_WEIGHT,
+                prob, "it", ids, xc, yc, previous.reshape(-1, 2), STABILITY_WEIGHT
             )
         return _model(prob, [block], self.map, self.cs, spec)
 

@@ -4,6 +4,10 @@ Reads a GeoJSON FeatureCollection into an adjacency graph (regions touch when
 their polygons share a boundary segment of positive length), reads weight CSV
 tables, and scales weights into square side lengths so that the largest value
 maps to a quarter of the map's bounding-box diagonal.
+
+``AdjacencyGraph`` caches read-only views in sorted-id row order (``sorted_ids``,
+``position``, ``centroid_array``, ``adjacency_mask`` and the all-pairs
+``pair_table``); separation constraints, LP model and force layout read them.
 """
 
 from __future__ import annotations
@@ -11,9 +15,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 Point = tuple[float, float]
 Ring = list[Point]
@@ -49,6 +57,17 @@ class Region:
         return min(xs), min(ys), max(xs), max(ys)
 
 
+# Row pairs ia < ib in ``np.triu_indices`` order, the centroid offsets of ib
+# from ia, and ``horiz``: H is primary when |dx| >= |dy|, ties and coincident
+# centroids included. Building the table never raises.
+PairTable = namedtuple("PairTable", "ia ib dx dy horiz")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class AdjacencyGraph:
     """Regions plus the set of unordered adjacent region-id pairs."""
@@ -71,21 +90,42 @@ class AdjacencyGraph:
     def region_ids(self) -> list[str]:
         return [r.id for r in self.regions]
 
-    def adjacent(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self.edges
+    @cached_property
+    def sorted_ids(self) -> tuple[str, ...]:
+        return tuple(sorted(self.region_ids))
+
+    @cached_property
+    def position(self) -> dict[str, int]:
+        return {rid: i for i, rid in enumerate(self.sorted_ids)}
+
+    @cached_property
+    def centroid_array(self) -> np.ndarray:
+        cen = {r.id: r.centroid for r in self.regions}
+        return _read_only(np.array([cen[r] for r in self.sorted_ids]).reshape(-1, 2))
+
+    @cached_property
+    def adjacency_mask(self) -> np.ndarray:
+        adj = np.zeros((len(self.regions),) * 2, dtype=bool)
+        rows = [[self.position[r] for r in e] for e in self.edges]
+        i, j = np.array(rows, dtype=np.int64).reshape(-1, 2).T
+        adj[i, j] = adj[j, i] = True
+        return _read_only(adj)
+
+    @cached_property
+    def pair_table(self) -> PairTable:
+        ia, ib = np.triu_indices(len(self.regions), 1)
+        cen = self.centroid_array
+        dx = cen[ib, 0] - cen[ia, 0]
+        dy = cen[ib, 1] - cen[ia, 1]
+        horiz = np.abs(dx) >= np.abs(dy)
+        return PairTable(*(_read_only(a) for a in (ia, ib, dx, dy, horiz)))
 
     def edge_list(self) -> list[tuple[str, str]]:
         """Edges as sorted ordered pairs, in deterministic order."""
         return sorted(tuple(sorted(e)) for e in self.edges)
 
     def bbox(self) -> tuple[float, float, float, float]:
-        boxes = [r.bbox() for r in self.regions]
-        return (
-            min(b[0] for b in boxes),
-            min(b[1] for b in boxes),
-            max(b[2] for b in boxes),
-            max(b[3] for b in boxes),
-        )
+        return _bbox_of([r.bbox() for r in self.regions])
 
     def diagonal(self) -> float:
         x0, y0, x1, y1 = self.bbox()
@@ -260,10 +300,11 @@ def load_map(geojson_path: str | Path) -> AdjacencyGraph:
     if not regions:
         raise MapDataError("empty FeatureCollection")
 
-    diag = _diag_of(regions)
+    boxes = {r.id: r.bbox() for r in regions}
+    x0, y0, x1, y1 = _bbox_of(boxes.values())
+    diag = math.hypot(x1 - x0, y1 - y0)
     tol = ADJACENCY_SNAP * diag if diag > 0 else ADJACENCY_SNAP
     edges = set()
-    boxes = {r.id: r.bbox() for r in regions}
     for i, ra in enumerate(regions):
         for rb in regions[i + 1 :]:
             if not _boxes_near(boxes[ra.id], boxes[rb.id], tol):
@@ -298,12 +339,9 @@ def _to_point(pt) -> Point:
     return (float(pt[0]), float(pt[1]))
 
 
-def _diag_of(regions: list[Region]) -> float:
-    boxes = [r.bbox() for r in regions]
-    return math.hypot(
-        max(b[2] for b in boxes) - min(b[0] for b in boxes),
-        max(b[3] for b in boxes) - min(b[1] for b in boxes),
-    )
+def _bbox_of(boxes) -> tuple[float, float, float, float]:
+    x0, y0, x1, y1 = zip(*boxes)
+    return min(x0), min(y0), max(x1), max(y1)
 
 
 def _boxes_near(a, b, tol: float) -> bool:

@@ -3,7 +3,8 @@
 Every region pair gets a primary constraint in H (left-of) or V (below),
 chosen by whichever centroid distance is larger. The strong setting adds a
 gap-free secondary constraint in the other axis for nonadjacent pairs whose
-bounding boxes are separated in both axes.
+bounding boxes are separated in both axes. Pairs and the primary-axis rule
+come from the map's cached ``pair_table`` (see ``mapdata``).
 """
 
 from __future__ import annotations
@@ -121,23 +122,18 @@ def derive_constraints(
     exact ties go to H. Strong setting: nonadjacent pairs whose bounding boxes
     are strictly separated in both axes also get a secondary constraint in the
     other axis, oriented by centroid order in that axis; a pair level in that
-    axis gets none. One array pass over all pairs of the regions sorted by id.
+    axis gets none. One array pass over the map's ``pair_table``.
     """
-    regions = sorted(map.regions, key=lambda r: r.id)
-    ids = np.array([r.id for r in regions], dtype=object)
-    n = len(regions)
-    cen = np.array([r.centroid for r in regions], dtype=float).reshape(n, 2)
-    box = np.array([r.bbox() for r in regions], dtype=float).reshape(n, 4)
-    ia, ib = np.triu_indices(n, 1)
-    dx = cen[ib, 0] - cen[ia, 0]
-    dy = cen[ib, 1] - cen[ia, 1]
+    ids = np.array(map.sorted_ids, dtype=object)
+    box = np.array([r.bbox() for r in sorted(map.regions, key=lambda r: r.id)],
+                   dtype=float).reshape(-1, 4)
+    ia, ib, dx, dy, horiz = map.pair_table
     same = np.flatnonzero((dx == 0) & (dy == 0))
     if same.size:
         k = same[0]
         raise ConstraintError(
             f"coincident centroids for {ids[ia[k]]!r} and {ids[ib[k]]!r}"
         )
-    horiz = np.abs(dx) >= np.abs(dy)
     main = np.where(horiz, dx, dy)  # signed distance in the primary axis
     other = np.where(horiz, dy, dx)  # and in the other axis
 
@@ -151,10 +147,9 @@ def derive_constraints(
     V = ordered(~horiz, main)
     secondary: set[tuple[str, str, str]] = set()
     if setting is Setting.STRONG:
-        adjacent = adjacency_matrix(map.edges, {rid: i for i, rid in enumerate(ids.tolist())})
         x_sep = (box[ia, 2] < box[ib, 0]) | (box[ib, 2] < box[ia, 0])
         y_sep = (box[ia, 3] < box[ib, 1]) | (box[ib, 3] < box[ia, 1])
-        extra = (other != 0) & ~adjacent[ia, ib] & x_sep & y_sep
+        extra = (other != 0) & ~map.adjacency_mask[ia, ib] & x_sep & y_sep
         for axis, target, mask in (("V", V, extra & horiz), ("H", H, extra & ~horiz)):
             pairs = ordered(mask, other)
             target |= pairs
@@ -167,17 +162,6 @@ def derive_constraints(
         setting=setting,
         adjacencies=frozenset(map.edges),
     )
-
-
-def adjacency_matrix(edges, pos: dict[str, int]) -> np.ndarray:
-    """Symmetric boolean matrix of the two-region ``edges`` whose regions
-    both have an index in ``pos``."""
-    adjacent = np.zeros((len(pos), len(pos)), dtype=bool)
-    for edge in edges:
-        if len(edge) == 2 and all(r in pos for r in edge):
-            i, j = (pos[r] for r in edge)
-            adjacent[i, j] = adjacent[j, i] = True
-    return adjacent
 
 
 def validate_dag(cs: SeparationConstraintSet) -> list[str] | None:

@@ -7,6 +7,7 @@ from conftest import leader_crossings, polyline_monotone, square_map
 from demers.layout import SquareLayout, decode, l1_gap
 from demers.leaders import (
     LeaderError,
+    RoutingReport,
     all_leaders,
     lost_adjacencies,
     min_leader,
@@ -263,62 +264,75 @@ class TestOnSolvedLayouts:
 
 
 class TestRetryWithoutMinimality:
-    """``all_leaders`` routes a pair again without the minimality hypothesis
-    exactly when the minimal construction raises ``NotMinimalError``."""
+    """``all_leaders`` routes each lost pair once, without the minimality
+    hypothesis: these pin which leaders come out and each unroutable
+    pair's reason."""
 
-    def route(self, monkeypatch, squares, edges, cs=None):
-        from demers import leaders
-
+    def route(self, squares, edges, cs=None):
         g, derived, lay = layout_for(squares, edges)
-        calls = []
-        real = leaders._route_minimal
+        return all_leaders(lay, derived if cs is None else cs, g)
 
-        def spy(*args, **kwargs):
-            calls.append(kwargs.get("require_minimal", True))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(leaders, "_route_minimal", spy)
-        routed, report = all_leaders(lay, derived if cs is None else cs, g)
-        return routed, report, calls
-
-    def test_pair_not_minimal_is_routed_on_retry(self, monkeypatch):
+    def test_pair_not_minimal_is_routed(self):
+        # mid sits x-between a and b with H constraints to both, but leaves
+        # the shared strip's midline free
         squares = {"a": (0, 0, 2.0), "mid": (5, 1, 2.0), "b": (10, 0, 2.0)}
-        routed, report, calls = self.route(monkeypatch, squares, {("a", "b")})
-        assert calls == [True, False]
-        assert [ld.endpoints for ld in routed] == [("a", "b")]
-        assert report.unroutable == ()
+        routed, report = self.route(squares, {("a", "b")})
+        assert [(ld.endpoints, ld.polyline) for ld in routed] == [
+            (("a", "b"), ((1.0, 0.0), (9.0, 0.0)))
+        ]
+        assert report == RoutingReport(routed=1, unroutable=())
 
-    def test_blocked_minimal_pair_is_retried(self, monkeypatch):
+    def test_blocked_minimal_pair_is_reported(self):
         # the tall square is V-related to both, so (a, b) is minimal in H,
         # but it covers the whole shared strip
         squares = {"a": (0, 0, 2.0), "tall": (5, 6, 14.2), "b": (10, 0, 2.0)}
-        routed, report, calls = self.route(monkeypatch, squares, {("a", "b")})
-        assert calls == [True, False]
+        routed, report = self.route(squares, {("a", "b")})
         assert routed == []
-        [(_, _, reason)] = report.unroutable
-        assert reason.startswith("no crossing-free minimal leader")
+        assert report.unroutable == (
+            ("a", "b", "no crossing-free minimal leader for ('a', 'b'); "
+                       "blocked by ['tall']"),
+        )
 
-    def test_walled_off_pair_is_not_retried(self, monkeypatch):
+    def test_walled_off_pair_is_not_retried(self):
         # the wall's id puts "minimal" into the error text
         squares = {"r1": (0, 0, 2.0), "r2": (6, 6, 2.0), "minimal": (4.5, 3, 4.2)}
-        routed, report, calls = self.route(monkeypatch, squares, {("r1", "r2")})
-        assert calls == [True]
+        routed, report = self.route(squares, {("r1", "r2")})
         assert routed == []
         assert report.unroutable == (
             ("r1", "r2", "corridor for ('r1', 'r2') is walled off by 'minimal'"),
         )
 
-    def test_pair_without_constraint_is_not_retried(self, monkeypatch):
+    def test_pair_without_constraint_is_not_retried(self):
         import dataclasses
 
         squares = {"minimal_a": (0, 0, 2.0), "b": (8, 0, 2.0)}
         _, cs, _ = layout_for(squares, {("minimal_a", "b")})
         bare = dataclasses.replace(cs, H=frozenset(), V=frozenset(), secondary=frozenset())
-        routed, report, calls = self.route(monkeypatch, squares, {("minimal_a", "b")}, bare)
-        assert calls == [True]
+        routed, report = self.route(squares, {("minimal_a", "b")}, bare)
         assert routed == []
-        [(_, _, reason)] = report.unroutable
-        assert "no separation constraint" in reason
+        assert report.unroutable == (
+            ("b", "minimal_a", "pair ('b', 'minimal_a') has no separation constraint"),
+        )
+
+
+def test_lost_pair_of_layout_without_diagonal_is_routed():
+    # a layout read back from JSON carries no diagonal; the gap (5e-7) is
+    # above LOST_TOL of the map's diagonal (0.224), so the pair is lost and
+    # gets its leader instead of being called intact
+    from demers.layout import layout_from_json
+
+    g = square_map({"a": (0.05, 0.05, 0.1), "b": (0.15, 0.05, 0.1)}, {("a", "b")})
+    cs = derive_constraints(g, 0.01, Setting.WEAK)
+    lay = layout_from_json({"regions": [
+        {"id": "a", "cx": 0.05, "cy": 0.05, "side": 0.1},
+        {"id": "b", "cx": 0.15 + 5e-7, "cy": 0.05, "side": 0.1},
+    ]})
+    assert lay.diagonal == 0.0
+    assert lost_adjacencies(lay, g) == [("a", "b")]
+    routed, report = all_leaders(lay, cs, g)
+    assert report == RoutingReport(routed=1, unroutable=())
+    [ld] = routed
+    assert ld.length == pytest.approx(l1_gap(lay, "a", "b"), rel=1e-9)
 
 
 @st.composite

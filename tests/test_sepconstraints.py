@@ -350,7 +350,7 @@ def derive_by_pairs(map, epsilon, setting):
             if (
                 setting is Setting.STRONG
                 and not degenerate
-                and not map.adjacent(ra.id, rb.id)
+                and frozenset((ra.id, rb.id)) not in map.edges
                 and both_separators(boxes[ra.id], boxes[rb.id])
             ):
                 (H if other_axis == "H" else V).add(ordered)
