@@ -22,7 +22,7 @@ Point = tuple[float, float]
 
 SCHEMA_VERSION = 1
 
-# solver round-off allowance, relative to the map diagonal
+# solver round-off allowance, relative to ``SquareLayout.reference_diagonal``
 VALIDITY_TOL = 1e-6
 
 
@@ -58,6 +58,15 @@ class SquareLayout:
             max(r[2] for r in rects),
             max(r[3] for r in rects),
         )
+
+    def reference_diagonal(self) -> float:
+        """The length tolerances and drawing sizes are relative to: the map's
+        diagonal, else (``layout_from_json`` sets none) the diagonal of the
+        squares' bounding box, else 1."""
+        if self.diagonal or not self.centers:
+            return self.diagonal or 1.0
+        x0, y0, x1, y1 = self.bbox()
+        return ((x1 - x0) ** 2 + (y1 - y0) ** 2) ** 0.5 or 1.0
 
     def translated(self, dx: float, dy: float) -> "SquareLayout":
         return SquareLayout(
@@ -142,7 +151,7 @@ def validity_violations(layout: SquareLayout) -> list[Violation]:
     cs = layout.constraint_ref
     if cs is None:
         raise LayoutError("layout has no constraint set to validate against")
-    tol = VALIDITY_TOL * (layout.diagonal or 1.0)
+    tol = VALIDITY_TOL * layout.reference_diagonal()
     ids = layout.region_ids()
     pos = {rid: i for i, rid in enumerate(ids)}
     centers = np.array([layout.centers[r] for r in ids], dtype=float).reshape(-1, 2)

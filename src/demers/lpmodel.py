@@ -198,15 +198,17 @@ class LpProblem:
         if relation not in _SENSE_CODE:
             raise ModelError(f"bad relation {relation!r}")
         cols = np.asarray(cols, dtype=np.int64)
-        vals = np.broadcast_to(np.asarray(vals, dtype=float), cols.shape).ravel()
         m = cols.shape[0]
+        full_vals, full_rhs = np.empty(cols.shape), np.empty(m)
+        full_vals[...], full_rhs[...] = vals, rhs  # broadcast
+        vals = full_vals.ravel()
         rows = np.repeat(np.arange(self.num_rows, self.num_rows + m), cols.shape[1])
         keep = vals != 0.0
         self._row.extend(rows[keep])
         self._col.extend(cols.ravel()[keep])
         self._val.extend(vals[keep])
         self._sense.extend(np.full(m, _SENSE_CODE[relation], dtype=np.int8))
-        self._rhs.extend(np.broadcast_to(np.asarray(rhs, dtype=float), (m,)))
+        self._rhs.extend(full_rhs)
         if names is not None:
             self.row_names.update(zip(range(self.num_rows, self.num_rows + m), names))
         self.num_rows += m
@@ -519,16 +521,12 @@ def _emit_block(
     if edges:
         ea, eb = index(a for a, _ in edges), index(b for _, b in edges)
         ww = w(ea, eb)
-        fix_h = np.where(on_v, eps, 0.0)
-        fix_v = np.where(on_v, 0.0, eps)
+        rhs_h = ww - np.where(on_v, eps, 0.0)
+        rhs_v = ww - np.where(on_v, 0.0, eps)
         # per edge: x and y rows for (a, b), then for (b, a)
-        cols = np.stack([
-            np.stack([xc[ea], xc[eb], h], axis=1),
-            np.stack([yc[ea], yc[eb], v], axis=1),
-            np.stack([xc[eb], xc[ea], h], axis=1),
-            np.stack([yc[eb], yc[ea], v], axis=1),
-        ], axis=1)
-        rhs = np.stack([ww - fix_h, ww - fix_v, ww - fix_h, ww - fix_v], axis=1)
+        xa, xb, ya, yb = xc[ea], xc[eb], yc[ea], yc[eb]
+        cols = np.stack([xa, xb, h, ya, yb, v, xb, xa, h, yb, ya, v], axis=1)
+        rhs = np.stack([rhs_h, rhs_v, rhs_h, rhs_v], axis=1)
         prob.add_rows(cols.reshape(-1, 3), [1.0, -1.0, -1.0], "<=", rhs.ravel())
 
     # directional deviation from the centroid ray, one term per map pair; the
@@ -544,14 +542,13 @@ def _emit_block(
             for i, j, hz in zip(ia.tolist(), ib.tolist(), horiz.tolist())
         ])
         # H: y_a - y_b + slope (x_b - x_a); V: x_a - x_b + slope (y_b - y_a)
-        main = np.where(horiz, yc[ia], xc[ia]), np.where(horiz, yc[ib], xc[ib])
-        cross = np.where(horiz, xc[ib], yc[ib]), np.where(horiz, xc[ia], yc[ia])
-        cols = np.stack([main[0], main[1], cross[0], cross[1], d], axis=1)
+        xy, main = np.stack([xc, yc]), horiz.astype(np.intp)  # y columns for H pairs
+        cols = np.stack([xy[main, ia], xy[main, ib], xy[1 - main, ib], xy[1 - main, ia], d],
+                        axis=1)
         one = np.ones_like(slope)
-        expr = np.stack([one, -one, slope, -slope], axis=1)
-        vals = np.stack([
-            np.column_stack([expr, -one]), np.column_stack([-expr, -one]),
-        ], axis=1)
+        # per pair: expr - d <= 0, then -expr - d <= 0
+        upper = np.stack([one, -one, slope, -slope, -one], axis=1)
+        vals = np.stack([upper, upper * [-1.0, -1.0, -1.0, -1.0, 1.0]], axis=1)
         prob.add_rows(
             np.repeat(cols, 2, axis=0), vals.reshape(-1, 5), "<=", 0.0
         )
@@ -600,11 +597,10 @@ def _emit_displacement(
     px, py = pxy[0::2], pxy[1::2]
     tx, ty = targets[:, 0], targets[:, 1]
     # per region: x - px <= tx, -x - px <= -tx, then the same for y
-    cols = np.stack([np.stack([xc, px], axis=1)] * 2 + [np.stack([yc, py], axis=1)] * 2,
-                    axis=1)
-    vals = np.broadcast_to([[1.0, -1.0], [-1.0, -1.0]] * 2, cols.shape)
+    cols = np.stack([xc, px, xc, px, yc, py, yc, py], axis=1).reshape(-1, 2)
+    vals = np.tile([[1.0, -1.0], [-1.0, -1.0]], (2 * len(ids), 1))
     rhs = np.stack([tx, -tx, ty, -ty], axis=1)
-    prob.add_rows(cols.reshape(-1, 2), vals.reshape(-1, 2), "<=", rhs.ravel())
+    prob.add_rows(cols, vals, "<=", rhs.ravel())
     prob.add_objective_terms(pxy, weight)
 
 
@@ -620,12 +616,7 @@ def _emit_coupling(
     cxy = prob.add_vars([f"{p}_{rid}_{i}_{j}" for rid in ids for p in ("cx", "cy")])
     cx, cy = cxy[0::2], cxy[1::2]
     xi, xj, yi, yj = (_columns(prob, names, ids) for names in (bi.x, bj.x, bi.y, bj.y))
-    cols = np.stack([
-        np.stack([xi, xj, cx], axis=1),
-        np.stack([xj, xi, cx], axis=1),
-        np.stack([yi, yj, cy], axis=1),
-        np.stack([yj, yi, cy], axis=1),
-    ], axis=1)
+    cols = np.stack([xi, xj, cx, xj, xi, cx, yi, yj, cy, yj, yi, cy], axis=1)
     prob.add_rows(cols.reshape(-1, 3), [1.0, -1.0, -1.0], "<=", 0.0)
     prob.add_objective_terms(cxy, weight)
 

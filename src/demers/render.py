@@ -42,7 +42,7 @@ def render_svg(
         for px, py in leader.polyline:
             x0, y0 = min(x0, px), min(y0, py)
             x1, y1 = max(x1, px), max(y1, py)
-    diag = layout.diagonal or ((x1 - x0) ** 2 + (y1 - y0) ** 2) ** 0.5 or 1.0
+    diag = layout.reference_diagonal()
     pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)  # margin around the drawing
     width = (x1 - x0) + 2 * pad
     height = (y1 - y0) + 2 * pad

@@ -228,3 +228,21 @@ def perturbed_layouts(draw):
 @given(perturbed_layouts())
 def test_vectorized_violations_match_scalar_reference(layout):
     assert validity_violations(layout) == violations_by_loop(layout)
+
+
+def test_layout_without_a_diagonal_measures_by_its_squares():
+    # two 0.1 x 0.1 squares overlapping by 5e-7 on a map of diagonal 0.224:
+    # the overlap is below 1e-6 x 1 but above 1e-6 x 0.224, so a layout read
+    # back from JSON (no diagonal) must fail as the solved one does
+    g = square_map({"a": (0.05, 0.05, 0.1), "b": (0.15, 0.05, 0.1)}, {("a", "b")})
+    cs = derive_constraints(g, 0.01, Setting.WEAK)
+    squares = {"a": (0.05, 0.05, 0.1), "b": (0.15 - 5e-7, 0.05, 0.1)}
+    solved = layout_of(squares, cs, diagonal=g.diagonal())
+    loaded = layout_of(squares, cs, diagonal=0.0)
+    assert g.diagonal() == pytest.approx(0.2236, abs=1e-4)
+    assert loaded.reference_diagonal() == pytest.approx(0.2236, abs=1e-4)
+    kinds = [(v.kind, v.pair) for v in validity_violations(loaded)]
+    assert kinds == [("separation[H]", ("a", "b")), ("interior-disjoint", ("a", "b"))]
+    for v in validity_violations(loaded):
+        assert v.amount == pytest.approx(5e-7, rel=1e-6)
+    assert validity_violations(loaded) == validity_violations(solved)

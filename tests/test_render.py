@@ -57,6 +57,15 @@ class TestRenderSvg:
         )
         assert widths == pytest.approx(sorted(abc_layout.sides.values()), abs=1e-6)
 
+    def test_layout_without_a_diagonal_draws_by_its_squares(self, abc_layout):
+        # the fallback validity_violations uses: the squares' bounding box
+        loaded = SquareLayout(dict(abc_layout.centers), dict(abc_layout.sides))
+        sized = SquareLayout(dict(abc_layout.centers), dict(abc_layout.sides),
+                             diagonal=loaded.reference_diagonal())
+        x0, y0, x1, y1 = abc_layout.bbox()
+        assert loaded.reference_diagonal() == ((x1 - x0) ** 2 + (y1 - y0) ** 2) ** 0.5
+        assert render_svg(loaded) == render_svg(sized)
+
     def test_labels_toggle(self, abc_layout):
         assert "<text" not in render_svg(abc_layout)
         assert "<text" in render_svg(abc_layout, labels=True)
