@@ -9,7 +9,7 @@ force-directed baseline lives in ``forcelayout``; ``cli`` ties everything
 into the ``demers`` command.
 """
 
-from .forcelayout import ForceConfig, FrcResult, InitMode, QualityForce, force_step, run_frc
+from .forcelayout import ForceConfig, FrcResult, InitMode, QualityForce, run_frc
 from .layout import (
     SquareLayout,
     anchor_to_origins,
@@ -86,7 +86,6 @@ __all__ = [
     "decode",
     "derive_constraints",
     "evaluate",
-    "force_step",
     "interpolate",
     "l1_gap",
     "load_map",

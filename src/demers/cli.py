@@ -113,9 +113,6 @@ class RunConfig:
     variant: str
     out_dir: str | None = None
     kind: WeightKind = WeightKind.TIME_SERIES
-    # accepted and ignored: no stage draws random numbers, so runs are
-    # deterministic without it
-    seed: int = 0
     area_proportional: bool = False
     engine: str = "auto"
     lp_time_limit: float = 60.0

@@ -5,11 +5,10 @@ Chebyshev penetration) and are attracted either to their map origins or to
 their topological neighbors. Forces are rescaled globally each step so no
 square can jump over another. ``run_frc`` caps each region's step per axis
 by a local stiffness (Newton) estimate, so contacts settle instead of
-bouncing, and applies all steps synchronously; ``force_step`` applies the
-rescaled force alone. Separation constraints play no role here, so the
-result may keep slight overlaps. ``ForceConfig`` holds what a run chooses
-(quality force, initialization, gap, iteration cap); the force law itself
-is fixed by the module constants ``DISJOINTNESS_SCALE``,
+bouncing, and applies all steps synchronously. Separation constraints play
+no role here, so the result may keep slight overlaps. ``ForceConfig`` holds
+what a run chooses (quality force, initialization, gap, iteration cap); the
+force law itself is fixed by the module constants ``DISJOINTNESS_SCALE``,
 ``CONVERGENCE_THRESHOLD`` and ``OVER_RELAX``.
 
 Each iteration is one pass over the n x n pair arrays (``_ForceField.sweep``):
@@ -33,8 +32,6 @@ import numpy as np
 
 from .layout import SquareLayout, overlap_area, total_square_area
 from .mapdata import AdjacencyGraph
-
-Point = tuple[float, float]
 
 
 class QualityForce(Enum):
@@ -205,29 +202,12 @@ class _ForceField:
         move = np.sign(clamped) * np.minimum(np.abs(clamped), newton)
         return _Sweep(raw, clamped, move)
 
-    def forces(self, pos: np.ndarray) -> np.ndarray:
-        """Raw force on every region, an (n, 2) array, for (n, 2) centres."""
-        return self.sweep(pos.T).raw.T
-
     def rescale(self, f: np.ndarray) -> np.ndarray:
         norms = np.hypot(f[:, 0], f[:, 1])
         peak = float(norms.max()) if norms.size else 0.0
         if peak > self.min_side:
             return f * (self.min_side / peak)
         return f
-
-
-def force_step(
-    centers: dict[str, Point],
-    sides: dict[str, float],
-    map: AdjacencyGraph,
-    cfg: ForceConfig,
-) -> dict[str, Point]:
-    """One synchronous update of all square centers by the clamped force."""
-    field = _ForceField(map, sides, cfg)
-    pos = np.array([centers[r] for r in field.ids]).T
-    new = pos + field.sweep(pos).clamped
-    return {r: (float(new[0, i]), float(new[1, i])) for i, r in enumerate(field.ids)}
 
 
 def run_frc(

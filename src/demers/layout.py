@@ -62,7 +62,9 @@ class SquareLayout:
     def reference_diagonal(self) -> float:
         """The length tolerances and drawing sizes are relative to: the map's
         diagonal, else (``layout_from_json`` sets none) the diagonal of the
-        squares' bounding box, else 1."""
+        squares' bounding box, else 1. ``validity_violations``, the leaders'
+        and metrics' lost-adjacency test (``leaders.LOST_TOL``) and
+        ``render_svg`` all read this one scale."""
         if self.diagonal or not self.centers:
             return self.diagonal or 1.0
         x0, y0, x1, y1 = self.bbox()

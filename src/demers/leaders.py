@@ -9,6 +9,11 @@ corners of the blocking squares. A two-bend variant ascends to the first
 blocker bottom, crosses, and closes; its bend bound needs constraints from
 the strong setting.
 
+An adjacency is lost when its L1 gap exceeds ``LOST_TOL`` of
+``SquareLayout.reference_diagonal()``: the one rule that
+``lost_adjacencies``, ``all_leaders``, ``min_leader``, ``two_bend_leader``
+and, through ``lost_adjacencies``, ``metrics.madj`` read.
+
 ``all_leaders`` routes the minimal construction once per lost adjacency.
 Its ``RoutingReport`` counts the leaders routed and lists each unroutable
 pair with the reason; ``two_bend_leader`` is called directly.
@@ -33,7 +38,9 @@ from .sepconstraints import SeparationConstraintSet
 Point = tuple[float, float]
 Rect = tuple[float, float, float, float]  # xmin, ymin, xmax, ymax
 
-LOST_TOL = 1e-6  # of the diagonal: an adjacency with a larger gap is lost
+# of ``SquareLayout.reference_diagonal``, the scale leaders and metrics read:
+# an adjacency with a larger gap is lost
+LOST_TOL = 1e-6
 
 
 class LeaderError(ValueError):
@@ -387,7 +394,7 @@ def min_leader(
     layout: SquareLayout, cs: SeparationConstraintSet, r1: str, r2: str
 ) -> Leader:
     """Minimal-length monotone leader between a lost adjacency's squares."""
-    _check_endpoints(layout, cs, r1, r2, _lost_tol(layout))
+    _check_endpoints(layout, cs, r1, r2)
     return _route_minimal(layout, cs, r1, r2)
 
 
@@ -406,7 +413,7 @@ def two_bend_leader(
 
     if cs.setting is not Setting.STRONG:
         raise LeaderError("two-bend leaders need strong-setting constraints")
-    _check_endpoints(layout, cs, r1, r2, _lost_tol(layout))
+    _check_endpoints(layout, cs, r1, r2)
     frames = _FrameRects(layout)
     frame, a, b = _canonical(frames, cs, r1, r2, require_minimal=False)
     rects = frames[frame]
@@ -435,23 +442,23 @@ def two_bend_leader(
     )
 
 
-def _lost_tol(layout: SquareLayout, map: AdjacencyGraph | None = None) -> float:
-    """Gap above which an adjacency is lost: ``LOST_TOL`` of the layout's
-    diagonal, else (``layout_from_json`` sets none) of the map's, else of 1."""
-    return LOST_TOL * (layout.diagonal or (map.diagonal() if map is not None else 1.0))
+def _lost_tol(layout: SquareLayout) -> float:
+    """Gap above which an adjacency is lost: ``LOST_TOL`` of
+    ``layout.reference_diagonal()``."""
+    return LOST_TOL * layout.reference_diagonal()
 
 
 def _check_endpoints(
-    layout: SquareLayout, cs: SeparationConstraintSet, r1: str, r2: str, tol: float
+    layout: SquareLayout, cs: SeparationConstraintSet, r1: str, r2: str
 ) -> None:
     if not cs.is_adjacent(r1, r2):
         raise LeaderError(f"({r1!r}, {r2!r}) is not a map adjacency")
-    if l1_gap(layout, r1, r2) <= tol:
+    if l1_gap(layout, r1, r2) <= _lost_tol(layout):
         raise LeaderError(f"adjacency ({r1!r}, {r2!r}) is intact; no leader needed")
 
 
 def lost_adjacencies(layout: SquareLayout, map: AdjacencyGraph) -> list[tuple[str, str]]:
-    tol = _lost_tol(layout, map)
+    tol = _lost_tol(layout)
     return [e for e in map.edge_list() if l1_gap(layout, *e) > tol]
 
 
@@ -470,10 +477,9 @@ def all_leaders(
     leaders: list[Leader] = []
     failures: list[tuple[str, str, str]] = []
     frames = _FrameRects(layout)
-    tol = _lost_tol(layout, map)
     for a, b in lost_adjacencies(layout, map):
         try:
-            _check_endpoints(layout, cs, a, b, tol)
+            _check_endpoints(layout, cs, a, b)
             leaders.append(
                 _route_minimal(layout, cs, a, b, require_minimal=False, frames=frames)
             )

@@ -29,6 +29,10 @@ def _clamp01(value: float, what: str) -> float:
     return min(1.0, max(0.0, value))
 
 
+def _avg(values: list[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
 def zone_vector(reference: Rect, other: Rect) -> tuple[float, ...]:
     """Fractions of ``other`` in the eight zones around ``reference``.
 
@@ -144,8 +148,7 @@ def madj(layouts: list[SquareLayout], map: AdjacencyGraph) -> float:
 
 
 def mrel(layouts: list[SquareLayout], map: AdjacencyGraph) -> float:
-    vals = mrel_per_layout(layouts, map)
-    return sum(vals) / len(vals) if vals else 0.0
+    return _avg(mrel_per_layout(layouts, map))
 
 
 def mrel_per_layout(
@@ -159,8 +162,7 @@ def mrel_per_layout(
 
 
 def mdis(layouts: list[SquareLayout], map: AdjacencyGraph) -> float:
-    vals = mdis_per_layout(layouts, map)
-    return sum(vals) / len(vals) if vals else 0.0
+    return _avg(mdis_per_layout(layouts, map))
 
 
 def mdis_per_layout(
@@ -265,10 +267,6 @@ class MetricsReport:
             "srel_per_pair": self.srel_per_pair,
             "lost_counts": self.lost_counts,
         }
-
-
-def _avg(values: list[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
 
 
 def evaluate(layouts: list[SquareLayout], map: AdjacencyGraph) -> MetricsReport:

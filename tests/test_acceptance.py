@@ -496,7 +496,6 @@ def test_c09_determinism(tmp_path):
                 weights_path=str(data / "sample3_weights.csv"),
                 variant="TOP-S-SU",
                 out_dir=str(tmp_path / tag),
-                seed=11,
             )
         )
         assert res.ok

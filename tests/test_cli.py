@@ -249,7 +249,6 @@ class TestDeterminism:
                     weights_path=str(sample3_paths[1]),
                     variant="TOP-S-SU",
                     out_dir=str(tmp_path / tag),
-                    seed=7,
                 )
             )
             assert res.ok
@@ -545,8 +544,7 @@ class TestRunFlags:
         # every field a flag sets moved off its default
         unchanged = [f.name for f in dataclasses.fields(RunConfig)
                      if getattr(flagged, f.name) == getattr(default, f.name)]
-        assert unchanged == ["map_path", "weights_path", "variant", "out_dir", "seed",
-                             "dataset_name"]
+        assert unchanged == ["map_path", "weights_path", "variant", "out_dir", "dataset_name"]
 
     def test_limit_flags_reach_the_config(self, tmp_path, sample3_paths, monkeypatch):
         seen = []

@@ -12,7 +12,6 @@ from demers.forcelayout import (
     QualityForce,
     _ForceField,
     _pair_jitter,
-    force_step,
     run_frc,
 )
 from demers.layout import total_square_area
@@ -32,7 +31,7 @@ class TestForceLaw:
         cfg = ForceConfig(epsilon=0.5)
         field = _ForceField(g, sides, cfg)
         pos = np.array([[0.0, 0.0], [1.0, 0.0]])
-        f = field.forces(pos)
+        f = field.sweep(pos.T).raw.T
         # adjacent pair: m = 2, Chebyshev distance 1, magnitude (1/2)^2 each
         expect = DISJOINTNESS_SCALE * 0.25
         assert f[0, 0] == pytest.approx(-expect)  # a pushed left
@@ -48,21 +47,21 @@ class TestForceLaw:
         g = square_map(squares, set())
         cfg = ForceConfig(epsilon=0.5, quality_variant=QualityForce.TOPOLOGY)
         field = _ForceField(g, {"a": 2.0, "b": 2.0}, cfg)
-        f = field.forces(np.array([[0.0, 0.0], [5.0, 0.0]]))
+        f = field.sweep(np.array([[0.0, 0.0], [5.0, 0.0]]).T).raw.T
         assert np.allclose(f, 0.0)  # not adjacent: no pull either
 
     def test_topology_pull_zero_at_touching(self):
         g, sides = pair_map()
         cfg = ForceConfig(epsilon=0.5, quality_variant=QualityForce.TOPOLOGY)
         field = _ForceField(g, sides, cfg)
-        f = field.forces(np.array([[0.0, 0.0], [2.0, 0.0]]))  # exactly touching
+        f = field.sweep(np.array([[0.0, 0.0], [2.0, 0.0]]).T).raw.T  # exactly touching
         assert np.allclose(f, 0.0)
 
     def test_topology_pull_toward_far_neighbor(self):
         g, sides = pair_map()
         cfg = ForceConfig(epsilon=0.5, quality_variant=QualityForce.TOPOLOGY)
         field = _ForceField(g, sides, cfg)
-        f = field.forces(np.array([[0.0, 0.0], [6.0, 0.0]]))
+        f = field.sweep(np.array([[0.0, 0.0], [6.0, 0.0]]).T).raw.T
         assert f[0, 0] == pytest.approx((6.0 - 2.0) / 2.0)  # (cheb - m)/m toward b
         assert f[1, 0] == pytest.approx(-2.0)
 
@@ -95,15 +94,15 @@ class TestForceLaw:
         g, sides = pair_map()
         cfg = ForceConfig(epsilon=0.5)
         field = _ForceField(g, sides, cfg)
-        just_in = field.forces(np.array([[0.0, 0.0], [2.0 - 1e-9, 0.0]]))
-        just_out = field.forces(np.array([[0.0, 0.0], [2.0 + 1e-9, 0.0]]))
+        just_in = field.sweep(np.array([[0.0, 0.0], [2.0 - 1e-9, 0.0]]).T).raw.T
+        just_out = field.sweep(np.array([[0.0, 0.0], [2.0 + 1e-9, 0.0]]).T).raw.T
         assert abs(just_in[1, 0] - just_out[1, 0]) < 1e-3
 
     def test_global_rescale_caps_at_min_side(self):
         g, sides = pair_map()
         cfg = ForceConfig(epsilon=0.5)
         field = _ForceField(g, sides, cfg)
-        f = field.rescale(field.forces(np.array([[0.0, 0.0], [0.5, 0.0]])))
+        f = field.rescale(field.sweep(np.array([[0.0, 0.0], [0.5, 0.0]]).T).raw.T)
         norms = np.hypot(f[:, 0], f[:, 1])
         assert norms.max() <= field.min_side + 1e-12
 
@@ -114,22 +113,11 @@ class TestForceLaw:
         cfg = ForceConfig(epsilon=0.1)
         field = _ForceField(regions, {"a": 2.0, "b": 2.0}, cfg)
         pos = np.zeros((2, 2))
-        f1 = field.forces(pos)
-        f2 = field.forces(pos)
+        f1 = field.sweep(pos.T).raw.T
+        f2 = field.sweep(pos.T).raw.T
         assert np.allclose(f1, f2)
         assert np.allclose(f1[0], -f1[1])
         assert np.hypot(*f1[0]) > 0
-
-    def test_force_step_is_pure_and_synchronous(self):
-        g, sides = pair_map()
-        cfg = ForceConfig(epsilon=0.5)
-        centers = {"a": (0.0, 0.0), "b": (1.0, 0.0)}
-        out1 = force_step(centers, sides, g, cfg)
-        out2 = force_step(centers, sides, g, cfg)
-        assert out1 == out2
-        assert centers == {"a": (0.0, 0.0), "b": (1.0, 0.0)}
-        # symmetric pair moves apart symmetrically
-        assert out1["a"][0] == pytest.approx(1.0 - out1["b"][0])
 
 
 class TestRunFrc:
@@ -343,4 +331,4 @@ def test_sweep_matches_two_pass_kernel(case):
     assert np.array_equal(step.raw.T, raw)
     assert np.array_equal(step.clamped.T, clamped)
     assert np.array_equal(step.move.T, move)
-    assert np.array_equal(field.forces(pos), raw)
+    assert np.array_equal(field.sweep(pos.T).raw.T, raw)

@@ -315,24 +315,37 @@ class TestRetryWithoutMinimality:
         )
 
 
-def test_lost_pair_of_layout_without_diagonal_is_routed():
-    # a layout read back from JSON carries no diagonal; the gap (5e-7) is
-    # above LOST_TOL of the map's diagonal (0.224), so the pair is lost and
-    # gets its leader instead of being called intact
+@pytest.mark.parametrize("scale", [1.0, 1e-2, 1e4])
+def test_lost_pair_of_layout_without_diagonal_is_routed(scale):
+    # a layout read back from JSON carries no diagonal; at every scale the
+    # gap (5e-7 of the scale) is above LOST_TOL of the layout's reference
+    # diagonal (0.224 of the scale), so lost_adjacencies, madj, all_leaders,
+    # min_leader and two_bend_leader all call the pair lost, and each
+    # leader is as long as the gap
     from demers.layout import layout_from_json
+    from demers.metrics import madj
 
-    g = square_map({"a": (0.05, 0.05, 0.1), "b": (0.15, 0.05, 0.1)}, {("a", "b")})
-    cs = derive_constraints(g, 0.01, Setting.WEAK)
+    g = square_map(
+        {"a": (0.05 * scale, 0.05 * scale, 0.1 * scale),
+         "b": (0.15 * scale, 0.05 * scale, 0.1 * scale)},
+        {("a", "b")},
+    )
     lay = layout_from_json({"regions": [
-        {"id": "a", "cx": 0.05, "cy": 0.05, "side": 0.1},
-        {"id": "b", "cx": 0.15 + 5e-7, "cy": 0.05, "side": 0.1},
+        {"id": "a", "cx": 0.05 * scale, "cy": 0.05 * scale, "side": 0.1 * scale},
+        {"id": "b", "cx": (0.15 + 5e-7) * scale, "cy": 0.05 * scale, "side": 0.1 * scale},
     ]})
     assert lay.diagonal == 0.0
+    gap = l1_gap(lay, "a", "b")
+    assert gap == pytest.approx(5e-7 * scale, rel=1e-6)
     assert lost_adjacencies(lay, g) == [("a", "b")]
-    routed, report = all_leaders(lay, cs, g)
+    assert madj([lay], g) == 1.0
+    weak = derive_constraints(g, 0.01 * scale, Setting.WEAK)
+    strong = derive_constraints(g, 0.01 * scale, Setting.STRONG)
+    routed, report = all_leaders(lay, weak, g)
     assert report == RoutingReport(routed=1, unroutable=())
-    [ld] = routed
-    assert ld.length == pytest.approx(l1_gap(lay, "a", "b"), rel=1e-9)
+    leaders = [*routed, min_leader(lay, weak, "a", "b"), two_bend_leader(lay, strong, "a", "b")]
+    for ld in leaders:
+        assert ld.length == pytest.approx(gap, rel=1e-9)
 
 
 @st.composite
