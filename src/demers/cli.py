@@ -140,6 +140,10 @@ class RunResult:
     # LP/ILP rows come from; None for force runs
     constraint_counts: dict[str, dict[str, int]] | None = None
     wall_time: float = 0.0
+    # seconds per pipeline stage (``ingest``, ``constraints``, ``model``,
+    # ``solve``, ...) up to the end of the run or the failure; artifact
+    # writing after the metrics is not counted, as in ``wall_time``
+    stage_seconds: dict[str, float] = field(default_factory=dict)
     artifacts: list[str] = field(default_factory=list)
     error_stage: str | None = None  # pipeline stage that raised, on failure
     traceback: str | None = None
@@ -173,13 +177,23 @@ def _solution_stats(sol: Solution) -> dict:
 
 
 class _Stage:
-    """The pipeline stage a run is in, named in its failure report."""
+    """The pipeline stage a run is in, named in its failure report, and the
+    ``perf_counter`` seconds spent in each stage so far."""
 
     def __init__(self) -> None:
         self.name = "variant"
+        self.seconds: dict[str, float] = {}
+        self._since = time.perf_counter()
 
     def enter(self, name: str) -> None:
-        self.name = name
+        now = time.perf_counter()
+        self.seconds[self.name] = self.seconds.get(self.name, 0.0) + (now - self._since)
+        self.name, self._since = name, now
+
+    def totals(self) -> dict[str, float]:
+        """Seconds per stage, the current one counted up to now."""
+        self.enter(self.name)
+        return dict(self.seconds)
 
 
 def _pair_counts(cs: SeparationConstraintSet) -> dict[str, int]:
@@ -322,7 +336,8 @@ def run(config: RunConfig) -> RunResult:
 
     A failure in any stage becomes an ``error: ...`` status. The result then
     keeps the stage that failed and the traceback, and ``manifest.json``
-    records them next to the solves made before the failure.
+    records them next to the solves made before the failure. Either way the
+    result and the manifest carry ``stage_seconds``, the time per stage.
     """
     t0 = time.perf_counter()
     out = Path(config.out_dir) if config.out_dir else None
@@ -381,6 +396,7 @@ def run(config: RunConfig) -> RunResult:
             report=report,
             solver_stats=stats,
             constraint_counts=counts,
+            stage_seconds=stage.totals(),
             wall_time=time.perf_counter() - t0,
         )
         if out:
@@ -393,6 +409,7 @@ def run(config: RunConfig) -> RunResult:
             status=f"error: {exc}",
             solver_stats=stats,
             constraint_counts=counts,
+            stage_seconds=stage.totals(),
             wall_time=time.perf_counter() - t0,
             error_stage=stage.name,
             traceback=traceback.format_exc(),
@@ -441,6 +458,7 @@ def _write_manifest(result: RunResult, out: Path) -> str:
         "error_stage": result.error_stage,
         "traceback": result.traceback,
         "wall_time": result.wall_time,
+        "stage_seconds": result.stage_seconds,
         "constraints": result.constraint_counts,
         "solves": result.solver_stats,
         "leader_counts": [len(ls) for ls in result.leaders_per_layout],

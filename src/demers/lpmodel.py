@@ -8,6 +8,15 @@ count (CNT, with binaries). ``ModelSpec`` picks the objective, setting and
 stability scheme; the weights between the terms are the module constants
 ``SECONDARY_WEIGHT``, ``ADJACENT_DIRECTION_BOOST`` and ``STABILITY_WEIGHT``.
 
+A direction term is one equality row per map pair, ``expr - dp + dm = 0``,
+over two nonnegative columns that each cost the term's weight. For fixed
+centers the cheapest feasible ``dp + dm`` is ``|expr|``, so the optimal value
+and the optimal centers are those of the two-row form ``±expr - d <= 0``,
+from one row and 6 nonzeros per pair instead of two rows and 10. These rows
+are 86-90% of a model's rows. The displacement and coupling terms keep their
+two rows: CNT's final LP has tied optima, and splitting those rows as well
+moved CNT layouts (sample3 ``CNT-W-IT``: mrel 0.407 to 0.281).
+
 ``LpProblem`` keeps its columns and its sparse rows as numpy arrays, which
 both solver engines read directly; the builders emit each constraint family
 with one bulk call over region-index arrays: the rows of the map's cached
@@ -537,23 +546,21 @@ def _emit_block(
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = np.where(horiz, dy / dx, dx / dy)
         slope[np.abs(slope) <= SLOPE_ROUNDOFF] = 0.0
-        d = prob.add_vars([
-            f"d{tag}_{'H' if hz else 'V'}_{ids[i]}__{ids[j]}"
+        dpm = prob.add_vars([
+            f"{p}{tag}_{'H' if hz else 'V'}_{ids[i]}__{ids[j]}"
             for i, j, hz in zip(ia.tolist(), ib.tolist(), horiz.tolist())
+            for p in ("dp", "dm")
         ])
         # H: y_a - y_b + slope (x_b - x_a); V: x_a - x_b + slope (y_b - y_a)
         xy, main = np.stack([xc, yc]), horiz.astype(np.intp)  # y columns for H pairs
-        cols = np.stack([xy[main, ia], xy[main, ib], xy[1 - main, ib], xy[1 - main, ia], d],
-                        axis=1)
+        cols = np.stack([xy[main, ia], xy[main, ib], xy[1 - main, ib], xy[1 - main, ia],
+                         dpm[0::2], dpm[1::2]], axis=1)
         one = np.ones_like(slope)
-        # per pair: expr - d <= 0, then -expr - d <= 0
-        upper = np.stack([one, -one, slope, -slope, -one], axis=1)
-        vals = np.stack([upper, upper * [-1.0, -1.0, -1.0, -1.0, 1.0]], axis=1)
-        prob.add_rows(
-            np.repeat(cols, 2, axis=0), vals.reshape(-1, 5), "<=", 0.0
-        )
+        # per pair: expr - dp + dm = 0, the deviation |expr| split in two
+        vals = np.stack([one, -one, slope, -slope, -one, one], axis=1)
+        prob.add_rows(cols, vals, "=", 0.0)
         boost = np.where(map.adjacency_mask[ia, ib], ADJACENT_DIRECTION_BOOST, 1.0)
-        prob.add_objective_terms(d, SECONDARY_WEIGHT * boost)
+        prob.add_objective_terms(dpm, np.repeat(SECONDARY_WEIGHT * boost, 2))
 
     if spec.objective_kind is ObjectiveKind.TOP:
         prob.add_objective_terms(hv, 1.0)

@@ -15,7 +15,7 @@ computes the entering column ``binv @ A[:, j]`` and the basic values
 ``binv @ b`` for the ratio test, and updates ``binv`` in place. A dual pivot
 takes the leaving row from ``binv @ b``, its entries ``binv[r] @ A`` and the
 candidates' reduced costs ``y @ A[:, cand]``. The update touches only the
-columns where the normalised pivot row is nonzero (12.7 of m = 119 on
+columns where the normalised pivot row is nonzero (10.2 of m = 99.5 on
 average on ``exact``); every other entry would have a zero subtracted from
 it. Each of those BLAS products is computed whole, on the operands named
 here: a product on a slice of ``A``, or a slice of a product, can differ in
@@ -56,17 +56,17 @@ Problems past ``AUTO_SIMPLEX_MAX_ROWS`` rows are routed to scipy's HiGHS
 explicitly via ``engine=``. HiGHS runs dual simplex below
 ``HIGHS_IPM_MIN_ROWS`` rows and interior point with crossover from there on.
 The all-pairs direction terms make the cartogram LPs grow as n^2, and on
-those LPs dual simplex pivots through long degenerate stretches: the
-100-region TOP model (18 162 rows) took 12 214 pivots and about 7 s, interior
-point 28 iterations and about 1.1 s, on one core. On jittered grid models
-(TOP, k = 1) dual simplex won every model up to 730 rows (by 4-16%), the
-two were within noise from 980 to 1 132 rows, and interior point won every
-model from 1 314 rows on (15-82% faster, about twice as fast at 2 130). The
-threshold sits in the gap between the last two. Crossover ends interior
-point at a basic optimal solution, so large LPs still decode from a vertex
-like small ones do. On the interior-point path ``iterations`` counts
-interior-point iterations, not pivots; the crossover's pivots are
-``crossover_nit``.
+those LPs dual simplex pivots through long degenerate stretches: the jittered
+100-region TOP-S model (7 179 rows) took 8 955 pivots and 2.3 s, interior
+point 22 iterations and 0.55 s, on one core. On jittered grid models (TOP-S,
+k = 1, seeds 0-2, median of 7 solves) dual simplex won 5 of the 6 models of
+608 to 739 rows (by up to 16%), the two were within 10% from 799 to 930 rows,
+and interior point won every model from 1 088 rows on (9-36% faster up to
+1 507 rows, about twice as fast at 2 511). The threshold sits in the gap
+between the last two. Crossover ends interior point at a basic optimal
+solution, so large LPs still decode from a vertex like small ones do. On the
+interior-point path ``iterations`` counts interior-point iterations, not
+pivots; the crossover's pivots are ``crossover_nit``.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ logger = logging.getLogger(__name__)
 AUTO_SIMPLEX_MAX_ROWS = 220
 # HiGHS solves LPs with at least this many rows by interior point + crossover,
 # smaller ones by dual simplex (see the module docstring for the measurements)
-HIGHS_IPM_MIN_ROWS = 1200
+HIGHS_IPM_MIN_ROWS = 1000
 
 FEAS_TOL = 1e-7  # absolute, on the scaled constraints
 OPT_TOL = 1e-9  # reduced-cost optimality threshold
@@ -559,17 +559,20 @@ def _standardize(problem: LpProblem, keep: np.ndarray | None = None) -> _StdForm
     c[:n_struct] = c_struct
 
     # equilibrate rows then columns with powers of two; A has rows but no
-    # columns when every variable is fixed and every row is an equation
+    # columns when every variable is fixed and every row is an equation.
+    # The reciprocal of a power of two is exact, so multiplying by it gives
+    # the bits that dividing by the scale gives
     row_scale, col_scale = np.ones(m), np.ones(A.shape[1])
     if A.size:
         mags = np.max(np.abs(A), axis=1)
         row_scale = np.where(mags > 0, np.exp2(np.round(np.log2(np.where(mags > 0, mags, 1.0)))), 1.0)
-        A /= row_scale[:, None]
+        A *= (1.0 / row_scale)[:, None]
         mags = np.max(np.abs(A), axis=0)
         col_scale = np.where(mags > 0, np.exp2(np.round(np.log2(np.where(mags > 0, mags, 1.0)))), 1.0)
         # scaled variable t' = col_scale * t, so costs divide by the scale
-        A /= col_scale[None, :]
-        c = c / col_scale
+        col_inv = 1.0 / col_scale
+        A *= col_inv[None, :]
+        c = c * col_inv
 
     unpiece = []
     for k in (0, 1):

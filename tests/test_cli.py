@@ -226,7 +226,7 @@ class TestMatrix:
                 if path.name == "manifest.json":
                     # everything but the wall times
                     doc = json.loads(path.read_text())
-                    del doc["wall_time"]
+                    del doc["wall_time"], doc["stage_seconds"]
                     for solve in doc["solves"]:
                         solve.pop("wall_time", None)
                     tree[path.relative_to(root)] = doc
@@ -508,6 +508,40 @@ class TestFailureReport:
         assert res.ok and res.error_stage is None and res.traceback is None
         manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
         assert manifest["error_stage"] is None and manifest["traceback"] is None
+
+
+class TestStageSeconds:
+    def test_top_run_times_its_stages(self, tmp_path, sample3_paths):
+        res = run_sample(tmp_path, sample3_paths, "TOP-S-SU")
+        assert res.ok
+        for name in ("ingest", "constraints", "model", "solve", "decode",
+                     "leaders", "metrics"):
+            assert res.stage_seconds[name] > 0.0, name
+        assert sum(res.stage_seconds.values()) <= res.wall_time
+        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
+        assert manifest["stage_seconds"] == res.stage_seconds
+
+    def test_iterative_run_adds_up_its_repeated_stages(self, tmp_path, sample3_paths):
+        res = run_sample(tmp_path, sample3_paths, "TOP-W-IT")
+        assert len(res.solver_stats) == 2
+        assert sum(s["wall_time"] for s in res.solver_stats) <= res.stage_seconds["solve"]
+
+    def test_failure_manifest_times_the_stages_before_it(
+        self, tmp_path, sample3_paths, monkeypatch
+    ):
+        import demers.cli as climod
+        from demers.simplexsolver import Solution, SolveStatus
+
+        monkeypatch.setattr(
+            climod, "solve_lp", lambda problem, **kw: Solution(SolveStatus.INFEASIBLE)
+        )
+        res = run_sample(tmp_path, sample3_paths, "TOP-S-SU")
+        assert res.error_stage == "solve"
+        assert {"ingest", "constraints", "model", "solve"} <= res.stage_seconds.keys()
+        assert "leaders" not in res.stage_seconds
+        assert sum(res.stage_seconds.values()) <= res.wall_time
+        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
+        assert manifest["stage_seconds"] == res.stage_seconds
 
 
 class TestRunFlags:

@@ -291,6 +291,14 @@ class TestModelInvariants:
         # raise each objective helper variable to its implied lower bound
         anchors = set(values)
         for con in model.problem.constraints:
+            if con.relation == "=":
+                # a direction row expr - dp + dm = 0: dp takes expr's positive
+                # part, dm its negative part
+                expr = sum(k * values[n] for n, k in con.coeffs if n in anchors)
+                for n, k in con.coeffs:
+                    if n not in anchors:
+                        values[n] = max(-k * expr, 0.0)
+                continue
             helper = [(n, k) for n, k in con.coeffs if n not in anchors and k < 0]
             if len(helper) == 1:
                 name, coeff = helper[0]

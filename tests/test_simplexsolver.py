@@ -741,10 +741,12 @@ def test_warm_search_matches_cold_on_cnt_ilps(problem):
 
 @st.composite
 def cartogram_lps(draw):
-    """TOP and ORG LPs of jittered 2x2 to 3x3 grids, weak and strong, k = 1
-    or 2 (coupled SU), with the full derived constraint set."""
+    """TOP and ORG LPs of 2x2 to 3x3 grids, weak and strong, for one weight
+    function, two coupled ones (SU) or a step of the iterative scheme (IT),
+    with the full derived constraint set."""
     from demers.lpmodel import (
-        ModelSpec, ObjectiveKind, Stability, build_multi_lp, build_single_lp,
+        ModelSpec, ObjectiveKind, Stability, build_iterative_sequence,
+        build_multi_lp, build_single_lp,
     )
     from demers.mapdata import compute_epsilon, scale_weights
     from demers.sepconstraints import Setting, derive_constraints, reduce_transitive
@@ -754,17 +756,21 @@ def cartogram_lps(draw):
     seed = draw(st.integers(0, 10_000))
     kind = draw(st.sampled_from([ObjectiveKind.TOP, ObjectiveKind.ORG]))
     setting = draw(st.sampled_from([Setting.WEAK, Setting.STRONG]))
-    k = draw(st.integers(1, 2))
+    stability = draw(st.sampled_from([Stability.NONE, Stability.SU, Stability.IT]))
+    k = 1 if stability is Stability.NONE else 2
     g = grid_map(cols, rows, jitter=draw(st.sampled_from([0.0, 0.15, 0.3])), seed=seed)
     table = scale_weights(lognormal_weights(g, k=k, seed=seed), g)
     cs = derive_constraints(g, compute_epsilon(table, g), setting)
-    if k == 1:
-        model = build_single_lp(
-            g, table.function_sides(0), reduce_transitive(cs), ModelSpec(kind, setting)
-        )
-    else:
-        spec = ModelSpec(kind, setting, Stability.SU)
+    spec = ModelSpec(kind, setting, stability)
+    if stability is Stability.NONE:
+        model = build_single_lp(g, table.function_sides(0), reduce_transitive(cs), spec)
+    elif stability is Stability.SU:
         model = build_multi_lp(g, table, reduce_transitive(cs), spec)
+    else:
+        # the second step couples to fixed previous centres: the origins
+        step = draw(st.integers(0, 1))
+        seq = build_iterative_sequence(g, table, reduce_transitive(cs), spec)
+        model = seq.problem(step, {r.id: r.centroid for r in g.regions} if step else None)
     return model, cs
 
 
@@ -792,9 +798,97 @@ def test_engines_agree_on_cartogram_lps(case):
             assert validity_violations(lay) == [], sol.engine
 
 
+def two_row_form(problem: LpProblem) -> LpProblem:
+    """``problem`` with each direction term in the two-row form.
+
+    The builders write a direction term as one row ``expr - dp + dm = 0``
+    over two columns that cost the same. The two-row form has one column
+    ``d`` with that cost and the rows ``expr - d <= 0`` and
+    ``-expr - d <= 0``, in the place of the one row; here ``d`` is ``dp``
+    and ``dm`` is dropped. Every other row and column is copied in order.
+    """
+    out = LpProblem(problem.name)
+    for v, cost in zip(problem.variables, problem.cost.tolist()):
+        if not v.name.startswith("dm"):
+            out.add_var(v.name, v.lb, v.ub, v.binary)
+            out.add_objective(v.name, cost)
+    for con in problem.constraints:
+        split = [n for n, _ in con.coeffs if n.startswith(("dp", "dm"))]
+        if not split:
+            out.add_constraint(dict(con.coeffs), con.relation, con.rhs, con.name)
+            continue
+        assert con.relation == "=" and con.rhs == 0.0 and len(split) == 2
+        expr = [(n, k) for n, k in con.coeffs if n not in split]
+        for sign in (1.0, -1.0):
+            out.add_constraint({**{n: sign * k for n, k in expr}, split[0]: -1.0}, "<=", 0.0)
+    return out
+
+
+def direction_exprs(problem: LpProblem, values: dict[str, float]) -> dict[str, float]:
+    """``expr`` of each direction row at ``values``, keyed by its ``dp`` column."""
+    out = {}
+    for con in problem.constraints:
+        split = [n for n, _ in con.coeffs if n.startswith(("dp", "dm"))]
+        if split:
+            out[split[0]] = sum(k * values[n] for n, k in con.coeffs if n not in split)
+    return out
+
+
+def objective_at(problem: LpProblem, values: dict[str, float]) -> float:
+    return sum(c * values.get(n, 0.0) for n, c in problem.objective.items())
+
+
+@settings(max_examples=30, deadline=None)
+@given(cartogram_lps())
+def test_one_row_direction_terms_solve_as_the_two_row_form(case):
+    """Splitting a deviation into two priced columns keeps the optimum: for
+    fixed centres the cheapest ``dp + dm`` is ``|expr|``, the cheapest ``d``.
+
+    Both forms reach the same objective on both engines, and the optimal
+    centres of each form, with the deviations they imply, are optimal for
+    the other form. The centres themselves need not be equal: TOP models of
+    these grids often have tied optima, on which the two engines already
+    return different centres for the same model.
+    """
+    model, _ = case
+    one_row = model.problem
+    pairs = sum(name.startswith("dp") for name in one_row.col_names)
+    assert pairs and sum(name.startswith("dm") for name in one_row.col_names) == pairs
+    two_rows = two_row_form(one_row)
+    assert two_rows.num_rows == one_row.num_rows + pairs
+    assert two_rows.num_cols == one_row.num_cols - pairs
+    for engine in ("simplex", "highs"):
+        try:
+            new, old = (solve_lp(p, engine=engine) for p in (one_row, two_rows))
+        except SolverError as exc:
+            # past AUTO_SIMPLEX_MAX_ROWS, as in test_engines_agree_on_cartogram_lps
+            assert str(exc) == "singular basis" and engine == "simplex"
+            assert two_rows.num_rows > ss.AUTO_SIMPLEX_MAX_ROWS
+            continue
+        assert new.optimal and old.optimal
+        # ORG optima can be exactly zero, hence the absolute floor
+        assert new.objective == pytest.approx(old.objective, rel=1e-9, abs=1e-12), engine
+
+        as_two_rows = dict(new.values)
+        as_two_rows.update(
+            (dp, abs(e)) for dp, e in direction_exprs(one_row, new.values).items()
+        )
+        as_one_row = dict(old.values)
+        for dp, e in direction_exprs(one_row, old.values).items():
+            as_one_row[dp], as_one_row["dm" + dp[2:]] = max(e, 0.0), max(-e, 0.0)
+        for problem, values, optimum in (
+            (two_rows, as_two_rows, old.objective), (one_row, as_one_row, new.objective)
+        ):
+            assert max_violation(problem, values) <= 1e-7, engine
+            assert objective_at(problem, values) == pytest.approx(
+                optimum, rel=1e-9, abs=1e-12
+            ), engine
+
+
 def test_phase_two_refactors_before_reporting_a_ray():
-    # a 143-row TOP LP on which a drifted inverse showed a ray: the bundled
-    # simplex reported it unbounded, HiGHS found the optimum
+    # a TOP LP (143 rows in the two-row direction form, 107 now) on which a
+    # drifted inverse showed a ray: the bundled simplex reported it
+    # unbounded, HiGHS found the optimum
     from demers.lpmodel import ModelSpec, ObjectiveKind, build_single_lp
     from demers.mapdata import compute_epsilon, scale_weights
     from demers.sepconstraints import Setting, derive_constraints, reduce_transitive
