@@ -51,9 +51,20 @@ Known limit: asked for explicitly past ``AUTO_SIMPLEX_MAX_ROWS``, the
 bundled simplex drifts numerically and can raise ``SolverError("singular
 basis")``, as on jittered 4x4 ``TOP-S`` LPs (474 rows).
 
-Problems past ``AUTO_SIMPLEX_MAX_ROWS`` rows are routed to scipy's HiGHS
-``linprog`` backend behind the same interface; both engines are available
-explicitly via ``engine=``. HiGHS runs dual simplex below
+Problems past ``AUTO_SIMPLEX_MAX_ROWS`` rows are routed to HiGHS behind the
+same interface; both engines are available explicitly via ``engine=``.
+HiGHS is reached through scipy's compiled bindings,
+``scipy.optimize._highspy._core``, the extension ``linprog`` drives.
+``_highs_core`` loads that one file, and ``_solve_highs`` hands it the model
+as ``linprog`` did: the same rows in the same order and the same options, so
+the solves are the same, and ``tests/oracle_highs.py`` keeps the ``linprog``
+path to check that. The Python layers above the extension cost more than most
+solves: in a fresh process after ``import demers.cli``, on one BLAS thread,
+``import scipy.sparse`` took 0.18-0.22 s and ``import scipy.optimize`` with
+it 0.45-0.58 s and 44 MB of RSS, and the first ``linprog`` call on the 7x7
+``ladder`` model took 0.63-0.69 s against 0.12 s for later calls. The
+extension alone loads in 0.02 s and 4.7 MB, and its first solve of that model
+takes 0.10-0.15 s. HiGHS runs dual simplex below
 ``HIGHS_IPM_MIN_ROWS`` rows and interior point with crossover from there on.
 The all-pairs direction terms make the cartogram LPs grow as n^2, and on
 those LPs dual simplex pivots through long degenerate stretches: the jittered
@@ -73,9 +84,14 @@ from __future__ import annotations
 
 import copy
 import heapq
+import importlib.machinery
+import importlib.util
 import logging
 import math
 import operator
+import os
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -367,77 +383,165 @@ def _dispatch(
 # HiGHS backend
 
 
+# the compiled HiGHS bindings that scipy.optimize.linprog drives, under the
+# name scipy imports them by
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+_highs_lock = threading.Lock()
+
+
+def _highs_core():
+    """scipy's HiGHS extension module, loaded without ``scipy.optimize``.
+
+    The module is registered in ``sys.modules`` under its canonical name, so
+    a later ``import scipy.optimize`` reuses it, and a module that is already
+    there is returned as it is. (Import statements find it there; the
+    attribute ``scipy.optimize._highspy._core`` of a package imported later
+    stays unset.) pybind11 cannot initialise the extension twice, hence the
+    lock: two threads may reach the first HiGHS solve at once.
+    """
+    core = sys.modules.get(_HIGHS_MODULE)
+    if core is not None:
+        return core
+    with _highs_lock:
+        core = sys.modules.get(_HIGHS_MODULE)
+        if core is not None:
+            return core
+        import scipy
+
+        folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+        candidates = [os.path.join(folder, "_core" + suffix)
+                      for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((c for c in candidates if os.path.isfile(c)), None)
+        if path is None:
+            raise SolverError(f"HiGHS extension not found: no file {candidates[0]}")
+        spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+        core = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS_MODULE] = core
+        try:
+            spec.loader.exec_module(core)
+        except BaseException:
+            del sys.modules[_HIGHS_MODULE]
+            raise
+        return core
+
+
 def _solve_highs(
     problem: LpProblem, log: bool, time_limit: float | None = None
 ) -> Solution:
-    from scipy import sparse
-    from scipy.optimize import linprog
+    """Solve ``problem`` with HiGHS, handed the model as ``linprog`` hands it.
 
+    The ">=" rows are flipped into "<=" rows, and all "<=" rows come first,
+    in model order, then the "=" rows as ``lhs = rhs``: the row order steers
+    interior point's path. The options are ``linprog``'s, and so are the
+    status mapping and the final feasibility check of an optimal point. A
+    non-finite cost, coefficient or right-hand side raises ``SolverError``
+    (``linprog`` refused them too).
+    """
+    h = _highs_core()
     t0 = time.perf_counter()
-    n = problem.num_cols
+    n, m = problem.num_cols, problem.num_rows
     sense, row, col = problem.sense, problem.row, problem.col
+    if not all(np.isfinite(a).all() for a in (problem.cost, problem.val, problem.rhs)):
+        raise SolverError("HiGHS input holds a non-finite cost, coefficient or right-hand side")
     sign = np.where(sense == GE, -1.0, 1.0)  # ">=" rows flip into "<=" rows
-    signed_val, signed_rhs = problem.val * sign[row], problem.rhs * sign
+    val, rhs = problem.val * sign[row], problem.rhs * sign
+    eq = sense == EQ
+    n_ub = m - int(eq.sum())
+    order = np.argsort(eq, kind="stable")  # new row -> model row
+    renumber = np.empty(m, dtype=np.int64)
+    renumber[order] = np.arange(m)
+    rhs = rhs[order]
+    lhs = rhs.copy()
+    lhs[:n_ub] = -INF  # HiGHS's infinity is IEEE inf
 
-    def part(rows: np.ndarray):
-        """Sparse matrix and rhs of the ``rows`` mask, None when empty."""
-        if not rows.any():
-            return None, None
-        renumber = np.cumsum(rows) - 1
-        keep = rows[row]
-        A = sparse.csc_matrix(
-            (signed_val[keep], (renumber[row[keep]], col[keep])),
-            shape=(int(rows.sum()), n),
-        )
-        return A, signed_rhs[rows]
+    # compressed columns, rows ascending within a column, duplicates summed
+    new_row = renumber[row]
+    by_col = np.lexsort((new_row, col))
+    index, column, value = new_row[by_col], col[by_col], val[by_col]
+    first = np.ones(index.size, dtype=bool)
+    first[1:] = (index[1:] != index[:-1]) | (column[1:] != column[:-1])
+    if not first.all():
+        starts = np.flatnonzero(first)
+        index, column, value = index[starts], column[starts], np.add.reduceat(value, starts)
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(column, minlength=n), out=start[1:])
 
-    A_ub, b_ub = part(sense != EQ)
-    A_eq, b_eq = part(sense == EQ)
-    bounds = np.column_stack([problem.lb, problem.ub])
-    method = "ipm" if problem.num_rows >= HIGHS_IPM_MIN_ROWS else "ds"
-    res = linprog(
-        problem.cost,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method=f"highs-{method}",
-        options={"disp": bool(log), **({"time_limit": time_limit} if time_limit else {})},
-    )
-    wall = time.perf_counter() - t0
+    lp = h.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = problem.cost, problem.lb, problem.ub
+    lp.row_lower_, lp.row_upper_ = lhs, rhs
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
+
+    method = "ipm" if m >= HIGHS_IPM_MIN_ROWS else "ds"
+    options = h.HighsOptions()
+    options.presolve = "on"
+    options.solver = "ipm" if method == "ipm" else "simplex"
+    options.simplex_strategy = int(h.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    options.highs_debug_level = int(h.HighsDebugLevel.kHighsDebugLevelNone)
+    options.output_flag = options.log_to_console = bool(log)
+    if time_limit:
+        options.time_limit = float(time_limit)
+
+    highs, error, status_of = h._Highs(), h.HighsStatus.kError, h.HighsModelStatus
+    info = None
+    if highs.passOptions(options) == error:
+        status = highs.getModelStatus()
+    elif highs.passModel(lp) == error:
+        status = status_of.kModelError
+    elif highs.run() == error:
+        status = highs.getModelStatus()
+    else:
+        status = highs.getModelStatus()
+        info = highs.getInfo()
     counts = {
-        "iterations": int(getattr(res, "nit", 0) or 0),
-        "crossover_nit": int(getattr(res, "crossover_nit", 0) or 0),
-        "wall_time": wall,
+        "iterations": int(info.simplex_iteration_count or info.ipm_iteration_count)
+        if info else 0,
+        "crossover_nit": int(info.crossover_iteration_count) if info else 0,
+        "wall_time": time.perf_counter() - t0,
         "engine": "highs",
         "method": method,
     }
-    if res.status == 2:
+    if status in (status_of.kInfeasible, status_of.kModelError):
         return Solution(SolveStatus.INFEASIBLE, **counts)
-    if res.status == 3:
+    if status == status_of.kUnbounded:
         return Solution(SolveStatus.UNBOUNDED, **counts)
-    if res.status == 1:
+    if status in (status_of.kTimeLimit, status_of.kIterationLimit):
         return Solution(SolveStatus.ITERATION_LIMIT, **counts)
-    if res.status != 0:
-        raise SolverError(f"HiGHS failed: {res.message}")
-    values = dict(zip(problem.col_names, res.x.tolist()))
-    try:
-        dual = 0.0
-        if b_ub is not None:
-            dual += float(np.dot(res.ineqlin.marginals, b_ub))
-        if b_eq is not None:
-            dual += float(np.dot(res.eqlin.marginals, b_eq))
-        for marginals, bound in ((res.lower.marginals, problem.lb),
-                                 (res.upper.marginals, problem.ub)):
-            finite = np.isfinite(bound)
-            dual += float(np.dot(marginals[finite], bound[finite]))
-    except AttributeError:
-        dual = None
+    if status != status_of.kOptimal or info is None:
+        raise SolverError(f"HiGHS failed: {highs.modelStatusToString(status)}")
+
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    objective = info.objective_function_value
+    residual = rhs - np.array(solution.row_value)
+    # linprog's check of an optimal point: no NaN, and rows and bounds off
+    # by at most 10 * sqrt(1e-9)
+    tol = 10 * math.sqrt(1e-9)
+    if (
+        np.isnan(x).any() or math.isnan(objective) or np.isnan(residual).any()
+        or not np.all((x >= problem.lb - tol) & (x <= problem.ub + tol))
+        or (residual[:n_ub] < -tol).any() or (np.abs(residual[n_ub:]) > tol).any()
+    ):
+        raise SolverError(
+            f"HiGHS returned an optimal point outside its constraints by more than {tol:.2e}"
+        )
+    # the dual objective as linprog's marginals give it: the "<=" rows, the
+    # "=" rows, then each column's dual on the bound its basis status names
+    row_dual, col_dual = np.array(solution.row_dual), np.array(solution.col_dual)
+    col_status = np.array([int(s) for s in highs.getBasis().col_status])
+    lower = np.where(col_status == int(h.HighsBasisStatus.kLower), col_dual, 0.0)
+    upper = np.where(col_status == int(h.HighsBasisStatus.kUpper), col_dual, 0.0)
+    dual = 0.0
+    for duals, bound in ((row_dual[:n_ub], rhs[:n_ub]), (row_dual[n_ub:], rhs[n_ub:]),
+                         (lower, problem.lb), (upper, problem.ub)):
+        finite = np.isfinite(bound)
+        dual += float(np.dot(duals[finite], bound[finite]))
     return Solution(
         SolveStatus.OPTIMAL,
-        values=values,
-        objective=float(res.fun),
+        values=dict(zip(problem.col_names, x.tolist())),
+        objective=float(objective),
         dual_objective=dual,
         **counts,
     )

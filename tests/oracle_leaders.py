@@ -303,7 +303,7 @@ def _check_endpoints(
 ) -> None:
     if not cs.is_adjacent(r1, r2):
         raise LeaderError(f"({r1!r}, {r2!r}) is not a map adjacency")
-    tol = LOST_TOL * (layout.diagonal or 1.0)
+    tol = LOST_TOL * layout.reference_diagonal()
     if l1_gap(layout, r1, r2) <= tol:
         raise LeaderError(f"adjacency ({r1!r}, {r2!r}) is intact; no leader needed")
 
