@@ -36,8 +36,8 @@ print(f"diagonal {table.diagonal:.2f}, epsilon {epsilon:.2f}")
 print("sides:", {r: round(table.side(0, r), 2) for r in map_.region_ids})
 
 constraints = derive_constraints(map_, epsilon, Setting.WEAK)
-print(f"H pairs: {constraints.sorted_h()}")
-print(f"V pairs: {constraints.sorted_v()}")
+print(f"H pairs: {sorted(constraints.H)}")
+print(f"V pairs: {sorted(constraints.V)}")
 
 model = build_single_lp(map_, table.function_sides(0), constraints, ModelSpec())
 solution = solve_lp(model.problem)

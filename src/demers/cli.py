@@ -197,7 +197,8 @@ class _Stage:
 
 
 def _pair_counts(cs: SeparationConstraintSet) -> dict[str, int]:
-    return {"H": len(cs.H), "V": len(cs.V), "secondary": len(cs.secondary)}
+    h, v = cs.axes["H"], cs.axes["V"]
+    return {"H": h.ia.size, "V": v.ia.size, "secondary": int(h.secondary.sum() + v.secondary.sum())}
 
 
 def _solve_lp_variant(

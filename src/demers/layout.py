@@ -3,12 +3,12 @@
 A layout is one center point and one side length per region. Validity means
 every separation constraint of the referenced set holds, which in turn makes
 all squares pairwise interior-disjoint; both are checked explicitly so a
-violation pinpoints the offending pair.
+violation pinpoints the offending pair. The check reads the set's index
+arrays (``sepconstraints.AxisPairs``) and names only the violating pairs.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -115,19 +115,7 @@ def layout_from_json(doc: dict) -> SquareLayout:
 
 def constraint_set_id(cs: SeparationConstraintSet | None) -> str | None:
     """Short content hash identifying a constraint set in serialized output."""
-    if cs is None:
-        return None
-    payload = json.dumps(
-        {
-            "H": sorted(cs.H),
-            "V": sorted(cs.V),
-            "secondary": sorted(cs.secondary),
-            "epsilon": cs.epsilon,
-            "setting": cs.setting.value,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return None if cs is None else cs.content_id
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +148,15 @@ def validity_violations(layout: SquareLayout) -> list[Violation]:
     sides = np.array([layout.sides[r] for r in ids], dtype=float)
     out: list[Violation] = []
 
+    to_layout = np.array([pos[r] for r in cs.ids], dtype=np.int64)  # set row -> layout row
     for axis, coord in (("H", 0), ("V", 1)):
-        pairs, gaps = cs.gapped_pairs(axis)
-        if not pairs:
-            continue
-        ia = np.array([pos[a] for a, _ in pairs])
-        ib = np.array([pos[b] for _, b in pairs])
-        need = (sides[ia] + sides[ib]) / 2.0 + np.array(gaps)
+        pairs = cs.axes[axis]
+        ia, ib = to_layout[pairs.ia], to_layout[pairs.ib]
+        need = (sides[ia] + sides[ib]) / 2.0 + cs.gaps(axis)
         got = centers[ib, coord] - centers[ia, coord]
         for k in np.flatnonzero(got < need - tol).tolist():
             amount = float(need[k] - got[k])
-            out.append(Violation(f"separation[{axis}]", pairs[k], amount))
+            out.append(Violation(f"separation[{axis}]", (ids[ia[k]], ids[ib[k]]), amount))
     ia, ib = np.triu_indices(len(ids), 1)
     w = (sides[ia] + sides[ib]) / 2.0
     dist = np.maximum(

@@ -22,9 +22,9 @@ Everything a leader reads that depends only on the layout or the constraint
 set is indexed once. ``all_leaders`` keeps one ``_FrameRects`` per layout:
 the squares' rectangles in each canonical frame it uses (at most four:
 transpose × flip_y), built on first use and shared by all of the layout's
-leaders. Minimality reads the successor sets that
-``SeparationConstraintSet.successors`` caches per axis, instead of scanning
-a whole axis set. What remains per leader is its own crossing checks.
+leaders. The axis and minimality lookups binary-search the constraint set's
+sorted index arrays (``SeparationConstraintSet.find``) instead of scanning a
+whole axis set. What remains per leader is its own crossing checks.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class _Frame:
         """Membership test for the canonical-frame axis sets."""
         orig_axis = ({"H": "V", "V": "H"}[axis]) if self.transpose else axis
         pair = (b, a) if (axis == "V" and self.flip_y) else (a, b)
-        return pair in (cs.H if orig_axis == "H" else cs.V)
+        return cs.find(orig_axis, *pair) is not None
 
 
 class _FrameRects(dict):
@@ -126,11 +126,10 @@ class _FrameRects(dict):
 
 
 def _minimal_in(cs: SeparationConstraintSet, axis: str, a: str, b: str) -> bool:
-    succ = cs.successors(axis)
-    firsts = succ.get(a, frozenset())
-    if b not in firsts:
+    if cs.find(axis, a, b) is None:
         return False
-    return not any(b in succ[mid] for mid in firsts if mid not in (a, b))
+    return not any(cs.find(axis, a, mid) is not None and cs.find(axis, mid, b) is not None
+                   for mid in cs.ids if mid not in (a, b))
 
 
 def _pick_axis(
@@ -142,18 +141,17 @@ def _pick_axis(
     set) is the hypothesis for guaranteed minimal leaders; the two-bend
     construction instead presumes the adjacency is realizable and skips it.
     """
-    candidates = []
+    candidates = []  # (secondary, axis, a, b), primary first after the sort
     for axis in ("H", "V"):
-        pairs = cs.H if axis == "H" else cs.V
         for a, b in ((r1, r2), (r2, r1)):
-            if (a, b) in pairs:
-                candidates.append((axis, a, b))
+            if (k := cs.find(axis, a, b)) is not None:
+                candidates.append((bool(cs.axes[axis].secondary[k]), axis, a, b))
     if not candidates:
         raise LeaderError(f"pair ({r1!r}, {r2!r}) has no separation constraint")
-    candidates.sort(key=lambda t: cs.is_secondary(t[0], (t[1], t[2])))
+    candidates.sort(key=lambda t: t[0])
     if not require_minimal:
-        return candidates[0]
-    for axis, a, b in candidates:
+        return candidates[0][1:]
+    for _, axis, a, b in candidates:
         if _minimal_in(cs, axis, a, b):
             return axis, a, b
     raise NotMinimalError(f"pair ({r1!r}, {r2!r}) is not minimal in H or V")
@@ -472,14 +470,15 @@ def all_leaders(
     Each pair is routed once along its primary constraint, without the
     minimality hypothesis of ``min_leader``: a derived set gives an adjacent
     pair no secondary constraint, so that hypothesis could pick no other
-    axis. A leader is emitted only when it passes the crossing check.
+    axis. The pairs are the map's lost adjacencies, so the endpoint checks
+    of ``min_leader`` hold already. A leader is emitted only when it passes
+    the crossing check.
     """
     leaders: list[Leader] = []
     failures: list[tuple[str, str, str]] = []
     frames = _FrameRects(layout)
     for a, b in lost_adjacencies(layout, map):
         try:
-            _check_endpoints(layout, cs, a, b)
             leaders.append(
                 _route_minimal(layout, cs, a, b, require_minimal=False, frames=frames)
             )

@@ -19,8 +19,10 @@ moved CNT layouts (sample3 ``CNT-W-IT``: mrel 0.407 to 0.281).
 
 ``LpProblem`` keeps its columns and its sparse rows as numpy arrays, which
 both solver engines read directly; the builders emit each constraint family
-with one bulk call over region-index arrays: the rows of the map's cached
-views (``AdjacencyGraph.pair_table`` and the others), shared by all blocks.
+with one bulk call over region-index arrays, shared by all blocks: the rows
+of the map's cached views (``AdjacencyGraph.pair_table`` and the others) and
+the separation constraint set's per-axis arrays (``AxisPairs``), which give
+the separation rows and their gaps.
 """
 
 from __future__ import annotations
@@ -489,46 +491,39 @@ def _emit_block(
 
     Each constraint family is one bulk append over region-index arrays.
     """
-    ids, pos = map.sorted_ids, map.position
+    ids, pos, n = map.sorted_ids, map.position, len(map.sorted_ids)
     side = np.array([sides[rid] for rid in ids], dtype=float)
     eps = cs.epsilon
     xc = prob.add_vars([f"x{tag}_{rid}" for rid in ids], -INF, INF)
     yc = prob.add_vars([f"y{tag}_{rid}" for rid in ids], -INF, INF)
-
-    def index(regions) -> np.ndarray:
-        return np.array([pos[r] for r in regions], dtype=np.int64)
+    to_map = np.array([pos[r] for r in cs.ids], dtype=np.int64)  # set row -> map row
 
     def w(ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
         return (side[ia] + side[ib]) / 2.0
 
     # separation constraints: center distance at least half-sides plus gap
     for axis, coord in (("H", xc), ("V", yc)):
-        pairs, gaps = cs.gapped_pairs(axis)
-        if not pairs:
-            continue
-        ia, ib = index(a for a, _ in pairs), index(b for _, b in pairs)
+        pairs = cs.axes[axis]
+        ia, ib = to_map[pairs.ia], to_map[pairs.ib]
         prob.add_rows(
             np.stack([coord[ib], coord[ia]], axis=1), [1.0, -1.0], ">=",
-            w(ia, ib) + np.array(gaps),
-            names=[f"sep{axis}{tag}_{a}__{b}" for a, b in pairs],
+            w(ia, ib) + cs.gaps(axis),
+            names=[f"sep{axis}{tag}_{ids[i]}__{ids[j]}"
+                   for i, j in zip(ia.tolist(), ib.tolist())],
         )
 
     # distance variables per adjacency, with the corner-contact correction:
     # the off-axis distance only reaches zero once the squares share a
-    # boundary segment at least epsilon long
+    # boundary segment at least epsilon long. The primary axis is the map's
+    # rule, ``pair_table.horiz``, at the pair's row (np.triu_indices order).
     edges = map.edge_list()
-    on_v = []
-    for a, b in edges:
-        prim = cs.primary_axis_of(a, b)
-        if prim is None:
-            raise ModelError(f"adjacent pair ({a!r}, {b!r}) has no primary constraint")
-        on_v.append(prim[0] == "V")
+    ea, eb = np.array([(pos[a], pos[b]) for a, b in edges], dtype=np.int64).reshape(-1, 2).T
+    on_v = ~map.pair_table.horiz[ea * (2 * n - ea - 1) // 2 + eb - ea - 1]
     hv = prob.add_vars(
         [f"{p}{tag}_{_pair_key(a, b)}" for a, b in edges for p in ("h", "v")]
     )
     h, v = hv[0::2], hv[1::2]
     if edges:
-        ea, eb = index(a for a, _ in edges), index(b for _, b in edges)
         ww = w(ea, eb)
         rhs_h = ww - np.where(on_v, eps, 0.0)
         rhs_v = ww - np.where(on_v, 0.0, eps)

@@ -5,18 +5,25 @@ chosen by whichever centroid distance is larger. The strong setting adds a
 gap-free secondary constraint in the other axis for nonadjacent pairs whose
 bounding boxes are separated in both axes. Pairs and the primary-axis rule
 come from the map's cached ``pair_table`` (see ``mapdata``).
+
+A set stores each axis once, as region-index arrays (``AxisPairs``), which
+the LP rows, the validity check, the cycle check, the reduction and the
+leaders read. The string pairs ``H``, ``V`` and ``secondary`` are views.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .mapdata import AdjacencyGraph
+from .mapdata import AdjacencyGraph, _read_only
 
 Pair = tuple[str, str]
 
@@ -30,86 +37,127 @@ class Setting(Enum):
     STRONG = "strong"
 
 
-@dataclass(frozen=True)
+class AxisPairs(NamedTuple):
+    """One axis's pairs, region ``ia[k]`` before ``ib[k]``, as read-only
+    arrays sorted by (ia, ib), with the secondary and the adjacent ones marked."""
+
+    ia: np.ndarray
+    ib: np.ndarray
+    secondary: np.ndarray
+    adjacent: np.ndarray
+
+    def take(self, rows: np.ndarray) -> AxisPairs:
+        """The pairs at ``rows``, an index array or a mask."""
+        return AxisPairs(*(_read_only(a[rows]) for a in self))
+
+
+def _axis_pairs(n: int, ia, ib, secondary, adjacent) -> AxisPairs:
+    """The pairs over n regions, sorted by (ia, ib)."""
+    ia, ib = np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
+    pairs = AxisPairs(ia, ib, np.asarray(secondary, bool), np.asarray(adjacent, bool))
+    return pairs.take(np.argsort(ia * n + ib))
+
+
+@dataclass(frozen=True, eq=False)
 class SeparationConstraintSet:
-    """Ordered pair sets H and V with the secondary subset and gap epsilon.
+    """The pairs of each axis, ``axes["H"]`` and ``axes["V"]``, over the sorted
+    regions ``ids``, with gap epsilon. Sets are equal when their regions,
+    pairs, marks, epsilon and setting are."""
 
-    ``secondary`` holds ("H"|"V", r, r') triples marking which entries of the
-    axis sets were added as gap-free secondary constraints. ``adjacencies``
-    mirrors the map's T-edges so gap values and reduction rules can be
-    resolved without the original map.
-    """
-
-    H: frozenset[Pair]
-    V: frozenset[Pair]
-    secondary: frozenset[tuple[str, str, str]]
+    ids: tuple[str, ...]
+    axes: dict[str, AxisPairs]
     epsilon: float
     setting: Setting
-    adjacencies: frozenset[frozenset[str]]
 
-    def is_secondary(self, axis: str, pair: Pair) -> bool:
-        return (axis, pair[0], pair[1]) in self.secondary
+    @classmethod
+    def from_pairs(
+        cls, H: Iterable[Pair], V: Iterable[Pair], secondary=(), epsilon: float = 0.0,
+        setting: Setting = Setting.WEAK, adjacencies=(), ids: Iterable[str] | None = None,
+    ) -> SeparationConstraintSet:
+        """A set built by hand from string pairs. The ("H"|"V", a, b) triples
+        of ``secondary`` and the unordered pairs of ``adjacencies`` mark pairs
+        of H and V. ``ids`` defaults to the regions that H and V name."""
+        secondary, adjacent = set(secondary), {frozenset(e) for e in adjacencies}
+        H, V = set(H), set(V)
+        ids = tuple(sorted({r for p in H | V for r in p} if ids is None else ids))
+        pos = {r: i for i, r in enumerate(ids)}
+        return cls(ids, {
+            axis: _axis_pairs(len(ids), [pos[a] for a, _ in P], [pos[b] for _, b in P],
+                              [(axis, *p) in secondary for p in P],
+                              [frozenset(p) in adjacent for p in P])
+            for axis, P in (("H", H), ("V", V))
+        }, epsilon, setting)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SeparationConstraintSet) and (self is other or (
+            (self.ids, self.epsilon, self.setting) == (other.ids, other.epsilon, other.setting)
+            and all(map(np.array_equal, self.axes["H"] + self.axes["V"],
+                        other.axes["H"] + other.axes["V"]))))
+
+    def gaps(self, axis: str) -> np.ndarray:
+        """Required extra separation per pair: epsilon unless secondary or adjacent."""
+        p = self.axes[axis]
+        return np.where(p.secondary | p.adjacent, 0.0, self.epsilon)
+
+    @cached_property
+    def position(self) -> dict[str, int]:
+        return {r: i for i, r in enumerate(self.ids)}
+
+    @cached_property
+    def _orders(self) -> dict[str, tuple[list[int], list[int]]]:
+        """``_order_or_cycle`` of each axis, for ``validate_dag`` and ``reduce_transitive``."""
+        return {axis: _order_or_cycle(len(self.ids), p.ia, p.ib) for axis, p in self.axes.items()}
+
+    def find(self, axis: str, a: str, b: str) -> int | None:
+        """Row of the pair (a, b) in one axis's arrays, None when absent."""
+        i, j = self.position.get(a), self.position.get(b)
+        if i is None or j is None:
+            return None
+        p = self.axes[axis]
+        lo, hi = np.searchsorted(p.ia, (i, i + 1)).tolist()
+        k = lo + int(np.searchsorted(p.ib[lo:hi], j))
+        return k if k < hi and p.ib[k] == j else None
 
     def is_adjacent(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self.adjacencies
+        """Whether a pair of the set between a and b is a map adjacency."""
+        return any(k is not None and bool(self.axes[axis].adjacent[k]) for axis in "HV"
+                   for k in (self.find(axis, a, b), self.find(axis, b, a)))
 
-    def gap(self, axis: str, pair: Pair) -> float:
-        """Required extra separation: epsilon for nonadjacent primary pairs."""
-        if self.is_secondary(axis, pair) or self.is_adjacent(*pair):
-            return 0.0
-        return self.epsilon
+    def _named(self, axis: str, mask: np.ndarray | None = None) -> list[Pair]:
+        p = self.axes[axis] if mask is None else self.axes[axis].take(mask)
+        return [(self.ids[i], self.ids[j]) for i, j in zip(p.ia.tolist(), p.ib.tolist())]
 
-    def primary_axis_of(self, a: str, b: str) -> tuple[str, Pair] | None:
-        """Axis and orientation of the primary constraint covering {a, b}."""
-        for axis, pairs in (("H", self.H), ("V", self.V)):
-            for p in ((a, b), (b, a)):
-                if p in pairs and not self.is_secondary(axis, p):
-                    return axis, p
-        return None
-
-    def sorted_h(self) -> list[Pair]:
-        return sorted(self.H)
-
-    def sorted_v(self) -> list[Pair]:
-        return sorted(self.V)
-
-    def gapped_pairs(self, axis: str) -> tuple[tuple[Pair, ...], tuple[float, ...]]:
-        """One axis's sorted pairs and their ``gap`` values, computed once."""
-        return self._gapped[axis]
+    # read-only string views, built on first use
+    @cached_property
+    def H(self) -> frozenset[Pair]:
+        return frozenset(self._named("H"))
 
     @cached_property
-    def _gapped(self) -> dict[str, tuple[tuple[Pair, ...], tuple[float, ...]]]:
-        out = {}
-        for axis, pairs in (("H", self.sorted_h()), ("V", self.sorted_v())):
-            out[axis] = (tuple(pairs), tuple(self.gap(axis, p) for p in pairs))
-        return out
-
-    def successors(self, axis: str) -> dict[str, frozenset[str]]:
-        """Per region of one axis set, the regions it must precede there."""
-        return self._axis_index[axis][0]
-
-    def axis_order(self, axis: str) -> tuple[str, ...] | None:
-        """The regions of one axis set, each after all of its successors;
-        None when the set holds a directed cycle."""
-        return self._axis_index[axis][1]
+    def V(self) -> frozenset[Pair]:
+        return frozenset(self._named("V"))
 
     @cached_property
-    def _axis_index(
-        self,
-    ) -> dict[str, tuple[dict[str, frozenset[str]], tuple[str, ...] | None]]:
-        return {"H": _axis_graph(self.H), "V": _axis_graph(self.V)}
+    def secondary(self) -> frozenset[tuple[str, str, str]]:
+        return frozenset((axis, *p) for axis in "HV"
+                         for p in self._named(axis, self.axes[axis].secondary))
+
+    @cached_property
+    def content_id(self) -> str:
+        """Short hash of the pairs, secondary marks, epsilon and setting that
+        identifies the set in serialized output; computed once per set."""
+        payload = {"H": self._named("H"), "V": self._named("V"),
+                   "secondary": sorted(self.secondary),
+                   "epsilon": self.epsilon, "setting": self.setting.value}
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
     def to_dot(self) -> str:
         """DOT digraph of all constraints, secondary ones dashed."""
         lines = ["digraph separation {", "  rankdir=LR;"]
-        for axis, pairs, color in (("H", self.sorted_h(), "blue"), ("V", self.sorted_v(), "red")):
-            for a, b in pairs:
-                style = "dashed" if self.is_secondary(axis, (a, b)) else "solid"
-                lines.append(
-                    f'  "{a}" -> "{b}" [label="{axis}", color={color}, style={style}];'
-                )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        for axis, color in (("H", "blue"), ("V", "red")):
+            for (a, b), sec in zip(self._named(axis), self.axes[axis].secondary.tolist()):
+                style = "dashed" if sec else "solid"
+                lines.append(f'  "{a}" -> "{b}" [label="{axis}", color={color}, style={style}];')
+        return "\n".join(lines + ["}", ""])
 
 
 def derive_constraints(
@@ -123,8 +171,16 @@ def derive_constraints(
     are strictly separated in both axes also get a secondary constraint in the
     other axis, oriented by centroid order in that axis; a pair level in that
     axis gets none. One array pass over the map's ``pair_table``.
+
+    A derived set has no directed cycle, so ``validate_dag`` returns None:
+    every H pair, primary or secondary, runs toward larger centroid x, and
+    every V pair toward larger centroid y, so x orders H and y orders V.
+    Along a primary H pair x+y does not decrease (dx > 0 and |dx| >= |dy|),
+    and where it stays the same x increases; along a primary V pair x+y
+    increases (dy > 0 and |dy| > |dx|). So (x+y, x) orders the union of the
+    primary pairs.
     """
-    ids = np.array(map.sorted_ids, dtype=object)
+    ids = map.sorted_ids
     box = np.array([r.bbox() for r in sorted(map.regions, key=lambda r: r.id)],
                    dtype=float).reshape(-1, 4)
     ia, ib, dx, dy, horiz = map.pair_table
@@ -136,32 +192,54 @@ def derive_constraints(
         )
     main = np.where(horiz, dx, dy)  # signed distance in the primary axis
     other = np.where(horiz, dy, dx)  # and in the other axis
-
-    def ordered(mask: np.ndarray, d: np.ndarray) -> set[Pair]:
-        """The masked pairs, first region at the smaller coordinate."""
-        a, b, fwd = ia[mask], ib[mask], d[mask] > 0
-        first, second = np.where(fwd, a, b), np.where(fwd, b, a)
-        return set(zip(ids[first].tolist(), ids[second].tolist()))
-
-    H = ordered(horiz, main)
-    V = ordered(~horiz, main)
-    secondary: set[tuple[str, str, str]] = set()
+    adjacent = map.adjacency_mask[ia, ib]
+    extra = np.zeros_like(horiz)  # pairs with a secondary constraint
     if setting is Setting.STRONG:
         x_sep = (box[ia, 2] < box[ib, 0]) | (box[ib, 2] < box[ia, 0])
         y_sep = (box[ia, 3] < box[ib, 1]) | (box[ib, 3] < box[ia, 1])
-        extra = (other != 0) & ~map.adjacency_mask[ia, ib] & x_sep & y_sep
-        for axis, target, mask in (("V", V, extra & horiz), ("H", H, extra & ~horiz)):
-            pairs = ordered(mask, other)
-            target |= pairs
-            secondary.update((axis, a, b) for a, b in pairs)
-    return SeparationConstraintSet(
-        H=frozenset(H),
-        V=frozenset(V),
-        secondary=frozenset(secondary),
-        epsilon=epsilon,
-        setting=setting,
-        adjacencies=frozenset(map.edges),
-    )
+        extra = (other != 0) & ~adjacent & x_sep & y_sep
+
+    def axis(primary: np.ndarray, second: np.ndarray) -> AxisPairs:
+        """The masked primary and secondary rows of the pair table, first
+        region at the smaller coordinate."""
+        rows = np.concatenate([np.flatnonzero(primary), np.flatnonzero(second)])
+        fwd = np.concatenate([main[primary], other[second]]) > 0
+        a, b = ia[rows], ib[rows]
+        marked = np.arange(rows.size) >= np.count_nonzero(primary)
+        return _axis_pairs(len(ids), np.where(fwd, a, b), np.where(fwd, b, a),
+                           marked, adjacent[rows])
+
+    axes = {"H": axis(horiz, extra & ~horiz), "V": axis(~horiz, extra & horiz)}
+    return SeparationConstraintSet(ids, axes, epsilon, setting)
+
+
+def _order_or_cycle(n: int, ia: np.ndarray, ib: np.ndarray) -> tuple[list[int], list[int]]:
+    """Regions 0..n-1, each after all of its successors along the edges ia -> ib
+    (Kahn's algorithm), and []; or [] and a directed cycle of the edges, as its
+    distinct regions in edge order. Edges distinct and sorted by (ia, ib) give
+    the same cycle in every process."""
+    start = np.searchsorted(ia, np.arange(n + 1)).tolist()
+    targets, indeg = ib.tolist(), np.bincount(ib, minlength=n).tolist()
+    ready, order = [r for r in range(n) if not indeg[r]], []
+    while ready:
+        order.append(r := ready.pop())
+        for s in targets[start[r]:start[r + 1]]:
+            indeg[s] -= 1
+            if not indeg[s]:
+                ready.append(s)
+    if len(order) == n:
+        return order[::-1], []
+    graph: dict[int, list[int]] = {}
+    for a, b in zip(ia.tolist(), targets):
+        graph.setdefault(a, []).append(b)
+        graph.setdefault(b, [])
+    try:
+        # TopologicalSorter reads the successors as predecessors, so it
+        # reports the cycle against the edges' direction
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        return [], exc.args[1][:0:-1]
+    raise AssertionError("Kahn's algorithm stalled on an acyclic graph")
 
 
 def validate_dag(cs: SeparationConstraintSet) -> list[str] | None:
@@ -173,62 +251,17 @@ def validate_dag(cs: SeparationConstraintSet) -> list[str] | None:
     the opposite way in the other axis (one axis orders them left-right, the
     other bottom-top), so the raw union of all four orientations need not be
     acyclic in the strong setting. Returns the cycle's distinct regions in
-    edge order, or None when consistent.
-
-    H and V are checked through the set's cached axis index, whose orders
-    ``reduce_transitive`` then reuses; only the primary union gets a graph of
-    its own here. A cycle is looked for only once an order has failed, on
-    the sorted edges, so every process reports the same one.
+    edge order, or None when consistent. A derived set never has one (see
+    ``derive_constraints``); sets built by hand may.
     """
-    primary: set[Pair] = set()
-    for axis in ("H", "V"):
-        pairs = cs.H if axis == "H" else cs.V
-        if cs.axis_order(axis) is None:
-            return _find_cycle(pairs)
-        primary |= pairs - {(a, b) for ax, a, b in cs.secondary if ax == axis}
-    if _axis_graph(primary)[1] is None:
-        return _find_cycle(primary)
+    n = len(cs.ids)
+    primary = [p.take(~p.secondary) for p in cs.axes.values()]
+    keys = np.sort(np.concatenate([p.ia * n + p.ib for p in primary]))
+    union = keys[np.diff(keys, prepend=-1) != 0]  # np.unique would import numpy.ma
+    for _, cycle in (*cs._orders.values(), _order_or_cycle(n, union // n, union % n)):
+        if cycle:
+            return [cs.ids[r] for r in cycle]
     return None
-
-
-def _axis_graph(edges) -> tuple[dict[str, frozenset[str]], tuple[str, ...] | None]:
-    """Successor sets of the regions in ``edges``, and those regions ordered
-    so that each comes after all of its successors; the order is None when
-    the edges hold a directed cycle (Kahn's algorithm)."""
-    succ: dict[str, set[str]] = {}
-    indeg: dict[str, int] = {}
-    for a, b in edges:
-        succ.setdefault(a, set()).add(b)
-        indeg[b] = indeg.get(b, 0) + 1
-    for b in indeg:
-        succ.setdefault(b, set())
-    ready = [r for r in succ if r not in indeg]
-    order = []
-    while ready:
-        r = ready.pop()
-        order.append(r)
-        for s in succ[r]:
-            indeg[s] -= 1
-            if not indeg[s]:
-                ready.append(s)
-    frozen = {r: frozenset(s) for r, s in succ.items()}
-    return frozen, (tuple(reversed(order)) if len(order) == len(succ) else None)
-
-
-def _find_cycle(edges) -> list[str]:
-    """A directed cycle of a cyclic edge set, as its distinct regions in edge
-    order; the same edges give the same cycle in every process."""
-    succ: dict[str, list[str]] = {}
-    for a, b in sorted(edges):
-        succ.setdefault(a, []).append(b)
-        succ.setdefault(b, [])
-    try:
-        # TopologicalSorter reads the successors as predecessors, so it
-        # reports the cycle against the edges' direction
-        TopologicalSorter(succ).prepare()
-    except CycleError as exc:
-        return exc.args[1][:0:-1]
-    raise ValueError("the edges hold no directed cycle")
 
 
 def reduce_transitive(cs: SeparationConstraintSet) -> SeparationConstraintSet:
@@ -246,41 +279,26 @@ def reduce_transitive(cs: SeparationConstraintSet) -> SeparationConstraintSet:
     only looks for two-step chains, so on the reduced set it could call a
     pair minimal that the full set does not.
 
-    Reachability is one bitset per region, filled in the successors-first
-    order of the set's cached axis index, the same index ``validate_dag``
-    checked; so H and V must each be acyclic.
+    Reachability is one boolean row per region, filled in the successors-first
+    order of each axis that ``validate_dag`` checked; so each must be acyclic.
     """
+    n = len(cs.ids)
 
-    def reduced(axis: str) -> frozenset[Pair]:
-        order = cs.axis_order(axis)
-        if order is None:
-            cycle = _find_cycle(cs.H if axis == "H" else cs.V)
-            raise ConstraintError(f"directed cycle {cycle}")
-        succ = cs.successors(axis)
-        bit = {r: 1 << i for i, r in enumerate(order)}
-        reach: dict[str, int] = {}  # regions reachable by one or more edges
+    def reduced(axis: str, p: AxisPairs) -> AxisPairs:
+        order, cycle = cs._orders[axis]
+        if cycle:
+            raise ConstraintError(f"directed cycle {[cs.ids[r] for r in cycle]}")
+        start = np.searchsorted(p.ia, np.arange(n + 1))
+        reach = np.zeros((n, n), dtype=bool)  # by one or more edges
+        longer = np.zeros((n, n), dtype=bool)  # by two or more
         for r in order:
-            acc = 0
-            for s in succ[r]:
-                acc |= bit[s] | reach[s]
-            reach[r] = acc
-        out = adjacent & (cs.H if axis == "H" else cs.V)  # always kept
-        for a, targets in succ.items():
-            # reachable from a by two or more edges; in a DAG no successor
-            # reaches itself, so the direct edge (a, b) is never counted
-            longer = 0
-            for s in targets:
-                longer |= reach[s]
-            out.update((a, b) for b in targets if not longer & bit[b])
-        return frozenset(out)
+            succ = p.ib[start[r]:start[r + 1]]
+            if succ.size:
+                # in a DAG no successor reaches itself, so the direct edge
+                # (r, b) never counts as a longer path
+                longer[r] = reach[succ].any(axis=0)
+                reach[r] = longer[r]
+                reach[r, succ] = True
+        return p.take(p.adjacent | ~longer[p.ia, p.ib])
 
-    adjacent = {(a, b) for e in cs.adjacencies for a in e for b in e if a != b}
-
-    new_h = reduced("H")
-    new_v = reduced("V")
-    new_secondary = frozenset(
-        (axis, a, b)
-        for axis, a, b in cs.secondary
-        if (a, b) in (new_h if axis == "H" else new_v)
-    )
-    return replace(cs, H=new_h, V=new_v, secondary=new_secondary)
+    return replace(cs, axes={axis: reduced(axis, p) for axis, p in cs.axes.items()})

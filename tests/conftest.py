@@ -31,6 +31,14 @@ def square_map(
     )
 
 
+def pair_gap(cs, axis: str, pair: tuple[str, str]) -> float:
+    """The gap rule restated: epsilon for a pair of the set that is neither
+    secondary nor a map adjacency, else 0."""
+    if (axis, *pair) in cs.secondary or cs.is_adjacent(*pair):
+        return 0.0
+    return cs.epsilon
+
+
 # ---------------------------------------------------------------------------
 # geometric oracles, deliberately written apart from the production code
 

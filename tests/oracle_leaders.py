@@ -80,7 +80,7 @@ def _pick_axis(
                 candidates.append((axis, a, b))
     if not candidates:
         raise LeaderError(f"pair ({r1!r}, {r2!r}) has no separation constraint")
-    candidates.sort(key=lambda t: cs.is_secondary(t[0], (t[1], t[2])))
+    candidates.sort(key=lambda t: t in cs.secondary)
     if not require_minimal:
         return candidates[0]
     for axis, a, b in candidates:

@@ -135,6 +135,32 @@ class TestRun:
         dot = (out / "constraints.dot").read_text()
         assert dot.startswith("digraph")
 
+    @pytest.mark.parametrize("instance", ["sample3", "grid3x3"])
+    def test_dumped_dot_lists_the_derived_pairs(self, tmp_path, sample3_paths, instance):
+        # every H pair, then every V pair, each sorted; secondary pairs dashed
+        from demers.mapdata import compute_epsilon, load_map, load_weights, scale_weights
+        from demers.sepconstraints import derive_constraints
+        from demers.synth import write_instance
+
+        if instance == "sample3":
+            map_path, csv_path = sample3_paths
+        else:
+            map_path, csv_path = write_instance(tmp_path / "inst", 3, 0, jitter=0.3)
+        res = run(RunConfig(str(map_path), str(csv_path), "TOP-S-SU",
+                            out_dir=str(tmp_path / "out"), dump_constraints=True))
+        assert res.ok
+        g = load_map(map_path)
+        table = scale_weights(load_weights(csv_path, g, res.config.kind), g)
+        cs = derive_constraints(g, compute_epsilon(table, g), Setting.STRONG)
+        want = ["digraph separation {", "  rankdir=LR;"]
+        for axis, pairs, color in (("H", cs.H, "blue"), ("V", cs.V, "red")):
+            for a, b in sorted(pairs):
+                style = "dashed" if (axis, a, b) in cs.secondary else "solid"
+                want.append(f'  "{a}" -> "{b}" [label="{axis}", color={color}, style={style}];')
+        want.append("}")
+        assert bool(cs.secondary) == (instance == "grid3x3")  # sample3 has none
+        assert (tmp_path / "out" / "constraints.dot").read_text().splitlines() == want
+
     def test_frames_written(self, tmp_path, sample3_paths):
         res = run_sample(tmp_path, sample3_paths, "TOP-W-SU", frames=4)
         frame_dir = Path(res.config.out_dir) / "frames_0_1"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import overlapping_pairs, square_map
+from conftest import overlapping_pairs, pair_gap, square_map
 from demers.layout import (
     LayoutError,
     SquareLayout,
@@ -106,10 +107,10 @@ class TestInterpolate:
         cs = a.constraint_ref
         for t in (0.25, 0.5, 0.75):
             frame = interpolate(a, b, t)
-            for axis, pairs, coord in (("H", cs.sorted_h(), 0), ("V", cs.sorted_v(), 1)):
+            for axis, pairs, coord in (("H", sorted(cs.H), 0), ("V", sorted(cs.V), 1)):
                 for u, v in pairs:
                     w = (frame.sides[u] + frame.sides[v]) / 2
-                    need = w + cs.gap(axis, (u, v))
+                    need = w + pair_gap(cs, axis, (u, v))
                     got = frame.centers[v][coord] - frame.centers[u][coord]
                     assert got >= need - 1e-7
 
@@ -118,6 +119,20 @@ class TestInterpolate:
         c, _ = solved_pair(6)
         with pytest.raises(LayoutError, match="constraint"):
             interpolate(a, c, 0.5)
+
+    def test_sets_compared_by_content(self):
+        # a copy of the set is the same set; another epsilon is not, even
+        # with the same pairs
+        a, b = solved_pair(5)
+        cs = b.constraint_ref
+        copy = dataclasses.replace(b, constraint_ref=dataclasses.replace(cs))
+        assert copy.constraint_ref is not cs
+        assert interpolate(a, copy, 0.5).constraint_ref is a.constraint_ref
+        moved = dataclasses.replace(
+            b, constraint_ref=dataclasses.replace(cs, epsilon=cs.epsilon * 2)
+        )
+        with pytest.raises(LayoutError, match="do not share a separation constraint set"):
+            interpolate(a, moved, 0.5)
 
 
 class TestDecode:
@@ -188,9 +203,9 @@ def violations_by_loop(layout):
     def w(a, b):
         return (sides[a] + sides[b]) / 2.0
 
-    for axis, pairs, coord in (("H", cs.sorted_h(), 0), ("V", cs.sorted_v(), 1)):
+    for axis, pairs, coord in (("H", sorted(cs.H), 0), ("V", sorted(cs.V), 1)):
         for a, b in pairs:
-            need = w(a, b) + cs.gap(axis, (a, b))
+            need = w(a, b) + pair_gap(cs, axis, (a, b))
             got = centers[b][coord] - centers[a][coord]
             if got < need - tol:
                 out.append(Violation(f"separation[{axis}]", (a, b), need - got))

@@ -14,7 +14,7 @@ from demers.leaders import (
     two_bend_leader,
 )
 from demers.lpmodel import ModelSpec, ObjectiveKind, build_single_lp
-from demers.sepconstraints import Setting, derive_constraints
+from demers.sepconstraints import SeparationConstraintSet, Setting, derive_constraints
 from demers.simplexsolver import solve_lp
 
 
@@ -303,11 +303,11 @@ class TestRetryWithoutMinimality:
         )
 
     def test_pair_without_constraint_is_not_retried(self):
-        import dataclasses
-
         squares = {"minimal_a": (0, 0, 2.0), "b": (8, 0, 2.0)}
         _, cs, _ = layout_for(squares, {("minimal_a", "b")})
-        bare = dataclasses.replace(cs, H=frozenset(), V=frozenset(), secondary=frozenset())
+        bare = SeparationConstraintSet.from_pairs(
+            (), (), epsilon=cs.epsilon, setting=cs.setting, ids=cs.ids
+        )
         routed, report = self.route(squares, {("minimal_a", "b")}, bare)
         assert routed == []
         assert report.unroutable == (

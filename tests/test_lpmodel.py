@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import overlapping_pairs, square_map
+from conftest import overlapping_pairs, pair_gap, square_map
 from demers.layout import decode, l1_gap, validity_violations
 from demers.lpmodel import (
     LpProblem,
@@ -259,12 +259,12 @@ class TestModelInvariants:
         """Layering by longest path in each axis; satisfies every constraint."""
         ids = sorted(g.region_ids)
         pos = {}
-        for axis, pairs in (("H", cs.sorted_h()), ("V", cs.sorted_v())):
+        for axis, pairs in (("H", sorted(cs.H)), ("V", sorted(cs.V))):
             dist = {rid: 0.0 for rid in ids}
             order = ids[:]
             for _ in range(len(ids)):
                 for a, b in pairs:
-                    w = (sides[a] + sides[b]) / 2 + cs.gap(axis, (a, b))
+                    w = (sides[a] + sides[b]) / 2 + pair_gap(cs, axis, (a, b))
                     dist[b] = max(dist[b], dist[a] + w)
             pos[axis] = dist
         return {rid: (pos["H"][rid], pos["V"][rid]) for rid in ids}
@@ -362,7 +362,7 @@ class TestModelInvariants:
             key = f"{min(a,b)}__{max(a,b)}"
             h = sol.values[f"h0_{key}"]
             v = sol.values[f"v0_{key}"]
-            prim = cs.primary_axis_of(a, b)[0]
+            prim = "H" if {(a, b), (b, a)} & cs.H else "V"  # weak: primaries only
             w = (sides[a] + sides[b]) / 2
             dx = abs(lay.centers[a][0] - lay.centers[b][0])
             dy = abs(lay.centers[a][1] - lay.centers[b][1])

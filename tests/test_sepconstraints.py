@@ -48,8 +48,7 @@ class TestDerive:
         )
         assert ("a", "b") in cs.H  # tie rule: primary in H
         assert ("a", "b") in cs.V
-        assert cs.is_secondary("V", ("a", "b"))
-        assert not cs.is_secondary("H", ("a", "b"))
+        assert cs.secondary == {("V", "a", "b")}
 
     def test_strong_skips_adjacent_pairs(self):
         cs = cs_of(
@@ -70,12 +69,16 @@ class TestDerive:
 
     def test_secondary_gap_is_zero(self):
         cs = cs_of({"a": (0, 0, 1), "b": (10, 10, 1)}, setting=Setting.STRONG)
-        assert cs.gap("V", ("a", "b")) == 0.0
-        assert cs.gap("H", ("a", "b")) == 0.25
+        assert cs.gaps("V").tolist() == [0.0]
+        assert cs.gaps("H").tolist() == [0.25]
 
     def test_adjacent_gap_is_zero(self):
         cs = cs_of({"a": (0, 0, 1), "b": (10, 3, 1)}, edges={("a", "b")})
-        assert cs.gap("H", ("a", "b")) == 0.0
+        assert cs.gaps("H").tolist() == [0.0]
+
+    def test_gaps_follow_epsilon(self):
+        cs = cs_of({"a": (0, 0, 1), "b": (10, 10, 1)}, setting=Setting.STRONG)
+        assert replace(cs, epsilon=0.5).gaps("H").tolist() == [0.5]
 
 
 def random_squares(rng, n):
@@ -130,13 +133,8 @@ class TestInvariants:
 class TestValidateDag:
     def test_two_cycle_detected(self):
         base = cs_of({"a": (0, 0, 1), "b": (5, 0, 1)})
-        broken = SeparationConstraintSet(
-            H=frozenset({("a", "b"), ("b", "a")}),
-            V=frozenset(),
-            secondary=frozenset(),
-            epsilon=base.epsilon,
-            setting=base.setting,
-            adjacencies=base.adjacencies,
+        broken = SeparationConstraintSet.from_pairs(
+            H={("a", "b"), ("b", "a")}, V=(), epsilon=base.epsilon, setting=base.setting,
         )
         cycle = validate_dag(broken)
         assert cycle is not None
@@ -148,13 +146,9 @@ class TestValidateDag:
 
     def test_longer_cycle_detected(self):
         base = cs_of({"a": (0, 0, 1), "b": (5, 0, 1), "c": (10, 0, 1)})
-        broken = SeparationConstraintSet(
-            H=frozenset({("a", "b"), ("b", "c"), ("c", "a")}),
-            V=frozenset(),
-            secondary=frozenset(),
-            epsilon=base.epsilon,
-            setting=base.setting,
-            adjacencies=base.adjacencies,
+        broken = SeparationConstraintSet.from_pairs(
+            H={("a", "b"), ("b", "c"), ("c", "a")}, V=(),
+            epsilon=base.epsilon, setting=base.setting,
         )
         cycle = validate_dag(broken)
         assert cycle is not None
@@ -163,13 +157,8 @@ class TestValidateDag:
 
 class TestReduceTransitive:
     def make(self, H, adjacent=frozenset(), ids=("a", "b", "c")):
-        return SeparationConstraintSet(
-            H=frozenset(H),
-            V=frozenset(),
-            secondary=frozenset(),
-            epsilon=0.1,
-            setting=Setting.WEAK,
-            adjacencies=frozenset(frozenset(e) for e in adjacent),
+        return SeparationConstraintSet.from_pairs(
+            H=H, V=(), epsilon=0.1, setting=Setting.WEAK, adjacencies=adjacent, ids=ids,
         )
 
     def test_transitive_triple_reduced(self):
@@ -242,10 +231,15 @@ def reduce_by_dfs(cs: SeparationConstraintSet) -> SeparationConstraintSet:
         (axis, a, b) for axis, a, b in cs.secondary
         if (a, b) in (new_h if axis == "H" else new_v)
     )
-    return SeparationConstraintSet(
+    return SeparationConstraintSet.from_pairs(
         H=new_h, V=new_v, secondary=secondary, epsilon=cs.epsilon,
-        setting=cs.setting, adjacencies=cs.adjacencies,
+        setting=cs.setting, adjacencies=adjacencies_of(cs), ids=cs.ids,
     )
+
+
+def adjacencies_of(cs):
+    """The pairs of a set that it marks as map adjacencies."""
+    return {(a, b) for a, b in cs.H | cs.V if cs.is_adjacent(a, b)}
 
 
 @st.composite
@@ -266,9 +260,9 @@ def random_dag_sets(draw):
     marked = draw(st.lists(st.sampled_from(sorted(
         [("H", a, b) for a, b in H] + [("V", a, b) for a, b in V]
     )), unique=True)) if H or V else []
-    return SeparationConstraintSet(
-        H=H, V=V, secondary=frozenset(marked), epsilon=0.1, setting=Setting.STRONG,
-        adjacencies=frozenset(frozenset((ids[i], ids[j])) for i, j in adjacent),
+    return SeparationConstraintSet.from_pairs(
+        H=H, V=V, secondary=marked, epsilon=0.1, setting=Setting.STRONG,
+        adjacencies=[(ids[i], ids[j]) for i, j in adjacent], ids=ids,
     )
 
 
@@ -355,9 +349,9 @@ def derive_by_pairs(map, epsilon, setting):
             ):
                 (H if other_axis == "H" else V).add(ordered)
                 secondary.add((other_axis, ordered[0], ordered[1]))
-    return SeparationConstraintSet(
-        H=frozenset(H), V=frozenset(V), secondary=frozenset(secondary),
-        epsilon=epsilon, setting=setting, adjacencies=frozenset(map.edges),
+    return SeparationConstraintSet.from_pairs(
+        H=H, V=V, secondary=secondary, epsilon=epsilon, setting=setting,
+        adjacencies=map.edges, ids=map.sorted_ids,
     )
 
 
@@ -395,7 +389,56 @@ def test_derive_matches_pair_loop(g, setting):
             derive_constraints(g, 0.1, setting)
         assert str(got.value) == str(exc)
         return
-    assert derive_constraints(g, 0.1, setting) == want
+    got = derive_constraints(g, 0.1, setting)
+    assert got == want
+    # the proof in derive_constraints' docstring: no derived set has a cycle
+    assert validate_dag(got) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_square_maps(), st.sampled_from(list(Setting)), st.data())
+def test_matches_frozen_oracle(g, setting, data):
+    # derived and reduced sets give the string-pair module's pairs, marks,
+    # gaps, DOT output, set ids and validity violations
+    import oracle_sepconstraints as oracle
+    from demers.layout import SquareLayout, constraint_set_id, validity_violations
+
+    try:
+        old = oracle.derive_constraints(g, 0.1, setting)
+    except ConstraintError:
+        return  # test_derive_matches_pair_loop compares the errors
+    new = derive_constraints(g, 0.1, setting)
+    assert validate_dag(new) is None is oracle.validate_dag(old)
+    n = len(g.regions)
+    sides = data.draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n))
+    layout = SquareLayout(
+        centers={r.id: r.centroid for r in g.regions},
+        sides=dict(zip(g.region_ids, sides)),
+        diagonal=g.diagonal() if g.regions and data.draw(st.booleans()) else 0.0,
+    )
+    for new, old in ((new, old), (reduce_transitive(new), oracle.reduce_transitive(old))):
+        assert (new.H, new.V, new.secondary) == (old.H, old.V, old.secondary)
+        for axis, pairs in (("H", old.H), ("V", old.V)):
+            assert new.gaps(axis).tolist() == [old.gap(axis, p) for p in sorted(pairs)]
+        assert new.to_dot() == old.to_dot()
+        assert constraint_set_id(new) == oracle.constraint_set_id(old)
+        assert validity_violations(replace(layout, constraint_ref=new)) == (
+            oracle.validity_violations(replace(layout, constraint_ref=old))
+        )
+
+
+def test_equality_is_content():
+    g = square_map({"a": (0, 0, 1), "b": (10, 10, 1), "c": (3, 7, 1)}, {("a", "c")})
+    cs = derive_constraints(g, 0.25, Setting.STRONG)
+    again = derive_constraints(g, 0.25, Setting.STRONG)
+    assert cs is not again and cs == again
+    assert cs != replace(cs, epsilon=0.5)
+    assert cs != derive_constraints(g, 0.25, Setting.WEAK)
+    assert cs != reduce_transitive(cs)  # drops V (a, b), implied by a < c < b
+    built = SeparationConstraintSet.from_pairs(
+        cs.H, cs.V, cs.secondary, 0.25, Setting.STRONG, adjacencies=g.edges
+    )
+    assert built == cs
 
 
 def dfs_cycle_free(edges) -> bool:
@@ -436,17 +479,16 @@ def random_constraint_sets(draw):
     H, V = edges(), edges()
     marked = sorted([("H", a, b) for a, b in H] + [("V", a, b) for a, b in V])
     secondary = draw(st.lists(st.sampled_from(marked), unique=True)) if marked else []
-    return SeparationConstraintSet(
-        H=H, V=V, secondary=frozenset(secondary), epsilon=0.1, setting=Setting.STRONG,
-        adjacencies=frozenset(),
+    return SeparationConstraintSet.from_pairs(
+        H=H, V=V, secondary=secondary, epsilon=0.1, setting=Setting.STRONG, ids=ids,
     )
 
 
 @settings(max_examples=400, deadline=None)
 @given(random_constraint_sets())
 def test_validate_dag_matches_dfs(cs):
-    primary = {(a, b) for a, b in cs.H if not cs.is_secondary("H", (a, b))}
-    primary |= {(a, b) for a, b in cs.V if not cs.is_secondary("V", (a, b))}
+    primary = {(a, b) for a, b in cs.H if ("H", a, b) not in cs.secondary}
+    primary |= {(a, b) for a, b in cs.V if ("V", a, b) not in cs.secondary}
     graphs = [cs.H, cs.V, primary]
     cycle = validate_dag(cs)
     assert (cycle is None) == all(dfs_cycle_free(edges) for edges in graphs)
@@ -454,3 +496,26 @@ def test_validate_dag_matches_dfs(cs):
         assert len(set(cycle)) == len(cycle) >= 2
         steps = set(zip(cycle, cycle[1:] + cycle[:1]))
         assert any(steps <= edges for edges in graphs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_constraint_sets())
+def test_cycles_and_reductions_match_frozen_oracle(cs):
+    # hand-built sets, cyclic ones included: the same reported cycle, and
+    # the same reduction or the same error
+    import oracle_sepconstraints as oracle
+
+    old = oracle.SeparationConstraintSet(
+        H=cs.H, V=cs.V, secondary=cs.secondary, epsilon=cs.epsilon,
+        setting=cs.setting, adjacencies=frozenset(),
+    )
+    assert validate_dag(cs) == oracle.validate_dag(old)
+    try:
+        want = oracle.reduce_transitive(old)
+    except ConstraintError as exc:
+        with pytest.raises(ConstraintError) as got:
+            reduce_transitive(cs)
+        assert str(got.value) == str(exc)
+        return
+    red = reduce_transitive(cs)
+    assert (red.H, red.V, red.secondary) == (want.H, want.V, want.secondary)
