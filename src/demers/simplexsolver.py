@@ -117,6 +117,9 @@ FEAS_TOL = 1e-7  # absolute, on the scaled constraints
 OPT_TOL = 1e-9  # reduced-cost optimality threshold
 INT_TOL = 1e-6  # integrality threshold for binaries
 PIVOT_TOL = 1e-9
+# a chosen pivot below this is checked against the basis itself: from an
+# updated inverse it can be drift, which pivots onto a singular basis
+SMALL_PIVOT = 1e-7
 DEGENERATE_STREAK = 30  # degenerate pivots before switching to Bland's rule
 REFACTOR_EVERY = 100
 # bytes of basis inverses the branch-and-bound heap may hold; a sibling
@@ -740,6 +743,7 @@ class _Simplex:
         self.streak = 0
         self.updates = 0  # rank-1 updates of binv since it was last refactored
         self.refactors = 0  # dense inverses computed
+        self.drifted = False  # a pivot entry was found to be drift
 
         A, b = std.A.copy(), std.b.copy()
         m, n = A.shape
@@ -779,6 +783,15 @@ class _Simplex:
         self.updates = 0
         self.refactors += 1
 
+    def _real_entry(self, r: int, j: int, sign: float) -> bool:
+        """Whether entry ``r`` of B^-1 A_j, solved afresh from the basis,
+        exceeds ``PIVOT_TOL`` with the given sign. Leaves ``binv`` as it is."""
+        try:
+            fresh = np.linalg.solve(self.A[:, self.basis], self.A[:, j])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("singular basis") from exc
+        return bool(sign * fresh[r] > PIVOT_TOL)
+
     def xb(self) -> np.ndarray:
         return self.binv @ self.b if self.m else np.zeros(0)
 
@@ -817,8 +830,11 @@ class _Simplex:
         still looks like a ray there has a negative reduced cost from
         round-off, and it is skipped until a pivot lowers the objective.
         Skips last through degenerate pivots: while the vertex stays put the
-        skipped set only grows, so Bland's rule cannot cycle. Past the
-        iteration limit or the deadline it returns "iteration_limit".
+        skipped set only grows, so Bland's rule cannot cycle. A pivot entry
+        below ``SMALL_PIVOT`` from an updated inverse is solved again from
+        the basis; if it is drift there, pivoting on it would make the basis
+        singular, so the inverse is refactored and the columns priced again.
+        Past the iteration limit or the deadline it returns "iteration_limit".
 
         Basic, blocked and skipped columns price at zero, so neither rule
         can pick one: the entering column is the smallest reduced cost
@@ -862,6 +878,11 @@ class _Simplex:
             best = float(ratios.min())
             ties = pos[ratios <= best + 1e-12]
             r = int(ties[0] if ties.size == 1 else ties[self.basis[ties].argmin()])
+            if d[r] < SMALL_PIVOT and self.updates and not self._real_entry(r, j, 1.0):
+                self.drifted = True
+                self._refactor()
+                since_refactor = 0
+                continue
             self.streak = self.streak + 1 if best <= 1e-12 else 0
             if best > 1e-12:
                 skipped.clear()
@@ -902,6 +923,10 @@ class _Simplex:
             return SolveStatus.UNBOUNDED, False
         if status == "iteration_limit":
             return SolveStatus.ITERATION_LIMIT, True
+        # an inverse that drifted once may have drifted again: the point
+        # is read from a fresh one
+        if self.drifted and self.updates:
+            self._refactor()
         return SolveStatus.OPTIMAL, True
 
     def artificial_value(self) -> float:
@@ -942,6 +967,10 @@ class _Simplex:
             ratios = reduced / -pivots
             tied = ratios <= float(ratios.min()) + 1e-12
             j = int(cand[tied][pivots[tied].argmin()])
+            if -alpha[j] < SMALL_PIVOT and self.updates and not self._real_entry(r, j, -1.0):
+                self.drifted = True
+                self._refactor()
+                continue
             self._pivot(r, j, self.binv @ self.A[:, j])
             self.iterations += 1
             if self.updates >= REFACTOR_EVERY:

@@ -24,6 +24,7 @@ FEAS_TOL = 1e-7
 OPT_TOL = 1e-9
 INT_TOL = 1e-6
 PIVOT_TOL = 1e-9
+SMALL_PIVOT = 1e-7
 DEGENERATE_STREAK = 30
 REFACTOR_EVERY = 100
 
@@ -319,6 +320,7 @@ class _Simplex:
         self.streak = 0
         self.updates = 0  # rank-1 updates of binv since it was last refactored
         self.refactors = 0  # dense inverses computed
+        self.drifted = False  # a pivot entry was found to be drift
 
         A, b = std.A.copy(), std.b.copy()
         m, n = A.shape
@@ -357,6 +359,15 @@ class _Simplex:
             raise SolverError("singular basis") from exc
         self.updates = 0
         self.refactors += 1
+
+    def _real_entry(self, r: int, j: int, sign: float) -> bool:
+        """Whether entry ``r`` of B^-1 A_j, solved afresh from the basis,
+        exceeds ``PIVOT_TOL`` with the given sign."""
+        try:
+            fresh = np.linalg.solve(self.A[:, self.basis], self.A[:, j])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("singular basis") from exc
+        return bool(sign * fresh[r] > PIVOT_TOL)
 
     def xb(self) -> np.ndarray:
         return self.binv @ self.b if self.m else np.zeros(0)
@@ -434,6 +445,13 @@ class _Simplex:
             best = float(np.min(ratios))
             ties = pos[ratios <= best + 1e-12]
             r = int(ties[np.argmin(self.basis[ties])])
+            # a small pivot from an updated inverse may be drift: checked
+            # against the basis, and if it is, refactored and priced again
+            if d[r] < SMALL_PIVOT and self.updates and not self._real_entry(r, j, 1.0):
+                self.drifted = True
+                self._refactor()
+                since_refactor = 0
+                continue
             self.streak = self.streak + 1 if best <= 1e-12 else 0
             if best > 1e-12:
                 skipped.clear()
@@ -472,6 +490,8 @@ class _Simplex:
             return SolveStatus.UNBOUNDED, False
         if status == "iteration_limit":
             return SolveStatus.ITERATION_LIMIT, True
+        if self.drifted and self.updates:
+            self._refactor()
         return SolveStatus.OPTIMAL, True
 
     def artificial_value(self) -> float:
@@ -510,6 +530,10 @@ class _Simplex:
             ratios = reduced / -alpha[cand]
             ties = cand[ratios <= float(np.min(ratios)) + 1e-12]
             j = int(ties[np.argmin(alpha[ties])])
+            if -alpha[j] < SMALL_PIVOT and self.updates and not self._real_entry(r, j, -1.0):
+                self.drifted = True
+                self._refactor()
+                continue
             self._pivot(r, j, self.binv @ self.A[:, j])
             self.iterations += 1
             if self.updates >= REFACTOR_EVERY:

@@ -266,6 +266,32 @@ class TestDegeneratePhaseOne:
             assert max_violation(model.problem, sol.values) <= 1e-6
 
 
+class TestDriftedPivot:
+    @pytest.mark.parametrize("seed, jitter, kind", [
+        (33, 0.15, "TOP"), (69, 0.3, "ORG"), (1969, 0.15, "ORG"),
+    ])
+    def test_weak_grid_lp_matches_highs(self, seed, jitter, kind):
+        # on these 3x3 grids a pivot entry near 1e-9 in the updated inverse
+        # is zero in the basis; pivoting on it made the basis singular, and
+        # the solve reported a wrong optimum or a singular basis
+        from demers.lpmodel import ModelSpec, ObjectiveKind, build_single_lp
+        from demers.mapdata import compute_epsilon, scale_weights
+        from demers.sepconstraints import Setting, derive_constraints, reduce_transitive
+        from demers.synth import grid_map, lognormal_weights
+
+        g = grid_map(3, 3, jitter=jitter, seed=seed)
+        table = scale_weights(lognormal_weights(g, k=1, seed=seed), g)
+        cs = reduce_transitive(derive_constraints(g, compute_epsilon(table, g), Setting.WEAK))
+        spec = ModelSpec(ObjectiveKind[kind], Setting.WEAK)
+        problem = build_single_lp(g, table.function_sides(0), cs, spec).problem
+        assert problem.num_rows <= ss.AUTO_SIMPLEX_MAX_ROWS
+        ref = solve_lp(problem, engine="highs")
+        sol = solve_lp(problem, engine="simplex")
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(ref.objective, rel=1e-7, abs=1e-12)
+        assert max_violation(problem, sol.values) <= 1e-6
+
+
 def highs_recorder(monkeypatch):
     """Record the time limit of every call into the HiGHS backend."""
     seen: list[float | None] = []
