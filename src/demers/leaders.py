@@ -12,7 +12,16 @@ the strong setting.
 An adjacency is lost when its L1 gap exceeds ``LOST_TOL`` of
 ``SquareLayout.reference_diagonal()``: the one rule that
 ``lost_adjacencies``, ``all_leaders``, ``min_leader``, ``two_bend_leader``
-and, through ``lost_adjacencies``, ``metrics.madj`` read.
+and, through ``lost_adjacencies``, ``metrics.madj`` read. The same
+tolerance decides contacts in the construction. Solved layouts put edges
+that the constraints make touch within round-off of each other, and a
+comparison of exact floats would let a 1e-16 move turn a routed pair into
+a walled-off one. So squares whose strips miss by at most the tolerance
+share a strip, and a square that pokes that little past a corridor's end
+hangs or stands in it rather than walling it off. The leader then runs
+along that square's edge and meets its end square by a jog as short as
+the miss, so its length exceeds the L1 gap by at most that much. The final
+crossing check stays exact: no leader ever enters a square's interior.
 
 ``all_leaders`` routes the minimal construction once per lost adjacency.
 Its ``RoutingReport`` counts the leaders routed and lists each unroutable
@@ -176,31 +185,46 @@ def _canonical(
 # construction in the canonical frame
 
 
-def _straight(ra: Rect, rb: Rect) -> list[Point] | None:
+def _level(ra: Rect, rb: Rect, y: float) -> list[Point]:
+    """Straight leader at height ``y``. Where ``y`` misses an end square, by
+    at most the contact tolerance, a vertical jog reaches its edge."""
+    return [(ra[2], min(max(y, ra[1]), ra[3])), (ra[2], y),
+            (rb[0], y), (rb[0], min(max(y, rb[1]), rb[3]))]
+
+
+def _straight(ra: Rect, rb: Rect, tol: float) -> list[Point] | None:
+    """Leader through the middle of the squares' shared horizontal strip;
+    strips that miss by at most ``tol`` count as touching."""
     lo = max(ra[1], rb[1])
     hi = min(ra[3], rb[3])
-    if hi < lo:
+    if hi < lo - tol:
         return None
-    y = (lo + hi) / 2.0
-    return [(ra[2], y), (rb[0], y)]
+    return _level(ra, rb, (lo + hi) / 2.0)
 
 
-def _staircase(a: Point, b: Point, blockers: list[tuple[float, float]]) -> list[Point]:
+def _staircase(
+    a: Point, b: Point, blockers: list[tuple[float, float]], tol: float
+) -> list[Point]:
     """Monotone path from a to b hugging blocker corners from below.
 
     Each blocker is the (right, bottom) corner of a square the path must pass
     under before passing to the right of it. The walk ascends to the lowest
     active blocker bottom, slides right past the furthest blocker at that
-    level, and repeats; total length stays |dx| + |dy|.
+    level, and repeats; total length stays |dx| + |dy|. A blocker that hangs
+    below ``a`` or reaches past ``b``, by at most ``tol``, moves that end
+    along its square's edge, and the length by as much.
     """
     pts = [a]
     x, y = a
-    work = [(p, q) for p, q in blockers if x < p <= b[0] and q < b[1]]
+    work = [(p, q) for p, q in blockers if x < p <= b[0] + tol and q < b[1]]
     work.sort()
     while True:
         active = [(p, q) for p, q in work if p > x]
-        level = min((q for _, q in active), default=b[1])
-        level = max(min(level, b[1]), y)
+        level = min(min((q for _, q in active), default=b[1]), b[1])
+        if y - tol <= level < y:  # only at the start: slide under it
+            pts[0] = (x, level)
+            y = level
+        level = max(level, y)
         if level > y:
             pts.append((x, level))
             y = level
@@ -277,14 +301,15 @@ def _swap(p: Point) -> Point:
 
 
 def _corridor_blockers(
-    rects: dict[str, Rect], a: str, b: str, start: Point, end: Point
+    rects: dict[str, Rect], a: str, b: str, start: Point, end: Point, tol: float
 ) -> tuple[list[tuple[float, float]], list[tuple[float, float]], str | None]:
     """Blocker corners for squares poking into the open corridor.
 
     Squares hanging in from above yield (right, bottom) corners for the
     under-hugging walk; squares standing in from below yield transposed
     (top, left) corners for the over-hugging walk; a square spanning the
-    corridor's full height walls off every monotone path inside it.
+    corridor's full height, past both ends by more than ``tol``, walls off
+    every monotone path inside it.
     """
     x0, y0 = start
     x1, y1 = end
@@ -296,8 +321,8 @@ def _corridor_blockers(
             continue
         if not (r[0] < x1 and r[2] > x0 and r[1] < y1 and r[3] > y0):
             continue
-        hanging = r[1] >= y0
-        standing = r[3] <= y1
+        hanging = r[1] >= y0 - tol
+        standing = r[3] <= y1 + tol
         if hanging:
             upper.append((r[2], r[1]))
         if standing:
@@ -308,33 +333,41 @@ def _corridor_blockers(
 
 
 def _straight_fallback(
-    rects: dict[str, Rect], a: str, b: str
+    rects: dict[str, Rect], a: str, b: str, tol: float
 ) -> list[Point] | None:
-    """Straight leader at the widest unblocked height of the shared strip."""
+    """Straight leader at the widest unblocked height of the shared strip.
+
+    Heights within ``tol`` of the strip are looked at too: when nothing
+    inside it is free, the leader runs at the free height nearest its
+    middle, often another square's edge, and jogs to the end squares.
+    """
     ra, rb = rects[a], rects[b]
     lo, hi = max(ra[1], rb[1]), min(ra[3], rb[3])
     xa, xb = ra[2], rb[0]
+    near_lo, near_hi = min(lo, hi) - tol, max(lo, hi) + tol
     blocked: list[tuple[float, float]] = []
     for rid, r in rects.items():
         if rid in (a, b):
             continue
-        if r[0] < xb and r[2] > xa and r[1] < hi and r[3] > lo:
+        if r[0] < xb and r[2] > xa and r[1] < near_hi and r[3] > near_lo:
             blocked.append((r[1], r[3]))
-    cuts = sorted(blocked)
     free: list[tuple[float, float]] = []
-    cursor = lo
-    for blo, bhi in cuts:
+    cursor = near_lo
+    for blo, bhi in sorted(blocked):
         if blo > cursor:
             free.append((cursor, blo))
         cursor = max(cursor, bhi)
-    if cursor < hi:
-        free.append((cursor, hi))
-    free = [iv for iv in free if iv[1] >= iv[0]]
+    if cursor < near_hi:
+        free.append((cursor, near_hi))
+    inside = [(max(f0, lo), min(f1, hi)) for f0, f1 in free if min(f1, hi) > max(f0, lo)]
+    if inside:
+        best = max(inside, key=lambda iv: iv[1] - iv[0])
+        return _level(ra, rb, (best[0] + best[1]) / 2.0)
     if not free:
         return None
-    best = max(free, key=lambda iv: iv[1] - iv[0])
-    y = (best[0] + best[1]) / 2.0
-    return [(xa, y), (xb, y)]
+    mid = (lo + hi) / 2.0
+    return _level(ra, rb, min((min(max(mid, f0), f1) for f0, f1 in free),
+                              key=lambda y: abs(y - mid)))
 
 
 def _route_minimal(
@@ -352,23 +385,24 @@ def _route_minimal(
     frame, a, b = _canonical(frames, cs, r1, r2, require_minimal)
     rects = frames[frame]
     ra, rb = rects[a], rects[b]
-    straight = _straight(ra, rb)
+    tol = _lost_tol(layout)
+    straight = _straight(ra, rb, tol)
     if straight is not None:
         candidates = [_dedupe(straight)]
-        fallback = _straight_fallback(rects, a, b)
+        fallback = _straight_fallback(rects, a, b, tol)
         if fallback is not None:
             candidates.append(_dedupe(fallback))
     else:
         start = (ra[2], ra[3])
         end = (rb[0], rb[1])
-        upper, lower, wall = _corridor_blockers(rects, a, b, start, end)
+        upper, lower, wall = _corridor_blockers(rects, a, b, start, end, tol)
         if wall is not None:
             raise LeaderError(
                 f"corridor for ({r1!r}, {r2!r}) is walled off by {wall!r}"
             )
         candidates = [
-            _dedupe(_staircase(start, end, upper)),
-            _dedupe([_swap(p) for p in _staircase(_swap(start), _swap(end), lower)]),
+            _dedupe(_staircase(start, end, upper, tol)),
+            _dedupe([_swap(p) for p in _staircase(_swap(start), _swap(end), lower, tol)]),
         ]
     blocked = []
     for pts in candidates:
@@ -416,7 +450,7 @@ def two_bend_leader(
     frame, a, b = _canonical(frames, cs, r1, r2, require_minimal=False)
     rects = frames[frame]
     ra, rb = rects[a], rects[b]
-    straight = _straight(ra, rb)
+    straight = _straight(ra, rb, _lost_tol(layout))
     if straight is not None:
         pts = _dedupe(straight)
     else:

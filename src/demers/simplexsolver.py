@@ -49,13 +49,27 @@ m <= 98, about 1.7 MB, and the dense inverses per pass fell from 290 to 21.
 
 Known limit: asked for explicitly past ``AUTO_SIMPLEX_MAX_ROWS``, the
 bundled simplex drifts numerically and can raise ``SolverError("singular
-basis")``, as on jittered 4x4 ``TOP-S`` LPs (474 rows).
+basis")``, as on jittered 4x4 ``TOP-S`` LPs (474 rows). On an LP with tied
+optima its vertex can also depend on the number of OpenBLAS threads
+(``exact`` grid3x3s4 ``TOP-S-SU`` ended on different vertices on one thread
+and on two). ``engine="auto"`` gives it only binary programs of up to
+``AUTO_SIMPLEX_MAX_ROWS`` rows.
 
-Problems past ``AUTO_SIMPLEX_MAX_ROWS`` rows are routed to HiGHS behind the
-same interface; both engines are available explicitly via ``engine=``.
+Both engines sit behind one interface and can be asked for with
+``engine=``. ``engine="auto"`` solves every LP on HiGHS, and binary
+programs up to ``AUTO_SIMPLEX_MAX_ROWS`` rows by the bundled warm search,
+larger ones by HiGHS. Through the compiled core HiGHS is faster on the
+smallest cartogram LPs too: summed over the 12 grid LPs of ``exact``
+(110-144 rows, best of 5 solves each, one BLAS thread, two passes), 28-29 ms
+against 200-204 ms for the bundled simplex, and over the 12 LPs of
+``sample3`` and ``luxembourg`` (26-64 rows) 16-17 ms against 26-28 ms. On
+the small binary programs the warm search is faster than either HiGHS
+route (ROADMAP item 4).
 HiGHS is reached through scipy's compiled bindings,
 ``scipy.optimize._highspy._core``, the extension ``linprog`` drives.
-``_highs_core`` loads that one file, and ``_solve_highs`` hands it the model
+``_highs_core`` loads that one file without importing ``scipy`` itself (it
+finds scipy's folder through ``importlib.util.find_spec``, which saves
+0.8 MB of RSS per process), and ``_solve_highs`` hands it the model
 as ``linprog`` did: the same rows in the same order and the same options, so
 the solves are the same, and ``tests/oracle_highs.py`` keeps the ``linprog``
 path to check that. The Python layers above the extension cost more than most
@@ -107,7 +121,8 @@ INF = math.inf
 # solve is called with log=True; ``demers run --solver-log`` shows them
 logger = logging.getLogger(__name__)
 
-# engine="auto" keeps the bundled simplex for problems up to this many rows
+# engine="auto" keeps binary programs up to this many rows on the bundled
+# warm branch and bound; every LP, and larger binary programs, go to HiGHS
 AUTO_SIMPLEX_MAX_ROWS = 220
 # HiGHS solves LPs with at least this many rows by interior point + crossover,
 # smaller ones by dual simplex (see the module docstring for the measurements)
@@ -151,7 +166,7 @@ class Solution:
     engine: str = ""
     method: str = ""  # HiGHS method: "ipm" (interior point) or "ds" (dual simplex)
     crossover_nit: int = 0  # crossover pivots after interior point
-    engine_reason: str = ""  # "explicit", or the auto rule: "auto: 96 rows <= 220"
+    engine_reason: str = ""  # "explicit", or the auto rule: "auto: LP", "auto: 96 rows <= 220"
     root_iterations: int = 0  # branch and bound: pivots before the first branch
     refactors: int = 0  # dense basis inverses the bundled simplex computed
 
@@ -167,7 +182,12 @@ def solve_lp(
     time_limit: float | None = None,
     log: bool = False,
 ) -> Solution:
-    """Solve a continuous LP to optimality (or detect infeasible/unbounded)."""
+    """Solve a continuous LP to optimality (or detect infeasible/unbounded).
+
+    ``iteration_limit`` caps the pivots on either engine (on HiGHS also the
+    interior-point iterations); a solve that reaches it, or ``time_limit``,
+    ends with ITERATION_LIMIT.
+    """
     if problem.num_binaries:
         raise SolverError("problem has binary variables; use solve_ilp")
     return _dispatch(problem, engine, iteration_limit, log, time_limit)
@@ -360,6 +380,8 @@ def _choose_engine(problem: LpProblem, engine: str) -> tuple[str, str]:
         return engine, "explicit"
     if engine != "auto":
         raise SolverError(f"unknown engine {engine!r}")
+    if not problem.num_binaries:
+        return "highs", "auto: LP"
     rows = problem.num_rows
     if rows <= AUTO_SIMPLEX_MAX_ROWS:
         return "simplex", f"auto: {rows} rows <= {AUTO_SIMPLEX_MAX_ROWS}"
@@ -377,7 +399,7 @@ def _dispatch(
     if engine == "simplex":
         sol = _solve_simplex(problem, iteration_limit, log, time_limit)
     else:
-        sol = _solve_highs(problem, log, time_limit)
+        sol = _solve_highs(problem, log, time_limit, iteration_limit)
     sol.engine_reason = reason
     return sol
 
@@ -393,7 +415,7 @@ _highs_lock = threading.Lock()
 
 
 def _highs_core():
-    """scipy's HiGHS extension module, loaded without ``scipy.optimize``.
+    """scipy's HiGHS extension module, loaded without importing ``scipy``.
 
     The module is registered in ``sys.modules`` under its canonical name, so
     a later ``import scipy.optimize`` reuses it, and a module that is already
@@ -409,9 +431,11 @@ def _highs_core():
         core = sys.modules.get(_HIGHS_MODULE)
         if core is not None:
             return core
-        import scipy
-
-        folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+        # scipy's folder, found without importing scipy itself
+        scipy_spec = importlib.util.find_spec("scipy")
+        if scipy_spec is None:
+            raise SolverError("HiGHS needs scipy, which is not installed")
+        folder = os.path.join(scipy_spec.submodule_search_locations[0], "optimize", "_highspy")
         candidates = [os.path.join(folder, "_core" + suffix)
                       for suffix in importlib.machinery.EXTENSION_SUFFIXES]
         path = next((c for c in candidates if os.path.isfile(c)), None)
@@ -429,7 +453,10 @@ def _highs_core():
 
 
 def _solve_highs(
-    problem: LpProblem, log: bool, time_limit: float | None = None
+    problem: LpProblem,
+    log: bool,
+    time_limit: float | None = None,
+    iteration_limit: int | None = None,
 ) -> Solution:
     """Solve ``problem`` with HiGHS, handed the model as ``linprog`` hands it.
 
@@ -486,6 +513,8 @@ def _solve_highs(
     options.output_flag = options.log_to_console = bool(log)
     if time_limit:
         options.time_limit = float(time_limit)
+    if iteration_limit is not None:
+        options.simplex_iteration_limit = options.ipm_iteration_limit = int(iteration_limit)
 
     highs, error, status_of = h._Highs(), h.HighsStatus.kError, h.HighsModelStatus
     info = None

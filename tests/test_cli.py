@@ -346,9 +346,12 @@ class TestManifest:
         manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
         assert manifest["solves"]
         for solve in manifest["solves"]:
-            if engine == "auto":
+            if engine == "auto" and variant.startswith("CNT"):
+                # binary programs up to 220 rows stay on the bundled search
                 assert solve["engine"] == "simplex"
                 assert solve["engine_reason"] == f"auto: {solve['rows']} rows <= 220"
+            elif engine == "auto":
+                assert (solve["engine"], solve["engine_reason"]) == ("highs", "auto: LP")
             else:
                 assert (solve["engine"], solve["engine_reason"]) == (engine, "explicit")
             if variant.startswith("CNT"):
@@ -429,12 +432,30 @@ class TestManifest:
         assert manifest["unroutable_pairs"] == [[] for _ in res.layouts]
 
     def test_unroutable_pairs_recorded(self, tmp_path):
-        # the 8x6 unit grid's TOP-W-SU layouts lose adjacencies whose
-        # corridors are walled off; each is listed with its reason
-        from demers.synth import write_instance
+        # c stands between a and b, taller than the gap between a's top and
+        # b's bottom; a and b touch only where their arms meet, below c. The
+        # map is feasible as it stands, so ORG keeps every square at its
+        # centroid, and c walls off the corridor of the lost pair (a, b) in
+        # both layouts; each is listed with its reason
+        def ring(*pts):
+            return [[list(p) for p in (*pts, pts[0])]]
 
-        m, w = write_instance(tmp_path / "grid", 8, 7, k=4, rows=6)
-        res = run(RunConfig(map_path=m, weights_path=w, variant="TOP-W-SU",
+        polygons = {
+            "a": ring((-4, 0.8), (0, 0.8), (0, 0), (5, 0), (5, 0.2), (1, 0.2), (1, 1), (-4, 1)),
+            "b": ring((4, 0.2), (4.2, 0.2), (4.2, 2), (5, 2), (5, 4.8), (4.8, 4.8), (4.8, 3),
+                      (4, 3)),
+            "c": ring((1.5, 0.5), (3.5, 0.5), (3.5, 2.5), (1.5, 2.5)),
+        }
+        m, w = tmp_path / "walled.geojson", tmp_path / "walled.csv"
+        m.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": {"id": rid},
+             "geometry": {"type": "Polygon", "coordinates": rings}}
+            for rid, rings in polygons.items()
+        ]}))
+        w.write_text("region_id,function_name,value\n" + "".join(
+            f"{rid},f{i},{v}\n" for i in (0, 1) for rid, v in (("a", 0.4), ("b", 0.4), ("c", 2.55))
+        ))
+        res = run(RunConfig(map_path=str(m), weights_path=str(w), variant="ORG-W-SU",
                             out_dir=str(tmp_path / "out")))
         assert res.ok
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -446,6 +467,8 @@ class TestManifest:
             for r in res.routing_per_layout
         ]
         assert all(p["reason"].startswith("corridor for") for ps in pairs for p in ps)
+        assert pairs[0] == [{"from": "a", "to": "b",
+                             "reason": "corridor for ('a', 'b') is walled off by 'c'"}]
 
 
 class TestReducedConstraints:

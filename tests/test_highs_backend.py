@@ -250,10 +250,21 @@ def test_non_finite_input_raises(array):
 
 
 def test_missing_extension_names_the_file(monkeypatch, tmp_path):
-    import scipy
+    import importlib.machinery
+    import importlib.util
+
+    real = importlib.util.find_spec
+
+    def elsewhere(name, package=None):
+        # the scipy package, found in an empty folder
+        if name != "scipy":
+            return real(name, package)
+        spec = importlib.machinery.ModuleSpec(name, None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        return spec
 
     monkeypatch.delitem(sys.modules, ss._HIGHS_MODULE)
-    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    monkeypatch.setattr(importlib.util, "find_spec", elsewhere)
     with pytest.raises(SolverError, match=str(tmp_path / "optimize" / "_highspy" / "_core")):
         ss._highs_core()
 
@@ -277,9 +288,9 @@ def run_python(code: str, tmp_path: Path) -> str:
 
 
 def test_run_leaves_scipy_optimize_and_sparse_unimported(tmp_path):
-    # a jittered 5x5 TOP-S-SU model at k = 1 has 616 rows: engine="auto"
-    # picks HiGHS. A later linprog on the same LP still works and finds the
-    # same point
+    # engine="auto" solves the jittered 5x5 TOP-S-SU LP on HiGHS, loading
+    # its extension without importing scipy itself. A later linprog on the
+    # same LP still works and finds the same point
     out = run_python("""
         import sys
         from demers import cli
@@ -289,8 +300,8 @@ def test_run_leaves_scipy_optimize_and_sparse_unimported(tmp_path):
         solved = []
         real = ss._solve_highs
 
-        def recording(problem, log, time_limit=None):
-            solved.append((problem, real(problem, log, time_limit)))
+        def recording(problem, log, time_limit=None, iteration_limit=None):
+            solved.append((problem, real(problem, log, time_limit, iteration_limit)))
             return solved[-1][1]
 
         ss._solve_highs = recording
@@ -298,8 +309,9 @@ def test_run_leaves_scipy_optimize_and_sparse_unimported(tmp_path):
         res = cli.run(cli.RunConfig(map_path, csv_path, "TOP-S-SU", out_dir="out"))
         assert res.ok, res.status
         reasons = [(s["engine"], s["engine_reason"]) for s in res.solver_stats]
-        assert reasons == [("highs", "auto: 616 rows > 220")], reasons
-        loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
+        assert reasons == [("highs", "auto: LP")], reasons
+        loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+        assert "scipy" not in sys.modules, loaded
         assert "scipy.optimize" not in sys.modules, loaded
         assert "scipy.sparse" not in sys.modules, loaded
 

@@ -348,6 +348,40 @@ def test_lost_pair_of_layout_without_diagonal_is_routed(scale):
         assert ld.length == pytest.approx(gap, rel=1e-9)
 
 
+@pytest.mark.parametrize("squares", [
+    # c's bottom edge is the line where a's top meets b's bottom
+    {"a": (0.5, -0.5, 1.0), "b": (3.5, 0.5, 1.0), "c": (2.0, 1.0, 2.0)},
+    # c sits on a's top edge, the corridor's floor, rises past b's bottom
+    # and ends at b's left edge
+    {"a": (0.5, 0.5, 1.0), "b": (3.5, 3.5, 1.0), "c": (1.95, 2.05, 2.1)},
+], ids=["strip", "corridor"])
+def test_blocker_on_the_contact_line_routes_the_same_when_moved(squares):
+    # moving c by 1e-16 of the diagonal in x and y, into a or b or off them,
+    # leaves the pair routed: contacts within the lost-adjacency tolerance
+    # count as touching, and the leader runs along c's edge
+    polylines = []
+    for shift in (0.0, 1e-16, -1e-16):
+        x, y, side = squares["c"]
+        moved = (x + shift * 20.0, y + shift * 20.0, side)
+        g, cs, lay = layout_for({**squares, "c": moved}, {("a", "b")})
+        routed, report = all_leaders(lay, cs, g)
+        assert report == RoutingReport(routed=1, unroutable=()), shift
+        [ld] = routed
+        for end, (x, y) in zip(("a", "b"), (ld.polyline[0], ld.polyline[-1])):
+            x0, y0, x1, y1 = lay.rect(end)
+            assert x0 <= x <= x1 and y0 <= y <= y1, (shift, end)  # on the square
+        assert abs(ld.length - l1_gap(lay, "a", "b")) <= 1e-9 * lay.diagonal
+        assert leader_crossings(ld, lay) == []
+        assert polyline_monotone(ld.polyline)
+        polylines.append(np.array(ld.polyline))
+    # the same route: every point lies within 1e-12 of the diagonal of one
+    # of the unmoved leader's points, and the other way round
+    for pts in polylines[1:]:
+        gaps = np.abs(pts[:, None, :] - polylines[0][None, :, :]).max(axis=2)
+        assert gaps.min(axis=1).max() <= 1e-12 * 20.0
+        assert gaps.min(axis=0).max() <= 1e-12 * 20.0
+
+
 @st.composite
 def solved_layouts(draw):
     """LP-solved layouts of random jittered grids, weak and strong."""

@@ -1,12 +1,16 @@
 """LP layouts of the bundled simplex reproduce committed files byte for byte.
 
 The files ``tests/data/lp_layout_*.json`` pin what the non-CNT variants
-compute on the instances of the ``exact`` benchmark, which all stay on the
-bundled simplex: every layout's JSON with its leaders, and the status and
-pivot count of every LP the run solves. A change to the simplex that moves
-one pivot, or one bit of a centre, fails here. After an intended change to
-the solver or the models, regenerate them with
+compute on the instances of the ``exact`` benchmark with
+``engine="simplex"``: every layout's JSON with its leaders, and the status
+and pivot count of every LP the run solves. A change to the simplex that
+moves one pivot, or one bit of a centre, fails here. After an intended
+change to the solver or the models, regenerate them with
 ``PYTHONPATH=src python tests/test_lp_layout_golden.py``.
+
+The default ``engine="auto"`` solves these LPs on HiGHS. Its layouts must
+lie within 1e-9 of the map diagonal of the pinned ones, with the same
+leader pairs.
 """
 
 from __future__ import annotations
@@ -44,24 +48,32 @@ def _cases(tmp: Path) -> dict[str, tuple[str, str, str]]:
     return cases
 
 
-def golden_documents() -> dict[str, str]:
-    """File stem -> JSON text of every pinned LP run."""
+def run_cases(engine: str) -> dict[str, cli.RunResult]:
+    """File stem -> the pinned LP run on ``engine``."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for stem, (m, w, v) in _cases(Path(tmp)).items():
-            result = cli.run(cli.RunConfig(map_path=m, weights_path=w, variant=v))
+            result = cli.run(cli.RunConfig(map_path=m, weights_path=w, variant=v, engine=engine))
             assert result.ok, (stem, result.status)
-            doc = {
-                "layouts": [
-                    lay.to_json_dict(leaders)
-                    for lay, leaders in zip(result.layouts, result.leaders_per_layout)
-                ],
-                "solves": [
-                    {"engine": s["engine"], "status": s["status"], "iterations": s["iterations"]}
-                    for s in result.solver_stats
-                ],
-            }
-            out[stem] = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+            out[stem] = result
+    return out
+
+
+def golden_documents() -> dict[str, str]:
+    """File stem -> JSON text of every pinned LP run."""
+    out = {}
+    for stem, result in run_cases("simplex").items():
+        doc = {
+            "layouts": [
+                lay.to_json_dict(leaders)
+                for lay, leaders in zip(result.layouts, result.leaders_per_layout)
+            ],
+            "solves": [
+                {"engine": s["engine"], "status": s["status"], "iterations": s["iterations"]}
+                for s in result.solver_stats
+            ],
+        }
+        out[stem] = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     return out
 
 
@@ -84,6 +96,22 @@ def test_lp_layout_matches_golden_file(documents, stem):
 
 def test_every_golden_lp_layout_file_is_checked(documents):
     assert {p.stem for p in GOLDEN.glob("lp_layout_*.json")} == set(documents) == set(STEMS)
+
+
+def test_default_engine_solves_on_highs_near_the_golden_layouts():
+    for stem, result in run_cases("auto").items():
+        assert {s["engine"] for s in result.solver_stats} == {"highs"}, stem
+        golden = json.loads((GOLDEN / f"{stem}.json").read_text(encoding="utf-8"))["layouts"]
+        assert len(result.layouts) == len(golden), stem
+        for lay, leaders, want in zip(result.layouts, result.leaders_per_layout, golden):
+            tol = 1e-9 * lay.diagonal
+            regions = {r["id"]: (r["cx"], r["cy"]) for r in want["regions"]}
+            assert set(regions) == set(lay.centers), stem
+            for rid, (cx, cy) in regions.items():
+                x, y = lay.centers[rid]
+                assert abs(x - cx) <= tol and abs(y - cy) <= tol, (stem, rid)
+            pairs = [(ld["from"], ld["to"]) for ld in want["leaders"]]
+            assert [ld.endpoints for ld in leaders] == pairs, stem
 
 
 if __name__ == "__main__":

@@ -99,6 +99,14 @@ class TestSolveLp:
         assert sol.status is SolveStatus.ITERATION_LIMIT
         assert max_violation(p, sol.values) <= 1e-9
 
+    @pytest.mark.parametrize("engine", ["highs", "auto"])
+    def test_iteration_limit_reaches_highs(self, engine):
+        # presolve does not solve this LP by itself: HiGHS needs 4 pivots
+        p = sized_lp(30)
+        assert solve_lp(p, engine=engine).iterations > 1
+        sol = solve_lp(p, engine=engine, iteration_limit=1)
+        assert (sol.engine, sol.status) == ("highs", SolveStatus.ITERATION_LIMIT)
+
     def test_ill_scaled_problem(self):
         p = LpProblem()
         p.add_var("x")
@@ -258,12 +266,15 @@ class TestDegeneratePhaseOne:
         _, model = jittered_model(tmp_path, 3, seed, ObjectiveKind.TOP, Setting.STRONG)
         assert len(model.problem.constraints) <= ss.AUTO_SIMPLEX_MAX_ROWS
         ref = solve_lp(model.problem, engine="highs")
-        for engine in ("simplex", "auto"):
-            sol = solve_lp(model.problem, engine=engine)
-            assert sol.status is SolveStatus.OPTIMAL, engine
-            assert sol.engine == "simplex"
-            assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
-            assert max_violation(model.problem, sol.values) <= 1e-6
+        sol = solve_lp(model.problem, engine="simplex")
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.engine == "simplex"
+        assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
+        assert max_violation(model.problem, sol.values) <= 1e-6
+        # engine="auto" sends every LP to HiGHS, whatever its size
+        auto = solve_lp(model.problem, engine="auto")
+        assert (auto.engine, auto.engine_reason) == ("highs", "auto: LP")
+        assert auto.objective == ref.objective
 
 
 class TestDriftedPivot:
@@ -297,9 +308,9 @@ def highs_recorder(monkeypatch):
     seen: list[float | None] = []
     real = ss._solve_highs
 
-    def spy(problem, log, time_limit=None):
+    def spy(problem, log, time_limit=None, iteration_limit=None):
         seen.append(time_limit)
-        return real(problem, log, time_limit)
+        return real(problem, log, time_limit, iteration_limit)
 
     monkeypatch.setattr(ss, "_solve_highs", spy)
     return seen
@@ -335,7 +346,7 @@ class TestTimeLimit:
     def test_relaxation_stopped_by_limit_ends_search(self, monkeypatch):
         # HiGHS reports a relaxation cut off by its time limit as an
         # iteration limit; past the deadline that ends the search
-        def stopped(problem, log, time_limit=None):
+        def stopped(problem, log, time_limit=None, iteration_limit=None):
             time.sleep(time_limit)
             return ss.Solution(SolveStatus.ITERATION_LIMIT, engine="highs")
 
@@ -925,10 +936,12 @@ def test_phase_two_refactors_before_reporting_a_ray():
     cs = reduce_transitive(derive_constraints(g, compute_epsilon(table, g), Setting.WEAK))
     model = build_single_lp(g, table.function_sides(0), cs, ModelSpec())
     assert model.problem.num_rows <= ss.AUTO_SIMPLEX_MAX_ROWS
-    sol = solve_lp(model.problem, engine="auto")
+    sol = solve_lp(model.problem, engine="simplex")
     assert (sol.engine, sol.status) == ("simplex", SolveStatus.OPTIMAL)
     highs = solve_lp(model.problem, engine="highs")
     assert sol.objective == pytest.approx(highs.objective, rel=1e-9)
+    auto = solve_lp(model.problem, engine="auto")
+    assert (auto.engine, auto.engine_reason) == ("highs", "auto: LP")
 
 
 def test_drifted_inverse_from_phase_one_is_refactored_before_a_ray(monkeypatch):
