@@ -252,7 +252,7 @@ def _solve_lp_variant(
         if model.problem.num_binaries:
             entry["root_iterations"] = sol.root_iterations
         stats.append({**entry, **model.problem.size()})
-        if not sol.values:
+        if sol.x is None:
             raise RuntimeError(f"solver returned {sol.status.value} with no point")
         stage.enter("decode")
         return sol

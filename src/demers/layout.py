@@ -187,14 +187,13 @@ def decode(
     decoded layout breaks that set (which would mean a solver/model bug).
     """
     cs = model.cs if constraint_ref is None else constraint_ref
-    if not sol.values:
+    if sol.x is None:
         raise LayoutError(f"cannot decode a solution with status {sol.status.value}")
     layouts = []
     for block in model.blocks:
-        centers = {
-            rid: (sol.values[block.x[rid]], sol.values[block.y[rid]])
-            for rid in model.region_ids
-        }
+        centers = dict(zip(
+            model.region_ids, zip(sol.x[block.x].tolist(), sol.x[block.y].tolist())
+        ))
         layout = SquareLayout(
             centers=centers,
             sides=dict(block.sides),

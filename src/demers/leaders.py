@@ -38,6 +38,7 @@ whole axis set. What remains per leader is its own crossing checks.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .layout import SquareLayout, l1_gap
@@ -370,6 +371,17 @@ def _straight_fallback(
                               key=lambda y: abs(y - mid)))
 
 
+def _straight_candidates(
+    rects: dict[str, Rect], a: str, b: str, straight: list[Point], tol: float
+) -> Iterator[list[Point]]:
+    """The straight leader, then the fallback, built only when asked for:
+    when the straight leader crosses a square."""
+    yield _dedupe(straight)
+    fallback = _straight_fallback(rects, a, b, tol)
+    if fallback is not None:
+        yield _dedupe(fallback)
+
+
 def _route_minimal(
     layout: SquareLayout,
     cs: SeparationConstraintSet,
@@ -388,10 +400,7 @@ def _route_minimal(
     tol = _lost_tol(layout)
     straight = _straight(ra, rb, tol)
     if straight is not None:
-        candidates = [_dedupe(straight)]
-        fallback = _straight_fallback(rects, a, b, tol)
-        if fallback is not None:
-            candidates.append(_dedupe(fallback))
+        candidates = _straight_candidates(rects, a, b, straight, tol)
     else:
         start = (ra[2], ra[3])
         end = (rb[0], rb[1])

@@ -443,14 +443,15 @@ class ModelSpec:
     stability: Stability = Stability.NONE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockMeta:
-    """Locates one weight function's variables inside a problem."""
+    """Locates one weight function's variables inside a problem: the
+    columns of its centers, in ``CartogramModel.region_ids`` order."""
 
     function_index: int
     sides: dict[str, float]
-    x: dict[str, str]
-    y: dict[str, str]
+    x: np.ndarray
+    y: np.ndarray
 
 
 @dataclass
@@ -472,10 +473,6 @@ class CartogramModel:
 def _pair_key(a: str, b: str) -> str:
     x, y = sorted((a, b))
     return f"{x}__{y}"
-
-
-def _columns(prob: LpProblem, names: dict[str, str], ids: tuple[str, ...]) -> np.ndarray:
-    return np.array([prob.col_index[names[rid]] for rid in ids], dtype=np.int64)
 
 
 def _emit_block(
@@ -573,12 +570,7 @@ def _emit_block(
         prob.add_objective_terms(bvars, 1.0)
         prob.add_objective_terms(hv, SECONDARY_WEIGHT)
 
-    return BlockMeta(
-        function_index=function_index,
-        sides=dict(sides),
-        x=dict(zip(ids, (prob.col_names[j] for j in xc))),
-        y=dict(zip(ids, (prob.col_names[j] for j in yc))),
-    )
+    return BlockMeta(function_index=function_index, sides=dict(sides), x=xc, y=yc)
 
 
 def _emit_displacement(
@@ -617,8 +609,7 @@ def _emit_coupling(
     i, j = bi.function_index, bj.function_index
     cxy = prob.add_vars([f"{p}_{rid}_{i}_{j}" for rid in ids for p in ("cx", "cy")])
     cx, cy = cxy[0::2], cxy[1::2]
-    xi, xj, yi, yj = (_columns(prob, names, ids) for names in (bi.x, bj.x, bi.y, bj.y))
-    cols = np.stack([xi, xj, cx, xj, xi, cx, yi, yj, cy, yj, yi, cy], axis=1)
+    cols = np.stack([bi.x, bj.x, cx, bj.x, bi.x, cx, bi.y, bj.y, cy, bj.y, bi.y, cy], axis=1)
     prob.add_rows(cols.reshape(-1, 3), [1.0, -1.0, -1.0], "<=", 0.0)
     prob.add_objective_terms(cxy, weight)
 
@@ -756,14 +747,14 @@ class IterativeSequence:
         block = _emit_block(
             prob, "0", i, self.map, self.table.function_sides(i), self.cs, spec
         )
-        xc, yc = _columns(prob, block.x, ids), _columns(prob, block.y, ids)
         if i == 0:
             # ORG already measures origin displacement as its primary term.
             # Other objectives get the origin term only as an anchor and
             # tie-breaker, weighted so it cannot distort the primary optimum.
             if spec.objective_kind is not ObjectiveKind.ORG:
                 _emit_displacement(
-                    prob, "it", ids, xc, yc, self.map.centroid_array, SECONDARY_WEIGHT
+                    prob, "it", ids, block.x, block.y, self.map.centroid_array,
+                    SECONDARY_WEIGHT,
                 )
         else:
             missing = set(ids) - set(previous_centers)
@@ -771,7 +762,7 @@ class IterativeSequence:
                 raise ModelError(f"previous solution missing regions {sorted(missing)}")
             previous = np.array([previous_centers[rid] for rid in ids], dtype=float)
             _emit_displacement(
-                prob, "it", ids, xc, yc, previous.reshape(-1, 2), STABILITY_WEIGHT
+                prob, "it", ids, block.x, block.y, previous.reshape(-1, 2), STABILITY_WEIGHT
             )
         return _model(prob, [block], self.map, self.cs, spec)
 

@@ -8,6 +8,8 @@ maps to a quarter of the map's bounding-box diagonal.
 ``AdjacencyGraph`` caches read-only views in sorted-id row order (``sorted_ids``,
 ``position``, ``centroid_array``, ``adjacency_mask`` and the all-pairs
 ``pair_table``); separation constraints, LP model and force layout read them.
+It also sorts ``edge_list`` and scans the polygons for ``bbox`` (and
+``diagonal``) once per map.
 """
 
 from __future__ import annotations
@@ -120,15 +122,23 @@ class AdjacencyGraph:
         horiz = np.abs(dx) >= np.abs(dy)
         return PairTable(*(_read_only(a) for a in (ia, ib, dx, dy, horiz)))
 
-    def edge_list(self) -> list[tuple[str, str]]:
-        """Edges as sorted ordered pairs, in deterministic order."""
-        return sorted(tuple(sorted(e)) for e in self.edges)
+    @cached_property
+    def _edge_pairs(self) -> tuple[tuple[str, str], ...]:
+        return tuple(sorted(tuple(sorted(e)) for e in self.edges))
 
-    def bbox(self) -> tuple[float, float, float, float]:
+    @cached_property
+    def _bbox(self) -> tuple[float, float, float, float]:
         return _bbox_of([r.bbox() for r in self.regions])
 
+    def edge_list(self) -> list[tuple[str, str]]:
+        """Edges as sorted ordered pairs, in deterministic order."""
+        return list(self._edge_pairs)
+
+    def bbox(self) -> tuple[float, float, float, float]:
+        return self._bbox
+
     def diagonal(self) -> float:
-        x0, y0, x1, y1 = self.bbox()
+        x0, y0, x1, y1 = self._bbox
         return math.hypot(x1 - x0, y1 - y0)
 
 

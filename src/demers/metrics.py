@@ -73,10 +73,6 @@ def zone_vector(reference: Rect, other: Rect) -> tuple[float, ...]:
     return tuple(raw[z] / outside for z in ZONES)
 
 
-def _zone_change(zv_a: tuple[float, ...], zv_b: tuple[float, ...]) -> float:
-    return 0.5 * sum(abs(a - b) for a, b in zip(zv_a, zv_b))
-
-
 def _zone_tensor(rects: np.ndarray) -> np.ndarray:
     """(n, n, 8) zone vectors: entry [i, j] is ``zone_vector(rects[i], rects[j])``.
 
@@ -117,8 +113,8 @@ def _pairwise_zone_change(
         _zone_tensor(np.array([rects_a[r] for r in ids], dtype=float))
         - _zone_tensor(np.array([rects_b[r] for r in ids], dtype=float))
     )
-    # zones summed left to right and pairs in (r, s) order, as _zone_change
-    # and a loop over the pairs would
+    # zones summed left to right and pairs in (r, s) order, as a scalar loop
+    # over the pairs would
     change = diff[..., 0]
     for z in range(1, len(ZONES)):
         change = change + diff[..., z]

@@ -8,7 +8,15 @@ exactly +1), so the starting inverse is the identity and needs no
 factorization. Integer problems are solved by branch and bound over the
 binary variables, best-first on the relaxation bound with deeper nodes
 preferred on ties. With ``log=True`` both report progress through this
-module's logger at INFO level.
+module's logger at INFO level; HiGHS's own log goes there too, through its
+logging callback, and nothing is printed to stdout.
+
+A ``Solution`` carries its point as ``x``, a float array in the problem's
+``col_names`` order: HiGHS's column vector as it comes, or the bundled
+simplex's point mapped back from its standard form. Branch and bound keys
+its fixings by column index and reads ``x`` at the binary columns.
+``Solution.values`` is a read-only view by column name, built on first
+read, for callers that name columns.
 
 A primal pivot prices every column (``y = c_B @ binv``, then ``y @ A``),
 computes the entering column ``binv @ A[:, j]`` and the basic values
@@ -109,7 +117,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
+from types import MappingProxyType
 
 import numpy as np
 
@@ -117,8 +126,9 @@ from .lpmodel import EQ, GE, LE, LpProblem
 
 INF = math.inf
 
-# progress lines ("[bnb] ...", "[simplex] ..."), emitted at INFO when a
-# solve is called with log=True; ``demers run --solver-log`` shows them
+# progress lines ("[bnb] ...", "[simplex] ...", and HiGHS's own log as
+# "[highs] ..."), emitted at INFO when a solve is called with log=True;
+# ``demers run --solver-log`` prints them on stderr
 logger = logging.getLogger(__name__)
 
 # engine="auto" keeps binary programs up to this many rows on the bundled
@@ -154,10 +164,11 @@ class SolveStatus(Enum):
     NODE_LIMIT = "node_limit"
 
 
-@dataclass
+@dataclass(eq=False)
 class Solution:
     status: SolveStatus
-    values: dict[str, float] = field(default_factory=dict)
+    x: np.ndarray | None = None  # the point, in ``col_names`` order; None without one
+    col_names: list[str] = field(default_factory=list, repr=False)  # the problem's
     objective: float = math.nan
     iterations: int = 0
     nodes: int = 0
@@ -173,6 +184,12 @@ class Solution:
     @property
     def optimal(self) -> bool:
         return self.status is SolveStatus.OPTIMAL
+
+    @cached_property
+    def values(self) -> MappingProxyType:
+        """The point by column name, a read-only view built from ``x`` on first read."""
+        x = () if self.x is None else self.x.tolist()
+        return MappingProxyType(dict(zip(self.col_names, x)))
 
 
 def solve_lp(
@@ -213,8 +230,7 @@ def solve_ilp(
     if not problem.num_binaries:
         return _dispatch(problem, engine, None, log, time_limit)
     engine, reason = _choose_engine(problem, engine)
-    binaries = [problem.col_names[j] for j in np.flatnonzero(problem.binary)]
-    position = {name: i for i, name in enumerate(binaries)}
+    binaries = np.flatnonzero(problem.binary)  # fixings are keyed by these columns
     t0 = time.perf_counter()
     deadline = t0 + time_limit if time_limit else None
 
@@ -240,8 +256,8 @@ def solve_ilp(
     # sibling of every dive step waits in a best-bound heap for restarts.
     # Each entry carries the basis its relaxation starts from (None: cold);
     # ``held`` counts the bytes of the inverses kept by heap entries
-    heap: list[tuple[float, int, dict[str, int], _Basis | None]] = []
-    stack: list[tuple[float, dict[str, int], _Basis | None]] = [(-INF, {}, None)]
+    heap: list[tuple[float, int, dict[int, int], _Basis | None]] = []
+    stack: list[tuple[float, dict[int, int], _Basis | None]] = [(-INF, {}, None)]
     seq = held = 0
     exhausted = True
 
@@ -279,20 +295,20 @@ def solve_ilp(
         if incumbent is not None and rel.objective >= incumbent.objective - 1e-9:
             continue
         # the most fractional free binary, the first one on ties
-        vals = np.array([rel.values[name] for name in binaries])
+        vals = rel.x[binaries]
         dist = np.minimum(vals, 1.0 - vals)
-        dist[[position[name] for name in fixings]] = -INF
+        dist[np.searchsorted(binaries, list(fixings))] = -INF  # binaries ascend
         frac = int(dist.argmax())
         if not dist[frac] > INT_TOL:
             incumbent = _rounded(rel, binaries)
             continue
-        frac_name = binaries[frac]
+        frac_col = int(binaries[frac])
         if incumbent is None:
             # primal probe: pin every binary (fractional ones high, which
             # only relaxes big-M links) to get an incumbent for pruning
             probe_fix = dict(fixings)
-            for name, high in zip(binaries, (vals > INT_TOL).tolist()):
-                probe_fix.setdefault(name, int(high))
+            for j, high in zip(binaries.tolist(), (vals > INT_TOL).tolist()):
+                probe_fix.setdefault(j, int(high))
             probe, _ = relax.solve(probe_fix, None if basis is None else basis.copy())
             total_iters += probe.iterations
             total_crossover += probe.crossover_nit
@@ -308,14 +324,14 @@ def solve_ilp(
         sibling = _sibling_basis(basis, held)
         if sibling is not None and sibling.binv is not None:
             held += sibling.binv.nbytes
-        heapq.heappush(heap, (rel.objective, seq, {**fixings, frac_name: 1 - prefer}, sibling))
-        stack.append((rel.objective, {**fixings, frac_name: prefer}, basis))
+        heapq.heappush(heap, (rel.objective, seq, {**fixings, frac_col: 1 - prefer}, sibling))
+        stack.append((rel.objective, {**fixings, frac_col: prefer}, basis))
 
     root_iters = total_iters if root_iters is None else root_iters
     if incumbent is not None:
         # the layout comes from the incumbent's binaries alone, not from the
         # basis the search reached them with: fix them all and solve cold
-        fixed = {name: int(incumbent.values[name]) for name in binaries}
+        fixed = dict(zip(binaries.tolist(), incumbent.x[binaries].astype(int).tolist()))
         final = _dispatch(_with_fixings(base, fixed), engine, None, False, remaining())
         total_iters += final.iterations
         total_crossover += final.crossover_nit
@@ -331,7 +347,7 @@ def solve_ilp(
     status = SolveStatus.OPTIMAL if exhausted else SolveStatus.NODE_LIMIT
     return Solution(
         status=status,
-        values=incumbent.values,
+        x=incumbent.x, col_names=incumbent.col_names,
         objective=incumbent.objective,
         dual_objective=incumbent.dual_objective,
         method=incumbent.method,
@@ -340,24 +356,22 @@ def solve_ilp(
     )
 
 
-def _rounded(rel: Solution, binaries: list[str]) -> Solution:
-    """An integral relaxation as an incumbent, its binaries rounded exactly
-    in place."""
-    rel.values.update((name, 1.0 if rel.values[name] > 0.5 else 0.0) for name in binaries)
+def _rounded(rel: Solution, binaries: np.ndarray) -> Solution:
+    """An integral relaxation as an incumbent, its binary columns rounded in place."""
+    rel.x[binaries] = np.where(rel.x[binaries] > 0.5, 1.0, 0.0)
     return rel
 
 
 def _fixed_bounds(
-    base: LpProblem, fixings: dict[str, int]
+    base: LpProblem, fixings: dict[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Column bounds of ``base`` with every fixed binary pinned to its value."""
+    """Column bounds of ``base`` with every fixed binary column pinned to its value."""
     lb, ub = base.lb.copy(), base.ub.copy()
-    cols = [base.col_index[name] for name in fixings]
-    lb[cols] = ub[cols] = list(fixings.values())
+    lb[list(fixings)] = ub[list(fixings)] = list(fixings.values())
     return lb, ub
 
 
-def _with_fixings(base: LpProblem, fixings: dict[str, int]) -> LpProblem:
+def _with_fixings(base: LpProblem, fixings: dict[int, int]) -> LpProblem:
     return base.with_bounds(*_fixed_bounds(base, fixings)) if fixings else base
 
 
@@ -367,7 +381,7 @@ class _ColdNodes:
     def __init__(self, base: LpProblem, engine: str, remaining) -> None:
         self.base, self.engine, self.remaining = base, engine, remaining
 
-    def solve(self, fixings: dict[str, int], start: None) -> tuple[Solution, None]:
+    def solve(self, fixings: dict[int, int], start: None) -> tuple[Solution, None]:
         sol = _dispatch(
             _with_fixings(self.base, fixings), self.engine, None, False, self.remaining()
         )
@@ -452,6 +466,13 @@ def _highs_core():
         return core
 
 
+def _log_highs_line(kind, message: str, data_out, data_in, user_data) -> None:
+    """HiGHS's logging callback: each line to this module's logger."""
+    line = message.rstrip("\n")
+    if line:
+        logger.info("[highs] %s", line)
+
+
 def _solve_highs(
     problem: LpProblem,
     log: bool,
@@ -517,6 +538,11 @@ def _solve_highs(
         options.simplex_iteration_limit = options.ipm_iteration_limit = int(iteration_limit)
 
     highs, error, status_of = h._Highs(), h.HighsStatus.kError, h.HighsModelStatus
+    if log:
+        # with a logging callback HiGHS hands it each log line and prints
+        # nothing; it still logs only while log_to_console is on
+        highs.setCallback(_log_highs_line, None)
+        highs.startCallback(h.cb.HighsCallbackType.kCallbackLogging)
     info = None
     if highs.passOptions(options) == error:
         status = highs.getModelStatus()
@@ -572,7 +598,7 @@ def _solve_highs(
         dual += float(np.dot(duals[finite], bound[finite]))
     return Solution(
         SolveStatus.OPTIMAL,
-        values=dict(zip(problem.col_names, x.tolist())),
+        x=x, col_names=problem.col_names,
         objective=float(objective),
         dual_objective=dual,
         **counts,
@@ -593,8 +619,8 @@ class _StdForm:
     column scales. Fixed variables have no pieces and ``shift`` holds their
     value. Row ``slack_rows[i]`` has its slack in column ``slack_cols[i]``.
     ``order`` lists the fixed variables first, then the others: the order in
-    which a solution lists its values and sums its objective, with the
-    variables' ``names`` and ``costs`` in that order. Only ``shift``, ``b``
+    which a solution sums its objective, with the variables' ``costs`` in
+    that order. Only ``shift``, ``b``
     and ``offset`` depend on the column bounds; ``rebound`` recomputes them
     for new bounds.
     """
@@ -617,7 +643,6 @@ class _StdForm:
     row_scale: np.ndarray
     unpiece: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     order: np.ndarray
-    names: list[str]
     costs: list[float]
     b: np.ndarray = field(default_factory=lambda: np.zeros(0))
     shift: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -721,8 +746,7 @@ def _standardize(problem: LpProblem, keep: np.ndarray | None = None) -> _StdForm
         col_scale=col_scale, slack_rows=slack_rows, slack_cols=slack_cols,
         problem=problem, lower=lower, upper=upper, free=free, bounded=bounded,
         rows=rows, cols=cols, vals=vals, row_scale=row_scale, unpiece=unpiece,
-        order=order, names=[problem.col_names[j] for j in order.tolist()],
-        costs=cost[order].tolist(),
+        order=order, costs=cost[order].tolist(),
     )
     return std.rebound(lb, ub)
 
@@ -1019,14 +1043,13 @@ class _Simplex:
         pieces = np.zeros(std.shift.size)
         for has, j, sign, scale in std.unpiece:
             pieces[has] += sign * t[j] / scale
-        x = np.where(std.fixed, std.shift, std.shift + pieces)[std.order].tolist()
-        values = dict(zip(std.names, x))
-        obj = sum(map(operator.mul, std.costs, x))
+        x = np.where(std.fixed, std.shift, std.shift + pieces)
+        obj = sum(map(operator.mul, std.costs, x[std.order].tolist()))
         y = self.c[self.basis] @ self.binv if self.m else np.zeros(0)
         dual = float(y @ self.b) + std.offset if self.m else std.offset
         return Solution(
             status,
-            values=values,
+            x=x, col_names=std.problem.col_names,
             objective=float(obj),
             iterations=self.iterations,
             wall_time=wall,
@@ -1076,13 +1099,13 @@ class _WarmNodes:
         # the root's frame, whose row flips and artificials every node shares
         self.sx = _Simplex(self.root, self.limit, False, deadline)
 
-    def relaxation(self, fixings: dict[str, int]) -> _StdForm:
+    def relaxation(self, fixings: dict[int, int]) -> _StdForm:
         if not fixings:
             return self.root
         return self.root.rebound(*_fixed_bounds(self.base, fixings))
 
     def solve(
-        self, fixings: dict[str, int], start: _Basis | None
+        self, fixings: dict[int, int], start: _Basis | None
     ) -> tuple[Solution, _Basis | None]:
         """Solve a node from ``start``, its parent's basis; None is the root.
 

@@ -125,7 +125,8 @@ def solve_ilp(problem: LpProblem, node_limit: int = 100_000) -> Solution:
     status = SolveStatus.OPTIMAL if exhausted else SolveStatus.NODE_LIMIT
     return Solution(
         status=status,
-        values=incumbent.values,
+        x=incumbent.x,
+        col_names=incumbent.col_names,
         objective=incumbent.objective,
         dual_objective=incumbent.dual_objective,
         **counts,
@@ -137,7 +138,7 @@ def _rounded(rel: Solution, binaries: list[str]) -> Solution:
     vals = dict(rel.values)
     for name in binaries:
         vals[name] = 1.0 if vals.get(name, 0.0) > 0.5 else 0.0
-    return replace(rel, values=vals)
+    return replace(rel, x=np.array([vals[name] for name in rel.col_names]))
 
 
 def _fixed_bounds(
@@ -564,7 +565,8 @@ class _Simplex:
         dual = float(y @ self.b) + std.offset if self.m else std.offset
         return Solution(
             status,
-            values=values,
+            x=np.array([values[name] for name in problem.col_names]),
+            col_names=problem.col_names,
             objective=float(obj),
             iterations=self.iterations,
             dual_objective=dual,

@@ -88,7 +88,8 @@ def solve_highs(
         dual = None
     return Solution(
         SolveStatus.OPTIMAL,
-        values=values,
+        x=np.array([values[name] for name in problem.col_names]),
+        col_names=problem.col_names,
         objective=float(res.fun),
         dual_objective=dual,
         **counts,

@@ -671,3 +671,21 @@ class TestSolverLog:
         assert logging.getLogger("demers").handlers == []
         assert main(argv) == 0
         assert "[bnb]" not in capsys.readouterr().err
+
+    def test_highs_log_goes_to_stderr(self, tmp_path, sample3_paths, capfd):
+        # the default engine solves this LP on HiGHS, whose own log must
+        # reach stderr through the logger; stdout keeps the summary alone
+        argv = [
+            "run",
+            "--map", str(sample3_paths[0]),
+            "--weights", str(sample3_paths[1]),
+            "--variant", "TOP-S-SU",
+            "--out", str(tmp_path / "out"),
+            "--solver-log",
+        ]
+        assert main(argv) == 0
+        out, err = capfd.readouterr()
+        lines = out.splitlines()
+        assert len(lines) == 2, out
+        assert lines[0].startswith("TOP-S-SU: ok") and lines[1].startswith("  madj=")
+        assert "Running HiGHS" in err

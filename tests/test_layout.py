@@ -142,7 +142,8 @@ class TestDecode:
         cs = derive_constraints(g, 0.5, Setting.WEAK)
         model = build_single_lp(g, {"a": 2.0, "b": 2.0}, cs, ModelSpec())
         sol = solve_lp(model.problem)
-        sol.values[model.blocks[0].x["b"]] = sol.values[model.blocks[0].x["a"]]
+        x = model.blocks[0].x  # center columns in region_ids order: a, b
+        sol.x[x[1]] = sol.x[x[0]]
         with pytest.raises(LayoutError, match="invalid"):
             decode(sol, model)
 

@@ -285,9 +285,10 @@ class TestModelInvariants:
         model = build_single_lp(g, sides, cs, ModelSpec(setting=setting))
         centers = self.topological_witness(g, sides, cs)
         values = {}
-        for rid in ids:
-            values[model.blocks[0].x[rid]] = centers[rid][0]
-            values[model.blocks[0].y[rid]] = centers[rid][1]
+        names, block = model.problem.col_names, model.blocks[0]
+        for rid, xj, yj in zip(model.region_ids, block.x.tolist(), block.y.tolist()):
+            values[names[xj]] = centers[rid][0]
+            values[names[yj]] = centers[rid][1]
         # raise each objective helper variable to its implied lower bound
         anchors = set(values)
         for con in model.problem.constraints:

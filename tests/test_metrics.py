@@ -10,7 +10,6 @@ from conftest import square_map
 from demers.layout import SquareLayout
 from demers.metrics import (
     _pairwise_zone_change,
-    _zone_change,
     _zone_tensor,
     evaluate,
     madj,
@@ -108,8 +107,6 @@ class TestRelativePosition:
 
     def test_pair_value_depends_on_region_order(self):
         # the per-pair change is directional; averaging runs over ordered pairs
-        from demers.metrics import _zone_change
-
         a_r, a_s = (1.59, 2.87, 5.52, 7.22), (7.35, 1.36, 11.04, 6.22)
         b_r, b_s = (0.46, 5.41, 4.85, 7.78), (2.01, 4.77, 4.77, 6.47)
         fwd = _zone_change(zone_vector(a_r, a_s), zone_vector(b_r, b_s))
@@ -194,6 +191,11 @@ class TestBoundsAndReport:
         doc = report.to_json_dict()
         assert doc["schema_version"] == 1
         assert set(doc) >= {"madj", "mrel", "mdis", "sdis", "srel", "lost_counts"}
+
+
+def _zone_change(zv_a, zv_b):
+    """Reference: the zone-vector change of one ordered pair."""
+    return 0.5 * sum(abs(a - b) for a, b in zip(zv_a, zv_b))
 
 
 def pairwise_change_by_loop(rects_a, rects_b):

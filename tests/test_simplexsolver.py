@@ -515,14 +515,14 @@ class TestStartingBasis:
 
 
 def cnt_search_parts(setting):
-    """The root solve of ``cnt_model``'s search, with its basis and binaries."""
+    """The root solve of ``cnt_model``'s search, with its basis and binary columns."""
     problem = cnt_model(setting).problem
     base = problem.with_bounds(
         problem.lb, problem.ub, binary=np.zeros(problem.num_cols, dtype=bool)
     )
     nodes = ss._WarmNodes(base, problem.binary, None)
     root, basis = nodes.solve({}, None)
-    binaries = [problem.col_names[j] for j in np.flatnonzero(problem.binary)]
+    binaries = np.flatnonzero(problem.binary).tolist()
     return nodes, root, basis, binaries
 
 
@@ -533,8 +533,8 @@ def test_warm_start_restores_the_update_count_of_its_inverse(monkeypatch, settin
     # inverse's updates, which set the dual's refactor cadence and decide
     # whether a ray is trusted
     nodes, root, basis, binaries = cnt_search_parts(setting)
-    frac = [nm for nm in binaries if ss.INT_TOL < root.values[nm] < 1 - ss.INT_TOL]
-    probe_fix = {nm: int(root.values[nm] > ss.INT_TOL) for nm in binaries}
+    frac = [j for j in binaries if ss.INT_TOL < root.x[j] < 1 - ss.INT_TOL]
+    probe_fix = {j: int(root.x[j] > ss.INT_TOL) for j in binaries}
     nodes.solve(probe_fix, basis.copy())
     assert frac and nodes.sx.updates != basis.updates
     seen = []
@@ -640,7 +640,8 @@ def reference_solve_ilp(problem, node_limit=100_000):
     )
 
     def relax(fixings):
-        return ss._solve_simplex(ss._with_fixings(base, fixings), None, False)
+        by_column = {base.col_index[name]: v for name, v in fixings.items()}
+        return ss._solve_simplex(ss._with_fixings(base, by_column), None, False)
 
     incumbent = None
     nodes = 0
@@ -677,7 +678,7 @@ def reference_solve_ilp(problem, node_limit=100_000):
             vals = dict(rel.values)
             for name in binaries:
                 vals[name] = 1.0 if vals.get(name, 0.0) > 0.5 else 0.0
-            incumbent = replace(rel, values=vals)
+            incumbent = replace(rel, x=np.array([vals[name] for name in rel.col_names]))
             continue
         if incumbent is None:
             probe_fix = dict(fixings)
@@ -690,7 +691,7 @@ def reference_solve_ilp(problem, node_limit=100_000):
                 vals = dict(probe.values)
                 for name in binaries:
                     vals[name] = float(probe_fix[name])
-                incumbent = replace(probe, values=vals)
+                incumbent = replace(probe, x=np.array([vals[name] for name in probe.col_names]))
         prefer = 1 if rel.values.get(frac_name, 0.0) >= 0.5 else 0
         seq += 1
         heapq.heappush(heap, (rel.objective, seq, {**fixings, frac_name: 1 - prefer}))

@@ -1,8 +1,11 @@
-"""Property tests on LP-solved k = 2 sequences of random jittered grids.
+"""Property tests on solved k = 2 sequences of random jittered grids.
 
 Each instance runs the library path ``cli.run`` takes: derive the full
-constraint set, build one coupled LP from its transitive reduction, solve,
-and decode against the full set.
+constraint set, build one coupled program from its transitive reduction,
+solve it on the default engine, and decode against the full set. TOP and ORG
+sequences are LPs on grids of up to 4x4; CNT sequences are binary programs,
+solved by ``solve_ilp``, on grids of at most 6 regions, where a search takes
+well under a second.
 """
 
 import warnings
@@ -16,31 +19,35 @@ from demers.lpmodel import ModelSpec, ObjectiveKind, Stability, build_multi_lp
 from demers.mapdata import compute_epsilon, scale_weights
 from demers.metrics import evaluate
 from demers.sepconstraints import Setting, derive_constraints, reduce_transitive
-from demers.simplexsolver import solve_lp
+from demers.simplexsolver import solve_ilp, solve_lp
 from demers.synth import grid_map, lognormal_weights
 
 
 @st.composite
-def solved_sequences(draw):
-    cols, rows = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+def solved_sequences(draw, cnt=False):
+    if cnt:
+        cols, rows = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    else:
+        cols, rows = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     seed = draw(st.integers(0, 10_000))
     g = grid_map(cols, rows, jitter=draw(st.floats(0.05, 0.4)), seed=seed)
     ws = lognormal_weights(g, k=2, seed=seed, sigma=draw(st.floats(0.5, 2.0)))
     table = scale_weights(ws, g)
     setting = draw(st.sampled_from(list(Setting)))
     cs = derive_constraints(g, compute_epsilon(table, g), setting)
+    kinds = [ObjectiveKind.CNT] if cnt else [ObjectiveKind.TOP, ObjectiveKind.ORG]
     spec = ModelSpec(
-        draw(st.sampled_from([ObjectiveKind.TOP, ObjectiveKind.ORG])),
+        draw(st.sampled_from(kinds)),
         setting,
         draw(st.sampled_from([Stability.CO, Stability.SU, Stability.CENTRAL])),
     )
     model = build_multi_lp(g, table, reduce_transitive(cs), spec)
-    return g, decode(solve_lp(model.problem), model, constraint_ref=cs)
+    sol = solve_ilp(model.problem) if cnt else solve_lp(model.problem)
+    assert sol.optimal, sol.status
+    return g, decode(sol, model, constraint_ref=cs)
 
 
-@settings(max_examples=30, deadline=None)
-@given(solved_sequences())
-def test_metrics_stay_in_unit_interval_without_clamping(instance):
+def assert_metrics_unclamped(instance):
     g, layouts = instance
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a clamped metric warns
@@ -51,9 +58,31 @@ def test_metrics_stay_in_unit_interval_without_clamping(instance):
     assert all(0.0 <= v <= 1.0 for v in values), values
 
 
-@settings(max_examples=30, deadline=None)
-@given(solved_sequences(), st.floats(0.0, 1.0))
-def test_every_interpolation_frame_is_valid(instance, t):
+def assert_frames_valid(instance, t):
     _, (a, b) = instance
     for frame_t in [*np.linspace(0.0, 1.0, 9), t]:
         assert validity_violations(interpolate(a, b, float(frame_t))) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(solved_sequences())
+def test_metrics_stay_in_unit_interval_without_clamping(instance):
+    assert_metrics_unclamped(instance)
+
+
+@settings(max_examples=30, deadline=None)
+@given(solved_sequences(), st.floats(0.0, 1.0))
+def test_every_interpolation_frame_is_valid(instance, t):
+    assert_frames_valid(instance, t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(solved_sequences(cnt=True))
+def test_cnt_metrics_stay_in_unit_interval_without_clamping(instance):
+    assert_metrics_unclamped(instance)
+
+
+@settings(max_examples=30, deadline=None)
+@given(solved_sequences(cnt=True), st.floats(0.0, 1.0))
+def test_every_cnt_interpolation_frame_is_valid(instance, t):
+    assert_frames_valid(instance, t)
