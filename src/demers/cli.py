@@ -67,6 +67,10 @@ LP_STABILITIES = {
 }
 
 
+# weight kinds as the command line and matrix specs name them
+WEIGHT_KINDS = {"timeseries": WeightKind.TIME_SERIES, "vectors": WeightKind.WEIGHT_VECTORS}
+
+
 class VariantError(ValueError):
     pass
 
@@ -251,6 +255,11 @@ def _solve_lp_variant(
         entry = _solution_stats(sol)
         if model.problem.num_binaries:
             entry["root_iterations"] = sol.root_iterations
+            # the pairs the incumbent lets go: a binary at 0 forces its
+            # pair's gaps to 0, so at most this many adjacencies are lost
+            entry["binaries_set"] = (
+                None if sol.x is None else int((sol.x[model.problem.binary] > 0.5).sum())
+            )
         stats.append({**entry, **model.problem.size()})
         if sol.x is None:
             raise RuntimeError(f"solver returned {sol.status.value} with no point")
@@ -535,21 +544,33 @@ def run_matrix(configs: list[RunConfig], workers: int = 1) -> list[RunResult]:
 # argument parsing
 
 
+def _weight_kind(raw: str) -> WeightKind:
+    """The weight kind ``raw`` names in ``WEIGHT_KINDS``."""
+    try:
+        return WEIGHT_KINDS[raw]
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"weight kind must be one of {', '.join(WEIGHT_KINDS)}, not {raw!r}"
+        ) from None
+
+
 def _add_run_args(p: argparse.ArgumentParser) -> None:
+    """The ``run`` options; each default is ``RunConfig``'s."""
     p.add_argument("--map", required=True, help="GeoJSON FeatureCollection path")
     p.add_argument("--weights", required=True, help="CSV: region_id,function_name,value")
     p.add_argument("--variant", required=True, help="e.g. TOP-S-SU, CNT-W-IT, FRC-O-U")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--kind", choices=["timeseries", "vectors"], default="timeseries")
+    p.add_argument("--kind", type=_weight_kind, default=RunConfig.kind,
+                   help=f"one of {', '.join(WEIGHT_KINDS)}")
     p.add_argument("--area-proportional", action="store_true",
                    help="map value to square area instead of side length")
-    p.add_argument("--engine", choices=["auto", "simplex", "highs"], default="auto")
-    p.add_argument("--node-limit", type=int, default=100_000)
-    p.add_argument("--lp-time-limit", type=float, default=60.0,
+    p.add_argument("--engine", choices=["auto", "simplex", "highs"], default=RunConfig.engine)
+    p.add_argument("--node-limit", type=int, default=RunConfig.node_limit)
+    p.add_argument("--lp-time-limit", type=float, default=RunConfig.lp_time_limit,
                    help="seconds per LP solve")
-    p.add_argument("--ilp-time-limit", type=float, default=300.0,
+    p.add_argument("--ilp-time-limit", type=float, default=RunConfig.ilp_time_limit,
                    help="seconds per ILP branch and bound")
-    p.add_argument("--frc-max-iterations", type=int, default=100_000,
+    p.add_argument("--frc-max-iterations", type=int, default=RunConfig.frc_max_iterations,
                    help="iteration cap per force layout")
     p.add_argument("--frames", type=int, default=0)
     p.add_argument("--dump-lp", action="store_true")
@@ -564,7 +585,7 @@ def _config_from_args(args: argparse.Namespace, variant: str, out_dir: str) -> R
         weights_path=args.weights,
         variant=variant,
         out_dir=out_dir,
-        kind=WeightKind.TIME_SERIES if args.kind == "timeseries" else WeightKind.WEIGHT_VECTORS,
+        kind=args.kind,
         area_proportional=args.area_proportional,
         engine=args.engine,
         lp_time_limit=args.lp_time_limit,
@@ -650,11 +671,9 @@ def main(argv: list[str] | None = None) -> int:
                         weights_path=ds["weights"],
                         variant=variant,
                         out_dir=str(out / ds["name"] / variant),
-                        kind=WeightKind.TIME_SERIES
-                        if ds.get("kind", "timeseries") == "timeseries"
-                        else WeightKind.WEIGHT_VECTORS,
+                        kind=_weight_kind(ds["kind"]) if "kind" in ds else RunConfig.kind,
                         dataset_name=ds["name"],
-                        node_limit=int(spec.get("node_limit", 100_000)),
+                        node_limit=int(spec.get("node_limit", RunConfig.node_limit)),
                     )
                 )
         results = run_matrix(configs, workers=args.workers)

@@ -1,15 +1,13 @@
 """LP and binary-ILP solving for the cartogram models.
 
-The bundled engine is a two-phase primal revised simplex on a dense basis
-inverse: equilibration, Dantzig pricing with a Bland fallback after a
-degenerate streak, periodic refactorization. It starts from a basis of unit
-columns (artificials, and slacks that the power-of-two scaling leaves at
-exactly +1), so the starting inverse is the identity and needs no
-factorization. Integer problems are solved by branch and bound over the
-binary variables, best-first on the relaxation bound with deeper nodes
-preferred on ties. With ``log=True`` both report progress through this
-module's logger at INFO level; HiGHS's own log goes there too, through its
-logging callback, and nothing is printed to stdout.
+Two engines sit behind one interface and can be asked for with ``engine=``:
+HiGHS, reached through scipy's compiled bindings, and a bundled two-phase
+primal revised simplex on a dense basis inverse. ``engine="auto"`` solves
+every problem on HiGHS. The bundled simplex serves explicit
+``engine="simplex"`` solves, an independent reference the tests hold HiGHS
+against. With ``log=True`` both report progress through this module's
+logger at INFO level; HiGHS's own log goes there too, through its logging
+callback, and nothing is printed to stdout.
 
 A ``Solution`` carries its point as ``x``, a float array in the problem's
 ``col_names`` order: HiGHS's column vector as it comes, or the bundled
@@ -18,61 +16,46 @@ its fixings by column index and reads ``x`` at the binary columns.
 ``Solution.values`` is a read-only view by column name, built on first
 read, for callers that name columns.
 
-A primal pivot prices every column (``y = c_B @ binv``, then ``y @ A``),
-computes the entering column ``binv @ A[:, j]`` and the basic values
-``binv @ b`` for the ratio test, and updates ``binv`` in place. A dual pivot
-takes the leaving row from ``binv @ b``, its entries ``binv[r] @ A`` and the
-candidates' reduced costs ``y @ A[:, cand]``. The update touches only the
-columns where the normalised pivot row is nonzero (10.2 of m = 99.5 on
-average on ``exact``); every other entry would have a zero subtracted from
-it. Each of those BLAS products is computed whole, on the operands named
-here: a product on a slice of ``A``, or a slice of a product, can differ in
-its last bits (``y @ A[:, :n]`` against ``(y @ A)[:n]`` did in 2 078 of
-3 000 random Gaussian cases with m from 40 to 180, on one OpenBLAS thread),
-and a last bit can move a tie-break and with it a pivot. ``tests/oracle_bundled.py`` keeps a frozen copy of this
-solver, and the property tests require the same pivots, nodes and floats.
+Binary programs are solved by branch and bound over the binary variables,
+best-first on the relaxation bound with deeper nodes preferred on ties. On
+HiGHS every node relaxation runs on one HiGHS object (``_HighsNodes``): the
+relaxation is passed once, with presolve off, and a node only changes the
+bounds of the binary columns and restarts dual simplex from its parent's
+basis. On the bundled simplex each node is a cold LP. Either way the search
+ends by fixing all of the incumbent's binaries and solving that LP cold, so
+a CNT layout depends on its binaries only, not on the path of the search.
+Through ``cli.run``, on one BLAS thread, the warm HiGHS search took 0.51 s
+for the jittered 4x4 ``CNT-W-SU`` program (173 rows, 1 401 nodes).
 
-On the bundled engine the search is incremental. The binary program is
-standardized once, with its binaries kept as columns, so fixing a binary
-changes only the right-hand side. The root relaxation is solved by the
-two-phase primal simplex; every other node starts from its parent's optimal
-basis, which stays dual feasible, and a dense dual simplex restores primal
-feasibility (a row with no entering column proves the node infeasible).
-A node the warm start cannot finish cleanly is solved cold. On the CNT
-ILPs of the ``exact`` benchmark this cut the pivots per pass from 36 421
-to about 6 100. HiGHS re-solves each node cold. Either way the search ends
-by fixing all of the incumbent's binaries and solving that LP cold, so a
-CNT layout depends on its binaries only, not on the path of the search.
+The bundled simplex equilibrates the rows and columns, prices by Dantzig's
+rule with a Bland fallback after a degenerate streak, and refactors
+periodically. It starts from a basis of unit columns (artificials, and
+slacks that the power-of-two scaling leaves at exactly +1), so the starting
+inverse is the identity and needs no factorization. A pivot prices every
+column (``y = c_B @ binv``, then ``y @ A``), computes the entering column
+``binv @ A[:, j]`` and the basic values ``binv @ b`` for the ratio test, and
+updates ``binv`` in place. The update touches only the columns where the
+normalised pivot row is nonzero (10.2 of m = 99.5 on average on ``exact``);
+every other entry would have a zero subtracted from it. Each of those BLAS
+products is computed whole, on the operands named here: a product on a
+slice of ``A``, or a slice of a product, can differ in its last bits
+(``y @ A[:, :n]`` against ``(y @ A)[:n]`` did in 2 078 of 3 000 random
+Gaussian cases with m from 40 to 180, on one OpenBLAS thread), and a last
+bit can move a tie-break and with it a pivot. ``tests/oracle_bundled.py``
+keeps a frozen copy of this solver, and the property tests require the same
+pivots, nodes and floats.
 
-A warm-started node inherits its parent's basis inverse instead of
-computing one. The dive child updates it in place; the sibling pushed on the
-best-bound heap keeps a copy, taken before the dive, with the count of
-pivots that updated it since its last refactor (which sets the dual
-simplex's refactor cadence). Copying m x m floats costs microseconds,
-inverting them milliseconds. The copies the heap holds are capped at
-``HEAP_INVERSE_BYTES``; an entry pushed past the cap keeps only its basic
-columns and refactors when it is popped, as does the child of a node that
-was solved cold. On ``exact`` the heap holds at most 22 entries of
-m <= 98, about 1.7 MB, and the dense inverses per pass fell from 290 to 21.
+Known limit: past about 220 rows the bundled simplex drifts numerically and
+can raise ``SolverError("singular basis")``, as on 1 of 20 jittered 4x4
+``TOP-S`` LPs (282-288 rows). On an LP with tied optima its vertex can also
+depend on the number of OpenBLAS threads (``exact`` grid3x3s4 ``TOP-S-SU``
+ended on different vertices on one thread and on two).
 
-Known limit: asked for explicitly past ``AUTO_SIMPLEX_MAX_ROWS``, the
-bundled simplex drifts numerically and can raise ``SolverError("singular
-basis")``, as on jittered 4x4 ``TOP-S`` LPs (474 rows). On an LP with tied
-optima its vertex can also depend on the number of OpenBLAS threads
-(``exact`` grid3x3s4 ``TOP-S-SU`` ended on different vertices on one thread
-and on two). ``engine="auto"`` gives it only binary programs of up to
-``AUTO_SIMPLEX_MAX_ROWS`` rows.
-
-Both engines sit behind one interface and can be asked for with
-``engine=``. ``engine="auto"`` solves every LP on HiGHS, and binary
-programs up to ``AUTO_SIMPLEX_MAX_ROWS`` rows by the bundled warm search,
-larger ones by HiGHS. Through the compiled core HiGHS is faster on the
-smallest cartogram LPs too: summed over the 12 grid LPs of ``exact``
-(110-144 rows, best of 5 solves each, one BLAS thread, two passes), 28-29 ms
-against 200-204 ms for the bundled simplex, and over the 12 LPs of
-``sample3`` and ``luxembourg`` (26-64 rows) 16-17 ms against 26-28 ms. On
-the small binary programs the warm search is faster than either HiGHS
-route (ROADMAP item 4).
+Through the compiled core HiGHS is faster on the smallest cartogram LPs
+too: summed over the 12 grid LPs of ``exact`` (110-144 rows, best of 5
+solves each, one BLAS thread, two passes), 28-29 ms against 200-204 ms for
+the bundled simplex, and over the 12 LPs of ``sample3`` and ``luxembourg``
+(26-64 rows) 16-17 ms against 26-28 ms.
 HiGHS is reached through scipy's compiled bindings,
 ``scipy.optimize._highspy._core``, the extension ``linprog`` drives.
 ``_highs_core`` loads that one file without importing ``scipy`` itself (it
@@ -104,7 +87,6 @@ pivots; the crossover's pivots are ``crossover_nit``.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import importlib.machinery
 import importlib.util
@@ -131,9 +113,6 @@ INF = math.inf
 # ``demers run --solver-log`` prints them on stderr
 logger = logging.getLogger(__name__)
 
-# engine="auto" keeps binary programs up to this many rows on the bundled
-# warm branch and bound; every LP, and larger binary programs, go to HiGHS
-AUTO_SIMPLEX_MAX_ROWS = 220
 # HiGHS solves LPs with at least this many rows by interior point + crossover,
 # smaller ones by dual simplex (see the module docstring for the measurements)
 HIGHS_IPM_MIN_ROWS = 1000
@@ -147,9 +126,6 @@ PIVOT_TOL = 1e-9
 SMALL_PIVOT = 1e-7
 DEGENERATE_STREAK = 30  # degenerate pivots before switching to Bland's rule
 REFACTOR_EVERY = 100
-# bytes of basis inverses the branch-and-bound heap may hold; a sibling
-# pushed past this keeps only its basic columns and is refactored when popped
-HEAP_INVERSE_BYTES = 8 << 20
 
 
 class SolverError(RuntimeError):
@@ -177,7 +153,7 @@ class Solution:
     engine: str = ""
     method: str = ""  # HiGHS method: "ipm" (interior point) or "ds" (dual simplex)
     crossover_nit: int = 0  # crossover pivots after interior point
-    engine_reason: str = ""  # "explicit", or the auto rule: "auto: LP", "auto: 96 rows <= 220"
+    engine_reason: str = ""  # "explicit", or the auto rule: "auto: LP" or "auto: ILP"
     root_iterations: int = 0  # branch and bound: pivots before the first branch
     refactors: int = 0  # dense basis inverses the bundled simplex computed
 
@@ -223,9 +199,9 @@ def solve_ilp(
     nodes first on ties, branching on the most fractional binary. Hitting
     the node limit or ``time_limit`` returns the incumbent with status
     NODE_LIMIT; every relaxation is given what is left of ``time_limit``.
-    On the bundled simplex the node relaxations are warm started (see
-    ``_WarmNodes``) and the incumbent's LP, all binaries fixed, is solved
-    cold at the end.
+    On HiGHS the node relaxations are warm started on one HiGHS object (see
+    ``_HighsNodes``); on the bundled simplex each is solved cold. Either way
+    the incumbent's LP, all binaries fixed, is solved cold at the end.
     """
     if not problem.num_binaries:
         return _dispatch(problem, engine, None, log, time_limit)
@@ -241,10 +217,10 @@ def solve_ilp(
     base = problem.with_bounds(
         problem.lb, problem.ub, binary=np.zeros(problem.num_cols, dtype=bool)
     )
-    if engine == "simplex":
-        relax: _WarmNodes | _ColdNodes = _WarmNodes(base, problem.binary, deadline)
+    if engine == "highs":
+        relax: _HighsNodes | _ColdNodes = _HighsNodes(base, binaries, remaining)
     else:
-        relax = _ColdNodes(base, engine, remaining)
+        relax = _ColdNodes(base, remaining)
 
     incumbent: Solution | None = None
     nodes = 0
@@ -254,11 +230,11 @@ def solve_ilp(
     root_iters: int | None = None  # pivots spent before the first branch
     # dive depth-first along the rounding of the current relaxation; the
     # sibling of every dive step waits in a best-bound heap for restarts.
-    # Each entry carries the basis its relaxation starts from (None: cold);
-    # ``held`` counts the bytes of the inverses kept by heap entries
-    heap: list[tuple[float, int, dict[int, int], _Basis | None]] = []
-    stack: list[tuple[float, dict[int, int], _Basis | None]] = [(-INF, {}, None)]
-    seq = held = 0
+    # Each entry carries the basis its relaxation starts from (None: the
+    # engine's own start)
+    heap: list[tuple[float, int, dict[int, int], object]] = []
+    stack: list[tuple[float, dict[int, int], object]] = [(-INF, {}, None)]
+    seq = 0
     exhausted = True
 
     while stack or heap:
@@ -266,8 +242,6 @@ def solve_ilp(
             bound, fixings, start = stack.pop()
         else:
             bound, _, fixings, start = heapq.heappop(heap)
-            if start is not None and start.binv is not None:
-                held -= start.binv.nbytes
         if incumbent is not None and bound >= incumbent.objective - 1e-9:
             continue
         if nodes >= node_limit or (deadline and time.perf_counter() > deadline):
@@ -309,7 +283,7 @@ def solve_ilp(
             probe_fix = dict(fixings)
             for j, high in zip(binaries.tolist(), (vals > INT_TOL).tolist()):
                 probe_fix.setdefault(j, int(high))
-            probe, _ = relax.solve(probe_fix, None if basis is None else basis.copy())
+            probe, _ = relax.solve(probe_fix, basis)
             total_iters += probe.iterations
             total_crossover += probe.crossover_nit
             total_refactors += probe.refactors
@@ -321,10 +295,7 @@ def solve_ilp(
             root_iters = total_iters
         prefer = 1 if vals[frac] >= 0.5 else 0
         seq += 1
-        sibling = _sibling_basis(basis, held)
-        if sibling is not None and sibling.binv is not None:
-            held += sibling.binv.nbytes
-        heapq.heappush(heap, (rel.objective, seq, {**fixings, frac_col: 1 - prefer}, sibling))
+        heapq.heappush(heap, (rel.objective, seq, {**fixings, frac_col: 1 - prefer}, basis))
         stack.append((rel.objective, {**fixings, frac_col: prefer}, basis))
 
     root_iters = total_iters if root_iters is None else root_iters
@@ -362,30 +333,23 @@ def _rounded(rel: Solution, binaries: np.ndarray) -> Solution:
     return rel
 
 
-def _fixed_bounds(
-    base: LpProblem, fixings: dict[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Column bounds of ``base`` with every fixed binary column pinned to its value."""
+def _with_fixings(base: LpProblem, fixings: dict[int, int]) -> LpProblem:
+    """``base`` with every fixed binary column pinned to its value."""
+    if not fixings:
+        return base
     lb, ub = base.lb.copy(), base.ub.copy()
     lb[list(fixings)] = ub[list(fixings)] = list(fixings.values())
-    return lb, ub
-
-
-def _with_fixings(base: LpProblem, fixings: dict[int, int]) -> LpProblem:
-    return base.with_bounds(*_fixed_bounds(base, fixings)) if fixings else base
+    return base.with_bounds(lb, ub)
 
 
 class _ColdNodes:
-    """Node relaxations solved from scratch, one LP per node (HiGHS)."""
+    """Node relaxations solved from scratch by the bundled simplex, one LP per node."""
 
-    def __init__(self, base: LpProblem, engine: str, remaining) -> None:
-        self.base, self.engine, self.remaining = base, engine, remaining
+    def __init__(self, base: LpProblem, remaining) -> None:
+        self.base, self.remaining = base, remaining
 
     def solve(self, fixings: dict[int, int], start: None) -> tuple[Solution, None]:
-        sol = _dispatch(
-            _with_fixings(self.base, fixings), self.engine, None, False, self.remaining()
-        )
-        return sol, None
+        return _solve_simplex(_with_fixings(self.base, fixings), None, False, self.remaining()), None
 
 
 def _choose_engine(problem: LpProblem, engine: str) -> tuple[str, str]:
@@ -394,12 +358,7 @@ def _choose_engine(problem: LpProblem, engine: str) -> tuple[str, str]:
         return engine, "explicit"
     if engine != "auto":
         raise SolverError(f"unknown engine {engine!r}")
-    if not problem.num_binaries:
-        return "highs", "auto: LP"
-    rows = problem.num_rows
-    if rows <= AUTO_SIMPLEX_MAX_ROWS:
-        return "simplex", f"auto: {rows} rows <= {AUTO_SIMPLEX_MAX_ROWS}"
-    return "highs", f"auto: {rows} rows > {AUTO_SIMPLEX_MAX_ROWS}"
+    return "highs", "auto: ILP" if problem.num_binaries else "auto: LP"
 
 
 def _dispatch(
@@ -473,23 +432,15 @@ def _log_highs_line(kind, message: str, data_out, data_in, user_data) -> None:
         logger.info("[highs] %s", line)
 
 
-def _solve_highs(
-    problem: LpProblem,
-    log: bool,
-    time_limit: float | None = None,
-    iteration_limit: int | None = None,
-) -> Solution:
-    """Solve ``problem`` with HiGHS, handed the model as ``linprog`` hands it.
+def _highs_lp(h, problem: LpProblem):
+    """``problem`` as the ``HighsLp`` that ``linprog`` hands HiGHS.
 
     The ">=" rows are flipped into "<=" rows, and all "<=" rows come first,
     in model order, then the "=" rows as ``lhs = rhs``: the row order steers
-    interior point's path. The options are ``linprog``'s, and so are the
-    status mapping and the final feasibility check of an optimal point. A
-    non-finite cost, coefficient or right-hand side raises ``SolverError``
-    (``linprog`` refused them too).
+    interior point's path. Returns the model, its row upper bounds and the
+    count of "<=" rows. A non-finite cost, coefficient or right-hand side
+    raises ``SolverError`` (``linprog`` refused them too).
     """
-    h = _highs_core()
-    t0 = time.perf_counter()
     n, m = problem.num_cols, problem.num_rows
     sense, row, col = problem.sense, problem.row, problem.col
     if not all(np.isfinite(a).all() for a in (problem.cost, problem.val, problem.rhs)):
@@ -524,20 +475,57 @@ def _solve_highs(
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = problem.cost, problem.lb, problem.ub
     lp.row_lower_, lp.row_upper_ = lhs, rhs
     lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
+    return lp, rhs, n_ub
 
-    method = "ipm" if m >= HIGHS_IPM_MIN_ROWS else "ds"
+
+def _highs_options(h, method: str, presolve: bool, log: bool):
+    """``linprog``'s HiGHS options, for dual simplex ("ds") or interior point."""
     options = h.HighsOptions()
-    options.presolve = "on"
+    options.presolve = "on" if presolve else "off"
     options.solver = "ipm" if method == "ipm" else "simplex"
     options.simplex_strategy = int(h.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
     options.highs_debug_level = int(h.HighsDebugLevel.kHighsDebugLevelNone)
     options.output_flag = options.log_to_console = bool(log)
+    return options
+
+
+def _no_point(h, highs, status, ran: bool, counts: dict) -> Solution | None:
+    """The solution of a HiGHS model status that ends without a point: None
+    for an optimal run, ``SolverError`` for a failure."""
+    status_of = h.HighsModelStatus
+    if status in (status_of.kInfeasible, status_of.kModelError):
+        return Solution(SolveStatus.INFEASIBLE, **counts)
+    if status == status_of.kUnbounded:
+        return Solution(SolveStatus.UNBOUNDED, **counts)
+    if status in (status_of.kTimeLimit, status_of.kIterationLimit):
+        return Solution(SolveStatus.ITERATION_LIMIT, **counts)
+    if status != status_of.kOptimal or not ran:
+        raise SolverError(f"HiGHS failed: {highs.modelStatusToString(status)}")
+    return None
+
+
+def _solve_highs(
+    problem: LpProblem,
+    log: bool,
+    time_limit: float | None = None,
+    iteration_limit: int | None = None,
+) -> Solution:
+    """Solve ``problem`` with HiGHS, handed the model as ``linprog`` hands it.
+
+    The rows are ``_highs_lp``'s. The options are ``linprog``'s, and so are
+    the status mapping and the final feasibility check of an optimal point.
+    """
+    h = _highs_core()
+    t0 = time.perf_counter()
+    lp, rhs, n_ub = _highs_lp(h, problem)
+    method = "ipm" if problem.num_rows >= HIGHS_IPM_MIN_ROWS else "ds"
+    options = _highs_options(h, method, presolve=True, log=log)
     if time_limit:
         options.time_limit = float(time_limit)
     if iteration_limit is not None:
         options.simplex_iteration_limit = options.ipm_iteration_limit = int(iteration_limit)
 
-    highs, error, status_of = h._Highs(), h.HighsStatus.kError, h.HighsModelStatus
+    highs, error = h._Highs(), h.HighsStatus.kError
     if log:
         # with a logging callback HiGHS hands it each log line and prints
         # nothing; it still logs only while log_to_console is on
@@ -547,7 +535,7 @@ def _solve_highs(
     if highs.passOptions(options) == error:
         status = highs.getModelStatus()
     elif highs.passModel(lp) == error:
-        status = status_of.kModelError
+        status = h.HighsModelStatus.kModelError
     elif highs.run() == error:
         status = highs.getModelStatus()
     else:
@@ -561,14 +549,9 @@ def _solve_highs(
         "engine": "highs",
         "method": method,
     }
-    if status in (status_of.kInfeasible, status_of.kModelError):
-        return Solution(SolveStatus.INFEASIBLE, **counts)
-    if status == status_of.kUnbounded:
-        return Solution(SolveStatus.UNBOUNDED, **counts)
-    if status in (status_of.kTimeLimit, status_of.kIterationLimit):
-        return Solution(SolveStatus.ITERATION_LIMIT, **counts)
-    if status != status_of.kOptimal or info is None:
-        raise SolverError(f"HiGHS failed: {highs.modelStatusToString(status)}")
+    stopped = _no_point(h, highs, status, info is not None, counts)
+    if stopped is not None:
+        return stopped
 
     solution = highs.getSolution()
     x = np.array(solution.col_value)
@@ -605,6 +588,63 @@ def _solve_highs(
     )
 
 
+class _HighsNodes:
+    """Node relaxations of one binary program, warm on one HiGHS object.
+
+    The relaxation is passed once, in ``_highs_lp``'s rows, and solved by
+    dual simplex with presolve off. A node sets its fixings with
+    ``changeColsBounds`` on the binary columns; HiGHS keeps the basis of its
+    last solve, which a bound change leaves dual feasible, and starts the
+    node's dual simplex from it. A node whose parent was not the last solve
+    (a node popped from the heap, or the dive child after the primal probe)
+    first gets its parent's basis back through ``setBasis``.
+
+    HiGHS measures ``time_limit`` on the object's run clock, which keeps
+    counting across ``run()`` calls, so each node's limit is that clock's
+    reading plus the seconds left.
+    """
+
+    def __init__(self, base: LpProblem, binaries: np.ndarray, remaining) -> None:
+        h = self.h = _highs_core()
+        self.remaining, self.col_names = remaining, base.col_names
+        self.cols = binaries.astype(np.int32)
+        self.lb, self.ub = base.lb[binaries], base.ub[binaries]
+        self.highs = h._Highs()
+        self.highs.passOptions(_highs_options(h, "ds", presolve=False, log=False))
+        self.highs.passModel(_highs_lp(h, base)[0])
+        self.held = None  # the basis the object holds, as its last solve returned it
+
+    def solve(self, fixings: dict[int, int], start) -> tuple[Solution, object]:
+        """Solve a node from ``start``, its parent's basis; None is the root.
+
+        Returns the node's solution and its final basis (None without one).
+        """
+        t0 = time.perf_counter()
+        h, highs = self.h, self.highs
+        lb, ub = self.lb.copy(), self.ub.copy()
+        at = np.searchsorted(self.cols, list(fixings))  # the binary columns ascend
+        lb[at] = ub[at] = list(fixings.values())
+        highs.changeColsBounds(self.cols.size, self.cols, lb, ub)
+        if start is not None and start is not self.held:
+            highs.setBasis(start)
+        left = self.remaining()
+        if left is not None:
+            highs.setOptionValue("time_limit", highs.getRunTime() + left)
+        ran = highs.run() != h.HighsStatus.kError
+        info = highs.getInfo()
+        counts = {"iterations": int(info.simplex_iteration_count) if ran else 0,
+                  "wall_time": time.perf_counter() - t0, "engine": "highs", "method": "ds"}
+        self.held = None
+        stopped = _no_point(h, highs, highs.getModelStatus(), ran, counts)
+        if stopped is not None:
+            return stopped, None
+        self.held = highs.getBasis()
+        sol = Solution(SolveStatus.OPTIMAL, x=np.array(highs.getSolution().col_value),
+                       col_names=self.col_names, objective=float(info.objective_function_value),
+                       **counts)
+        return sol, self.held
+
+
 # ---------------------------------------------------------------------------
 # bundled revised simplex
 
@@ -620,66 +660,29 @@ class _StdForm:
     value. Row ``slack_rows[i]`` has its slack in column ``slack_cols[i]``.
     ``order`` lists the fixed variables first, then the others: the order in
     which a solution sums its objective, with the variables' ``costs`` in
-    that order. Only ``shift``, ``b``
-    and ``offset`` depend on the column bounds; ``rebound`` recomputes them
-    for new bounds.
+    that order. ``offset`` is the objective at t = 0.
     """
 
     A: np.ndarray
+    b: np.ndarray
     c: np.ndarray
+    offset: float
+    problem: LpProblem
     fixed: np.ndarray
-    col_scale: np.ndarray
+    shift: np.ndarray
     slack_rows: np.ndarray
     slack_cols: np.ndarray
-    # what the bound-dependent parts are computed from
-    problem: LpProblem
-    lower: np.ndarray  # x = lb + t
-    upper: np.ndarray  # x = ub - t
-    free: np.ndarray
-    bounded: np.ndarray  # columns with an x <= ub row after the problem's rows
-    rows: np.ndarray  # coefficients of those rows, unscaled, in COO form
-    cols: np.ndarray
-    vals: np.ndarray
-    row_scale: np.ndarray
     unpiece: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     order: np.ndarray
     costs: list[float]
-    b: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    shift: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    offset: float = 0.0
-
-    def rebound(self, lb: np.ndarray, ub: np.ndarray) -> _StdForm:
-        """The same form for new bounds on columns that keep their pieces.
-
-        ``A``, ``c``, the pieces and the scaling are shared with this form;
-        a column that is fixed here stays fixed at its new ``lb``.
-        """
-        shift = np.where(self.fixed | self.lower, lb, np.where(self.upper, ub, 0.0))
-        terms = np.where((lb > ub) | self.free, 0.0, self.problem.cost * shift)
-        rhs, bounded = self.problem.rhs, self.bounded
-        extra = self.A.shape[0] - rhs.size - bounded.size  # the lb > ub row
-        b = np.concatenate([rhs, ub[bounded], np.ones(extra)])
-        np.subtract.at(b, self.rows, self.vals * shift[self.cols])
-        b /= self.row_scale
-        out = copy.copy(self)
-        # added one by one from 0.0, in column order; sum() compensates
-        # float sums from Python 3.12 on, which could move the last bit
-        out.b, out.shift, out.offset = b, shift, reduce(operator.add, terms.tolist(), 0.0)
-        return out
 
 
-def _standardize(problem: LpProblem, keep: np.ndarray | None = None) -> _StdForm:
-    """Standard form of ``problem``; ``keep`` marks columns that stay columns.
-
-    A column with ``lb == ub`` is fixed and drops out unless ``keep`` marks
-    it: branch and bound keeps its binaries, so that a fixing only moves
-    ``b`` (see ``_StdForm.rebound``).
-    """
+def _standardize(problem: LpProblem) -> _StdForm:
+    """Standard form of ``problem``; a column with ``lb == ub`` is fixed and
+    drops out."""
     lb, ub, cost = problem.lb, problem.ub, problem.cost
     infeasible = lb > ub
     fixed = infeasible | (lb == ub)
-    if keep is not None:
-        fixed &= infeasible | ~keep
     free = ~fixed & (lb == -INF) & (ub == INF)
     lower = ~fixed & ~free & (lb != -INF)  # x = lb + t
     upper = ~fixed & ~free & ~lower  # x = ub - t
@@ -741,45 +744,24 @@ def _standardize(problem: LpProblem, keep: np.ndarray | None = None) -> _StdForm
         j = piece[has, k]
         unpiece.append((has, j, piece_sign[has, k], col_scale[j]))
     order = np.concatenate([np.flatnonzero(fixed), np.flatnonzero(~fixed)])
-    std = _StdForm(
-        A=A, c=c, fixed=fixed,
-        col_scale=col_scale, slack_rows=slack_rows, slack_cols=slack_cols,
-        problem=problem, lower=lower, upper=upper, free=free, bounded=bounded,
-        rows=rows, cols=cols, vals=vals, row_scale=row_scale, unpiece=unpiece,
+
+    # the bounds move into b: each column is shifted to its bound
+    shift = np.where(fixed | lower, lb, np.where(upper, ub, 0.0))
+    terms = np.where(infeasible | free, 0.0, cost * shift)
+    b = np.concatenate([problem.rhs, ub[bounded], np.ones(int(infeasible.any()))])
+    np.subtract.at(b, rows, vals * shift[cols])
+    b /= row_scale
+    return _StdForm(
+        A=A, b=b, c=c,
+        # added one by one from 0.0, in column order; sum() compensates
+        # float sums from Python 3.12 on, which could move the last bit
+        offset=reduce(operator.add, terms.tolist(), 0.0),
+        problem=problem, fixed=fixed, shift=shift,
+        slack_rows=slack_rows, slack_cols=slack_cols, unpiece=unpiece,
         order=order, costs=cost[order].tolist(),
     )
-    return std.rebound(lb, ub)
 
 
-@dataclass
-class _Basis:
-    """Basic column per row, and the inverse of that basis when it is current.
-
-    Without ``binv`` the next solve refactors once from ``cols``. ``updates``
-    counts the pivots that updated ``binv`` since it was last refactored.
-    """
-
-    cols: np.ndarray
-    binv: np.ndarray | None = None
-    updates: int = 0
-
-    def copy(self) -> _Basis:
-        return _Basis(self.cols, None if self.binv is None else self.binv.copy(), self.updates)
-
-
-def _sibling_basis(basis: _Basis | None, held: int) -> _Basis | None:
-    """The start of a node pushed on the branch-and-bound heap.
-
-    It is its parent's basis, with a copy of the inverse while the heap's
-    inverses, ``held`` bytes before this one, stay within
-    ``HEAP_INVERSE_BYTES``; past that only the columns, and the popped node
-    refactors. The copy is taken before the dive child updates the inverse.
-    """
-    if basis is None:
-        return None
-    if basis.binv is None or held + basis.binv.nbytes > HEAP_INVERSE_BYTES:
-        return _Basis(basis.cols)
-    return basis.copy()
 
 
 class _Simplex:
@@ -800,12 +782,10 @@ class _Simplex:
 
         A, b = std.A.copy(), std.b.copy()
         m, n = A.shape
+        # rows flipped to start the artificials at nonnegative values
         neg = b < 0
         A[neg] *= -1.0
         b[neg] *= -1.0
-        # rows flipped to start the artificials at nonnegative values; a
-        # later ``b`` on the same ``A`` is flipped the same way
-        self.flip = np.where(neg, -1.0, 1.0)
 
         self.m, self.n_real = m, n
         self.A = np.hstack([A, np.eye(m)]) if m else A
@@ -836,14 +816,14 @@ class _Simplex:
         self.updates = 0
         self.refactors += 1
 
-    def _real_entry(self, r: int, j: int, sign: float) -> bool:
+    def _real_entry(self, r: int, j: int) -> bool:
         """Whether entry ``r`` of B^-1 A_j, solved afresh from the basis,
-        exceeds ``PIVOT_TOL`` with the given sign. Leaves ``binv`` as it is."""
+        exceeds ``PIVOT_TOL``. Leaves ``binv`` as it is."""
         try:
             fresh = np.linalg.solve(self.A[:, self.basis], self.A[:, j])
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular basis") from exc
-        return bool(sign * fresh[r] > PIVOT_TOL)
+        return bool(fresh[r] > PIVOT_TOL)
 
     def xb(self) -> np.ndarray:
         return self.binv @ self.b if self.m else np.zeros(0)
@@ -917,8 +897,8 @@ class _Simplex:
             d = self.binv @ self.A[:, j]
             pos = (d > PIVOT_TOL).nonzero()[0]
             if pos.size == 0:
-                # self.updates also counts the pivots of an earlier phase
-                # and of the dual simplex, which may have drifted binv
+                # self.updates also counts the pivots of an earlier phase,
+                # which may have drifted binv
                 if self.updates:
                     self._refactor()
                     since_refactor = 0
@@ -931,7 +911,7 @@ class _Simplex:
             best = float(ratios.min())
             ties = pos[ratios <= best + 1e-12]
             r = int(ties[0] if ties.size == 1 else ties[self.basis[ties].argmin()])
-            if d[r] < SMALL_PIVOT and self.updates and not self._real_entry(r, j, 1.0):
+            if d[r] < SMALL_PIVOT and self.updates and not self._real_entry(r, j):
                 self.drifted = True
                 self._refactor()
                 since_refactor = 0
@@ -986,49 +966,6 @@ class _Simplex:
         xb = self.xb()
         return float(np.sum(xb[self.basis >= self.n_real]))
 
-    def run_dual(self) -> str:
-        """Dual simplex from a dual feasible basis, until every basic value
-        is nonnegative.
-
-        The leaving row is the most negative basic value. The entering
-        column is the one whose reduced cost first reaches zero as the row
-        leaves (the dual ratio test), the largest pivot among ties, so every
-        reduced cost stays nonnegative. Artificials never enter. A row with
-        no negative entry is a dual ray: it sets a sum of nonnegative terms
-        equal to a negative value, so the problem is infeasible. The row
-        ``y = B^-1[r]`` is checked as it is (``y A >= 0``, ``y b < 0``), so
-        drift in the inverse cannot fake that certificate. Returns
-        "feasible", "infeasible" or "iteration_limit".
-        """
-        if self.m == 0:
-            return "feasible"
-        while True:
-            if self._stopped():
-                return "iteration_limit"
-            xb = self.binv @ self.b
-            r = int(xb.argmin())
-            if xb[r] >= -FEAS_TOL:
-                return "feasible"
-            alpha = self.binv[r] @ self.A
-            # the real columns come first, the artificials after them
-            cand = (alpha[: self.n_real] < -PIVOT_TOL).nonzero()[0]
-            if cand.size == 0:
-                return "infeasible"
-            y = self.c[self.basis] @ self.binv
-            reduced = np.maximum(self.c[cand] - y @ self.A[:, cand], 0.0)
-            pivots = alpha[cand]
-            ratios = reduced / -pivots
-            tied = ratios <= float(ratios.min()) + 1e-12
-            j = int(cand[tied][pivots[tied].argmin()])
-            if -alpha[j] < SMALL_PIVOT and self.updates and not self._real_entry(r, j, -1.0):
-                self.drifted = True
-                self._refactor()
-                continue
-            self._pivot(r, j, self.binv @ self.A[:, j])
-            self.iterations += 1
-            if self.updates >= REFACTOR_EVERY:
-                self._refactor()
-
     def solution(
         self, status: SolveStatus, with_values: bool, std: _StdForm, t0: float
     ) -> Solution:
@@ -1075,79 +1012,3 @@ def _solve_simplex(
     sx = _Simplex(std, iteration_limit or _iteration_limit(std), log,
                   t0 + time_limit if time_limit else None)
     return sx.solution(*sx.two_phase(), std, t0)
-
-
-class _WarmNodes:
-    """Node relaxations of one binary program on the bundled simplex.
-
-    The program is standardized once with its binaries kept as columns, so
-    a node's fixings change only ``b``. The root is solved by the two-phase
-    primal simplex. Every other node starts from its parent's optimal basis,
-    which stays dual feasible because ``A`` and ``c`` never change: the dual
-    simplex restores primal feasibility and the primal simplex confirms
-    optimality. A node that runs into trouble there (basic artificials above
-    1e-7, an iteration limit, a singular basis) is solved cold instead.
-    """
-
-    def __init__(
-        self, base: LpProblem, binary: np.ndarray, deadline: float | None
-    ) -> None:
-        self.base = base
-        self.root = _standardize(base, keep=binary)
-        self.limit = _iteration_limit(self.root)
-        self.deadline = deadline
-        # the root's frame, whose row flips and artificials every node shares
-        self.sx = _Simplex(self.root, self.limit, False, deadline)
-
-    def relaxation(self, fixings: dict[int, int]) -> _StdForm:
-        if not fixings:
-            return self.root
-        return self.root.rebound(*_fixed_bounds(self.base, fixings))
-
-    def solve(
-        self, fixings: dict[int, int], start: _Basis | None
-    ) -> tuple[Solution, _Basis | None]:
-        """Solve a node from ``start``, its parent's basis; None is the root.
-
-        The inverse in ``start`` is updated in place, and the returned basis
-        owns the inverse the node ends with (None when the node has none).
-        """
-        t0 = time.perf_counter()
-        std, sx = self.relaxation(fixings), self.sx
-        if start is None:
-            sol = sx.solution(*sx.two_phase(), std, t0)
-            return sol, _Basis(sx.basis.copy(), sx.binv, sx.updates)
-        status = self._warm(std, start)
-        if status == "optimal":
-            sol = sx.solution(SolveStatus.OPTIMAL, True, std, t0)
-            return sol, _Basis(sx.basis.copy(), sx.binv, sx.updates)
-        if status == "infeasible":
-            return sx.solution(SolveStatus.INFEASIBLE, False, std, t0), None
-        if self.deadline is not None and time.perf_counter() > self.deadline:
-            return sx.solution(SolveStatus.ITERATION_LIMIT, False, std, t0), None
-        # the cold solve flips rows by its own b; its basis is refactored in
-        # the root's frame when a child starts from it
-        cold = _Simplex(std, self.limit, False, self.deadline)
-        sol = cold.solution(*cold.two_phase(), std, t0)
-        sol.iterations += sx.iterations
-        sol.refactors += sx.refactors
-        return sol, _Basis(cold.basis.copy())
-
-    def _warm(self, std: _StdForm, start: _Basis) -> str:
-        sx = self.sx
-        sx.b = std.b * sx.flip
-        sx.basis = start.cols.copy()
-        sx.iterations = sx.streak = sx.refactors = 0
-        try:
-            if start.binv is None:
-                sx._refactor()
-            else:
-                sx.binv, sx.updates = start.binv, start.updates
-            status = sx.run_dual()
-            if status == "feasible":
-                status = sx.run_phase(sx.c, allowed=sx.real)
-        except SolverError:  # singular basis
-            return "singular"
-        if status == "optimal" and sx.artificial_value() > 1e-7:
-            return "drift"
-        return status

@@ -1,28 +1,21 @@
-"""The bundled simplex and its warm branch and bound, kept as a test oracle.
+"""The bundled simplex, kept as a test oracle.
 
-A frozen copy of ``demers.simplexsolver``'s two-phase primal simplex, dual
-simplex and warm-started branch and bound (``engine="simplex"`` only), in
-which every pivot updates all of the basis inverse and the node bookkeeping
-runs in plain Python loops. The property tests compare the production
-solver with it pivot for pivot: status, counters, objective and values,
-byte for byte. ``HEAP_INVERSE_BYTES`` is read from the production module,
-so patching it there patches both.
+A frozen copy of ``demers.simplexsolver``'s two-phase primal simplex
+(``engine="simplex"`` only), in which every pivot updates all of the basis
+inverse. The property tests compare the production solver with it pivot
+for pivot: status, counters, objective and values, byte for byte.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from demers import simplexsolver as ss
 from demers.lpmodel import EQ, GE, LE, LpProblem
 from demers.simplexsolver import INF, Solution, SolverError, SolveStatus
 
-FEAS_TOL = 1e-7
 OPT_TOL = 1e-9
-INT_TOL = 1e-6
 PIVOT_TOL = 1e-9
 SMALL_PIVOT = 1e-7
 DEGENERATE_STREAK = 30
@@ -34,128 +27,6 @@ def solve_lp(problem: LpProblem) -> Solution:
     return _solve_simplex(problem, None)
 
 
-def solve_ilp(problem: LpProblem, node_limit: int = 100_000) -> Solution:
-    """``simplexsolver.solve_ilp(problem, engine="simplex")`` without a time
-    limit or logging."""
-    if not problem.num_binaries:
-        return _solve_simplex(problem, None)
-    binaries = [problem.col_names[j] for j in np.flatnonzero(problem.binary)]
-    base = problem.with_bounds(
-        problem.lb, problem.ub, binary=np.zeros(problem.num_cols, dtype=bool)
-    )
-    relax = _WarmNodes(base, problem.binary)
-
-    incumbent: Solution | None = None
-    nodes = 0
-    total_iters = 0
-    total_refactors = 0
-    root_iters: int | None = None
-    heap: list[tuple[float, int, dict[str, int], _Basis | None]] = []
-    stack: list[tuple[float, dict[str, int], _Basis | None]] = [(-INF, {}, None)]
-    seq = held = 0
-    exhausted = True
-
-    while stack or heap:
-        if stack:
-            bound, fixings, start = stack.pop()
-        else:
-            bound, _, fixings, start = heapq.heappop(heap)
-            if start is not None and start.binv is not None:
-                held -= start.binv.nbytes
-        if incumbent is not None and bound >= incumbent.objective - 1e-9:
-            continue
-        if nodes >= node_limit:
-            exhausted = False
-            break
-        nodes += 1
-        rel, basis = relax.solve(fixings, start)
-        total_iters += rel.iterations
-        total_refactors += rel.refactors
-        if rel.status is SolveStatus.INFEASIBLE:
-            continue
-        if rel.status is not SolveStatus.OPTIMAL:
-            raise SolverError(f"relaxation ended with {rel.status} in branch and bound")
-        if incumbent is not None and rel.objective >= incumbent.objective - 1e-9:
-            continue
-        frac_name, frac_dist = None, -1.0
-        for name in binaries:
-            if name in fixings:
-                continue
-            val = rel.values.get(name, 0.0)
-            dist = min(val, 1.0 - val)
-            if dist > INT_TOL and dist > frac_dist:
-                frac_name, frac_dist = name, dist
-        if frac_name is None:
-            incumbent = _rounded(rel, binaries)
-            continue
-        if incumbent is None:
-            probe_fix = dict(fixings)
-            for name in binaries:
-                if name not in probe_fix:
-                    val = rel.values.get(name, 0.0)
-                    probe_fix[name] = 1 if val > INT_TOL else 0
-            probe, _ = relax.solve(probe_fix, None if basis is None else basis.copy())
-            total_iters += probe.iterations
-            total_refactors += probe.refactors
-            if probe.status is SolveStatus.OPTIMAL:
-                incumbent = _rounded(probe, binaries)
-        if root_iters is None:
-            root_iters = total_iters
-        prefer = 1 if rel.values.get(frac_name, 0.0) >= 0.5 else 0
-        seq += 1
-        sibling = _sibling_basis(basis, held)
-        if sibling is not None and sibling.binv is not None:
-            held += sibling.binv.nbytes
-        heapq.heappush(heap, (rel.objective, seq, {**fixings, frac_name: 1 - prefer}, sibling))
-        stack.append((rel.objective, {**fixings, frac_name: prefer}, basis))
-
-    root_iters = total_iters if root_iters is None else root_iters
-    if incumbent is not None:
-        fixed = {name: int(incumbent.values[name]) for name in binaries}
-        final = _solve_simplex(_with_fixings(base, fixed), None)
-        total_iters += final.iterations
-        total_refactors += final.refactors
-        if final.status is SolveStatus.OPTIMAL:
-            incumbent = _rounded(final, binaries)
-    counts = {"nodes": nodes, "engine": "simplex", "root_iterations": root_iters,
-              "iterations": total_iters, "refactors": total_refactors}
-    if incumbent is None:
-        status = SolveStatus.INFEASIBLE if exhausted else SolveStatus.NODE_LIMIT
-        return Solution(status=status, **counts)
-    status = SolveStatus.OPTIMAL if exhausted else SolveStatus.NODE_LIMIT
-    return Solution(
-        status=status,
-        x=incumbent.x,
-        col_names=incumbent.col_names,
-        objective=incumbent.objective,
-        dual_objective=incumbent.dual_objective,
-        **counts,
-    )
-
-
-def _rounded(rel: Solution, binaries: list[str]) -> Solution:
-    """An integral relaxation as an incumbent, its binaries rounded exactly."""
-    vals = dict(rel.values)
-    for name in binaries:
-        vals[name] = 1.0 if vals.get(name, 0.0) > 0.5 else 0.0
-    return replace(rel, x=np.array([vals[name] for name in rel.col_names]))
-
-
-def _fixed_bounds(
-    base: LpProblem, fixings: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Column bounds of ``base`` with every fixed binary pinned to its value."""
-    lb, ub = base.lb.copy(), base.ub.copy()
-    cols = [base.col_index[name] for name in fixings]
-    lb[cols] = ub[cols] = list(fixings.values())
-    return lb, ub
-
-
-def _with_fixings(base: LpProblem, fixings: dict[str, int]) -> LpProblem:
-    return base.with_bounds(*_fixed_bounds(base, fixings)) if fixings else base
-
-
-
 @dataclass
 class _StdForm:
     """min c.t  s.t.  A t = b, t >= 0, with bookkeeping to map back.
@@ -164,62 +35,28 @@ class _StdForm:
     piece_sign[j, k] * t[piece[j, k]] / col_scale[piece[j, k]], for the
     pieces k with piece[j, k] >= 0; fixed variables have no pieces and
     ``shift`` holds their value. Row ``slack_rows[i]`` has its slack in
-    column ``slack_cols[i]``. Only ``shift``, ``b`` and ``offset`` depend on
-    the column bounds; ``rebound`` recomputes them for new bounds.
+    column ``slack_cols[i]``. ``offset`` is the objective at t = 0.
     """
 
     A: np.ndarray
+    b: np.ndarray
     c: np.ndarray
+    offset: float
     piece: np.ndarray  # (n, 2) column per piece, -1 for none
     piece_sign: np.ndarray  # (n, 2)
     fixed: np.ndarray
+    shift: np.ndarray
     col_scale: np.ndarray
     slack_rows: np.ndarray
     slack_cols: np.ndarray
-    # what the bound-dependent parts are computed from
-    problem: LpProblem
-    lower: np.ndarray  # x = lb + t
-    upper: np.ndarray  # x = ub - t
-    free: np.ndarray
-    bounded: np.ndarray  # columns with an x <= ub row after the problem's rows
-    rows: np.ndarray  # coefficients of those rows, unscaled, in COO form
-    cols: np.ndarray
-    vals: np.ndarray
-    row_scale: np.ndarray
-    b: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    shift: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    offset: float = 0.0
-
-    def rebound(self, lb: np.ndarray, ub: np.ndarray) -> _StdForm:
-        """The same form for new bounds on columns that keep their pieces.
-
-        ``A``, ``c``, the pieces and the scaling are shared with this form;
-        a column that is fixed here stays fixed at its new ``lb``.
-        """
-        shift = np.where(self.fixed | self.lower, lb, np.where(self.upper, ub, 0.0))
-        offset = 0.0
-        for term in np.where((lb > ub) | self.free, 0.0, self.problem.cost * shift).tolist():
-            offset += term
-        rhs, bounded = self.problem.rhs, self.bounded
-        extra = self.A.shape[0] - rhs.size - bounded.size  # the lb > ub row
-        b = np.concatenate([rhs, ub[bounded], np.ones(extra)])
-        np.subtract.at(b, self.rows, self.vals * shift[self.cols])
-        b /= self.row_scale
-        return replace(self, b=b, shift=shift, offset=offset)
 
 
-def _standardize(problem: LpProblem, keep: np.ndarray | None = None) -> _StdForm:
-    """Standard form of ``problem``; ``keep`` marks columns that stay columns.
-
-    A column with ``lb == ub`` is fixed and drops out unless ``keep`` marks
-    it: branch and bound keeps its binaries, so that a fixing only moves
-    ``b`` (see ``_StdForm.rebound``).
-    """
+def _standardize(problem: LpProblem) -> _StdForm:
+    """Standard form of ``problem``; a column with ``lb == ub`` is fixed and
+    drops out."""
     lb, ub, cost = problem.lb, problem.ub, problem.cost
     infeasible = lb > ub
     fixed = infeasible | (lb == ub)
-    if keep is not None:
-        fixed &= infeasible | ~keep
     free = ~fixed & (lb == -INF) & (ub == INF)
     lower = ~fixed & ~free & (lb != -INF)  # x = lb + t
     upper = ~fixed & ~free & ~lower  # x = ub - t
@@ -272,44 +109,18 @@ def _standardize(problem: LpProblem, keep: np.ndarray | None = None) -> _StdForm
         A /= col_scale[None, :]
         c = c / col_scale
 
-    std = _StdForm(
-        A=A, c=c, piece=piece, piece_sign=piece_sign, fixed=fixed,
-        col_scale=col_scale, slack_rows=slack_rows, slack_cols=slack_cols,
-        problem=problem, lower=lower, upper=upper, free=free, bounded=bounded,
-        rows=rows, cols=cols, vals=vals, row_scale=row_scale,
+    shift = np.where(fixed | lower, lb, np.where(upper, ub, 0.0))
+    offset = 0.0
+    for term in np.where(infeasible | free, 0.0, cost * shift).tolist():
+        offset += term
+    b = np.concatenate([problem.rhs, ub[bounded], np.ones(int(infeasible.any()))])
+    np.subtract.at(b, rows, vals * shift[cols])
+    b /= row_scale
+    return _StdForm(
+        A=A, b=b, c=c, offset=offset, piece=piece, piece_sign=piece_sign,
+        fixed=fixed, shift=shift, col_scale=col_scale,
+        slack_rows=slack_rows, slack_cols=slack_cols,
     )
-    return std.rebound(lb, ub)
-
-
-@dataclass
-class _Basis:
-    """Basic column per row, and the inverse of that basis when it is current.
-
-    Without ``binv`` the next solve refactors once from ``cols``. ``updates``
-    counts the pivots that updated ``binv`` since it was last refactored.
-    """
-
-    cols: np.ndarray
-    binv: np.ndarray | None = None
-    updates: int = 0
-
-    def copy(self) -> _Basis:
-        return _Basis(self.cols, None if self.binv is None else self.binv.copy(), self.updates)
-
-
-def _sibling_basis(basis: _Basis | None, held: int) -> _Basis | None:
-    """The start of a node pushed on the branch-and-bound heap.
-
-    It is its parent's basis, with a copy of the inverse while the heap's
-    inverses, ``held`` bytes before this one, stay within
-    ``ss.HEAP_INVERSE_BYTES``; past that only the columns, and the popped node
-    refactors. The copy is taken before the dive child updates the inverse.
-    """
-    if basis is None:
-        return None
-    if basis.binv is None or held + basis.binv.nbytes > ss.HEAP_INVERSE_BYTES:
-        return _Basis(basis.cols)
-    return basis.copy()
 
 
 class _Simplex:
@@ -325,12 +136,10 @@ class _Simplex:
 
         A, b = std.A.copy(), std.b.copy()
         m, n = A.shape
+        # rows flipped to start the artificials at nonnegative values
         neg = b < 0
         A[neg] *= -1.0
         b[neg] *= -1.0
-        # rows flipped to start the artificials at nonnegative values; a
-        # later ``b`` on the same ``A`` is flipped the same way
-        self.flip = np.where(neg, -1.0, 1.0)
 
         self.m, self.n_real = m, n
         self.A = np.hstack([A, np.eye(m)]) if m else A
@@ -361,14 +170,14 @@ class _Simplex:
         self.updates = 0
         self.refactors += 1
 
-    def _real_entry(self, r: int, j: int, sign: float) -> bool:
+    def _real_entry(self, r: int, j: int) -> bool:
         """Whether entry ``r`` of B^-1 A_j, solved afresh from the basis,
-        exceeds ``PIVOT_TOL`` with the given sign."""
+        exceeds ``PIVOT_TOL``."""
         try:
             fresh = np.linalg.solve(self.A[:, self.basis], self.A[:, j])
         except np.linalg.LinAlgError as exc:
             raise SolverError("singular basis") from exc
-        return bool(sign * fresh[r] > PIVOT_TOL)
+        return bool(fresh[r] > PIVOT_TOL)
 
     def xb(self) -> np.ndarray:
         return self.binv @ self.b if self.m else np.zeros(0)
@@ -431,8 +240,8 @@ class _Simplex:
             d = self.binv @ self.A[:, j]
             pos = np.flatnonzero(d > PIVOT_TOL)
             if pos.size == 0:
-                # self.updates also counts the pivots of an earlier phase
-                # and of the dual simplex, which may have drifted binv
+                # self.updates also counts the pivots of an earlier phase,
+                # which may have drifted binv
                 if self.updates:
                     self._refactor()
                     since_refactor = 0
@@ -448,7 +257,7 @@ class _Simplex:
             r = int(ties[np.argmin(self.basis[ties])])
             # a small pivot from an updated inverse may be drift: checked
             # against the basis, and if it is, refactored and priced again
-            if d[r] < SMALL_PIVOT and self.updates and not self._real_entry(r, j, 1.0):
+            if d[r] < SMALL_PIVOT and self.updates and not self._real_entry(r, j):
                 self.drifted = True
                 self._refactor()
                 since_refactor = 0
@@ -499,47 +308,6 @@ class _Simplex:
         xb = self.xb()
         return float(np.sum(xb[self.basis >= self.n_real]))
 
-    def run_dual(self) -> str:
-        """Dual simplex from a dual feasible basis, until every basic value
-        is nonnegative.
-
-        The leaving row is the most negative basic value. The entering
-        column is the one whose reduced cost first reaches zero as the row
-        leaves (the dual ratio test), the largest pivot among ties, so every
-        reduced cost stays nonnegative. Artificials never enter. A row with
-        no negative entry is a dual ray: it sets a sum of nonnegative terms
-        equal to a negative value, so the problem is infeasible. The row
-        ``y = B^-1[r]`` is checked as it is (``y A >= 0``, ``y b < 0``), so
-        drift in the inverse cannot fake that certificate. Returns
-        "feasible", "infeasible" or "iteration_limit".
-        """
-        if self.m == 0:
-            return "feasible"
-        while True:
-            if self._stopped():
-                return "iteration_limit"
-            xb = self.xb()
-            r = int(np.argmin(xb))
-            if xb[r] >= -FEAS_TOL:
-                return "feasible"
-            alpha = self.binv[r, :] @ self.A
-            cand = np.flatnonzero(self.real & (alpha < -PIVOT_TOL))
-            if cand.size == 0:
-                return "infeasible"
-            y = self.c[self.basis] @ self.binv
-            reduced = np.maximum(self.c[cand] - y @ self.A[:, cand], 0.0)
-            ratios = reduced / -alpha[cand]
-            ties = cand[ratios <= float(np.min(ratios)) + 1e-12]
-            j = int(ties[np.argmin(alpha[ties])])
-            if -alpha[j] < SMALL_PIVOT and self.updates and not self._real_entry(r, j, -1.0):
-                self.drifted = True
-                self._refactor()
-                continue
-            self._pivot(r, j, self.binv @ self.A[:, j])
-            self.iterations += 1
-            if self.updates >= REFACTOR_EVERY:
-                self._refactor()
-
     def solution(
         self, status: SolveStatus, with_values: bool, problem: LpProblem,
         std: _StdForm,
@@ -584,73 +352,3 @@ def _solve_simplex(problem: LpProblem, iteration_limit: int | None) -> Solution:
     std = _standardize(problem)
     sx = _Simplex(std, iteration_limit or _iteration_limit(std))
     return sx.solution(*sx.two_phase(), problem, std)
-
-
-class _WarmNodes:
-    """Node relaxations of one binary program on the bundled simplex.
-
-    The program is standardized once with its binaries kept as columns, so
-    a node's fixings change only ``b``. The root is solved by the two-phase
-    primal simplex. Every other node starts from its parent's optimal basis,
-    which stays dual feasible because ``A`` and ``c`` never change: the dual
-    simplex restores primal feasibility and the primal simplex confirms
-    optimality. A node that runs into trouble there (basic artificials above
-    1e-7, an iteration limit, a singular basis) is solved cold instead.
-    """
-
-    def __init__(self, base: LpProblem, binary: np.ndarray) -> None:
-        self.base = base
-        self.root = _standardize(base, keep=binary)
-        self.limit = _iteration_limit(self.root)
-        # the root's frame, whose row flips and artificials every node shares
-        self.sx = _Simplex(self.root, self.limit)
-
-    def relaxation(self, fixings: dict[str, int]) -> _StdForm:
-        if not fixings:
-            return self.root
-        return self.root.rebound(*_fixed_bounds(self.base, fixings))
-
-    def solve(
-        self, fixings: dict[str, int], start: _Basis | None
-    ) -> tuple[Solution, _Basis | None]:
-        """Solve a node from ``start``, its parent's basis; None is the root.
-
-        The inverse in ``start`` is updated in place, and the returned basis
-        owns the inverse the node ends with (None when the node has none).
-        """
-        std, sx = self.relaxation(fixings), self.sx
-        if start is None:
-            sol = sx.solution(*sx.two_phase(), self.base, std)
-            return sol, _Basis(sx.basis.copy(), sx.binv, sx.updates)
-        status = self._warm(std, start)
-        if status == "optimal":
-            sol = sx.solution(SolveStatus.OPTIMAL, True, self.base, std)
-            return sol, _Basis(sx.basis.copy(), sx.binv, sx.updates)
-        if status == "infeasible":
-            return sx.solution(SolveStatus.INFEASIBLE, False, self.base, std), None
-        # the cold solve flips rows by its own b; its basis is refactored in
-        # the root's frame when a child starts from it
-        cold = _Simplex(std, self.limit)
-        sol = cold.solution(*cold.two_phase(), self.base, std)
-        sol.iterations += sx.iterations
-        sol.refactors += sx.refactors
-        return sol, _Basis(cold.basis.copy())
-
-    def _warm(self, std: _StdForm, start: _Basis) -> str:
-        sx = self.sx
-        sx.b = std.b * sx.flip
-        sx.basis = start.cols.copy()
-        sx.iterations = sx.streak = sx.refactors = 0
-        try:
-            if start.binv is None:
-                sx._refactor()
-            else:
-                sx.binv, sx.updates = start.binv, start.updates
-            status = sx.run_dual()
-            if status == "feasible":
-                status = sx.run_phase(sx.c, allowed=sx.real)
-        except SolverError:  # singular basis
-            return "singular"
-        if status == "optimal" and sx.artificial_value() > 1e-7:
-            return "drift"
-        return status

@@ -1,15 +1,16 @@
 """The bundled simplex against its frozen copy in ``oracle_bundled``.
 
-Every LP and binary program here has at most ``AUTO_SIMPLEX_MAX_ROWS``
-rows and is solved with ``engine="simplex"``. The production solver must
-take the same pivots and nodes as the oracle and return the same floats:
-status, iterations, refactors, nodes and root iterations equal, objective,
-dual objective and values equal byte for byte, values in the same order.
+Every LP and binary program here has at most ``BUNDLED_MAX_ROWS`` rows and
+is solved with ``engine="simplex"``. An LP must take the same pivots as the
+oracle; a binary program must take the same nodes and pivots as
+``reference_solve_ilp`` running the cold branch and bound on the oracle.
+Both must return the same floats: status, iterations, refactors, nodes and
+root iterations equal, objective, dual objective and values equal byte for
+byte, values in the same order.
 """
 
 import math
 import struct
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ import oracle_bundled
 from demers import simplexsolver as ss
 from demers.lpmodel import LpProblem
 from test_lp_golden import golden_problems
-from test_simplexsolver import binary_programs
+from test_simplexsolver import BUNDLED_MAX_ROWS, binary_programs, reference_solve_ilp
 
 
 def bits(x: float | None) -> bytes | None:
@@ -37,17 +38,14 @@ def assert_identical(sol: ss.Solution, ref: ss.Solution) -> None:
 
 
 def assert_same_solve(problem: LpProblem) -> None:
-    assert problem.num_rows <= ss.AUTO_SIMPLEX_MAX_ROWS
-    for heap_bytes in (ss.HEAP_INVERSE_BYTES, 0):
-        # with no room for inverses every node popped from the heap refactors
-        with mock.patch.object(ss, "HEAP_INVERSE_BYTES", heap_bytes):
-            if problem.num_binaries:
-                sol = ss.solve_ilp(problem, engine="simplex")
-                ref = oracle_bundled.solve_ilp(problem)
-            else:
-                sol = ss.solve_lp(problem, engine="simplex")
-                ref = oracle_bundled.solve_lp(problem)
-        assert_identical(sol, ref)
+    assert problem.num_rows <= BUNDLED_MAX_ROWS
+    if problem.num_binaries:
+        sol = ss.solve_ilp(problem, engine="simplex")
+        ref = reference_solve_ilp(problem, oracle_bundled.solve_lp)
+    else:
+        sol = ss.solve_lp(problem, engine="simplex")
+        ref = oracle_bundled.solve_lp(problem)
+    assert_identical(sol, ref)
 
 
 BOUNDS = [(0.0, math.inf), (-math.inf, math.inf), (-2.0, 3.0), (-math.inf, 4.0),
@@ -111,7 +109,7 @@ def test_cartogram_models_solve_as_the_oracle_does(problem):
 
 @pytest.mark.parametrize("stem", sorted(
     stem for stem, problem in golden_problems().items()
-    if problem.num_rows <= ss.AUTO_SIMPLEX_MAX_ROWS
+    if problem.num_rows <= BUNDLED_MAX_ROWS
 ))
 def test_golden_models_solve_as_the_oracle_does(stem):
     assert_same_solve(golden_problems()[stem])

@@ -347,9 +347,7 @@ class TestManifest:
         assert manifest["solves"]
         for solve in manifest["solves"]:
             if engine == "auto" and variant.startswith("CNT"):
-                # binary programs up to 220 rows stay on the bundled search
-                assert solve["engine"] == "simplex"
-                assert solve["engine_reason"] == f"auto: {solve['rows']} rows <= 220"
+                assert (solve["engine"], solve["engine_reason"]) == ("highs", "auto: ILP")
             elif engine == "auto":
                 assert (solve["engine"], solve["engine_reason"]) == ("highs", "auto: LP")
             else:
@@ -359,22 +357,41 @@ class TestManifest:
             else:
                 assert "root_iterations" not in solve
 
-    @pytest.mark.parametrize("cap", ["default", 0])
-    @pytest.mark.parametrize("engine", ["simplex", "highs"])
-    def test_solves_record_refactors(self, tmp_path, sample3_paths, engine, cap, monkeypatch):
-        import demers.simplexsolver as ss
+    @pytest.mark.parametrize("variant", [
+        f"CNT-{setting}-{stability}" for setting in "WS" for stability in ("SU", "CO", "IT", "CENTRAL")
+    ])
+    @pytest.mark.parametrize("dataset", ["sample3", "grid3x3"])
+    def test_cnt_solves_record_binaries_set(self, tmp_path, sample3_paths, dataset, variant):
+        # a binary at 0 forces its pair's gaps to 0, so the squares touch:
+        # only the pairs whose binary is set can be lost
+        from demers.synth import write_instance
 
-        # the sample's CNT search pops three nodes from its heap; they start
-        # from their parents' kept inverses unless the byte cap is 0
-        if cap == 0:
-            monkeypatch.setattr(ss, "HEAP_INVERSE_BYTES", 0)
+        if dataset == "sample3":
+            paths = sample3_paths
+        else:
+            paths = write_instance(tmp_path / "grid", 3, 0, k=2, rows=3, jitter=0.3)
+        res = run(RunConfig(str(paths[0]), str(paths[1]), variant, out_dir=str(tmp_path / "out")))
+        assert res.ok
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["solves"]
+        for solve in manifest["solves"]:
+            assert 0 <= solve["binaries_set"] <= solve["binaries"]
+        assert sum(res.report.lost_counts) <= sum(s["binaries_set"] for s in manifest["solves"])
+
+    def test_lp_solves_record_no_binaries_set(self, tmp_path, sample3_paths):
+        res = run_sample(tmp_path, sample3_paths, "TOP-W-IT")
+        assert res.ok and all("binaries_set" not in s for s in res.solver_stats)
+
+    @pytest.mark.parametrize("engine", ["simplex", "highs"])
+    def test_solves_record_refactors(self, tmp_path, sample3_paths, engine):
+        # the sample's CNT relaxations are too small for the bundled simplex
+        # to refactor, and HiGHS computes no dense inverse
         res = run_sample(tmp_path, sample3_paths, "CNT-W-SU", engine=engine)
         assert res.ok
         manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
         [solve] = manifest["solves"]
         assert solve["nodes"] == 7
-        expected = 3 if (engine, cap) == ("simplex", 0) else 0
-        assert solve["refactors"] == expected
+        assert solve["refactors"] == 0
 
     @pytest.mark.parametrize("variant", ["TOP-S-SU", "CNT-W-IT"])
     def test_solves_record_model_size(self, tmp_path, sample3_paths, variant, monkeypatch):
@@ -628,6 +645,48 @@ class TestRunFlags:
         unchanged = [f.name for f in dataclasses.fields(RunConfig)
                      if getattr(flagged, f.name) == getattr(default, f.name)]
         assert unchanged == ["map_path", "weights_path", "variant", "out_dir", "dataset_name"]
+
+    def test_minimal_argv_takes_the_dataclass_defaults(self, tmp_path, monkeypatch):
+        # the run flags and the matrix spec read their defaults from
+        # RunConfig, so a run without them gets the dataclass's defaults
+        seen = []
+
+        def capture(config):
+            seen.append(config)
+            return RunResult(config=config, status="ok")
+
+        monkeypatch.setattr("demers.cli.run", capture)
+        assert main(["run", "--map", "m.geojson", "--weights", "w.csv",
+                     "--variant", "ORG-W-CO", "--out", "o"]) == 0
+        spec = {"datasets": [{"name": "d", "map": "m.geojson", "weights": "w.csv"}],
+                "variants": ["ORG-W-CO"]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        main(["matrix", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "m")])
+        from_run, from_matrix = seen
+        for field in dataclasses.fields(RunConfig):
+            if field.default is dataclasses.MISSING or field.name in ("out_dir", "dataset_name"):
+                continue
+            assert getattr(from_run, field.name) == field.default, field.name
+            assert getattr(from_matrix, field.name) == field.default, field.name
+
+    @pytest.mark.parametrize("kind, expected", [
+        ("timeseries", WeightKind.TIME_SERIES), ("vectors", WeightKind.WEIGHT_VECTORS),
+    ])
+    def test_one_kind_parser_for_run_and_matrix(self, tmp_path, monkeypatch, kind, expected):
+        seen = []
+        monkeypatch.setattr(
+            "demers.cli.run", lambda config: seen.append(config) or RunResult(config, "ok")
+        )
+        main(["run", "--map", "m", "--weights", "w", "--variant", "TOP-S-SU", "--out", "o",
+              "--kind", kind])
+        spec = {"datasets": [{"name": "d", "map": "m", "weights": "w", "kind": kind}],
+                "variants": ["TOP-S-SU"]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        main(["matrix", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "m")])
+        assert [c.kind for c in seen] == [expected, expected]
+        with pytest.raises(SystemExit):
+            main(["run", "--map", "m", "--weights", "w", "--variant", "TOP-S-SU", "--out", "o",
+                  "--kind", "series"])
 
     def test_limit_flags_reach_the_config(self, tmp_path, sample3_paths, monkeypatch):
         seen = []
