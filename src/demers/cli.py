@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import leaders as leadersmod, metrics as metricsmod
+from . import leaders as leadersmod, metrics as metricsmod, notices
 from .forcelayout import ForceConfig, InitMode, QualityForce, run_frc
 from .layout import SquareLayout, anchor_to_origins, decode
 from .lpmodel import (
@@ -151,6 +151,9 @@ class RunResult:
     artifacts: list[str] = field(default_factory=list)
     error_stage: str | None = None  # pipeline stage that raised, on failure
     traceback: str | None = None
+    # what the run warned about its results: clamped metrics, residual
+    # force overlap (see ``notices``)
+    warnings: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -174,7 +177,7 @@ def _solution_stats(sol: Solution) -> dict:
         "engine": sol.engine,
         "engine_reason": sol.engine_reason,
         "method": sol.method,
-        "crossover_nit": sol.crossover_nit,
+        "dual_objective": sol.dual_objective,
         "refactors": sol.refactors,
         "wall_time": sol.wall_time,
     }
@@ -347,8 +350,15 @@ def run(config: RunConfig) -> RunResult:
     A failure in any stage becomes an ``error: ...`` status. The result then
     keeps the stage that failed and the traceback, and ``manifest.json``
     records them next to the solves made before the failure. Either way the
-    result and the manifest carry ``stage_seconds``, the time per stage.
+    result and the manifest carry ``stage_seconds``, the time per stage, and
+    the run's ``warnings``, each still issued as it happened.
     """
+    with notices.recording() as warned:
+        return _run(config, warned)
+
+
+def _run(config: RunConfig, warned: list[str]) -> RunResult:
+    """``run``'s body; ``warned`` fills with the run's warnings as they happen."""
     t0 = time.perf_counter()
     out = Path(config.out_dir) if config.out_dir else None
     stage = _Stage()
@@ -408,6 +418,7 @@ def run(config: RunConfig) -> RunResult:
             constraint_counts=counts,
             stage_seconds=stage.totals(),
             wall_time=time.perf_counter() - t0,
+            warnings=warned,
         )
         if out:
             stage.enter("artifacts")
@@ -423,6 +434,7 @@ def run(config: RunConfig) -> RunResult:
             wall_time=time.perf_counter() - t0,
             error_stage=stage.name,
             traceback=traceback.format_exc(),
+            warnings=warned,
         )
         if out:
             with contextlib.suppress(OSError):
@@ -473,6 +485,7 @@ def _write_manifest(result: RunResult, out: Path) -> str:
         "solves": result.solver_stats,
         "leader_counts": [len(ls) for ls in result.leaders_per_layout],
         "unroutable_counts": result.unroutable_per_layout,
+        "warnings": result.warnings,
         "unroutable_pairs": [
             [{"from": a, "to": b, "reason": why} for a, b, why in r.unroutable]
             for r in result.routing_per_layout

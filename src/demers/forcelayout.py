@@ -22,7 +22,6 @@ keep the term order of the straightforward per-pair evaluation (see
 from __future__ import annotations
 
 import math
-import warnings
 import zlib
 from dataclasses import dataclass
 from enum import Enum
@@ -30,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import notices
 from .layout import SquareLayout, overlap_area, total_square_area
 from .mapdata import AdjacencyGraph
 
@@ -257,7 +257,7 @@ def run_frc(
     total = total_square_area(layout)
     frac = residual / total if total > 0 else 0.0
     if total > 0 and residual > 1e-3 * total:
-        warnings.warn(f"force layout kept {frac:.2%} residual overlap area", stacklevel=2)
+        notices.warn(f"force layout kept {frac:.2%} residual overlap area", stacklevel=2)
     return FrcResult(
         layout=layout,
         converged=converged,

@@ -9,11 +9,11 @@ the zones induced by extending the other rectangle's sides.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import notices
 from .layout import SquareLayout
 from .leaders import lost_adjacencies
 from .mapdata import AdjacencyGraph
@@ -25,7 +25,7 @@ ZONES = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
 
 def _clamp01(value: float, what: str) -> float:
     if value < -1e-9 or value > 1.0 + 1e-9:
-        warnings.warn(f"{what} = {value:.6g} outside [0,1]; clamped", stacklevel=3)
+        notices.warn(f"{what} = {value:.6g} outside [0,1]; clamped", stacklevel=3)
     return min(1.0, max(0.0, value))
 
 

@@ -69,20 +69,31 @@ solves: in a fresh process after ``import demers.cli``, on one BLAS thread,
 it 0.45-0.58 s and 44 MB of RSS, and the first ``linprog`` call on the 7x7
 ``ladder`` model took 0.63-0.69 s against 0.12 s for later calls. The
 extension alone loads in 0.02 s and 4.7 MB, and its first solve of that model
-takes 0.10-0.15 s. HiGHS runs dual simplex below
-``HIGHS_IPM_MIN_ROWS`` rows and interior point with crossover from there on.
-The all-pairs direction terms make the cartogram LPs grow as n^2, and on
-those LPs dual simplex pivots through long degenerate stretches: the jittered
-100-region TOP-S model (7 179 rows) took 8 955 pivots and 2.3 s, interior
-point 22 iterations and 0.55 s, on one core. On jittered grid models (TOP-S,
-k = 1, seeds 0-2, median of 7 solves) dual simplex won 5 of the 6 models of
-608 to 739 rows (by up to 16%), the two were within 10% from 799 to 930 rows,
-and interior point won every model from 1 088 rows on (9-36% faster up to
-1 507 rows, about twice as fast at 2 511). The threshold sits in the gap
-between the last two. Crossover ends interior point at a basic optimal
-solution, so large LPs still decode from a vertex like small ones do. On the
-interior-point path ``iterations`` counts interior-point iterations, not
-pivots; the crossover's pivots are ``crossover_nit``.
+takes 0.10-0.15 s.
+
+HiGHS runs dual simplex with presolve on. An LP of fewer than
+``HIGHS_DUAL_FORM_MIN_ROWS`` rows goes in as it is. A larger one goes in as
+its dual (``_dual_lp``): one column per row, one unit column per finite
+column bound, and one equality row per column. The all-pairs direction
+terms make the cartogram LPs grow as n^2, one row and two nonnegative
+columns per region pair. Each of those columns lies in one row only, so
+in the dual its row, with its bound's unit column, only bounds one dual
+column, and presolve folds those rows away: the dual of the jittered
+400-region TOP-S LP (96 697 rows) presolves to 2 314 rows. The LP's point
+is the negated row duals of the dual solve, and it comes with a checked
+certificate (see ``_solve_dual_form``).
+
+Through ``cli.run``, on one BLAS thread, the dual form solved the jittered
+TOP-S-SU grids of 100 regions (7 179 rows) in 0.09 s, 196 regions
+(25 057 rows) in 0.54 s and 400 regions in 1.8 s, where interior point
+with crossover took 0.40 s, 5.3 s and 29 s and dual simplex on the
+100-region LP itself 1.9 s. Presolve is what makes it fast: without it
+the 100-region dual took 5.5 s. Peak RSS at 400 regions rose from 286 to
+371 MB, presolve's working copies of the dual. The dual form was faster
+from 283 rows on as well (1.4 times at 283 rows, 2.5 times at 616), but
+the threshold stays where interior point took over: below it the LPs,
+and the CNT programs' final LPs with their tied optima, keep the vertices
+their goldens and benchmarks pin.
 """
 
 from __future__ import annotations
@@ -113,9 +124,9 @@ INF = math.inf
 # ``demers run --solver-log`` prints them on stderr
 logger = logging.getLogger(__name__)
 
-# HiGHS solves LPs with at least this many rows by interior point + crossover,
-# smaller ones by dual simplex (see the module docstring for the measurements)
-HIGHS_IPM_MIN_ROWS = 1000
+# HiGHS solves LPs with at least this many rows as their dual, smaller ones
+# as they are (see the module docstring for the measurements)
+HIGHS_DUAL_FORM_MIN_ROWS = 1000
 
 FEAS_TOL = 1e-7  # absolute, on the scaled constraints
 OPT_TOL = 1e-9  # reduced-cost optimality threshold
@@ -151,8 +162,7 @@ class Solution:
     wall_time: float = 0.0
     dual_objective: float | None = None
     engine: str = ""
-    method: str = ""  # HiGHS method: "ipm" (interior point) or "ds" (dual simplex)
-    crossover_nit: int = 0  # crossover pivots after interior point
+    method: str = ""  # HiGHS: "ds" (dual simplex) or "dual-form" (dual simplex on the dual)
     engine_reason: str = ""  # "explicit", or the auto rule: "auto: LP" or "auto: ILP"
     root_iterations: int = 0  # branch and bound: pivots before the first branch
     refactors: int = 0  # dense basis inverses the bundled simplex computed
@@ -177,9 +187,8 @@ def solve_lp(
 ) -> Solution:
     """Solve a continuous LP to optimality (or detect infeasible/unbounded).
 
-    ``iteration_limit`` caps the pivots on either engine (on HiGHS also the
-    interior-point iterations); a solve that reaches it, or ``time_limit``,
-    ends with ITERATION_LIMIT.
+    ``iteration_limit`` caps the pivots on either engine; a solve that
+    reaches it, or ``time_limit``, ends with ITERATION_LIMIT.
     """
     if problem.num_binaries:
         raise SolverError("problem has binary variables; use solve_ilp")
@@ -199,6 +208,10 @@ def solve_ilp(
     nodes first on ties, branching on the most fractional binary. Hitting
     the node limit or ``time_limit`` returns the incumbent with status
     NODE_LIMIT; every relaxation is given what is left of ``time_limit``.
+    Branching stops while the time the search took up to the end of its
+    root relaxation is still left, and the final LP is given that much or
+    what is left, whichever is more, so a search cut by its time limit
+    still ends with the final LP's optimum.
     On HiGHS the node relaxations are warm started on one HiGHS object (see
     ``_HighsNodes``); on the bundled simplex each is solved cold. Either way
     the incumbent's LP, all binaries fixed, is solved cold at the end.
@@ -225,9 +238,12 @@ def solve_ilp(
     incumbent: Solution | None = None
     nodes = 0
     total_iters = 0
-    total_crossover = 0
     total_refactors = 0
     root_iters: int | None = None  # pivots spent before the first branch
+    # kept for the final LP: the time from the start to the end of the root
+    # relaxation, a cold solve of the relaxation with its set-up. Branching
+    # stops once less than this is left of ``time_limit``
+    reserve = 0.0
     # dive depth-first along the rounding of the current relaxation; the
     # sibling of every dive step waits in a best-bound heap for restarts.
     # Each entry carries the basis its relaxation starts from (None: the
@@ -244,13 +260,14 @@ def solve_ilp(
             bound, _, fixings, start = heapq.heappop(heap)
         if incumbent is not None and bound >= incumbent.objective - 1e-9:
             continue
-        if nodes >= node_limit or (deadline and time.perf_counter() > deadline):
+        if nodes >= node_limit or (deadline and deadline - time.perf_counter() < reserve):
             exhausted = False
             break
         nodes += 1
         rel, basis = relax.solve(fixings, start)
+        if nodes == 1:
+            reserve = time.perf_counter() - t0
         total_iters += rel.iterations
-        total_crossover += rel.crossover_nit
         total_refactors += rel.refactors
         if log:
             logger.info(
@@ -285,7 +302,6 @@ def solve_ilp(
                 probe_fix.setdefault(j, int(high))
             probe, _ = relax.solve(probe_fix, basis)
             total_iters += probe.iterations
-            total_crossover += probe.crossover_nit
             total_refactors += probe.refactors
             if probe.status is SolveStatus.OPTIMAL:
                 incumbent = _rounded(probe, binaries)
@@ -303,9 +319,9 @@ def solve_ilp(
         # the layout comes from the incumbent's binaries alone, not from the
         # basis the search reached them with: fix them all and solve cold
         fixed = dict(zip(binaries.tolist(), incumbent.x[binaries].astype(int).tolist()))
-        final = _dispatch(_with_fixings(base, fixed), engine, None, False, remaining())
+        final = _dispatch(_with_fixings(base, fixed), engine, None, False,
+                          max(remaining(), reserve) if deadline else None)
         total_iters += final.iterations
-        total_crossover += final.crossover_nit
         total_refactors += final.refactors
         if final.status is SolveStatus.OPTIMAL:
             incumbent = _rounded(final, binaries)
@@ -322,7 +338,6 @@ def solve_ilp(
         objective=incumbent.objective,
         dual_objective=incumbent.dual_objective,
         method=incumbent.method,
-        crossover_nit=total_crossover,
         **counts,
     )
 
@@ -432,14 +447,27 @@ def _log_highs_line(kind, message: str, data_out, data_in, user_data) -> None:
         logger.info("[highs] %s", line)
 
 
-def _highs_lp(h, problem: LpProblem):
-    """``problem`` as the ``HighsLp`` that ``linprog`` hands HiGHS.
+@dataclass(frozen=True)
+class _Rows:
+    """The rows ``linprog`` hands HiGHS: the matrix in compressed columns
+    (``column`` names each entry's column), each row's upper bound ``rhs``,
+    and the count ``n_ub`` of "<=" rows, which come first."""
+
+    start: np.ndarray
+    index: np.ndarray
+    column: np.ndarray
+    value: np.ndarray
+    rhs: np.ndarray
+    n_ub: int
+
+
+def _highs_rows(problem: LpProblem) -> _Rows:
+    """``problem``'s rows as ``linprog`` hands them to HiGHS.
 
     The ">=" rows are flipped into "<=" rows, and all "<=" rows come first,
-    in model order, then the "=" rows as ``lhs = rhs``: the row order steers
-    interior point's path. Returns the model, its row upper bounds and the
-    count of "<=" rows. A non-finite cost, coefficient or right-hand side
-    raises ``SolverError`` (``linprog`` refused them too).
+    in model order, then the "=" rows as ``lhs = rhs``. A non-finite cost,
+    coefficient or right-hand side raises ``SolverError`` (``linprog``
+    refused them too).
     """
     n, m = problem.num_cols, problem.num_rows
     sense, row, col = problem.sense, problem.row, problem.col
@@ -448,13 +476,9 @@ def _highs_lp(h, problem: LpProblem):
     sign = np.where(sense == GE, -1.0, 1.0)  # ">=" rows flip into "<=" rows
     val, rhs = problem.val * sign[row], problem.rhs * sign
     eq = sense == EQ
-    n_ub = m - int(eq.sum())
     order = np.argsort(eq, kind="stable")  # new row -> model row
     renumber = np.empty(m, dtype=np.int64)
     renumber[order] = np.arange(m)
-    rhs = rhs[order]
-    lhs = rhs.copy()
-    lhs[:n_ub] = -INF  # HiGHS's infinity is IEEE inf
 
     # compressed columns, rows ascending within a column, duplicates summed
     new_row = renumber[row]
@@ -465,28 +489,106 @@ def _highs_lp(h, problem: LpProblem):
     if not first.all():
         starts = np.flatnonzero(first)
         index, column, value = index[starts], column[starts], np.add.reduceat(value, starts)
+    return _Rows(_starts(column, n), index, column, value, rhs[order], m - int(eq.sum()))
+
+
+def _starts(column: np.ndarray, n: int) -> np.ndarray:
+    """Where each of ``n`` columns starts in entries sorted by ``column``."""
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(column, minlength=n), out=start[1:])
+    return start
 
+
+def _make_lp(h, cost, lower, upper, row_lower, row_upper, start, index, value):
+    """A ``HighsLp`` from column arrays and a matrix in compressed columns."""
     lp = h.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.num_col_ = lp.a_matrix_.num_col_ = cost.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = row_upper.size
     lp.a_matrix_.format_ = h.MatrixFormat.kColwise
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = problem.cost, problem.lb, problem.ub
-    lp.row_lower_, lp.row_upper_ = lhs, rhs
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, upper
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
     lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
-    return lp, rhs, n_ub
+    return lp
 
 
-def _highs_options(h, method: str, presolve: bool, log: bool):
-    """``linprog``'s HiGHS options, for dual simplex ("ds") or interior point."""
+def _highs_lp(h, problem: LpProblem, rows: _Rows):
+    """``problem`` as the ``HighsLp`` that ``linprog`` hands HiGHS: the
+    "<=" rows have no lower bound (HiGHS's infinity is IEEE inf)."""
+    lhs = rows.rhs.copy()
+    lhs[: rows.n_ub] = -INF
+    return _make_lp(h, problem.cost, problem.lb, problem.ub, lhs, rows.rhs,
+                    rows.start, rows.index, rows.value)
+
+
+def _dual_lp(h, problem: LpProblem, rows: _Rows):
+    """The dual of ``problem``, as a minimisation.
+
+    For min c x subject to A x <= b ("<=" rows), A x = b ("=" rows) and
+    l <= x <= u, the dual is min -b y - l z_l - u z_u subject to
+    A^T y + z_l + z_u = c, with y <= 0 on the "<=" rows, y free on the "="
+    rows, and one column z_l >= 0 per finite l and z_u <= 0 per finite u,
+    in the order of ``_finite_bounds``. Each dual row is a primal column.
+    """
+    m, n_ub = rows.rhs.size, rows.n_ub
+    lb, ub = problem.lb, problem.ub
+    has_l, has_u = _finite_bounds(problem)
+    units = has_l.size + has_u.size
+    # the dual's columns y are the primal's rows: entries sorted by row
+    by_row = np.lexsort((rows.column, rows.index))
+    index = np.concatenate([rows.column[by_row], has_l, has_u])
+    owner = np.concatenate([rows.index[by_row], m + np.arange(units)])
+    lower = np.concatenate([np.full(m, -INF), np.zeros(has_l.size), np.full(has_u.size, -INF)])
+    upper = np.concatenate([np.zeros(n_ub), np.full(m - n_ub + has_l.size, INF),
+                            np.zeros(has_u.size)])
+    cost = -np.concatenate([rows.rhs, lb[has_l], ub[has_u]])
+    value = np.concatenate([rows.value[by_row], np.ones(units)])
+    return _make_lp(h, cost, lower, upper, problem.cost, problem.cost,
+                    _starts(owner, m + units), index, value)
+
+
+def _finite_bounds(problem: LpProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The columns with a finite lower bound and with a finite upper bound."""
+    return np.flatnonzero(np.isfinite(problem.lb)), np.flatnonzero(np.isfinite(problem.ub))
+
+
+def _highs_options(h, presolve: bool, log: bool):
+    """``linprog``'s HiGHS options for dual simplex."""
     options = h.HighsOptions()
     options.presolve = "on" if presolve else "off"
-    options.solver = "ipm" if method == "ipm" else "simplex"
+    options.solver = "simplex"
     options.simplex_strategy = int(h.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
     options.highs_debug_level = int(h.HighsDebugLevel.kHighsDebugLevelNone)
     options.output_flag = options.log_to_console = bool(log)
     return options
+
+
+def _run_highs(h, lp, log: bool, time_limit: float | None, iteration_limit: int | None):
+    """Solve ``lp`` by dual simplex with presolve on, on a new HiGHS object.
+
+    Returns the object, its model status and its info, None when the run
+    failed. The object keeps its own copy of ``lp``; the caller's is dropped
+    before the run when the call holds the only reference.
+    """
+    options = _highs_options(h, presolve=True, log=log)
+    if time_limit:
+        options.time_limit = float(time_limit)
+    if iteration_limit is not None:
+        options.simplex_iteration_limit = int(iteration_limit)
+    highs, error = h._Highs(), h.HighsStatus.kError
+    if log:
+        # with a logging callback HiGHS hands it each log line and prints
+        # nothing; it still logs only while log_to_console is on
+        highs.setCallback(_log_highs_line, None)
+        highs.startCallback(h.cb.HighsCallbackType.kCallbackLogging)
+    if highs.passOptions(options) == error:
+        return highs, highs.getModelStatus(), None
+    passed = highs.passModel(lp)
+    del lp
+    if passed == error:
+        return highs, h.HighsModelStatus.kModelError, None
+    if highs.run() == error:
+        return highs, highs.getModelStatus(), None
+    return highs, highs.getModelStatus(), highs.getInfo()
 
 
 def _no_point(h, highs, status, ran: bool, counts: dict) -> Solution | None:
@@ -504,51 +606,59 @@ def _no_point(h, highs, status, ran: bool, counts: dict) -> Solution | None:
     return None
 
 
+# linprog's allowance on an optimal point's rows and bounds
+POINT_TOL = 10 * math.sqrt(1e-9)
+# the largest gap between a dual-form solve's primal and dual objectives,
+# relative to the primal objective (or 1, when that is smaller)
+GAP_TOL = 1e-9
+
+
+def _check_point(problem: LpProblem, rows: _Rows, x: np.ndarray, activity: np.ndarray,
+                 objective: float, source: str) -> None:
+    """``linprog``'s check of an optimal point: no NaN, and rows and bounds
+    off by at most ``POINT_TOL``; raises ``SolverError`` otherwise."""
+    residual = rows.rhs - activity
+    n_ub, tol = rows.n_ub, POINT_TOL
+    if (
+        np.isnan(x).any() or math.isnan(objective) or np.isnan(residual).any()
+        or not np.all((x >= problem.lb - tol) & (x <= problem.ub + tol))
+        or (residual[:n_ub] < -tol).any() or (np.abs(residual[n_ub:]) > tol).any()
+    ):
+        raise SolverError(f"{source} outside its constraints by more than {tol:.2e}")
+
+
 def _solve_highs(
     problem: LpProblem,
     log: bool,
     time_limit: float | None = None,
     iteration_limit: int | None = None,
 ) -> Solution:
-    """Solve ``problem`` with HiGHS, handed the model as ``linprog`` hands it.
+    """Solve ``problem`` with HiGHS by dual simplex with presolve on.
 
-    The rows are ``_highs_lp``'s. The options are ``linprog``'s, and so are
-    the status mapping and the final feasibility check of an optimal point.
+    An LP of fewer than ``HIGHS_DUAL_FORM_MIN_ROWS`` rows is handed over as
+    ``linprog`` hands it (``_highs_rows``), with ``linprog``'s options,
+    status mapping and final feasibility check of an optimal point. A larger
+    one is solved as its dual (``_solve_dual_form``); when the dual ends
+    infeasible or unbounded, the LP itself is solved as a small one is, and
+    that solve gives the status.
     """
     h = _highs_core()
     t0 = time.perf_counter()
-    lp, rhs, n_ub = _highs_lp(h, problem)
-    method = "ipm" if problem.num_rows >= HIGHS_IPM_MIN_ROWS else "ds"
-    options = _highs_options(h, method, presolve=True, log=log)
-    if time_limit:
-        options.time_limit = float(time_limit)
-    if iteration_limit is not None:
-        options.simplex_iteration_limit = options.ipm_iteration_limit = int(iteration_limit)
+    rows = _highs_rows(problem)
+    counts = {"iterations": 0, "engine": "highs", "method": "ds"}
+    if problem.num_rows >= HIGHS_DUAL_FORM_MIN_ROWS:
+        counts["method"] = "dual-form"
+        sol = _solve_dual_form(h, problem, rows, log, time_limit, iteration_limit, counts)
+        if sol is not None:
+            sol.wall_time = time.perf_counter() - t0
+            return sol
+        if time_limit:
+            time_limit = max(time_limit - (time.perf_counter() - t0), 1e-3)
 
-    highs, error = h._Highs(), h.HighsStatus.kError
-    if log:
-        # with a logging callback HiGHS hands it each log line and prints
-        # nothing; it still logs only while log_to_console is on
-        highs.setCallback(_log_highs_line, None)
-        highs.startCallback(h.cb.HighsCallbackType.kCallbackLogging)
-    info = None
-    if highs.passOptions(options) == error:
-        status = highs.getModelStatus()
-    elif highs.passModel(lp) == error:
-        status = h.HighsModelStatus.kModelError
-    elif highs.run() == error:
-        status = highs.getModelStatus()
-    else:
-        status = highs.getModelStatus()
-        info = highs.getInfo()
-    counts = {
-        "iterations": int(info.simplex_iteration_count or info.ipm_iteration_count)
-        if info else 0,
-        "crossover_nit": int(info.crossover_iteration_count) if info else 0,
-        "wall_time": time.perf_counter() - t0,
-        "engine": "highs",
-        "method": method,
-    }
+    highs, status, info = _run_highs(h, _highs_lp(h, problem, rows), log, time_limit,
+                                     iteration_limit)
+    counts["iterations"] += int(info.simplex_iteration_count) if info else 0
+    counts["wall_time"] = time.perf_counter() - t0
     stopped = _no_point(h, highs, status, info is not None, counts)
     if stopped is not None:
         return stopped
@@ -556,20 +666,11 @@ def _solve_highs(
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     objective = info.objective_function_value
-    residual = rhs - np.array(solution.row_value)
-    # linprog's check of an optimal point: no NaN, and rows and bounds off
-    # by at most 10 * sqrt(1e-9)
-    tol = 10 * math.sqrt(1e-9)
-    if (
-        np.isnan(x).any() or math.isnan(objective) or np.isnan(residual).any()
-        or not np.all((x >= problem.lb - tol) & (x <= problem.ub + tol))
-        or (residual[:n_ub] < -tol).any() or (np.abs(residual[n_ub:]) > tol).any()
-    ):
-        raise SolverError(
-            f"HiGHS returned an optimal point outside its constraints by more than {tol:.2e}"
-        )
+    _check_point(problem, rows, x, np.array(solution.row_value), objective,
+                 "HiGHS returned an optimal point")
     # the dual objective as linprog's marginals give it: the "<=" rows, the
     # "=" rows, then each column's dual on the bound its basis status names
+    n_ub, rhs = rows.n_ub, rows.rhs
     row_dual, col_dual = np.array(solution.row_dual), np.array(solution.col_dual)
     col_status = np.array([int(s) for s in highs.getBasis().col_status])
     lower = np.where(col_status == int(h.HighsBasisStatus.kLower), col_dual, 0.0)
@@ -586,6 +687,57 @@ def _solve_highs(
         dual_objective=dual,
         **counts,
     )
+
+
+def _solve_dual_form(
+    h, problem: LpProblem, rows: _Rows, log: bool, time_limit: float | None,
+    iteration_limit: int | None, counts: dict,
+) -> Solution | None:
+    """Solve ``problem`` as its dual (``_dual_lp``); None when the dual ends
+    neither optimal nor at a limit, so the LP must be solved itself.
+
+    The point is the negated row duals of the dual solve. It comes with a
+    checked certificate: the point passes ``linprog``'s check, the dual
+    point meets its own rows and signs within the same allowance, and the
+    two objectives differ by at most ``GAP_TOL``. A failed check raises
+    ``SolverError``. Records the dual solve's pivots in ``counts``.
+    """
+    highs, status, info = _run_highs(h, _dual_lp(h, problem, rows), log, time_limit,
+                                     iteration_limit)
+    counts["iterations"] = int(info.simplex_iteration_count) if info else 0
+    status_of = h.HighsModelStatus
+    if status in (status_of.kTimeLimit, status_of.kIterationLimit):
+        return Solution(SolveStatus.ITERATION_LIMIT, **counts)
+    if status != status_of.kOptimal or info is None:
+        return None
+
+    solution = highs.getSolution()
+    x = -np.array(solution.row_dual)
+    w = np.array(solution.col_value)
+    objective = float(problem.cost @ x)
+    m = rows.rhs.size
+    activity = np.bincount(rows.index, rows.value * x[rows.column], minlength=m)
+    _check_point(problem, rows, x, activity, objective, "the dual-form solve's point is")
+    has_l, has_u = _finite_bounds(problem)
+    nl, tol = has_l.size, POINT_TOL
+    y, z_l, z_u = w[:m], w[m:m + nl], w[m + nl:]
+    # the dual rows: c - A^T y - z_l - z_u = 0
+    residual = problem.cost - np.bincount(rows.column, rows.value * y[rows.index],
+                                          minlength=problem.num_cols)
+    residual[has_l] -= z_l
+    residual[has_u] -= z_u
+    if (
+        np.isnan(w).any() or (np.abs(residual) > tol).any()
+        or (y[: rows.n_ub] > tol).any() or (z_l < -tol).any() or (z_u > tol).any()
+    ):
+        raise SolverError(f"the dual-form solve's dual point is outside its constraints "
+                          f"by more than {tol:.2e}")
+    dual = float(rows.rhs @ y + problem.lb[has_l] @ z_l + problem.ub[has_u] @ z_u)
+    if not abs(objective - dual) <= GAP_TOL * max(1.0, abs(objective)):
+        raise SolverError(f"the dual-form solve's objectives {objective!r} and {dual!r} "
+                          f"differ by more than {GAP_TOL:g} relative")
+    return Solution(SolveStatus.OPTIMAL, x=x, col_names=problem.col_names,
+                    objective=objective, dual_objective=dual, **counts)
 
 
 class _HighsNodes:
@@ -610,8 +762,8 @@ class _HighsNodes:
         self.cols = binaries.astype(np.int32)
         self.lb, self.ub = base.lb[binaries], base.ub[binaries]
         self.highs = h._Highs()
-        self.highs.passOptions(_highs_options(h, "ds", presolve=False, log=False))
-        self.highs.passModel(_highs_lp(h, base)[0])
+        self.highs.passOptions(_highs_options(h, presolve=False, log=False))
+        self.highs.passModel(_highs_lp(h, base, _highs_rows(base)))
         self.held = None  # the basis the object holds, as its last solve returned it
 
     def solve(self, fixings: dict[int, int], start) -> tuple[Solution, object]:

@@ -335,8 +335,26 @@ class TestManifest:
         manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
         for solve in manifest["solves"]:
             assert solve["engine"] == "highs"
-            assert solve["method"] == "ds"  # far below the interior-point size
-            assert solve["crossover_nit"] == 0
+            assert solve["method"] == "ds"  # far below the dual-form size
+            assert solve["dual_objective"] == pytest.approx(solve["objective"], rel=1e-9)
+
+    @pytest.mark.parametrize("threshold,method", [(0, "dual-form"), (10**9, "ds")])
+    def test_solves_record_the_dual_objective(
+        self, tmp_path, sample3_paths, monkeypatch, threshold, method
+    ):
+        # the certificate of every LP: the dual objective beside the
+        # objective, for an LP solved as its dual and for one solved as it is
+        from demers import simplexsolver as ss
+
+        monkeypatch.setattr(ss, "HIGHS_DUAL_FORM_MIN_ROWS", threshold)
+        res = run_sample(tmp_path, sample3_paths, "ORG-W-IT")
+        assert res.ok
+        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
+        assert len(manifest["solves"]) == 2
+        for solve in manifest["solves"]:
+            assert solve["method"] == method
+            assert solve["dual_objective"] == pytest.approx(
+                solve["objective"], rel=ss.GAP_TOL, abs=ss.GAP_TOL)
 
     @pytest.mark.parametrize("variant", ["TOP-S-SU", "CNT-W-SU"])
     @pytest.mark.parametrize("engine", ["auto", "simplex", "highs"])
@@ -441,6 +459,54 @@ class TestManifest:
         assert res.unroutable_per_layout == [1, 1]
         manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
         assert manifest["unroutable_counts"] == [1, 1]
+
+    def test_capped_force_run_records_its_warning(self, tmp_path, luxembourg_paths):
+        # one iteration leaves overlap above the warning threshold; the
+        # warning is recorded and still reaches a caller that catches it
+        cfg = RunConfig(
+            map_path=str(luxembourg_paths[0]),
+            weights_path=str(luxembourg_paths[1]),
+            variant="FRC-O-U",
+            out_dir=str(tmp_path / "capped"),
+            frc_max_iterations=1,
+        )
+        with pytest.warns(UserWarning, match="residual overlap") as caught:
+            res = run(cfg)
+        manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
+        assert manifest["warnings"] == res.warnings == [str(w.message) for w in caught]
+        assert len(res.warnings) == 1
+        assert "residual overlap area" in res.warnings[0]
+
+    def test_clamped_metric_is_recorded(self, tmp_path, sample3_paths, monkeypatch):
+        from demers import metrics
+
+        monkeypatch.setattr(metrics, "_pairwise_zone_change", lambda a, b: 1.5)
+        with pytest.warns(UserWarning, match="clamped"):
+            res = run_sample(tmp_path, sample3_paths, "TOP-S-SU")
+        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
+        # two layouts against the map (mrel), one pair of them (srel)
+        assert manifest["warnings"] == res.warnings == [
+            "mrel = 1.5 outside [0,1]; clamped"] * 2 + ["srel = 1.5 outside [0,1]; clamped"]
+
+    def test_warnings_stay_with_their_run_on_three_workers(self, tmp_path, luxembourg_paths):
+        # more workers than cores, switching threads often: a record shared
+        # between runs would hand a capped run's warning to a clean run
+        import sys
+
+        configs = [
+            RunConfig(map_path=str(luxembourg_paths[0]), weights_path=str(luxembourg_paths[1]),
+                      variant=v, out_dir=str(tmp_path / f"{j}{v}"), frc_max_iterations=i)
+            for j in range(4)
+            for v, i in (("FRC-O-U", 1), ("TOP-S-SU", 100_000))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with pytest.warns(UserWarning, match="residual overlap"):
+                results = run_matrix(configs, workers=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [len(r.warnings) for r in results] == [1, 0] * 4
 
     def test_force_runs_record_no_unroutable(self, tmp_path, sample3_paths):
         res = run_sample(tmp_path, sample3_paths, "FRC-O-U", frc_max_iterations=200)

@@ -2,9 +2,11 @@
 
 ``simplexsolver._solve_highs`` hands each model to scipy's compiled HiGHS
 bindings itself. These tests hold it to the frozen ``linprog`` path in
-``oracle_highs.py``, check its status mapping and its check of an optimal
-point, and check in fresh processes that a solve leaves ``scipy.optimize``
-and ``scipy.sparse`` unimported and that a later ``linprog`` still works.
+``oracle_highs.py``, on the LP itself and on the dual form that large LPs
+are solved in, check its status mapping and its checks of an optimal point
+and of the dual form's certificate, and check in fresh processes that a
+solve leaves ``scipy.optimize`` and ``scipy.sparse`` unimported and that a
+later ``linprog`` still works.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle_highs
 from demers import simplexsolver as ss
-from demers.lpmodel import LpProblem
+from demers.lpmodel import LpProblem, max_violation
 from demers.simplexsolver import SolverError, SolveStatus
 from test_simplexsolver import cartogram_lps
 
@@ -85,15 +87,19 @@ def solve_or_error(solve, problem):
 
 
 def assert_same_solve(problem):
-    """The backend and the frozen ``linprog`` path agree bit for bit."""
+    """The backend and the frozen ``linprog`` path agree: bit for bit when
+    the backend solves the LP itself, as ``assert_dual_form_agrees`` says
+    when it solves the LP's dual."""
     new = solve_or_error(ss._solve_highs, problem)
     old = solve_or_error(oracle_highs.solve_highs, problem)
     assert (new is None) == (old is None)
     if old is None:
         return
-    assert (new.status, new.method, new.iterations, new.crossover_nit) == (
-        old.status, old.method, old.iterations, old.crossover_nit)
     assert new.engine == old.engine == "highs"
+    if new.method == "dual-form":
+        assert_dual_form_agrees(problem, new, old)
+        return
+    assert (new.status, new.method, new.iterations) == (old.status, old.method, old.iterations)
     if old.optimal:
         assert {k: v.hex() for k, v in new.values.items()} == {
             k: v.hex() for k, v in old.values.items()}
@@ -101,14 +107,25 @@ def assert_same_solve(problem):
         assert new.dual_objective == pytest.approx(old.dual_objective, rel=1e-12, abs=0)
 
 
+def assert_dual_form_agrees(problem, new, old):
+    """A dual-form solve ``new`` against the frozen dual simplex ``old``: the
+    same status and, at an optimum, the objective within ``GAP_TOL``
+    (relative, absolute below 1), a point within ``POINT_TOL`` of its rows
+    and bounds, and a dual objective within ``GAP_TOL`` of its own."""
+    assert new.method == "dual-form"
+    assert new.status is old.status
+    if old.optimal:
+        gap = {"rel": ss.GAP_TOL, "abs": ss.GAP_TOL}
+        assert new.objective == pytest.approx(old.objective, **gap)
+        assert new.dual_objective == pytest.approx(new.objective, **gap)
+        assert max_violation(problem, new.values) <= ss.POINT_TOL
+
+
 @settings(max_examples=120, deadline=None)
-@given(
-    st.one_of(cartogram_lps().map(lambda case: case[0].problem), small_lps()),
-    st.sampled_from(["ds", "ipm"]),
-)
-def test_backend_matches_the_linprog_oracle(problem, method):
-    threshold = 0 if method == "ipm" else 10**9
-    with mock.patch.object(ss, "HIGHS_IPM_MIN_ROWS", threshold):
+@given(st.one_of(cartogram_lps().map(lambda case: case[0].problem), small_lps()))
+def test_backend_matches_the_linprog_oracle(problem):
+    # below the dual-form threshold: the LP itself, by dual simplex
+    with mock.patch.object(ss, "HIGHS_DUAL_FORM_MIN_ROWS", 10**9):
         assert_same_solve(problem)
 
 
@@ -126,25 +143,25 @@ FEASIBLE_LP = lp([("x", 0.0, 4.0), ("y", -INF, INF)],
 @pytest.mark.parametrize("threshold", [0, 10**9])
 class TestStatus:
     def test_infeasible(self, monkeypatch, threshold):
-        monkeypatch.setattr(ss, "HIGHS_IPM_MIN_ROWS", threshold)
+        monkeypatch.setattr(ss, "HIGHS_DUAL_FORM_MIN_ROWS", threshold)
         sol = ss.solve_lp(INFEASIBLE_LP, engine="highs")
         assert sol.status is SolveStatus.INFEASIBLE
         assert_same_solve(INFEASIBLE_LP)
 
     def test_lower_bound_above_upper_is_infeasible(self, monkeypatch, threshold):
-        monkeypatch.setattr(ss, "HIGHS_IPM_MIN_ROWS", threshold)
+        monkeypatch.setattr(ss, "HIGHS_DUAL_FORM_MIN_ROWS", threshold)
         p = lp([("x", 2.0, 1.0)], [({"x": 1}, "<=", 5)], {"x": 1})
         assert ss.solve_lp(p, engine="highs").status is SolveStatus.INFEASIBLE
         assert_same_solve(p)
 
     def test_unbounded(self, monkeypatch, threshold):
-        monkeypatch.setattr(ss, "HIGHS_IPM_MIN_ROWS", threshold)
+        monkeypatch.setattr(ss, "HIGHS_DUAL_FORM_MIN_ROWS", threshold)
         sol = ss.solve_lp(UNBOUNDED_LP, engine="highs")
         assert sol.status is SolveStatus.UNBOUNDED
         assert_same_solve(UNBOUNDED_LP)
 
     def test_free_column_without_rows_is_unbounded(self, monkeypatch, threshold):
-        monkeypatch.setattr(ss, "HIGHS_IPM_MIN_ROWS", threshold)
+        monkeypatch.setattr(ss, "HIGHS_DUAL_FORM_MIN_ROWS", threshold)
         p = lp([("x", -INF, INF)], [], {"x": 1})
         assert ss.solve_lp(p, engine="highs").status is SolveStatus.UNBOUNDED
         assert_same_solve(p)
@@ -166,15 +183,17 @@ def test_time_limit_maps_to_iteration_limit(tmp_path):
     from test_simplexsolver import jittered_model
 
     _, model = jittered_model(tmp_path, 7, 0, ObjectiveKind.TOP, Setting.STRONG)
+    assert model.problem.num_rows >= ss.HIGHS_DUAL_FORM_MIN_ROWS
     sol = ss.solve_lp(model.problem, engine="highs", time_limit=1e-9)
     assert sol.status is SolveStatus.ITERATION_LIMIT
-    assert (sol.engine, sol.method) == ("highs", "ipm")
+    assert (sol.engine, sol.method) == ("highs", "dual-form")
 
 
-def core_reporting(status=None, col_shift=0.0, row_shift=0.0):
+def core_reporting(status=None, col_shift=0.0, row_shift=0.0, dual_shift=0.0):
     """The HiGHS module with ``_Highs`` wrapped: it reports ``status`` as the
     model status, when given, moves the first column of its solution by
-    ``col_shift`` and every row activity by ``row_shift``."""
+    ``col_shift``, every row activity by ``row_shift`` and every row dual
+    by ``dual_shift``."""
     core = ss._highs_core()
 
     class Reporting:
@@ -193,7 +212,7 @@ def core_reporting(status=None, col_shift=0.0, row_shift=0.0):
             col_value[0] += col_shift
             return types.SimpleNamespace(
                 col_value=col_value, row_value=[v + row_shift for v in sol.row_value],
-                row_dual=sol.row_dual, col_dual=sol.col_dual,
+                row_dual=[v + dual_shift for v in sol.row_dual], col_dual=sol.col_dual,
             )
 
     return types.SimpleNamespace(**{**vars(core), "_Highs": Reporting})
@@ -239,6 +258,115 @@ def test_optimal_point_within_the_allowance_passes(monkeypatch):
     fake = core_reporting(col_shift=1e-5, row_shift=1e-5)
     monkeypatch.setattr(ss, "_highs_core", lambda: fake)
     assert ss._solve_highs(FEASIBLE_LP, False).optimal
+
+
+# ---------------------------------------------------------------------------
+# the dual form: LPs of HIGHS_DUAL_FORM_MIN_ROWS rows or more
+
+
+# a boxed, a fixed and an upper-bounded column
+TWO_SIDED_LP = lp([("x", -1.0, 2.0), ("y", 3.0, 3.0), ("z", -INF, 1.0)],
+                  [({"x": 1, "y": 1, "z": 1}, ">=", 2), ({"x": 1, "z": -1}, "<=", 4)],
+                  {"x": 1, "y": -1, "z": -2})
+LOWER_ABOVE_UPPER_LP = lp([("x", 2.0, 1.0)], [({"x": 1}, "<=", 5)], {"x": 1})
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+    cartogram_lps().map(lambda case: (case[0].problem, *case)),
+    small_lps().map(lambda problem: (problem, None, None)),
+))
+@example((INFEASIBLE_LP, None, None))
+@example((UNBOUNDED_LP, None, None))
+@example((TWO_SIDED_LP, None, None))
+@example((LOWER_ABOVE_UPPER_LP, None, None))
+def test_dual_form_matches_the_linprog_oracle(case):
+    # every LP on the dual form, held to the frozen dual simplex path; a
+    # cartogram LP's layouts decode valid from the recovered point
+    from demers.layout import decode, validity_violations
+
+    problem, model, cs = case
+    with mock.patch.object(ss, "HIGHS_DUAL_FORM_MIN_ROWS", 0):
+        new = ss._solve_highs(problem, False)
+    old = oracle_highs.solve_highs(problem, False)
+    assert_dual_form_agrees(problem, new, old)
+    if model is not None:
+        assert new.optimal
+        for lay in decode(new, model, cs):
+            assert validity_violations(lay) == []
+
+
+# min x + y over x + y >= 1 in the box [0, 4]^2: optimum 1
+GAP_LP = lp([("x", 0.0, 4.0), ("y", 0.0, 4.0)], [({"x": 1, "y": 1}, ">=", 1)],
+            {"x": 1, "y": 1})
+
+
+@pytest.mark.parametrize("shifts,match", [
+    # the point x = -(row duals) moves by -2: below its lower bounds
+    ({"dual_shift": 2.0}, "dual-form solve's point is outside its constraints"),
+    # the row's dual moves by 1e-3: off the dual rows A^T y + z = c
+    ({"col_shift": 1e-3}, "dual point is outside its constraints"),
+    # the point moves by +0.5: feasible, but c x = 2 against the dual's 1
+    ({"dual_shift": -0.5}, "objectives .* differ"),
+])
+def test_dual_form_certificate_failure_raises(monkeypatch, shifts, match):
+    monkeypatch.setattr(ss, "HIGHS_DUAL_FORM_MIN_ROWS", 0)
+    sol = ss._solve_highs(GAP_LP, False)
+    assert (sol.method, sol.objective) == ("dual-form", 1.0)
+    fake = core_reporting(**shifts)
+    monkeypatch.setattr(ss, "_highs_core", lambda: fake)
+    with pytest.raises(SolverError, match=match):
+        ss._solve_highs(GAP_LP, False)
+
+
+def highs_runs(monkeypatch) -> list:
+    """Record the model passed to every HiGHS run of the backend."""
+    runs = []
+    real = ss._run_highs
+
+    def spy(h, lp, *args):
+        runs.append((lp.num_row_, lp.num_col_))
+        return real(h, lp, *args)
+
+    monkeypatch.setattr(ss, "_run_highs", spy)
+    return runs
+
+
+@pytest.mark.parametrize("problem,status", [
+    (INFEASIBLE_LP, SolveStatus.INFEASIBLE),
+    (UNBOUNDED_LP, SolveStatus.UNBOUNDED),
+    (LOWER_ABOVE_UPPER_LP, SolveStatus.INFEASIBLE),
+])
+def test_dual_form_without_an_optimum_solves_the_lp_itself(monkeypatch, problem, status):
+    # the dual (one row per column) ends infeasible or unbounded; the LP's
+    # own dual simplex solve then gives the status
+    monkeypatch.setattr(ss, "HIGHS_DUAL_FORM_MIN_ROWS", 0)
+    runs = highs_runs(monkeypatch)
+    sol = ss._solve_highs(problem, False)
+    assert (sol.status, sol.method) == (status, "dual-form")
+    assert runs == [(problem.num_cols, runs[0][1]), (problem.num_rows, problem.num_cols)]
+
+
+@pytest.mark.parametrize("status", ["kTimeLimit", "kIterationLimit"])
+def test_dual_form_limit_maps_to_iteration_limit(monkeypatch, status):
+    monkeypatch.setattr(ss, "HIGHS_DUAL_FORM_MIN_ROWS", 0)
+    fake = core_reporting(getattr(ss._highs_core().HighsModelStatus, status))
+    monkeypatch.setattr(ss, "_highs_core", lambda: fake)
+    runs = highs_runs(monkeypatch)
+    sol = ss._solve_highs(FEASIBLE_LP, False)
+    assert (sol.status, sol.method) == (SolveStatus.ITERATION_LIMIT, "dual-form")
+    assert len(runs) == 1
+
+
+def test_dual_form_solve_error_raises(monkeypatch):
+    # a failed dual hands the LP to its own solve, which reports the failure
+    monkeypatch.setattr(ss, "HIGHS_DUAL_FORM_MIN_ROWS", 0)
+    fake = core_reporting(ss._highs_core().HighsModelStatus.kSolveError)
+    monkeypatch.setattr(ss, "_highs_core", lambda: fake)
+    runs = highs_runs(monkeypatch)
+    with pytest.raises(SolverError, match="HiGHS failed"):
+        ss._solve_highs(FEASIBLE_LP, False)
+    assert len(runs) == 2
 
 
 @pytest.mark.parametrize("array", ["cost", "val", "rhs"])

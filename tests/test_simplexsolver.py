@@ -380,17 +380,7 @@ class TestTimeLimit:
         # the warm search needs far more than a second to prove this 5x5
         # CNT program optimal; at a 1 s limit it returns its incumbent,
         # past the limit by at most about one node
-        from demers.lpmodel import ModelSpec, ObjectiveKind, build_cnt_ilp
-        from demers.mapdata import compute_epsilon, scale_weights
-        from demers.sepconstraints import Setting, derive_constraints, reduce_transitive
-        from demers.synth import grid_map, lognormal_weights
-
-        g = grid_map(5, jitter=0.3, seed=0)
-        table = scale_weights(lognormal_weights(g, k=1, seed=0), g)
-        cs = reduce_transitive(derive_constraints(g, compute_epsilon(table, g), Setting.WEAK))
-        problem = build_cnt_ilp(
-            g, table.function_sides(0), cs, ModelSpec(ObjectiveKind.CNT, Setting.WEAK)
-        ).problem
+        problem = cnt_model("WEAK", cols=5, seed=0).problem
         node_seconds = []
         real_solve = ss._HighsNodes.solve
 
@@ -408,6 +398,63 @@ class TestTimeLimit:
         assert sol.x is not None and sol.nodes > 1
         assert max_violation(problem, sol.values) <= 1e-6
         assert wall <= 1.0 + max(node_seconds) + 0.1
+
+    def test_search_past_its_limit_leaves_the_final_lp_the_root_time(self, monkeypatch):
+        # the root takes at least 0.05 s and a later node ends past the
+        # deadline: the final LP still gets what the root took, not the
+        # 1 ms floor of what is left
+        seen = highs_recorder(monkeypatch)
+        real_solve = ss._HighsNodes.solve
+        deadline = time.perf_counter() + 0.2
+
+        def slow(self, fixings, start):
+            out = real_solve(self, fixings, start)
+            time.sleep(0.05 if not fixings else max(deadline - time.perf_counter(), 0) + 0.01)
+            return out
+
+        monkeypatch.setattr(ss._HighsNodes, "solve", slow)
+        p = LpProblem()
+        names = [f"b{i}" for i in range(4)]
+        for nm in names:
+            p.add_var(nm, 0, 1, binary=True)
+        p.add_constraint({nm: 2 for nm in names}, ">=", 3)
+        for i, nm in enumerate(names):
+            p.add_objective(nm, 1.0 + 0.1 * i)
+        sol = solve_ilp(p, engine="highs", time_limit=0.2)
+        assert sol.status is SolveStatus.NODE_LIMIT
+        assert len(seen) == 1 and seen[0] >= 0.05
+
+    def test_final_lp_gets_the_time_the_search_leaves(self, monkeypatch):
+        # branching stops while the time the root relaxation took is still
+        # left, so the final LP of the incumbent's binaries reaches its
+        # optimum: the layout is a cold solve of those binaries. That LP may
+        # run past the limit by up to the root's time (milliseconds here);
+        # the slack is 0.1 s
+        from demers.layout import decode
+
+        model = cnt_model("WEAK", cols=5, seed=0)
+        problem = model.problem
+        finals = []
+        real = ss._solve_highs
+
+        def spy(p, log, time_limit=None, iteration_limit=None):
+            finals.append(real(p, log, time_limit, iteration_limit))
+            return finals[-1]
+
+        monkeypatch.setattr(ss, "_solve_highs", spy)
+        t0 = time.perf_counter()
+        sol = solve_ilp(problem, time_limit=1.0)
+        wall = time.perf_counter() - t0
+        assert sol.status is SolveStatus.NODE_LIMIT
+        [final] = finals
+        assert final.optimal
+        binaries = np.flatnonzero(problem.binary)
+        fixed = dict(zip(binaries.tolist(), sol.x[binaries].astype(int).tolist()))
+        base = problem.with_bounds(problem.lb, problem.ub,
+                                   binary=np.zeros(problem.num_cols, dtype=bool))
+        cold = real(ss._with_fixings(base, fixed), False)
+        assert decode(sol, model)[0].centers == decode(cold, model)[0].centers
+        assert wall <= 1.0 + 0.1
 
     def test_bundled_simplex_stops_at_time_limit(self, tmp_path):
         # without the limit this 1 132-row LP runs for seconds on the
@@ -440,23 +487,22 @@ def sized_lp(rows):
 
 class TestHighsMethod:
     def test_method_switches_at_threshold(self):
-        below = solve_lp(sized_lp(ss.HIGHS_IPM_MIN_ROWS - 1), engine="highs")
-        above = solve_lp(sized_lp(ss.HIGHS_IPM_MIN_ROWS), engine="highs")
+        below = solve_lp(sized_lp(ss.HIGHS_DUAL_FORM_MIN_ROWS - 1), engine="highs")
+        above = solve_lp(sized_lp(ss.HIGHS_DUAL_FORM_MIN_ROWS), engine="highs")
         assert (below.engine, below.method) == ("highs", "ds")
-        assert (above.engine, above.method) == ("highs", "ipm")
+        assert (above.engine, above.method) == ("highs", "dual-form")
         assert below.optimal and above.optimal
-        assert below.crossover_nit == 0
-        assert above.crossover_nit >= 0
+        assert above.dual_objective == pytest.approx(above.objective, rel=ss.GAP_TOL)
 
     def test_bundled_simplex_records_no_method(self):
         sol = solve_lp(sized_lp(5), engine="simplex")
-        assert (sol.engine, sol.method, sol.crossover_nit) == ("simplex", "", 0)
+        assert (sol.engine, sol.method) == ("simplex", "")
 
     @pytest.mark.parametrize(
         "objective,setting,k",
         [("TOP", "STRONG", 1), ("ORG", "WEAK", 2)],
     )
-    def test_interior_point_matches_dual_simplex(
+    def test_dual_form_matches_dual_simplex(
         self, tmp_path, monkeypatch, objective, setting, k
     ):
         from demers.layout import anchor_to_origins, decode, validity_violations
@@ -465,15 +511,15 @@ class TestHighsMethod:
 
         kind = ObjectiveKind[objective]
         g, model = jittered_model(tmp_path, 7, 0, kind, Setting[setting], k=k)
-        assert len(model.problem.constraints) >= ss.HIGHS_IPM_MIN_ROWS
-        ipm = solve_lp(model.problem, engine="auto")
-        monkeypatch.setattr(ss, "HIGHS_IPM_MIN_ROWS", 10**9)
+        assert len(model.problem.constraints) >= ss.HIGHS_DUAL_FORM_MIN_ROWS
+        dual = solve_lp(model.problem, engine="auto")
+        monkeypatch.setattr(ss, "HIGHS_DUAL_FORM_MIN_ROWS", 10**9)
         ds = solve_lp(model.problem, engine="auto")
-        assert (ipm.method, ds.method) == ("ipm", "ds")
-        assert ipm.objective == pytest.approx(ds.objective, abs=1e-7)
+        assert (dual.method, ds.method) == ("dual-form", "ds")
+        assert dual.objective == pytest.approx(ds.objective, abs=1e-7)
 
         layouts = []
-        for sol in (ipm, ds):
+        for sol in (dual, ds):
             lays = decode(sol, model)
             if kind is not ObjectiveKind.ORG:
                 lays = anchor_to_origins(lays, {r.id: r.centroid for r in g.regions})
@@ -567,15 +613,16 @@ class TestStartingBasis:
         assert sol.root_iterations == sum(c[4] for c in calls[:branch]) > 0
 
 
-def cnt_model(setting):
-    """CNT ILP of a jittered 3x3 grid; branch and bound needs a few nodes."""
+def cnt_model(setting, cols=3, seed=4):
+    """CNT ILP of a jittered grid; on the default 3x3 grid branch and bound
+    needs a few nodes."""
     from demers.lpmodel import ModelSpec, ObjectiveKind, build_cnt_ilp
     from demers.mapdata import compute_epsilon, scale_weights
     from demers.sepconstraints import Setting, derive_constraints, reduce_transitive
     from demers.synth import grid_map, lognormal_weights
 
-    g = grid_map(3, jitter=0.3, seed=4)
-    table = scale_weights(lognormal_weights(g, k=1, seed=4), g)
+    g = grid_map(cols, jitter=0.3, seed=seed)
+    table = scale_weights(lognormal_weights(g, k=1, seed=seed), g)
     cs = reduce_transitive(
         derive_constraints(g, compute_epsilon(table, g), Setting[setting])
     )
