@@ -118,7 +118,6 @@ class RunConfig:
     out_dir: str | None = None
     kind: WeightKind = WeightKind.TIME_SERIES
     area_proportional: bool = False
-    engine: str = "auto"
     lp_time_limit: float = 60.0
     ilp_time_limit: float = 300.0
     node_limit: int = 100_000
@@ -175,10 +174,8 @@ def _solution_stats(sol: Solution) -> dict:
         "iterations": sol.iterations,
         "nodes": sol.nodes,
         "engine": sol.engine,
-        "engine_reason": sol.engine_reason,
         "method": sol.method,
         "dual_objective": sol.dual_objective,
-        "refactors": sol.refactors,
         "wall_time": sol.wall_time,
     }
 
@@ -241,7 +238,6 @@ def _solve_lp_variant(
         if model.problem.num_binaries:
             sol = solve_ilp(
                 model.problem,
-                engine=config.engine,
                 node_limit=config.node_limit,
                 time_limit=config.ilp_time_limit,
                 log=config.solver_log,
@@ -251,7 +247,6 @@ def _solve_lp_variant(
         else:
             sol = solve_lp(
                 model.problem,
-                engine=config.engine,
                 time_limit=config.lp_time_limit,
                 log=config.solver_log,
             )
@@ -577,7 +572,6 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
                    help=f"one of {', '.join(WEIGHT_KINDS)}")
     p.add_argument("--area-proportional", action="store_true",
                    help="map value to square area instead of side length")
-    p.add_argument("--engine", choices=["auto", "simplex", "highs"], default=RunConfig.engine)
     p.add_argument("--node-limit", type=int, default=RunConfig.node_limit)
     p.add_argument("--lp-time-limit", type=float, default=RunConfig.lp_time_limit,
                    help="seconds per LP solve")
@@ -600,7 +594,6 @@ def _config_from_args(args: argparse.Namespace, variant: str, out_dir: str) -> R
         out_dir=out_dir,
         kind=args.kind,
         area_proportional=args.area_proportional,
-        engine=args.engine,
         lp_time_limit=args.lp_time_limit,
         ilp_time_limit=args.ilp_time_limit,
         node_limit=args.node_limit,

@@ -1,13 +1,11 @@
 """LP and binary-ILP solving for the cartogram models.
 
-Two engines sit behind one interface and can be asked for with ``engine=``:
-HiGHS, reached through scipy's compiled bindings, and a bundled two-phase
-primal revised simplex on a dense basis inverse. ``engine="auto"`` solves
-every problem on HiGHS. The bundled simplex serves explicit
-``engine="simplex"`` solves, an independent reference the tests hold HiGHS
-against. With ``log=True`` both report progress through this module's
-logger at INFO level; HiGHS's own log goes there too, through its logging
-callback, and nothing is printed to stdout.
+Every solve of the pipeline runs on HiGHS, reached through scipy's compiled
+bindings. ``solve_lp(engine="simplex")`` runs the bundled reference LP
+solver instead, a two-phase primal revised simplex on a dense basis
+inverse, which the tests hold HiGHS against. With ``log=True`` both report
+progress through this module's logger at INFO level; HiGHS's own log goes
+there too, through its logging callback, and nothing is printed to stdout.
 
 A ``Solution`` carries its point as ``x``, a float array in the problem's
 ``col_names`` order: HiGHS's column vector as it comes, or the bundled
@@ -16,16 +14,16 @@ its fixings by column index and reads ``x`` at the binary columns.
 ``Solution.values`` is a read-only view by column name, built on first
 read, for callers that name columns.
 
-Binary programs are solved by branch and bound over the binary variables,
-best-first on the relaxation bound with deeper nodes preferred on ties. On
-HiGHS every node relaxation runs on one HiGHS object (``_HighsNodes``): the
-relaxation is passed once, with presolve off, and a node only changes the
-bounds of the binary columns and restarts dual simplex from its parent's
-basis. On the bundled simplex each node is a cold LP. Either way the search
-ends by fixing all of the incumbent's binaries and solving that LP cold, so
-a CNT layout depends on its binaries only, not on the path of the search.
-Through ``cli.run``, on one BLAS thread, the warm HiGHS search took 0.51 s
-for the jittered 4x4 ``CNT-W-SU`` program (173 rows, 1 401 nodes).
+Binary programs are solved on HiGHS only, by branch and bound over the
+binary variables, best-first on the relaxation bound with deeper nodes
+preferred on ties. Every node relaxation runs on one HiGHS object
+(``_HighsNodes``): the relaxation is passed once, with presolve off, and a
+node only changes the bounds of the binary columns and restarts dual
+simplex from its parent's basis. The search ends by fixing all of the
+incumbent's binaries and solving that LP cold, so a CNT layout depends on
+its binaries only, not on the path of the search. Through ``cli.run``, on
+one BLAS thread, the search took 0.51 s for the jittered 4x4 ``CNT-W-SU``
+program (173 rows, 1 401 nodes).
 
 The bundled simplex equilibrates the rows and columns, prices by Dantzig's
 rule with a Bland fallback after a degenerate streak, and refactors
@@ -163,7 +161,6 @@ class Solution:
     dual_objective: float | None = None
     engine: str = ""
     method: str = ""  # HiGHS: "ds" (dual simplex) or "dual-form" (dual simplex on the dual)
-    engine_reason: str = ""  # "explicit", or the auto rule: "auto: LP" or "auto: ILP"
     root_iterations: int = 0  # branch and bound: pivots before the first branch
     refactors: int = 0  # dense basis inverses the bundled simplex computed
 
@@ -180,24 +177,28 @@ class Solution:
 
 def solve_lp(
     problem: LpProblem,
-    engine: str = "auto",
+    engine: str = "highs",
     iteration_limit: int | None = None,
     time_limit: float | None = None,
     log: bool = False,
 ) -> Solution:
     """Solve a continuous LP to optimality (or detect infeasible/unbounded).
 
-    ``iteration_limit`` caps the pivots on either engine; a solve that
-    reaches it, or ``time_limit``, ends with ITERATION_LIMIT.
+    ``engine`` is ``"highs"`` or ``"simplex"``, the bundled reference
+    solver. ``iteration_limit`` caps the pivots on either engine; a solve
+    that reaches it, or ``time_limit``, ends with ITERATION_LIMIT.
     """
     if problem.num_binaries:
         raise SolverError("problem has binary variables; use solve_ilp")
-    return _dispatch(problem, engine, iteration_limit, log, time_limit)
+    if engine == "highs":
+        return _solve_highs(problem, log, time_limit, iteration_limit)
+    if engine == "simplex":
+        return _solve_simplex(problem, iteration_limit, log, time_limit)
+    raise SolverError(f"unknown engine {engine!r}")
 
 
 def solve_ilp(
     problem: LpProblem,
-    engine: str = "auto",
     node_limit: int = 100_000,
     time_limit: float | None = None,
     log: bool = False,
@@ -212,13 +213,12 @@ def solve_ilp(
     root relaxation is still left, and the final LP is given that much or
     what is left, whichever is more, so a search cut by its time limit
     still ends with the final LP's optimum.
-    On HiGHS the node relaxations are warm started on one HiGHS object (see
-    ``_HighsNodes``); on the bundled simplex each is solved cold. Either way
-    the incumbent's LP, all binaries fixed, is solved cold at the end.
+    The node relaxations are warm started on one HiGHS object (see
+    ``_HighsNodes``), and the incumbent's LP, all binaries fixed, is solved
+    cold at the end. A problem without binaries is one LP on HiGHS.
     """
     if not problem.num_binaries:
-        return _dispatch(problem, engine, None, log, time_limit)
-    engine, reason = _choose_engine(problem, engine)
+        return _solve_highs(problem, log, time_limit)
     binaries = np.flatnonzero(problem.binary)  # fixings are keyed by these columns
     t0 = time.perf_counter()
     deadline = t0 + time_limit if time_limit else None
@@ -230,15 +230,11 @@ def solve_ilp(
     base = problem.with_bounds(
         problem.lb, problem.ub, binary=np.zeros(problem.num_cols, dtype=bool)
     )
-    if engine == "highs":
-        relax: _HighsNodes | _ColdNodes = _HighsNodes(base, binaries, remaining)
-    else:
-        relax = _ColdNodes(base, remaining)
+    relax = _HighsNodes(base, binaries, remaining)
 
     incumbent: Solution | None = None
     nodes = 0
     total_iters = 0
-    total_refactors = 0
     root_iters: int | None = None  # pivots spent before the first branch
     # kept for the final LP: the time from the start to the end of the root
     # relaxation, a cold solve of the relaxation with its set-up. Branching
@@ -246,8 +242,8 @@ def solve_ilp(
     reserve = 0.0
     # dive depth-first along the rounding of the current relaxation; the
     # sibling of every dive step waits in a best-bound heap for restarts.
-    # Each entry carries the basis its relaxation starts from (None: the
-    # engine's own start)
+    # Each entry carries the basis its relaxation starts from (None: a
+    # cold start)
     heap: list[tuple[float, int, dict[int, int], object]] = []
     stack: list[tuple[float, dict[int, int], object]] = [(-INF, {}, None)]
     seq = 0
@@ -268,7 +264,6 @@ def solve_ilp(
         if nodes == 1:
             reserve = time.perf_counter() - t0
         total_iters += rel.iterations
-        total_refactors += rel.refactors
         if log:
             logger.info(
                 "[bnb] node=%d depth=%d status=%s obj=%.6g",
@@ -302,7 +297,6 @@ def solve_ilp(
                 probe_fix.setdefault(j, int(high))
             probe, _ = relax.solve(probe_fix, basis)
             total_iters += probe.iterations
-            total_refactors += probe.refactors
             if probe.status is SolveStatus.OPTIMAL:
                 incumbent = _rounded(probe, binaries)
                 if log:
@@ -319,15 +313,13 @@ def solve_ilp(
         # the layout comes from the incumbent's binaries alone, not from the
         # basis the search reached them with: fix them all and solve cold
         fixed = dict(zip(binaries.tolist(), incumbent.x[binaries].astype(int).tolist()))
-        final = _dispatch(_with_fixings(base, fixed), engine, None, False,
-                          max(remaining(), reserve) if deadline else None)
+        final = _solve_highs(_with_fixings(base, fixed), False,
+                             max(remaining(), reserve) if deadline else None)
         total_iters += final.iterations
-        total_refactors += final.refactors
         if final.status is SolveStatus.OPTIMAL:
             incumbent = _rounded(final, binaries)
-    counts = {"nodes": nodes, "engine": engine, "engine_reason": reason,
-              "root_iterations": root_iters, "iterations": total_iters,
-              "refactors": total_refactors, "wall_time": time.perf_counter() - t0}
+    counts = {"nodes": nodes, "engine": "highs", "root_iterations": root_iters,
+              "iterations": total_iters, "wall_time": time.perf_counter() - t0}
     if incumbent is None:
         status = SolveStatus.INFEASIBLE if exhausted else SolveStatus.NODE_LIMIT
         return Solution(status=status, **counts)
@@ -355,41 +347,6 @@ def _with_fixings(base: LpProblem, fixings: dict[int, int]) -> LpProblem:
     lb, ub = base.lb.copy(), base.ub.copy()
     lb[list(fixings)] = ub[list(fixings)] = list(fixings.values())
     return base.with_bounds(lb, ub)
-
-
-class _ColdNodes:
-    """Node relaxations solved from scratch by the bundled simplex, one LP per node."""
-
-    def __init__(self, base: LpProblem, remaining) -> None:
-        self.base, self.remaining = base, remaining
-
-    def solve(self, fixings: dict[int, int], start: None) -> tuple[Solution, None]:
-        return _solve_simplex(_with_fixings(self.base, fixings), None, False, self.remaining()), None
-
-
-def _choose_engine(problem: LpProblem, engine: str) -> tuple[str, str]:
-    """The engine that solves ``problem`` and why, as the manifest records it."""
-    if engine in ("simplex", "highs"):
-        return engine, "explicit"
-    if engine != "auto":
-        raise SolverError(f"unknown engine {engine!r}")
-    return "highs", "auto: ILP" if problem.num_binaries else "auto: LP"
-
-
-def _dispatch(
-    problem: LpProblem,
-    engine: str,
-    iteration_limit: int | None,
-    log: bool,
-    time_limit: float | None = None,
-) -> Solution:
-    engine, reason = _choose_engine(problem, engine)
-    if engine == "simplex":
-        sol = _solve_simplex(problem, iteration_limit, log, time_limit)
-    else:
-        sol = _solve_highs(problem, log, time_limit, iteration_limit)
-    sol.engine_reason = reason
-    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -930,7 +887,6 @@ class _Simplex:
         self.streak = 0
         self.updates = 0  # rank-1 updates of binv since it was last refactored
         self.refactors = 0  # dense inverses computed
-        self.drifted = False  # a pivot entry was found to be drift
 
         A, b = std.A.copy(), std.b.copy()
         m, n = A.shape
@@ -1064,7 +1020,6 @@ class _Simplex:
             ties = pos[ratios <= best + 1e-12]
             r = int(ties[0] if ties.size == 1 else ties[self.basis[ties].argmin()])
             if d[r] < SMALL_PIVOT and self.updates and not self._real_entry(r, j):
-                self.drifted = True
                 self._refactor()
                 since_refactor = 0
                 continue
@@ -1108,9 +1063,9 @@ class _Simplex:
             return SolveStatus.UNBOUNDED, False
         if status == "iteration_limit":
             return SolveStatus.ITERATION_LIMIT, True
-        # an inverse that drifted once may have drifted again: the point
-        # is read from a fresh one
-        if self.drifted and self.updates:
+        # the point is read from a fresh inverse: an updated one can carry
+        # enough drift to move an optimum near zero by 1e-11
+        if self.updates:
             self._refactor()
         return SolveStatus.OPTIMAL, True
 
@@ -1155,8 +1110,8 @@ def _iteration_limit(std: _StdForm) -> int:
 
 def _solve_simplex(
     problem: LpProblem,
-    iteration_limit: int | None,
-    log: bool,
+    iteration_limit: int | None = None,
+    log: bool = False,
     time_limit: float | None = None,
 ) -> Solution:
     t0 = time.perf_counter()

@@ -132,7 +132,6 @@ class _Simplex:
         self.streak = 0
         self.updates = 0  # rank-1 updates of binv since it was last refactored
         self.refactors = 0  # dense inverses computed
-        self.drifted = False  # a pivot entry was found to be drift
 
         A, b = std.A.copy(), std.b.copy()
         m, n = A.shape
@@ -258,7 +257,6 @@ class _Simplex:
             # a small pivot from an updated inverse may be drift: checked
             # against the basis, and if it is, refactored and priced again
             if d[r] < SMALL_PIVOT and self.updates and not self._real_entry(r, j):
-                self.drifted = True
                 self._refactor()
                 since_refactor = 0
                 continue
@@ -300,7 +298,7 @@ class _Simplex:
             return SolveStatus.UNBOUNDED, False
         if status == "iteration_limit":
             return SolveStatus.ITERATION_LIMIT, True
-        if self.drifted and self.updates:
+        if self.updates:
             self._refactor()
         return SolveStatus.OPTIMAL, True
 

@@ -1,11 +1,12 @@
 """The bundled simplex against its frozen copy in ``oracle_bundled``.
 
-Every LP and binary program here has at most ``BUNDLED_MAX_ROWS`` rows and
-is solved with ``engine="simplex"``. An LP must take the same pivots as the
-oracle; a binary program must take the same nodes and pivots as
-``reference_solve_ilp`` running the cold branch and bound on the oracle.
-Both must return the same floats: status, iterations, refactors, nodes and
-root iterations equal, objective, dual objective and values equal byte for
+Every LP and binary program here has at most ``BUNDLED_MAX_ROWS`` rows. An
+LP solved with ``engine="simplex"`` must take the same pivots as the oracle.
+A binary program goes through ``reference_solve_ilp``, the cold branch and
+bound, once on the bundled simplex and once on the oracle, so every node LP
+is checked; the two searches must take the same nodes and pivots. Both
+must return the same floats: status, iterations, refactors, nodes and root
+iterations equal, objective, dual objective and values equal byte for
 byte, values in the same order.
 """
 
@@ -40,7 +41,7 @@ def assert_identical(sol: ss.Solution, ref: ss.Solution) -> None:
 def assert_same_solve(problem: LpProblem) -> None:
     assert problem.num_rows <= BUNDLED_MAX_ROWS
     if problem.num_binaries:
-        sol = ss.solve_ilp(problem, engine="simplex")
+        sol = reference_solve_ilp(problem, ss._solve_simplex)
         ref = reference_solve_ilp(problem, oracle_bundled.solve_lp)
     else:
         sol = ss.solve_lp(problem, engine="simplex")

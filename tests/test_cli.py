@@ -330,7 +330,7 @@ class TestMain:
 
 class TestManifest:
     def test_solves_record_highs_method(self, tmp_path, sample3_paths):
-        res = run_sample(tmp_path, sample3_paths, "TOP-S-SU", engine="highs")
+        res = run_sample(tmp_path, sample3_paths, "TOP-S-SU")
         assert res.ok
         manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
         for solve in manifest["solves"]:
@@ -357,23 +357,37 @@ class TestManifest:
                 solve["objective"], rel=ss.GAP_TOL, abs=ss.GAP_TOL)
 
     @pytest.mark.parametrize("variant", ["TOP-S-SU", "CNT-W-SU"])
-    @pytest.mark.parametrize("engine", ["auto", "simplex", "highs"])
-    def test_solves_record_engine_reason(self, tmp_path, sample3_paths, variant, engine):
-        res = run_sample(tmp_path, sample3_paths, variant, engine=engine)
+    @pytest.mark.parametrize("engine", ["highs", "simplex"])
+    def test_solves_record_engine_reason(
+        self, tmp_path, sample3_paths, monkeypatch, variant, engine
+    ):
+        # which path ran and why: the engine, and on HiGHS the method the
+        # LP's rows chose. With the pipeline's LP solver swapped for the
+        # bundled simplex, LPs record it; binary programs search on HiGHS
+        import functools
+
+        import demers.cli as climod
+        from demers import simplexsolver as ss
+
+        if engine == "simplex":
+            monkeypatch.setattr(climod, "solve_lp", functools.partial(ss.solve_lp, engine=engine))
+        res = run_sample(tmp_path, sample3_paths, variant)
         assert res.ok
         manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
         assert manifest["solves"]
         for solve in manifest["solves"]:
-            if engine == "auto" and variant.startswith("CNT"):
-                assert (solve["engine"], solve["engine_reason"]) == ("highs", "auto: ILP")
-            elif engine == "auto":
-                assert (solve["engine"], solve["engine_reason"]) == ("highs", "auto: LP")
-            else:
-                assert (solve["engine"], solve["engine_reason"]) == (engine, "explicit")
+            assert "engine_reason" not in solve and "refactors" not in solve
             if variant.startswith("CNT"):
+                assert solve["engine"] == "highs"
                 assert 0 < solve["root_iterations"] <= solve["iterations"]
             else:
+                assert solve["engine"] == engine
                 assert "root_iterations" not in solve
+            if solve["engine"] == "highs":
+                large = solve["rows"] >= ss.HIGHS_DUAL_FORM_MIN_ROWS
+                assert solve["method"] == ("dual-form" if large else "ds")
+            else:
+                assert solve["method"] == ""
 
     @pytest.mark.parametrize("variant", [
         f"CNT-{setting}-{stability}" for setting in "WS" for stability in ("SU", "CO", "IT", "CENTRAL")
@@ -399,17 +413,6 @@ class TestManifest:
     def test_lp_solves_record_no_binaries_set(self, tmp_path, sample3_paths):
         res = run_sample(tmp_path, sample3_paths, "TOP-W-IT")
         assert res.ok and all("binaries_set" not in s for s in res.solver_stats)
-
-    @pytest.mark.parametrize("engine", ["simplex", "highs"])
-    def test_solves_record_refactors(self, tmp_path, sample3_paths, engine):
-        # the sample's CNT relaxations are too small for the bundled simplex
-        # to refactor, and HiGHS computes no dense inverse
-        res = run_sample(tmp_path, sample3_paths, "CNT-W-SU", engine=engine)
-        assert res.ok
-        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
-        [solve] = manifest["solves"]
-        assert solve["nodes"] == 7
-        assert solve["refactors"] == 0
 
     @pytest.mark.parametrize("variant", ["TOP-S-SU", "CNT-W-IT"])
     def test_solves_record_model_size(self, tmp_path, sample3_paths, variant, monkeypatch):
@@ -688,7 +691,7 @@ class TestRunFlags:
         required = ["run", "--map", "m.geojson", "--weights", "w.csv",
                     "--variant", "ORG-W-CO", "--out", "o"]
         flags = [
-            "--kind", "vectors", "--area-proportional", "--engine", "simplex",
+            "--kind", "vectors", "--area-proportional",
             "--node-limit", "17", "--lp-time-limit", "7.5", "--ilp-time-limit", "12",
             "--frc-max-iterations", "3", "--frames", "4", "--dump-lp",
             "--dump-constraints", "--solver-log", "--labels",
@@ -703,7 +706,7 @@ class TestRunFlags:
         assert default == RunConfig("m.geojson", "w.csv", "ORG-W-CO", out_dir="o")
         assert flagged == RunConfig(
             "m.geojson", "w.csv", "ORG-W-CO", out_dir="o",
-            kind=WeightKind.WEIGHT_VECTORS, area_proportional=True, engine="simplex",
+            kind=WeightKind.WEIGHT_VECTORS, area_proportional=True,
             node_limit=17, lp_time_limit=7.5, ilp_time_limit=12.0, frc_max_iterations=3,
             frames=4, dump_lp=True, dump_constraints=True, solver_log=True, labels=True,
         )
@@ -711,6 +714,14 @@ class TestRunFlags:
         unchanged = [f.name for f in dataclasses.fields(RunConfig)
                      if getattr(flagged, f.name) == getattr(default, f.name)]
         assert unchanged == ["map_path", "weights_path", "variant", "out_dir", "dataset_name"]
+
+    def test_engine_flag_is_gone(self, capsys):
+        # every run solves on HiGHS; the old flag is an unknown argument
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--map", "m.geojson", "--weights", "w.csv",
+                  "--variant", "ORG-W-CO", "--out", "o", "--engine", "highs"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --engine highs" in capsys.readouterr().err
 
     def test_minimal_argv_takes_the_dataclass_defaults(self, tmp_path, monkeypatch):
         # the run flags and the matrix spec read their defaults from
@@ -788,7 +799,6 @@ class TestSolverLog:
             "--weights", str(sample3_paths[1]),
             "--variant", "CNT-W-SU",
             "--out", str(tmp_path / "out"),
-            "--engine", "simplex",
         ]
         assert main(argv + ["--solver-log"]) == 0
         err = capsys.readouterr().err

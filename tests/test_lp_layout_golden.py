@@ -1,29 +1,24 @@
-"""LP layouts of the bundled simplex reproduce committed files byte for byte.
+"""LP layouts of the default engine reproduce committed files byte for byte.
 
 The files ``tests/data/lp_layout_*.json`` pin what the non-CNT variants
-compute on the instances of the ``exact`` benchmark with
-``engine="simplex"``: every layout's JSON with its leaders, and the status
-and pivot count of every LP the run solves. A change to the simplex that
-moves one pivot, or one bit of a centre, fails here. After an intended
-change to the solver or the models, regenerate them with
+compute through ``cli.run`` on the instances of the ``exact`` benchmark:
+every layout's JSON with its leaders, and the engine, status and pivot
+count of every LP the run solves. Every one of those LPs solves on HiGHS,
+and its documents came out byte-identical on one OpenBLAS thread and on
+two. A change to the solver or the models that moves one pivot, or one bit
+of a centre, fails here. After an intended change, regenerate them with
 ``PYTHONPATH=src python tests/test_lp_layout_golden.py``.
 
-The bundled simplex's pivots and the last bits of its point depend on the
-number of OpenBLAS threads: on the grid instances one thread and two differ
-in 7 of 12 pivot counts and by up to 3.6e-15 in the centres. So the pinned
-runs are made in a child process on one OpenBLAS thread, the count the
-benchmark pins, both for the check and for regeneration.
-
-The default ``engine="auto"`` solves these LPs on HiGHS. Its layouts must
-lie within 1e-9 of the map diagonal of the pinned ones, with the same
+The bundled simplex, the reference LP solver, solves the same runs with
+``cli.solve_lp`` swapped for ``solve_lp(engine="simplex")``. Its layouts
+must lie within 1e-9 of the map diagonal of the pinned ones, with the same
 leader pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -31,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from demers import cli
+from demers.simplexsolver import solve_lp
 from demers.synth import write_instance
 
 GOLDEN = Path(__file__).parent / "data"
@@ -56,33 +52,21 @@ def _cases(tmp: Path) -> dict[str, tuple[str, str, str]]:
     return cases
 
 
-def run_cases(engine: str) -> dict[str, cli.RunResult]:
-    """File stem -> the pinned LP run on ``engine``."""
+def run_cases() -> dict[str, cli.RunResult]:
+    """File stem -> the pinned LP run through ``cli.run``."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for stem, (m, w, v) in _cases(Path(tmp)).items():
-            result = cli.run(cli.RunConfig(map_path=m, weights_path=w, variant=v, engine=engine))
+            result = cli.run(cli.RunConfig(map_path=m, weights_path=w, variant=v))
             assert result.ok, (stem, result.status)
             out[stem] = result
     return out
 
 
 def golden_documents() -> dict[str, str]:
-    """File stem -> JSON text of every pinned LP run, made in a child
-    process on one OpenBLAS thread."""
-    src = str(Path(cli.__file__).resolve().parents[1])  # the demers under test
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, __file__, "--print"], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-def _documents_here() -> dict[str, str]:
-    """``golden_documents`` computed in this process."""
+    """File stem -> JSON text of every pinned LP run."""
     out = {}
-    for stem, result in run_cases("simplex").items():
+    for stem, result in run_cases().items():
         doc = {
             "layouts": [
                 lay.to_json_dict(leaders)
@@ -118,9 +102,10 @@ def test_every_golden_lp_layout_file_is_checked(documents):
     assert {p.stem for p in GOLDEN.glob("lp_layout_*.json")} == set(documents) == set(STEMS)
 
 
-def test_default_engine_solves_on_highs_near_the_golden_layouts():
-    for stem, result in run_cases("auto").items():
-        assert {s["engine"] for s in result.solver_stats} == {"highs"}, stem
+def test_bundled_simplex_solves_near_the_golden_layouts(monkeypatch):
+    monkeypatch.setattr(cli, "solve_lp", functools.partial(solve_lp, engine="simplex"))
+    for stem, result in run_cases().items():
+        assert {s["engine"] for s in result.solver_stats} == {"simplex"}, stem
         golden = json.loads((GOLDEN / f"{stem}.json").read_text(encoding="utf-8"))["layouts"]
         assert len(result.layouts) == len(golden), stem
         for lay, leaders, want in zip(result.layouts, result.leaders_per_layout, golden):
@@ -135,9 +120,6 @@ def test_default_engine_solves_on_highs_near_the_golden_layouts():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--print"]:
-        print(json.dumps(_documents_here()))
-        sys.exit()
     GOLDEN.mkdir(exist_ok=True)
     for stem, text in golden_documents().items():
         (GOLDEN / f"{stem}.json").write_text(text, encoding="utf-8")

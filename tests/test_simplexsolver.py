@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demers import simplexsolver as ss
-from demers.lpmodel import LpProblem, max_violation
+from demers.lpmodel import LpProblem, ObjectiveKind, Stability, max_violation
+from demers.sepconstraints import Setting
 from demers.simplexsolver import SolveStatus, SolverError, solve_ilp, solve_lp
 from oracle_simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, oracle_solve
 from test_lp_golden import golden_problems
@@ -92,6 +93,14 @@ class TestSolveLp:
         with pytest.raises(SolverError, match="binary"):
             solve_lp(p)
 
+    def test_unknown_engine_rejected(self):
+        # the engines are "highs" and "simplex"; "auto" is not one of them
+        p = LpProblem()
+        p.add_var("x", 0, 1)
+        with pytest.raises(SolverError) as exc:
+            solve_lp(p, engine="auto")
+        assert str(exc.value) == "unknown engine 'auto'"
+
     def test_iteration_limit_returns_feasible_point(self):
         p = LpProblem()
         for i in range(6):
@@ -102,12 +111,12 @@ class TestSolveLp:
         assert sol.status is SolveStatus.ITERATION_LIMIT
         assert max_violation(p, sol.values) <= 1e-9
 
-    @pytest.mark.parametrize("engine", ["highs", "auto"])
+    @pytest.mark.parametrize("engine", [{"engine": "highs"}, {}], ids=["highs", "default"])
     def test_iteration_limit_reaches_highs(self, engine):
         # presolve does not solve this LP by itself: HiGHS needs 4 pivots
         p = sized_lp(30)
-        assert solve_lp(p, engine=engine).iterations > 1
-        sol = solve_lp(p, engine=engine, iteration_limit=1)
+        assert solve_lp(p, **engine).iterations > 1
+        sol = solve_lp(p, **engine, iteration_limit=1)
         assert (sol.engine, sol.status) == ("highs", SolveStatus.ITERATION_LIMIT)
 
     def test_ill_scaled_problem(self):
@@ -274,10 +283,10 @@ class TestDegeneratePhaseOne:
         assert sol.engine == "simplex"
         assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
         assert max_violation(model.problem, sol.values) <= 1e-6
-        # engine="auto" sends every LP to HiGHS, whatever its size
-        auto = solve_lp(model.problem, engine="auto")
-        assert (auto.engine, auto.engine_reason) == ("highs", "auto: LP")
-        assert auto.objective == ref.objective
+        # the default engine is HiGHS, whatever the LP's size
+        default = solve_lp(model.problem)
+        assert default.engine == "highs"
+        assert default.objective == ref.objective
 
 
 class TestDriftedPivot:
@@ -326,7 +335,7 @@ class TestTimeLimit:
         p.add_var("x")
         p.add_constraint({"x": 1.0}, ">=", 3.0)
         p.add_objective("x", 1.0)
-        sol = solve_ilp(p, engine="highs", time_limit=7.5)
+        sol = solve_ilp(p, time_limit=7.5)
         assert sol.optimal
         assert seen == [7.5]
 
@@ -352,7 +361,7 @@ class TestTimeLimit:
         p.add_constraint({nm: 2 for nm in names}, ">=", 3)
         for i, nm in enumerate(names):
             p.add_objective(nm, 1.0 + 0.1 * i)
-        sol = solve_ilp(p, engine="highs", time_limit=30.0)
+        sol = solve_ilp(p, time_limit=30.0)
         assert sol.optimal
         assert sol.objective == pytest.approx(2.1)
         left = [limit - clock for clock, limit in limits]
@@ -372,7 +381,7 @@ class TestTimeLimit:
         p = LpProblem()
         p.add_var("b", 0, 1, binary=True)
         p.add_objective("b", 1.0)
-        sol = solve_ilp(p, engine="highs", time_limit=0.05)
+        sol = solve_ilp(p, time_limit=0.05)
         assert sol.status is SolveStatus.NODE_LIMIT
         assert sol.nodes == 1
 
@@ -420,7 +429,7 @@ class TestTimeLimit:
         p.add_constraint({nm: 2 for nm in names}, ">=", 3)
         for i, nm in enumerate(names):
             p.add_objective(nm, 1.0 + 0.1 * i)
-        sol = solve_ilp(p, engine="highs", time_limit=0.2)
+        sol = solve_ilp(p, time_limit=0.2)
         assert sol.status is SolveStatus.NODE_LIMIT
         assert len(seen) == 1 and seen[0] >= 0.05
 
@@ -512,9 +521,9 @@ class TestHighsMethod:
         kind = ObjectiveKind[objective]
         g, model = jittered_model(tmp_path, 7, 0, kind, Setting[setting], k=k)
         assert len(model.problem.constraints) >= ss.HIGHS_DUAL_FORM_MIN_ROWS
-        dual = solve_lp(model.problem, engine="auto")
+        dual = solve_lp(model.problem)
         monkeypatch.setattr(ss, "HIGHS_DUAL_FORM_MIN_ROWS", 10**9)
-        ds = solve_lp(model.problem, engine="auto")
+        ds = solve_lp(model.problem)
         assert (dual.method, ds.method) == ("dual-form", "ds")
         assert dual.objective == pytest.approx(ds.objective, abs=1e-7)
 
@@ -588,7 +597,7 @@ class TestStartingBasis:
 
         monkeypatch.setattr(ss._HighsNodes, "__init__", init)
         monkeypatch.setattr(ss._HighsNodes, "solve", spy)
-        sol = solve_ilp(model.problem, engine="highs")
+        sol = solve_ilp(model.problem)
         assert sol.optimal and sol.nodes > 2
         assert calls[0][:2] == ([], None) and calls[0][3] == []
         kept = 0
@@ -655,22 +664,18 @@ def test_progress_lines_are_logged(caplog):
 # the searches against a plain one
 
 
-def reference_solve_ilp(problem, solve_relaxation=None, node_limit=100_000):
-    """Branch and bound as ``solve_ilp(engine="simplex")`` runs it, without
-    its limits' timing and logging, keyed by binary name in plain loops.
+def reference_solve_ilp(problem, solve_relaxation=ss._solve_simplex, node_limit=100_000):
+    """Branch and bound as ``solve_ilp`` runs it, without its limits'
+    timing and logging, keyed by binary name in plain loops.
 
     Every node relaxation is its own LP, standardized with the fixed
     binaries dropped and solved cold by ``solve_relaxation`` (the bundled
     simplex by default), and the incumbent's binaries are fixed and solved
-    once more at the end. Counts the nodes, pivots and refactors as
-    ``solve_ilp`` does.
+    once more at the end. Counts the nodes and pivots as ``solve_ilp``
+    does, and the refactors of the relaxations.
     """
     import heapq
     from dataclasses import replace
-
-    if solve_relaxation is None:
-        def solve_relaxation(p):
-            return ss._solve_simplex(p, None, False)
 
     binaries = [problem.col_names[j] for j in np.flatnonzero(problem.binary)]
     base = problem.with_bounds(
@@ -760,13 +765,12 @@ def assert_same_optimum(problem):
     ref = reference_solve_ilp(problem)
     assert ref.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE)
     binaries = [problem.col_names[j] for j in np.flatnonzero(problem.binary)]
-    for engine in ("simplex", "highs"):
-        sol = solve_ilp(problem, engine=engine)
-        assert sol.status is ref.status, engine
-        if ref.optimal:
-            assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-12), engine
-            assert max_violation(problem, sol.values) <= 1e-6, engine
-            assert all(sol.values[nm] in (0.0, 1.0) for nm in binaries), engine
+    sol = solve_ilp(problem)
+    assert sol.status is ref.status
+    if ref.optimal:
+        assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-12)
+        assert max_violation(problem, sol.values) <= 1e-6
+        assert all(sol.values[nm] in (0.0, 1.0) for nm in binaries)
 
 
 @st.composite
@@ -824,35 +828,29 @@ def test_warm_search_matches_cold_on_cnt_ilps(problem):
 @settings(max_examples=30, deadline=None)
 @given(cnt_ilps(smallest=1, jitters=(0.15, 0.3)))
 def test_warm_highs_and_cold_bundled_searches_reach_one_optimum(problem):
-    # the same program on the warm HiGHS nodes and on the cold bundled
-    # ones: both prove an optimum, and it is the same one; the centres may
-    # differ where the optimum is tied
-    warm, cold = (solve_ilp(problem, engine=engine) for engine in ("highs", "simplex"))
+    # the same program on the warm HiGHS nodes and on the reference search
+    # over cold bundled LPs: both prove an optimum, and it is the same one;
+    # the centres may differ where the optimum is tied
+    warm, cold = solve_ilp(problem), reference_solve_ilp(problem)
     assert (warm.engine, cold.engine) == ("highs", "simplex")
     assert warm.optimal and cold.optimal
     assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
 
 
-@st.composite
-def cartogram_lps(draw):
-    """TOP and ORG LPs of 2x2 to 3x3 grids, weak and strong, for one weight
-    function, two coupled ones (SU) or a step of the iterative scheme (IT),
-    with the full derived constraint set."""
+def cartogram_lp(cols, rows, seed, jitter, kind, setting, stability, step=0):
+    """A TOP or ORG LP of a jittered grid with its full derived constraint
+    set: one weight function (NONE), two coupled ones (SU), or step
+    ``step`` of the iterative scheme (IT) at k = 2, whose second step
+    couples to fixed previous centres, the origins."""
     from demers.lpmodel import (
-        ModelSpec, ObjectiveKind, Stability, build_iterative_sequence,
-        build_multi_lp, build_single_lp,
+        ModelSpec, build_iterative_sequence, build_multi_lp, build_single_lp,
     )
     from demers.mapdata import compute_epsilon, scale_weights
-    from demers.sepconstraints import Setting, derive_constraints, reduce_transitive
+    from demers.sepconstraints import derive_constraints, reduce_transitive
     from demers.synth import grid_map, lognormal_weights
 
-    cols, rows = draw(st.integers(2, 3)), draw(st.integers(2, 3))
-    seed = draw(st.integers(0, 10_000))
-    kind = draw(st.sampled_from([ObjectiveKind.TOP, ObjectiveKind.ORG]))
-    setting = draw(st.sampled_from([Setting.WEAK, Setting.STRONG]))
-    stability = draw(st.sampled_from([Stability.NONE, Stability.SU, Stability.IT]))
     k = 1 if stability is Stability.NONE else 2
-    g = grid_map(cols, rows, jitter=draw(st.sampled_from([0.0, 0.15, 0.3])), seed=seed)
+    g = grid_map(cols, rows, jitter=jitter, seed=seed)
     table = scale_weights(lognormal_weights(g, k=k, seed=seed), g)
     cs = derive_constraints(g, compute_epsilon(table, g), setting)
     spec = ModelSpec(kind, setting, stability)
@@ -861,11 +859,22 @@ def cartogram_lps(draw):
     elif stability is Stability.SU:
         model = build_multi_lp(g, table, reduce_transitive(cs), spec)
     else:
-        # the second step couples to fixed previous centres: the origins
-        step = draw(st.integers(0, 1))
         seq = build_iterative_sequence(g, table, reduce_transitive(cs), spec)
         model = seq.problem(step, {r.id: r.centroid for r in g.regions} if step else None)
     return model, cs
+
+
+@st.composite
+def cartogram_lps(draw):
+    """``cartogram_lp`` cases of 2x2 to 3x3 grids, weak and strong."""
+    cols, rows = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    seed = draw(st.integers(0, 10_000))
+    kind = draw(st.sampled_from([ObjectiveKind.TOP, ObjectiveKind.ORG]))
+    setting = draw(st.sampled_from([Setting.WEAK, Setting.STRONG]))
+    stability = draw(st.sampled_from([Stability.NONE, Stability.SU, Stability.IT]))
+    jitter = draw(st.sampled_from([0.0, 0.15, 0.3]))
+    step = draw(st.integers(0, 1)) if stability is Stability.IT else 0
+    return cartogram_lp(cols, rows, seed, jitter, kind, setting, stability, step)
 
 
 @settings(max_examples=40, deadline=None)
@@ -880,7 +889,7 @@ def test_engines_agree_on_cartogram_lps(case):
     try:
         solutions.append(solve_lp(model.problem, engine="simplex"))
     except SolverError as exc:
-        # the documented limit of the bundled simplex, which engine="auto"
+        # the documented limit of the bundled simplex, which the pipeline
         # never uses: 3x3 grids at k = 2 have 324 to 400 rows
         assert str(exc) == "singular basis"
         assert model.problem.num_rows > BUNDLED_MAX_ROWS
@@ -934,6 +943,12 @@ def objective_at(problem: LpProblem, values: dict[str, float]) -> float:
 
 @settings(max_examples=30, deadline=None)
 @given(cartogram_lps())
+# ORG step-1 LPs of jittered 3x3 IT sequences on which the bundled simplex,
+# reading its optimum from an updated inverse, missed the bound on one form
+# (1.1e-11 against 8.6e-15 on the first, on one OpenBLAS thread)
+@example(cartogram_lp(3, 3, 0, 0.3, ObjectiveKind.ORG, Setting.WEAK, Stability.IT, 1))
+@example(cartogram_lp(3, 3, 24, 0.15, ObjectiveKind.ORG, Setting.WEAK, Stability.IT, 1))
+@example(cartogram_lp(3, 3, 69, 0.3, ObjectiveKind.ORG, Setting.STRONG, Stability.IT, 1))
 def test_one_row_direction_terms_solve_as_the_two_row_form(case):
     """Splitting a deviation into two priced columns keeps the optimum: for
     fixed centres the cheapest ``dp + dm`` is ``|expr|``, the cheapest ``d``.
@@ -997,8 +1012,7 @@ def test_phase_two_refactors_before_reporting_a_ray():
     assert (sol.engine, sol.status) == ("simplex", SolveStatus.OPTIMAL)
     highs = solve_lp(model.problem, engine="highs")
     assert sol.objective == pytest.approx(highs.objective, rel=1e-9)
-    auto = solve_lp(model.problem, engine="auto")
-    assert (auto.engine, auto.engine_reason) == ("highs", "auto: LP")
+    assert solve_lp(model.problem).engine == "highs"
 
 
 def test_drifted_inverse_from_phase_one_is_refactored_before_a_ray(monkeypatch):

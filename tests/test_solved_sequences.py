@@ -5,7 +5,8 @@ constraint set, build one coupled program from its transitive reduction,
 solve it on the default engine, and decode against the full set. TOP and ORG
 sequences are LPs on grids of up to 4x4; CNT sequences are binary programs,
 solved by ``solve_ilp``, on grids of at most 6 regions, where a search takes
-well under a second.
+well under a second. Every layout's metrics, interpolation frames and
+leaders are checked.
 """
 
 import warnings
@@ -14,7 +15,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demers.layout import decode, interpolate, validity_violations
+from conftest import leader_crossings, polyline_monotone
+from demers.layout import decode, interpolate, l1_gap, validity_violations
+from demers.leaders import LOST_TOL, all_leaders, lost_adjacencies
 from demers.lpmodel import ModelSpec, ObjectiveKind, Stability, build_multi_lp
 from demers.mapdata import compute_epsilon, scale_weights
 from demers.metrics import evaluate
@@ -44,11 +47,11 @@ def solved_sequences(draw, cnt=False):
     model = build_multi_lp(g, table, reduce_transitive(cs), spec)
     sol = solve_ilp(model.problem) if cnt else solve_lp(model.problem)
     assert sol.optimal, sol.status
-    return g, decode(sol, model, constraint_ref=cs)
+    return g, cs, decode(sol, model, constraint_ref=cs)
 
 
 def assert_metrics_unclamped(instance):
-    g, layouts = instance
+    g, _, layouts = instance
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a clamped metric warns
         report = evaluate(layouts, g)
@@ -59,9 +62,25 @@ def assert_metrics_unclamped(instance):
 
 
 def assert_frames_valid(instance, t):
-    _, (a, b) = instance
+    _, _, (a, b) = instance
     for frame_t in [*np.linspace(0.0, 1.0, 9), t]:
         assert validity_violations(interpolate(a, b, float(frame_t))) == []
+
+
+def assert_leaders_route_lost_adjacencies(instance):
+    """Each lost adjacency is routed or reported unroutable, once; a routed
+    leader is monotone, crosses no square and is as long as its L1 gap."""
+    g, cs, layouts = instance
+    for lay in layouts:
+        routed, report = all_leaders(lay, cs, g)
+        pairs = [ld.endpoints for ld in routed] + [(a, b) for a, b, _ in report.unroutable]
+        assert sorted(pairs) == sorted(lost_adjacencies(lay, g))
+        assert report.routed == len(routed)
+        tol = LOST_TOL * lay.reference_diagonal()
+        for ld in routed:
+            assert abs(ld.length - l1_gap(lay, *ld.endpoints)) <= tol, ld.endpoints
+            assert leader_crossings(ld, lay) == [], ld.endpoints
+            assert polyline_monotone(ld.polyline), ld.endpoints
 
 
 @settings(max_examples=30, deadline=None)
@@ -77,6 +96,12 @@ def test_every_interpolation_frame_is_valid(instance, t):
 
 
 @settings(max_examples=30, deadline=None)
+@given(solved_sequences())
+def test_leaders_route_every_lost_adjacency(instance):
+    assert_leaders_route_lost_adjacencies(instance)
+
+
+@settings(max_examples=30, deadline=None)
 @given(solved_sequences(cnt=True))
 def test_cnt_metrics_stay_in_unit_interval_without_clamping(instance):
     assert_metrics_unclamped(instance)
@@ -86,3 +111,9 @@ def test_cnt_metrics_stay_in_unit_interval_without_clamping(instance):
 @given(solved_sequences(cnt=True), st.floats(0.0, 1.0))
 def test_every_cnt_interpolation_frame_is_valid(instance, t):
     assert_frames_valid(instance, t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(solved_sequences(cnt=True))
+def test_cnt_leaders_route_every_lost_adjacency(instance):
+    assert_leaders_route_lost_adjacencies(instance)
