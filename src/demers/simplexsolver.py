@@ -67,31 +67,49 @@ solves: in a fresh process after ``import demers.cli``, on one BLAS thread,
 it 0.45-0.58 s and 44 MB of RSS, and the first ``linprog`` call on the 7x7
 ``ladder`` model took 0.63-0.69 s against 0.12 s for later calls. The
 extension alone loads in 0.02 s and 4.7 MB, and its first solve of that model
-takes 0.10-0.15 s.
+takes 0.10-0.15 s. Every model goes in through the array form of
+``passModel`` (``_pass_model``): building a ``HighsLp`` attribute by
+attribute converts each array to a ``std::vector``, which took 3.8 ms for
+the dual of the 100-region ``ladder`` LP against 0.42 ms for the arrays
+(median of 15, one BLAS thread), with the same pivots after.
 
 HiGHS runs dual simplex with presolve on. An LP of fewer than
-``HIGHS_DUAL_FORM_MIN_ROWS`` rows goes in as it is. A larger one goes in as
-its dual (``_dual_lp``): one column per row, one unit column per finite
-column bound, and one equality row per column. The all-pairs direction
-terms make the cartogram LPs grow as n^2, one row and two nonnegative
-columns per region pair. Each of those columns lies in one row only, so
-in the dual its row, with its bound's unit column, only bounds one dual
-column, and presolve folds those rows away: the dual of the jittered
-400-region TOP-S LP (96 697 rows) presolves to 2 314 rows. The LP's point
-is the negated row duals of the dual solve, and it comes with a checked
-certificate (see ``_solve_dual_form``).
+``HIGHS_DUAL_FORM_MIN_ROWS`` (250) rows goes in as it is. A larger one goes
+in as its dual (``_dual_lp``): one column per row, one unit column per
+finite bound of a kept column, and one equality row per kept column. The
+all-pairs direction terms make the cartogram LPs grow as n^2, one "=" row
+``expr - dp + dm = 0`` and two nonnegative columns per region pair. Each
+of those columns lies in that row only, so its dual row ``a y_r + z_l = c``
+with ``z_l >= 0`` only says ``a y_r <= c``. ``_dual_lp`` folds it into a
+bound on the row's dual column y_r, ``c / a`` from above for ``a > 0`` and
+from below for ``a < 0``, and gives it no dual row and no unit column: the
+column-singleton reduction of Andersen & Andersen ("Presolving in linear
+programming", Math. Programming 71, 1995), done once while the dual is
+built. A column is folded when it has one entry, in an "=" row, ``lb == 0``
+and ``ub == inf``, and no earlier column was folded on its coefficient's
+side of that row (``_folding``). The dual of the jittered 400-region
+TOP-S-SU LP (96 697 rows) then has 2 320 rows, where HiGHS's presolve had
+to fold 159 600 rows itself. The LP's point is the negated row duals of
+the dual solve; a folded column j of row r is ``max(0, -d_r / a_j)``, where
+d_r is the reduced cost of y_r, nonzero only when y_r sits on a folded
+bound. It comes with a checked certificate (see ``_solve_dual_form``).
 
 Through ``cli.run``, on one BLAS thread, the dual form solved the jittered
-TOP-S-SU grids of 100 regions (7 179 rows) in 0.09 s, 196 regions
-(25 057 rows) in 0.54 s and 400 regions in 1.8 s, where interior point
-with crossover took 0.40 s, 5.3 s and 29 s and dual simplex on the
-100-region LP itself 1.9 s. Presolve is what makes it fast: without it
-the 100-region dual took 5.5 s. Peak RSS at 400 regions rose from 286 to
-371 MB, presolve's working copies of the dual. The dual form was faster
-from 283 rows on as well (1.4 times at 283 rows, 2.5 times at 616), but
-the threshold stays where interior point took over: below it the LPs,
-and the CNT programs' final LPs with their tied optima, keep the vertices
-their goldens and benchmarks pin.
+TOP-S-SU grids of 100 regions (7 179 rows) in 0.064 s, 196 regions
+(25 057 rows) in 0.47 s and 400 regions in 1.6 s, with the pivots of the
+unfolded dual, which took 0.092, 0.59 and 2.1 s; peak RSS at 400 regions
+fell from 373 to 222 MB. Interior point with crossover, the path before
+the dual form, took 0.40 s, 5.3 s and 29 s, and dual simplex on the
+100-region LP itself 1.9 s. The threshold is where the dual form starts to
+win: on the jittered 3x3 to 5x5 grids' TOP and ORG LPs, weak and strong,
+seeds 0-2 (median of 15 solves, one BLAS thread), the LP itself took
+0.75-1.02 times as long as its dual form at 120-158 rows, 1.09-1.84 times
+as long at 336-418 rows (0.85 on one 418-row ORG draw) and 1.10-4.1 times
+as long at 760-932 rows. Every LP of the ``exact`` benchmark and of the
+``lp_layout_*`` goldens has at most 144 rows and goes in as it is. A CNT
+program's final LP of 250 rows or more (5x5 grids and up) has no direction
+terms to fold and goes in as its dual too; on a tied optimum it may end on
+another vertex with the same objective.
 """
 
 from __future__ import annotations
@@ -124,7 +142,7 @@ logger = logging.getLogger(__name__)
 
 # HiGHS solves LPs with at least this many rows as their dual, smaller ones
 # as they are (see the module docstring for the measurements)
-HIGHS_DUAL_FORM_MIN_ROWS = 1000
+HIGHS_DUAL_FORM_MIN_ROWS = 250
 
 FEAS_TOL = 1e-7  # absolute, on the scaled constraints
 OPT_TOL = 1e-9  # reduced-cost optimality threshold
@@ -162,6 +180,9 @@ class Solution:
     engine: str = ""
     method: str = ""  # HiGHS: "ds" (dual simplex) or "dual-form" (dual simplex on the dual)
     root_iterations: int = 0  # branch and bound: pivots before the first branch
+    # dual form: the dual HiGHS was handed, as ``dual_rows``, ``dual_cols``
+    # and ``folded`` (the columns folded into bounds)
+    dual_size: dict | None = None
     refactors: int = 0  # dense basis inverses the bundled simplex computed
 
     @property
@@ -209,9 +230,9 @@ def solve_ilp(
     nodes first on ties, branching on the most fractional binary. Hitting
     the node limit or ``time_limit`` returns the incumbent with status
     NODE_LIMIT; every relaxation is given what is left of ``time_limit``.
-    Branching stops while the time the search took up to the end of its
-    root relaxation is still left, and the final LP is given that much or
-    what is left, whichever is more, so a search cut by its time limit
+    Branching stops while twice the time the search took up to the end of
+    its root relaxation is still left, and the final LP is given that much
+    or what is left, whichever is more, so a search cut by its time limit
     still ends with the final LP's optimum.
     The node relaxations are warm started on one HiGHS object (see
     ``_HighsNodes``), and the incumbent's LP, all binaries fixed, is solved
@@ -236,9 +257,13 @@ def solve_ilp(
     nodes = 0
     total_iters = 0
     root_iters: int | None = None  # pivots spent before the first branch
-    # kept for the final LP: the time from the start to the end of the root
-    # relaxation, a cold solve of the relaxation with its set-up. Branching
-    # stops once less than this is left of ``time_limit``
+    # kept for the final LP: twice the time from the start to the end of the
+    # root relaxation, a cold solve of the relaxation with its set-up.
+    # Twice, as the final LP is solved with presolve and, from
+    # HIGHS_DUAL_FORM_MIN_ROWS rows, as its dual, which has nothing to fold
+    # in a CNT program and took up to 1.6 times as long as the LP itself on
+    # the CNT final LPs of jittered 4x4 to 14x14 grids. Branching stops once
+    # less than this is left of ``time_limit``
     reserve = 0.0
     # dive depth-first along the rounding of the current relaxation; the
     # sibling of every dive step waits in a best-bound heap for restarts.
@@ -262,7 +287,7 @@ def solve_ilp(
         nodes += 1
         rel, basis = relax.solve(fixings, start)
         if nodes == 1:
-            reserve = time.perf_counter() - t0
+            reserve = 2 * (time.perf_counter() - t0)
         total_iters += rel.iterations
         if log:
             logger.info(
@@ -330,6 +355,7 @@ def solve_ilp(
         objective=incumbent.objective,
         dual_objective=incumbent.dual_objective,
         method=incumbent.method,
+        dual_size=incumbent.dual_size,
         **counts,
     )
 
@@ -407,8 +433,9 @@ def _log_highs_line(kind, message: str, data_out, data_in, user_data) -> None:
 @dataclass(frozen=True)
 class _Rows:
     """The rows ``linprog`` hands HiGHS: the matrix in compressed columns
-    (``column`` names each entry's column), each row's upper bound ``rhs``,
-    and the count ``n_ub`` of "<=" rows, which come first."""
+    (``column`` names each entry's column, ``start`` where each column's
+    entries start, one more than there are columns), each row's upper bound
+    ``rhs``, and the count ``n_ub`` of "<=" rows, which come first."""
 
     start: np.ndarray
     index: np.ndarray
@@ -434,7 +461,7 @@ def _highs_rows(problem: LpProblem) -> _Rows:
     val, rhs = problem.val * sign[row], problem.rhs * sign
     eq = sense == EQ
     order = np.argsort(eq, kind="stable")  # new row -> model row
-    renumber = np.empty(m, dtype=np.int64)
+    renumber = np.empty(m, dtype=np.int32)
     renumber[order] = np.arange(m)
 
     # compressed columns, rows ascending within a column, duplicates summed
@@ -450,62 +477,122 @@ def _highs_rows(problem: LpProblem) -> _Rows:
 
 
 def _starts(column: np.ndarray, n: int) -> np.ndarray:
-    """Where each of ``n`` columns starts in entries sorted by ``column``."""
-    start = np.zeros(n + 1, dtype=np.int64)
+    """Where each of ``n`` columns starts in entries sorted by ``column``,
+    and where the last one ends."""
+    start = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(column, minlength=n), out=start[1:])
     return start
 
 
-def _make_lp(h, cost, lower, upper, row_lower, row_upper, start, index, value):
-    """A ``HighsLp`` from column arrays and a matrix in compressed columns."""
-    lp = h.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = cost.size
-    lp.num_row_ = lp.a_matrix_.num_row_ = row_upper.size
-    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, upper
-    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
-    return lp
+@dataclass(frozen=True)
+class _Model:
+    """An LP as the arrays HiGHS's ``passModel`` takes: column costs and
+    bounds, row bounds, and the matrix in compressed columns (``start`` as
+    ``_starts`` gives it)."""
+
+    cost: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
 
 
-def _highs_lp(h, problem: LpProblem, rows: _Rows):
-    """``problem`` as the ``HighsLp`` that ``linprog`` hands HiGHS: the
-    "<=" rows have no lower bound (HiGHS's infinity is IEEE inf)."""
+def _pass_model(h, highs, model: _Model):
+    """Hand ``model`` to ``highs`` as arrays, a minimisation without an
+    offset or integer columns; returns HiGHS's status."""
+    n = model.cost.size
+    return highs.passModel(
+        n, model.row_upper.size, model.index.size, int(h.MatrixFormat.kColwise),
+        int(h.ObjSense.kMinimize), 0.0, model.cost, model.lower, model.upper,
+        model.row_lower, model.row_upper, model.start[:-1], model.index, model.value,
+        np.zeros(n, dtype=np.int32),
+    )
+
+
+def _highs_lp(problem: LpProblem, rows: _Rows) -> _Model:
+    """``problem`` as ``linprog`` hands it to HiGHS: the "<=" rows have no
+    lower bound (HiGHS's infinity is IEEE inf)."""
     lhs = rows.rhs.copy()
     lhs[: rows.n_ub] = -INF
-    return _make_lp(h, problem.cost, problem.lb, problem.ub, lhs, rows.rhs,
-                    rows.start, rows.index, rows.value)
+    return _Model(problem.cost, problem.lb, problem.ub, lhs, rows.rhs,
+                  rows.start, rows.index, rows.value)
 
 
-def _dual_lp(h, problem: LpProblem, rows: _Rows):
-    """The dual of ``problem``, as a minimisation.
+@dataclass(frozen=True)
+class _Folding:
+    """The columns ``_dual_lp`` folds into bounds, each with its row and
+    its coefficient there, and the other columns: ``kept``, a mask of the
+    columns that are rows of the dual, and ``has_l``/``has_u``, the columns
+    with a unit column for a finite lower and for a finite upper bound."""
+
+    folded: np.ndarray
+    row: np.ndarray
+    coef: np.ndarray
+    kept: np.ndarray
+    has_l: np.ndarray
+    has_u: np.ndarray
+
+
+def _folding(problem: LpProblem, rows: _Rows) -> _Folding:
+    """The columns whose dual row becomes a bound on one dual column.
+
+    A column is folded when it has one entry, in an "=" row, ``lb == 0``,
+    ``ub == inf``, and is the first such column with that coefficient's
+    sign in that row: its dual row ``a y_r + z_l = c`` with ``z_l >= 0``
+    only says ``a y_r <= c``, a bound on ``y_r``, and a row takes one bound
+    from each side.
+    """
+    lb, ub = problem.lb, problem.ub
+    single = np.flatnonzero((np.diff(rows.start) == 1) & (lb == 0.0) & (ub == INF))
+    at = rows.start[single]
+    row, coef = rows.index[at], rows.value[at]
+    eligible = (row >= rows.n_ub) & (coef != 0.0)
+    single, row, coef = single[eligible], row[eligible], coef[eligible]
+    # the first candidate per row and side; candidates ascend by column
+    first = np.sort(np.unique(2 * row + (coef > 0), return_index=True)[1])
+    kept = np.ones(problem.num_cols, dtype=bool)
+    kept[single[first]] = False
+    return _Folding(single[first], row[first], coef[first], kept,
+                    np.flatnonzero(np.isfinite(lb) & kept), np.flatnonzero(np.isfinite(ub)))
+
+
+def _dual_lp(problem: LpProblem, rows: _Rows, fold: _Folding) -> _Model:
+    """The dual of ``problem``, as a minimisation, with ``fold``'s columns
+    folded into bounds.
 
     For min c x subject to A x <= b ("<=" rows), A x = b ("=" rows) and
     l <= x <= u, the dual is min -b y - l z_l - u z_u subject to
     A^T y + z_l + z_u = c, with y <= 0 on the "<=" rows, y free on the "="
-    rows, and one column z_l >= 0 per finite l and z_u <= 0 per finite u,
-    in the order of ``_finite_bounds``. Each dual row is a primal column.
+    rows, and one column z_l >= 0 per finite l and z_u <= 0 per finite u of
+    a kept column, in the order of ``fold.has_l`` and ``fold.has_u``. Each
+    dual row is a kept column, in column order. A folded column j, with
+    ``a`` in row r, bounds y_r instead: ``y_r <= c_j / a`` for ``a > 0``,
+    ``y_r >= c_j / a`` for ``a < 0``.
     """
     m, n_ub = rows.rhs.size, rows.n_ub
-    lb, ub = problem.lb, problem.ub
-    has_l, has_u = _finite_bounds(problem)
+    has_l, has_u, kept = fold.has_l, fold.has_u, fold.kept
     units = has_l.size + has_u.size
-    # the dual's columns y are the primal's rows: entries sorted by row
-    by_row = np.lexsort((rows.column, rows.index))
-    index = np.concatenate([rows.column[by_row], has_l, has_u])
-    owner = np.concatenate([rows.index[by_row], m + np.arange(units)])
+    dual_row = np.cumsum(kept, dtype=np.int32) - 1  # primal column -> dual row
+    # the dual's columns y are the primal's rows: kept entries sorted by row
+    keep = kept[rows.column]
+    column, row = rows.column[keep], rows.index[keep]
+    by_row = np.lexsort((column, row))
+    index = np.concatenate([dual_row[column[by_row]], dual_row[has_l], dual_row[has_u]])
+    owner = np.concatenate([row[by_row], m + np.arange(units)])
     lower = np.concatenate([np.full(m, -INF), np.zeros(has_l.size), np.full(has_u.size, -INF)])
     upper = np.concatenate([np.zeros(n_ub), np.full(m - n_ub + has_l.size, INF),
                             np.zeros(has_u.size)])
-    cost = -np.concatenate([rows.rhs, lb[has_l], ub[has_u]])
-    value = np.concatenate([rows.value[by_row], np.ones(units)])
-    return _make_lp(h, cost, lower, upper, problem.cost, problem.cost,
-                    _starts(owner, m + units), index, value)
-
-
-def _finite_bounds(problem: LpProblem) -> tuple[np.ndarray, np.ndarray]:
-    """The columns with a finite lower bound and with a finite upper bound."""
-    return np.flatnonzero(np.isfinite(problem.lb)), np.flatnonzero(np.isfinite(problem.ub))
+    bound = problem.cost[fold.folded] / fold.coef
+    up = fold.coef > 0
+    upper[fold.row[up]] = bound[up]
+    lower[fold.row[~up]] = bound[~up]
+    cost = -np.concatenate([rows.rhs, problem.lb[has_l], problem.ub[has_u]])
+    value = np.concatenate([rows.value[keep][by_row], np.ones(units)])
+    c = problem.cost[kept]
+    return _Model(cost, lower, upper, c, c, _starts(owner, m + units), index, value)
 
 
 def _highs_options(h, presolve: bool, log: bool):
@@ -519,12 +606,13 @@ def _highs_options(h, presolve: bool, log: bool):
     return options
 
 
-def _run_highs(h, lp, log: bool, time_limit: float | None, iteration_limit: int | None):
-    """Solve ``lp`` by dual simplex with presolve on, on a new HiGHS object.
+def _run_highs(h, model: _Model, log: bool, time_limit: float | None,
+               iteration_limit: int | None):
+    """Solve ``model`` by dual simplex with presolve on, on a new HiGHS object.
 
     Returns the object, its model status and its info, None when the run
-    failed. The object keeps its own copy of ``lp``; the caller's is dropped
-    before the run when the call holds the only reference.
+    failed. The object keeps its own copy of ``model``; the caller's is
+    dropped before the run when the call holds the only reference.
     """
     options = _highs_options(h, presolve=True, log=log)
     if time_limit:
@@ -539,8 +627,8 @@ def _run_highs(h, lp, log: bool, time_limit: float | None, iteration_limit: int 
         highs.startCallback(h.cb.HighsCallbackType.kCallbackLogging)
     if highs.passOptions(options) == error:
         return highs, highs.getModelStatus(), None
-    passed = highs.passModel(lp)
-    del lp
+    passed = _pass_model(h, highs, model)
+    del model
     if passed == error:
         return highs, h.HighsModelStatus.kModelError, None
     if highs.run() == error:
@@ -612,7 +700,7 @@ def _solve_highs(
         if time_limit:
             time_limit = max(time_limit - (time.perf_counter() - t0), 1e-3)
 
-    highs, status, info = _run_highs(h, _highs_lp(h, problem, rows), log, time_limit,
+    highs, status, info = _run_highs(h, _highs_lp(problem, rows), log, time_limit,
                                      iteration_limit)
     counts["iterations"] += int(info.simplex_iteration_count) if info else 0
     counts["wall_time"] = time.perf_counter() - t0
@@ -653,13 +741,21 @@ def _solve_dual_form(
     """Solve ``problem`` as its dual (``_dual_lp``); None when the dual ends
     neither optimal nor at a limit, so the LP must be solved itself.
 
-    The point is the negated row duals of the dual solve. It comes with a
-    checked certificate: the point passes ``linprog``'s check, the dual
-    point meets its own rows and signs within the same allowance, and the
-    two objectives differ by at most ``GAP_TOL``. A failed check raises
-    ``SolverError``. Records the dual solve's pivots in ``counts``.
+    The point is the negated row duals of the dual solve; a folded column j
+    of row r, with coefficient a there, is ``max(0, -d_r / a)``, where d_r
+    is the reduced cost of y_r. It comes with a checked certificate: the
+    point passes ``linprog``'s check, the dual point meets its own rows,
+    signs and folded bounds within the same allowance, and the two
+    objectives differ by at most ``GAP_TOL``. A failed check raises
+    ``SolverError``. Records the dual solve's pivots and the size of the
+    dual in ``counts``.
     """
-    highs, status, info = _run_highs(h, _dual_lp(h, problem, rows), log, time_limit,
+    m = rows.rhs.size
+    fold = _folding(problem, rows)
+    counts["dual_size"] = {"dual_rows": int(fold.kept.sum()),
+                           "dual_cols": m + fold.has_l.size + fold.has_u.size,
+                           "folded": fold.folded.size}
+    highs, status, info = _run_highs(h, _dual_lp(problem, rows, fold), log, time_limit,
                                      iteration_limit)
     counts["iterations"] = int(info.simplex_iteration_count) if info else 0
     status_of = h.HighsModelStatus
@@ -669,22 +765,25 @@ def _solve_dual_form(
         return None
 
     solution = highs.getSolution()
-    x = -np.array(solution.row_dual)
     w = np.array(solution.col_value)
+    x = np.empty(problem.num_cols)
+    x[fold.kept] = -np.array(solution.row_dual)
+    d = np.array(solution.col_dual)[fold.row]
+    x[fold.folded] = np.maximum(0.0, -d / fold.coef)
     objective = float(problem.cost @ x)
-    m = rows.rhs.size
     activity = np.bincount(rows.index, rows.value * x[rows.column], minlength=m)
     _check_point(problem, rows, x, activity, objective, "the dual-form solve's point is")
-    has_l, has_u = _finite_bounds(problem)
-    nl, tol = has_l.size, POINT_TOL
-    y, z_l, z_u = w[:m], w[m:m + nl], w[m + nl:]
-    # the dual rows: c - A^T y - z_l - z_u = 0
+    has_l, has_u, tol = fold.has_l, fold.has_u, POINT_TOL
+    y, z_l, z_u = w[:m], w[m:m + has_l.size], w[m + has_l.size:]
+    # the dual rows c - A^T y - z_l - z_u = 0 of the kept columns, and
+    # c - a y_r >= 0 (the folded bounds) of the folded ones
     residual = problem.cost - np.bincount(rows.column, rows.value * y[rows.index],
                                           minlength=problem.num_cols)
     residual[has_l] -= z_l
     residual[has_u] -= z_u
     if (
-        np.isnan(w).any() or (np.abs(residual) > tol).any()
+        np.isnan(w).any() or (np.abs(residual[fold.kept]) > tol).any()
+        or (residual[fold.folded] < -tol).any()
         or (y[: rows.n_ub] > tol).any() or (z_l < -tol).any() or (z_u > tol).any()
     ):
         raise SolverError(f"the dual-form solve's dual point is outside its constraints "
@@ -720,7 +819,7 @@ class _HighsNodes:
         self.lb, self.ub = base.lb[binaries], base.ub[binaries]
         self.highs = h._Highs()
         self.highs.passOptions(_highs_options(h, presolve=False, log=False))
-        self.highs.passModel(_highs_lp(h, base, _highs_rows(base)))
+        _pass_model(h, self.highs, _highs_lp(base, _highs_rows(base)))
         self.held = None  # the basis the object holds, as its last solve returned it
 
     def solve(self, fixings: dict[int, int], start) -> tuple[Solution, object]:

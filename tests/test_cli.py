@@ -336,6 +336,7 @@ class TestManifest:
         for solve in manifest["solves"]:
             assert solve["engine"] == "highs"
             assert solve["method"] == "ds"  # far below the dual-form size
+            assert not {"dual_rows", "dual_cols", "folded"} & solve.keys()
             assert solve["dual_objective"] == pytest.approx(solve["objective"], rel=1e-9)
 
     @pytest.mark.parametrize("threshold,method", [(0, "dual-form"), (10**9, "ds")])
@@ -355,6 +356,21 @@ class TestManifest:
             assert solve["method"] == method
             assert solve["dual_objective"] == pytest.approx(
                 solve["objective"], rel=ss.GAP_TOL, abs=ss.GAP_TOL)
+
+    def test_dual_form_solves_record_the_dual(self, tmp_path):
+        # the jittered 10x10 TOP-S-SU LP goes to HiGHS as its dual, with both
+        # columns of each of its 4 950 direction pairs folded into bounds
+        from demers.synth import write_instance
+
+        map_path, csv_path = write_instance(tmp_path / "grid", 10, 0, k=1, rows=10, jitter=0.3)
+        res = run(RunConfig(str(map_path), str(csv_path), "TOP-S-SU", out_dir=str(tmp_path / "o")))
+        assert res.ok
+        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
+        [solve] = manifest["solves"]
+        assert solve["method"] == "dual-form"
+        assert solve["folded"] == 2 * (100 * 99 // 2)
+        assert solve["dual_rows"] == solve["cols"] - solve["folded"]
+        assert solve["dual_cols"] >= solve["rows"]
 
     @pytest.mark.parametrize("variant", ["TOP-S-SU", "CNT-W-SU"])
     @pytest.mark.parametrize("engine", ["highs", "simplex"])

@@ -189,11 +189,12 @@ def test_time_limit_maps_to_iteration_limit(tmp_path):
     assert (sol.engine, sol.method) == ("highs", "dual-form")
 
 
-def core_reporting(status=None, col_shift=0.0, row_shift=0.0, dual_shift=0.0):
+def core_reporting(status=None, col_shift=0.0, row_shift=0.0, dual_shift=0.0,
+                   col_dual_shift=0.0):
     """The HiGHS module with ``_Highs`` wrapped: it reports ``status`` as the
     model status, when given, moves the first column of its solution by
-    ``col_shift``, every row activity by ``row_shift`` and every row dual
-    by ``dual_shift``."""
+    ``col_shift``, every row activity by ``row_shift``, every row dual by
+    ``dual_shift`` and every column dual by ``col_dual_shift``."""
     core = ss._highs_core()
 
     class Reporting:
@@ -212,7 +213,8 @@ def core_reporting(status=None, col_shift=0.0, row_shift=0.0, dual_shift=0.0):
             col_value[0] += col_shift
             return types.SimpleNamespace(
                 col_value=col_value, row_value=[v + row_shift for v in sol.row_value],
-                row_dual=[v + dual_shift for v in sol.row_dual], col_dual=sol.col_dual,
+                row_dual=[v + dual_shift for v in sol.row_dual],
+                col_dual=[v + col_dual_shift for v in sol.col_dual],
             )
 
     return types.SimpleNamespace(**{**vars(core), "_Highs": Reporting})
@@ -270,6 +272,41 @@ TWO_SIDED_LP = lp([("x", -1.0, 2.0), ("y", 3.0, 3.0), ("z", -INF, 1.0)],
                   {"x": 1, "y": -1, "z": -2})
 LOWER_ABOVE_UPPER_LP = lp([("x", 2.0, 1.0)], [({"x": 1}, "<=", 5)], {"x": 1})
 
+# LPs for the folding of singleton columns into bounds of the dual, each
+# with the columns ``_folding`` must fold. A singleton in a "<=" row is
+# not folded: its dual row would bound a sign-constrained column
+LE_SINGLETON_LP = lp([("x", -INF, INF), ("s", 0.0, INF)],
+                     [({"x": 1, "s": 1}, "<=", 3)], {"x": -1, "s": 1})
+# two singletons on the negative side of one "=" row: p is folded, q, the
+# cheaper one, stays a dual row
+TWO_ON_ONE_SIDE_LP = lp([("x", 0.0, 4.0), ("p", 0.0, INF), ("q", 0.0, INF)],
+                        [({"x": 1, "p": -1, "q": -1}, "=", 1)], {"x": -1, "p": 2, "q": 1})
+# p has a nonzero lower bound and q a finite upper bound: only r is folded
+BOUNDED_SINGLETONS_LP = lp(
+    [("x", -5.0, 5.0), ("p", 1.0, INF), ("q", 0.0, 2.0), ("r", 0.0, INF)],
+    [({"x": 1, "p": -1, "q": 1, "r": 1}, "=", 0)], {"x": 1, "p": 1, "q": 1, "r": 3})
+# m's coefficient is -3: its bound is a lower bound, y >= -1/3
+NEGATIVE_COEF_LP = lp([("x", 0.0, 4.0), ("m", 0.0, INF)],
+                      [({"x": 2, "m": -3}, "=", 1)], {"x": 1, "m": 1})
+# x - p + q = 2 with x <= 1: the optimum x = 1, q = 1 puts the row's dual
+# on q's folded bound
+ON_BOUND_LP = lp([("x", 0.0, 1.0), ("p", 0.0, INF), ("q", 0.0, INF)],
+                 [({"x": 1, "p": -1, "q": 1}, "=", 2)], {"x": -1, "p": 1, "q": 1})
+FOLDING = [
+    (LE_SINGLETON_LP, []),
+    (TWO_ON_ONE_SIDE_LP, ["p"]),
+    (BOUNDED_SINGLETONS_LP, ["r"]),
+    (NEGATIVE_COEF_LP, ["m"]),
+    (ON_BOUND_LP, ["p", "q"]),
+]
+
+
+@pytest.mark.parametrize("problem,folded", FOLDING)
+def test_folded_columns(problem, folded):
+    fold = ss._folding(problem, ss._highs_rows(problem))
+    assert [problem.col_names[j] for j in fold.folded] == folded
+    assert fold.kept.sum() == problem.num_cols - len(folded)
+
 
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(
@@ -280,6 +317,11 @@ LOWER_ABOVE_UPPER_LP = lp([("x", 2.0, 1.0)], [({"x": 1}, "<=", 5)], {"x": 1})
 @example((UNBOUNDED_LP, None, None))
 @example((TWO_SIDED_LP, None, None))
 @example((LOWER_ABOVE_UPPER_LP, None, None))
+@example((LE_SINGLETON_LP, None, None))
+@example((TWO_ON_ONE_SIDE_LP, None, None))
+@example((BOUNDED_SINGLETONS_LP, None, None))
+@example((NEGATIVE_COEF_LP, None, None))
+@example((ON_BOUND_LP, None, None))
 def test_dual_form_matches_the_linprog_oracle(case):
     # every LP on the dual form, held to the frozen dual simplex path; a
     # cartogram LP's layouts decode valid from the recovered point
@@ -296,9 +338,35 @@ def test_dual_form_matches_the_linprog_oracle(case):
             assert validity_violations(lay) == []
 
 
+@settings(max_examples=30, deadline=None)
+@given(cartogram_lps())
+def test_dual_form_recovers_the_direction_pairs(case):
+    # every direction row expr - dp + dm = 0 folds both of its columns;
+    # their recovered values split |expr| as the LP itself does
+    from test_simplexsolver import direction_exprs
+
+    problem = case[0].problem
+    with mock.patch.object(ss, "HIGHS_DUAL_FORM_MIN_ROWS", 0):
+        sol = ss._solve_highs(problem, False)
+    assert (sol.method, sol.status) == ("dual-form", SolveStatus.OPTIMAL)
+    values = sol.values
+    exprs = direction_exprs(problem, values)
+    assert sol.dual_size["folded"] == 2 * len(exprs) > 0
+    for dp, expr in exprs.items():
+        dm = "dm" + dp[2:]
+        assert abs(values[dp] - values[dm] - expr) <= ss.POINT_TOL
+        assert min(values[dp], values[dm]) <= ss.POINT_TOL
+
+
 # min x + y over x + y >= 1 in the box [0, 4]^2: optimum 1
 GAP_LP = lp([("x", 0.0, 4.0), ("y", 0.0, 4.0)], [({"x": 1, "y": 1}, ">=", 1)],
             {"x": 1, "y": 1})
+# min p + q + x over -p + q = 2 (row 0) and x = 1 (row 1), x in [0, 4]:
+# optimum 3 at q = 2. Both of row 0's columns are folded, so its dual y_0
+# is bounded by -1 <= y_0 <= 1 and no dual row holds it
+FOLDED_LP = lp([("x", 0.0, 4.0), ("p", 0.0, INF), ("q", 0.0, INF)],
+               [({"p": -1, "q": 1}, "=", 2), ({"x": 1}, "=", 1)],
+               {"x": 1, "p": 1, "q": 1})
 
 
 @pytest.mark.parametrize("shifts,match", [
@@ -308,15 +376,25 @@ GAP_LP = lp([("x", 0.0, 4.0), ("y", 0.0, 4.0)], [({"x": 1, "y": 1}, ">=", 1)],
     ({"col_shift": 1e-3}, "dual point is outside its constraints"),
     # the point moves by +0.5: feasible, but c x = 2 against the dual's 1
     ({"dual_shift": -0.5}, "objectives .* differ"),
+    # FOLDED_LP's y_0 moves from 1 to 1.5, past q's folded bound c_q / a_q = 1
+    ({"problem": FOLDED_LP, "col_shift": 0.5}, "dual point is outside its constraints"),
+    # FOLDED_LP's y_0 has its reduced cost moved from -2 to -1: q = 1
+    # leaves row 0 off by 1
+    ({"problem": FOLDED_LP, "col_dual_shift": 1.0},
+     "dual-form solve's point is outside its constraints"),
 ])
 def test_dual_form_certificate_failure_raises(monkeypatch, shifts, match):
+    shifts = dict(shifts)
+    problem = shifts.pop("problem", GAP_LP)
     monkeypatch.setattr(ss, "HIGHS_DUAL_FORM_MIN_ROWS", 0)
-    sol = ss._solve_highs(GAP_LP, False)
-    assert (sol.method, sol.objective) == ("dual-form", 1.0)
+    sol = ss._solve_highs(problem, False)
+    assert sol.method == "dual-form"
+    assert sol.objective == (3.0 if problem is FOLDED_LP else 1.0)
+    assert sol.dual_size["folded"] == (2 if problem is FOLDED_LP else 0)
     fake = core_reporting(**shifts)
     monkeypatch.setattr(ss, "_highs_core", lambda: fake)
     with pytest.raises(SolverError, match=match):
-        ss._solve_highs(GAP_LP, False)
+        ss._solve_highs(problem, False)
 
 
 def highs_runs(monkeypatch) -> list:
@@ -324,9 +402,9 @@ def highs_runs(monkeypatch) -> list:
     runs = []
     real = ss._run_highs
 
-    def spy(h, lp, *args):
-        runs.append((lp.num_row_, lp.num_col_))
-        return real(h, lp, *args)
+    def spy(h, model, *args):
+        runs.append((model.row_upper.size, model.cost.size))
+        return real(h, model, *args)
 
     monkeypatch.setattr(ss, "_run_highs", spy)
     return runs
@@ -416,9 +494,10 @@ def run_python(code: str, tmp_path: Path) -> str:
 
 
 def test_run_leaves_scipy_optimize_and_sparse_unimported(tmp_path):
-    # cli.run solves the jittered 5x5 TOP-S-SU LP on HiGHS, loading
-    # its extension without importing scipy itself. A later linprog on the
-    # same LP still works and finds the same point
+    # cli.run solves the jittered 5x5 TOP-S-SU LP on HiGHS, as its dual,
+    # loading its extension without importing scipy itself. A later linprog
+    # on the same LP still works and agrees with it as every dual-form
+    # solve must (``assert_dual_form_agrees``)
     out = run_python("""
         import sys
         from demers import cli
@@ -445,11 +524,12 @@ def test_run_leaves_scipy_optimize_and_sparse_unimported(tmp_path):
 
         import oracle_highs
         from scipy.optimize._highspy import _core
+        from test_highs_backend import assert_dual_form_agrees
         [(problem, ours)] = solved
         theirs = oracle_highs.solve_highs(problem, False)
         assert _core is ss._highs_core()
         assert ours.optimal and theirs.optimal
-        assert ours.values == theirs.values
+        assert_dual_form_agrees(problem, ours, theirs)
         print("ok")
     """, tmp_path)
     assert out.strip() == "ok"

@@ -434,11 +434,11 @@ class TestTimeLimit:
         assert len(seen) == 1 and seen[0] >= 0.05
 
     def test_final_lp_gets_the_time_the_search_leaves(self, monkeypatch):
-        # branching stops while the time the root relaxation took is still
-        # left, so the final LP of the incumbent's binaries reaches its
-        # optimum: the layout is a cold solve of those binaries. That LP may
-        # run past the limit by up to the root's time (milliseconds here);
-        # the slack is 0.1 s
+        # branching stops while twice the time the root relaxation took is
+        # still left, so the final LP of the incumbent's binaries (310 rows,
+        # solved as its dual) reaches its optimum: the layout is a cold solve
+        # of those binaries. That LP may run past the limit by up to twice
+        # the root's time (milliseconds here); the slack is 0.1 s
         from demers.layout import decode
 
         model = cnt_model("WEAK", cols=5, seed=0)
