@@ -20,8 +20,10 @@ preferred on ties. Every node relaxation runs on one HiGHS object
 (``_HighsNodes``): the relaxation is passed once, with presolve off, and a
 node only changes the bounds of the binary columns and restarts dual
 simplex from its parent's basis. The search ends by fixing all of the
-incumbent's binaries and solving that LP cold, so a CNT layout depends on
-its binaries only, not on the path of the search. Through ``cli.run``, on
+incumbent's binaries on that object and solving that LP cold, with its
+basis cleared and presolve on, so a CNT layout depends on its binaries
+only, not on the path of the search. That run is bit for bit a new
+object's solve of the fixed LP itself, at any size. Through ``cli.run``, on
 one BLAS thread, the search took 0.51 s for the jittered 4x4 ``CNT-W-SU``
 program (173 rows, 1 401 nodes).
 
@@ -58,11 +60,15 @@ HiGHS is reached through scipy's compiled bindings,
 ``scipy.optimize._highspy._core``, the extension ``linprog`` drives.
 ``_highs_core`` loads that one file without importing ``scipy`` itself (it
 finds scipy's folder through ``importlib.util.find_spec``, which saves
-0.8 MB of RSS per process), and ``_solve_highs`` hands it the model
-as ``linprog`` did: the same rows in the same order and the same options, so
-the solves are the same, and ``tests/oracle_highs.py`` keeps the ``linprog``
-path to check that. The Python layers above the extension cost more than most
-solves: in a fresh process after ``import demers.cli``, on one BLAS thread,
+0.8 MB of RSS per process). Every model reaches it the same way: as a
+``_Model``, the arrays ``passModel`` takes, on an object ``_highs_object``
+sets up, run by ``_run``, which sets the time limit on the object's run
+clock and maps the model status. ``_highs_lp`` builds an LP's ``_Model``
+as ``linprog`` handed it over: the same rows in the same order, with the
+same options, so the solves are the same, and ``tests/oracle_highs.py``
+keeps the ``linprog`` path to check that. The Python layers above the
+extension cost more than most solves: in a fresh process after
+``import demers.cli``, on one BLAS thread,
 ``import scipy.sparse`` took 0.18-0.22 s and ``import scipy.optimize`` with
 it 0.45-0.58 s and 44 MB of RSS, and the first ``linprog`` call on the 7x7
 ``ladder`` model took 0.63-0.69 s against 0.12 s for later calls. The
@@ -98,18 +104,16 @@ Through ``cli.run``, on one BLAS thread, the dual form solved the jittered
 TOP-S-SU grids of 100 regions (7 179 rows) in 0.064 s, 196 regions
 (25 057 rows) in 0.47 s and 400 regions in 1.6 s, with the pivots of the
 unfolded dual, which took 0.092, 0.59 and 2.1 s; peak RSS at 400 regions
-fell from 373 to 222 MB. Interior point with crossover, the path before
-the dual form, took 0.40 s, 5.3 s and 29 s, and dual simplex on the
-100-region LP itself 1.9 s. The threshold is where the dual form starts to
+fell from 373 to 222 MB. Dual simplex on the 100-region LP itself took
+1.9 s. The threshold is where the dual form starts to
 win: on the jittered 3x3 to 5x5 grids' TOP and ORG LPs, weak and strong,
 seeds 0-2 (median of 15 solves, one BLAS thread), the LP itself took
 0.75-1.02 times as long as its dual form at 120-158 rows, 1.09-1.84 times
 as long at 336-418 rows (0.85 on one 418-row ORG draw) and 1.10-4.1 times
 as long at 760-932 rows. Every LP of the ``exact`` benchmark and of the
 ``lp_layout_*`` goldens has at most 144 rows and goes in as it is. A CNT
-program's final LP of 250 rows or more (5x5 grids and up) has no direction
-terms to fold and goes in as its dual too; on a tied optimum it may end on
-another vertex with the same objective.
+program's final LP has no direction terms to fold and is solved as itself
+on the search's object at any size.
 """
 
 from __future__ import annotations
@@ -124,7 +128,7 @@ import os
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, reduce
 from types import MappingProxyType
@@ -199,22 +203,20 @@ class Solution:
 def solve_lp(
     problem: LpProblem,
     engine: str = "highs",
-    iteration_limit: int | None = None,
     time_limit: float | None = None,
     log: bool = False,
 ) -> Solution:
     """Solve a continuous LP to optimality (or detect infeasible/unbounded).
 
     ``engine`` is ``"highs"`` or ``"simplex"``, the bundled reference
-    solver. ``iteration_limit`` caps the pivots on either engine; a solve
-    that reaches it, or ``time_limit``, ends with ITERATION_LIMIT.
+    solver. A solve that reaches ``time_limit`` ends with ITERATION_LIMIT.
     """
     if problem.num_binaries:
         raise SolverError("problem has binary variables; use solve_ilp")
     if engine == "highs":
-        return _solve_highs(problem, log, time_limit, iteration_limit)
+        return _solve_highs(problem, log, time_limit)
     if engine == "simplex":
-        return _solve_simplex(problem, iteration_limit, log, time_limit)
+        return _solve_simplex(problem, log=log, time_limit=time_limit)
     raise SolverError(f"unknown engine {engine!r}")
 
 
@@ -234,9 +236,9 @@ def solve_ilp(
     its root relaxation is still left, and the final LP is given that much
     or what is left, whichever is more, so a search cut by its time limit
     still ends with the final LP's optimum.
-    The node relaxations are warm started on one HiGHS object (see
-    ``_HighsNodes``), and the incumbent's LP, all binaries fixed, is solved
-    cold at the end. A problem without binaries is one LP on HiGHS.
+    The node relaxations are warm started on one HiGHS object, and the
+    incumbent's LP, all binaries fixed, is solved cold on that object at the
+    end (see ``_HighsNodes``). A problem without binaries is one LP on HiGHS.
     """
     if not problem.num_binaries:
         return _solve_highs(problem, log, time_limit)
@@ -248,10 +250,7 @@ def solve_ilp(
         # a positive floor: a zero limit would read as no limit at all
         return max(deadline - time.perf_counter(), 1e-3) if deadline else None
 
-    base = problem.with_bounds(
-        problem.lb, problem.ub, binary=np.zeros(problem.num_cols, dtype=bool)
-    )
-    relax = _HighsNodes(base, binaries, remaining)
+    relax = _HighsNodes(problem, binaries, remaining)
 
     incumbent: Solution | None = None
     nodes = 0
@@ -259,11 +258,9 @@ def solve_ilp(
     root_iters: int | None = None  # pivots spent before the first branch
     # kept for the final LP: twice the time from the start to the end of the
     # root relaxation, a cold solve of the relaxation with its set-up.
-    # Twice, as the final LP is solved with presolve and, from
-    # HIGHS_DUAL_FORM_MIN_ROWS rows, as its dual, which has nothing to fold
-    # in a CNT program and took up to 1.6 times as long as the LP itself on
-    # the CNT final LPs of jittered 4x4 to 14x14 grids. Branching stops once
-    # less than this is left of ``time_limit``
+    # Twice, as the final LP, cold with presolve on, ran for 0.47-1.08 times
+    # that long on jittered 5x5 CNT programs. Branching stops once less than
+    # this is left of ``time_limit``
     reserve = 0.0
     # dive depth-first along the rounding of the current relaxation; the
     # sibling of every dive step waits in a best-bound heap for restarts.
@@ -337,9 +334,8 @@ def solve_ilp(
     if incumbent is not None:
         # the layout comes from the incumbent's binaries alone, not from the
         # basis the search reached them with: fix them all and solve cold
-        fixed = dict(zip(binaries.tolist(), incumbent.x[binaries].astype(int).tolist()))
-        final = _solve_highs(_with_fixings(base, fixed), False,
-                             max(remaining(), reserve) if deadline else None)
+        final = relax.final(incumbent.x[binaries],
+                            max(remaining(), reserve) if deadline else None)
         total_iters += final.iterations
         if final.status is SolveStatus.OPTIMAL:
             incumbent = _rounded(final, binaries)
@@ -355,7 +351,6 @@ def solve_ilp(
         objective=incumbent.objective,
         dual_objective=incumbent.dual_objective,
         method=incumbent.method,
-        dual_size=incumbent.dual_size,
         **counts,
     )
 
@@ -364,15 +359,6 @@ def _rounded(rel: Solution, binaries: np.ndarray) -> Solution:
     """An integral relaxation as an incumbent, its binary columns rounded in place."""
     rel.x[binaries] = np.where(rel.x[binaries] > 0.5, 1.0, 0.0)
     return rel
-
-
-def _with_fixings(base: LpProblem, fixings: dict[int, int]) -> LpProblem:
-    """``base`` with every fixed binary column pinned to its value."""
-    if not fixings:
-        return base
-    lb, ub = base.lb.copy(), base.ub.copy()
-    lb[list(fixings)] = ub[list(fixings)] = list(fixings.values())
-    return base.with_bounds(lb, ub)
 
 
 # ---------------------------------------------------------------------------
@@ -430,28 +416,59 @@ def _log_highs_line(kind, message: str, data_out, data_in, user_data) -> None:
         logger.info("[highs] %s", line)
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """The rows ``linprog`` hands HiGHS: the matrix in compressed columns
-    (``column`` names each entry's column, ``start`` where each column's
-    entries start, one more than there are columns), each row's upper bound
-    ``rhs``, and the count ``n_ub`` of "<=" rows, which come first."""
+def _starts(column: np.ndarray, n: int) -> np.ndarray:
+    """Where each of ``n`` columns starts in entries sorted by ``column``,
+    and where the last one ends."""
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(column, minlength=n), out=start[1:])
+    return start
 
+
+@dataclass(frozen=True)
+class _Model:
+    """An LP as the arrays HiGHS's ``passModel`` takes: column costs and
+    bounds, row bounds, and the matrix in compressed columns (``start`` as
+    ``_starts`` gives it). Its "<=" rows, with no lower bound (HiGHS's
+    infinity is IEEE inf), come before its "=" rows, whose two bounds are
+    equal."""
+
+    cost: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
     start: np.ndarray
     index: np.ndarray
-    column: np.ndarray
     value: np.ndarray
-    rhs: np.ndarray
-    n_ub: int
+
+    @property
+    def n_le(self) -> int:
+        """The number of "<=" rows."""
+        return int(np.count_nonzero(self.row_lower == -INF))
+
+    def column(self) -> np.ndarray:
+        """Each matrix entry's column."""
+        return np.repeat(np.arange(self.cost.size), np.diff(self.start))
 
 
-def _highs_rows(problem: LpProblem) -> _Rows:
-    """``problem``'s rows as ``linprog`` hands them to HiGHS.
+def _pass_model(h, highs, model: _Model):
+    """Hand ``model`` to ``highs`` as arrays, a minimisation without an
+    offset or integer columns; returns HiGHS's status."""
+    n = model.cost.size
+    return highs.passModel(
+        n, model.row_upper.size, model.index.size, int(h.MatrixFormat.kColwise),
+        int(h.ObjSense.kMinimize), 0.0, model.cost, model.lower, model.upper,
+        model.row_lower, model.row_upper, model.start[:-1], model.index, model.value,
+        np.zeros(n, dtype=np.int32),
+    )
+
+
+def _highs_lp(problem: LpProblem) -> _Model:
+    """``problem`` as ``linprog`` hands it to HiGHS.
 
     The ">=" rows are flipped into "<=" rows, and all "<=" rows come first,
-    in model order, then the "=" rows as ``lhs = rhs``. A non-finite cost,
-    coefficient or right-hand side raises ``SolverError`` (``linprog``
-    refused them too).
+    in model order, then the "=" rows. A non-finite cost, coefficient or
+    right-hand side raises ``SolverError`` (``linprog`` refused them too).
     """
     n, m = problem.num_cols, problem.num_rows
     sense, row, col = problem.sense, problem.row, problem.col
@@ -473,52 +490,11 @@ def _highs_rows(problem: LpProblem) -> _Rows:
     if not first.all():
         starts = np.flatnonzero(first)
         index, column, value = index[starts], column[starts], np.add.reduceat(value, starts)
-    return _Rows(_starts(column, n), index, column, value, rhs[order], m - int(eq.sum()))
-
-
-def _starts(column: np.ndarray, n: int) -> np.ndarray:
-    """Where each of ``n`` columns starts in entries sorted by ``column``,
-    and where the last one ends."""
-    start = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(column, minlength=n), out=start[1:])
-    return start
-
-
-@dataclass(frozen=True)
-class _Model:
-    """An LP as the arrays HiGHS's ``passModel`` takes: column costs and
-    bounds, row bounds, and the matrix in compressed columns (``start`` as
-    ``_starts`` gives it)."""
-
-    cost: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    row_lower: np.ndarray
-    row_upper: np.ndarray
-    start: np.ndarray
-    index: np.ndarray
-    value: np.ndarray
-
-
-def _pass_model(h, highs, model: _Model):
-    """Hand ``model`` to ``highs`` as arrays, a minimisation without an
-    offset or integer columns; returns HiGHS's status."""
-    n = model.cost.size
-    return highs.passModel(
-        n, model.row_upper.size, model.index.size, int(h.MatrixFormat.kColwise),
-        int(h.ObjSense.kMinimize), 0.0, model.cost, model.lower, model.upper,
-        model.row_lower, model.row_upper, model.start[:-1], model.index, model.value,
-        np.zeros(n, dtype=np.int32),
-    )
-
-
-def _highs_lp(problem: LpProblem, rows: _Rows) -> _Model:
-    """``problem`` as ``linprog`` hands it to HiGHS: the "<=" rows have no
-    lower bound (HiGHS's infinity is IEEE inf)."""
-    lhs = rows.rhs.copy()
-    lhs[: rows.n_ub] = -INF
-    return _Model(problem.cost, problem.lb, problem.ub, lhs, rows.rhs,
-                  rows.start, rows.index, rows.value)
+    row_upper = rhs[order]
+    row_lower = row_upper.copy()
+    row_lower[: m - int(eq.sum())] = -INF
+    return _Model(problem.cost, problem.lb, problem.ub, row_lower, row_upper,
+                  _starts(column, n), index, value)
 
 
 @dataclass(frozen=True)
@@ -536,7 +512,7 @@ class _Folding:
     has_u: np.ndarray
 
 
-def _folding(problem: LpProblem, rows: _Rows) -> _Folding:
+def _folding(model: _Model) -> _Folding:
     """The columns whose dual row becomes a bound on one dual column.
 
     A column is folded when it has one entry, in an "=" row, ``lb == 0``,
@@ -545,23 +521,23 @@ def _folding(problem: LpProblem, rows: _Rows) -> _Folding:
     only says ``a y_r <= c``, a bound on ``y_r``, and a row takes one bound
     from each side.
     """
-    lb, ub = problem.lb, problem.ub
-    single = np.flatnonzero((np.diff(rows.start) == 1) & (lb == 0.0) & (ub == INF))
-    at = rows.start[single]
-    row, coef = rows.index[at], rows.value[at]
-    eligible = (row >= rows.n_ub) & (coef != 0.0)
+    lb, ub = model.lower, model.upper
+    single = np.flatnonzero((np.diff(model.start) == 1) & (lb == 0.0) & (ub == INF))
+    at = model.start[single]
+    row, coef = model.index[at], model.value[at]
+    eligible = (row >= model.n_le) & (coef != 0.0)
     single, row, coef = single[eligible], row[eligible], coef[eligible]
     # the first candidate per row and side; candidates ascend by column
     first = np.sort(np.unique(2 * row + (coef > 0), return_index=True)[1])
-    kept = np.ones(problem.num_cols, dtype=bool)
+    kept = np.ones(lb.size, dtype=bool)
     kept[single[first]] = False
     return _Folding(single[first], row[first], coef[first], kept,
                     np.flatnonzero(np.isfinite(lb) & kept), np.flatnonzero(np.isfinite(ub)))
 
 
-def _dual_lp(problem: LpProblem, rows: _Rows, fold: _Folding) -> _Model:
-    """The dual of ``problem``, as a minimisation, with ``fold``'s columns
-    folded into bounds.
+def _dual_lp(model: _Model, column: np.ndarray, fold: _Folding) -> _Model:
+    """The dual of ``model``, as a minimisation, with ``fold``'s columns
+    folded into bounds; ``column`` is ``model.column()``.
 
     For min c x subject to A x <= b ("<=" rows), A x = b ("=" rows) and
     l <= x <= u, the dual is min -b y - l z_l - u z_u subject to
@@ -572,74 +548,74 @@ def _dual_lp(problem: LpProblem, rows: _Rows, fold: _Folding) -> _Model:
     ``a`` in row r, bounds y_r instead: ``y_r <= c_j / a`` for ``a > 0``,
     ``y_r >= c_j / a`` for ``a < 0``.
     """
-    m, n_ub = rows.rhs.size, rows.n_ub
+    m, n_le = model.row_upper.size, model.n_le
     has_l, has_u, kept = fold.has_l, fold.has_u, fold.kept
     units = has_l.size + has_u.size
     dual_row = np.cumsum(kept, dtype=np.int32) - 1  # primal column -> dual row
     # the dual's columns y are the primal's rows: kept entries sorted by row
-    keep = kept[rows.column]
-    column, row = rows.column[keep], rows.index[keep]
+    keep = kept[column]
+    column, row = column[keep], model.index[keep]
     by_row = np.lexsort((column, row))
     index = np.concatenate([dual_row[column[by_row]], dual_row[has_l], dual_row[has_u]])
     owner = np.concatenate([row[by_row], m + np.arange(units)])
     lower = np.concatenate([np.full(m, -INF), np.zeros(has_l.size), np.full(has_u.size, -INF)])
-    upper = np.concatenate([np.zeros(n_ub), np.full(m - n_ub + has_l.size, INF),
+    upper = np.concatenate([np.zeros(n_le), np.full(m - n_le + has_l.size, INF),
                             np.zeros(has_u.size)])
-    bound = problem.cost[fold.folded] / fold.coef
+    bound = model.cost[fold.folded] / fold.coef
     up = fold.coef > 0
     upper[fold.row[up]] = bound[up]
     lower[fold.row[~up]] = bound[~up]
-    cost = -np.concatenate([rows.rhs, problem.lb[has_l], problem.ub[has_u]])
-    value = np.concatenate([rows.value[keep][by_row], np.ones(units)])
-    c = problem.cost[kept]
+    cost = -np.concatenate([model.row_upper, model.lower[has_l], model.upper[has_u]])
+    value = np.concatenate([model.value[keep][by_row], np.ones(units)])
+    c = model.cost[kept]
     return _Model(cost, lower, upper, c, c, _starts(owner, m + units), index, value)
 
 
-def _highs_options(h, presolve: bool, log: bool):
-    """``linprog``'s HiGHS options for dual simplex."""
-    options = h.HighsOptions()
-    options.presolve = "on" if presolve else "off"
-    options.solver = "simplex"
-    options.simplex_strategy = int(h.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-    options.highs_debug_level = int(h.HighsDebugLevel.kHighsDebugLevelNone)
-    options.output_flag = options.log_to_console = bool(log)
-    return options
+def _highs_object(h, model: _Model, presolve: bool = True, log: bool = False):
+    """A new HiGHS object holding ``model``, set up as ``linprog`` sets it
+    up for dual simplex; None when HiGHS refuses the model.
 
-
-def _run_highs(h, model: _Model, log: bool, time_limit: float | None,
-               iteration_limit: int | None):
-    """Solve ``model`` by dual simplex with presolve on, on a new HiGHS object.
-
-    Returns the object, its model status and its info, None when the run
-    failed. The object keeps its own copy of ``model``; the caller's is
-    dropped before the run when the call holds the only reference.
+    With ``log``, HiGHS hands each log line to this module's logger and
+    prints nothing. The object keeps its own copy of ``model``, so a copy
+    the caller passes without keeping it is dropped before the run.
     """
-    options = _highs_options(h, presolve=True, log=log)
-    if time_limit:
-        options.time_limit = float(time_limit)
-    if iteration_limit is not None:
-        options.simplex_iteration_limit = int(iteration_limit)
     highs, error = h._Highs(), h.HighsStatus.kError
     if log:
         # with a logging callback HiGHS hands it each log line and prints
         # nothing; it still logs only while log_to_console is on
         highs.setCallback(_log_highs_line, None)
         highs.startCallback(h.cb.HighsCallbackType.kCallbackLogging)
+    options = h.HighsOptions()
+    options.presolve = "on" if presolve else "off"
+    options.solver = "simplex"
+    options.simplex_strategy = int(h.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    options.highs_debug_level = int(h.HighsDebugLevel.kHighsDebugLevelNone)
+    options.output_flag = options.log_to_console = bool(log)
     if highs.passOptions(options) == error:
-        return highs, highs.getModelStatus(), None
-    passed = _pass_model(h, highs, model)
-    del model
-    if passed == error:
-        return highs, h.HighsModelStatus.kModelError, None
-    if highs.run() == error:
-        return highs, highs.getModelStatus(), None
-    return highs, highs.getModelStatus(), highs.getInfo()
+        raise SolverError("HiGHS refused its options")
+    return None if _pass_model(h, highs, model) == error else highs
 
 
-def _no_point(h, highs, status, ran: bool, counts: dict) -> Solution | None:
-    """The solution of a HiGHS model status that ends without a point: None
-    for an optimal run, ``SolverError`` for a failure."""
+def _run(h, highs, time_limit: float | None, counts: dict) -> Solution | None:
+    """Run ``highs`` from what it holds and map its model status.
+
+    HiGHS measures ``time_limit`` on the object's run clock, which keeps
+    counting across ``run()`` calls, so the limit set is that clock's
+    reading plus ``time_limit``. Adds the run's pivots to
+    ``counts["iterations"]``. Returns None at an optimum, a solution without
+    a point for an infeasible or unbounded model or a run cut by a limit
+    (ITERATION_LIMIT), and raises ``SolverError`` for a failure. A refused
+    model (``highs`` None) is infeasible, as HiGHS's model error is.
+    """
     status_of = h.HighsModelStatus
+    if highs is None:
+        return Solution(SolveStatus.INFEASIBLE, **counts)
+    if time_limit:
+        highs.setOptionValue("time_limit", highs.getRunTime() + float(time_limit))
+    ran = highs.run() != h.HighsStatus.kError
+    if ran:
+        counts["iterations"] += int(highs.getInfo().simplex_iteration_count)
+    status = highs.getModelStatus()
     if status in (status_of.kInfeasible, status_of.kModelError):
         return Solution(SolveStatus.INFEASIBLE, **counts)
     if status == status_of.kUnbounded:
@@ -658,87 +634,77 @@ POINT_TOL = 10 * math.sqrt(1e-9)
 GAP_TOL = 1e-9
 
 
-def _check_point(problem: LpProblem, rows: _Rows, x: np.ndarray, activity: np.ndarray,
+def _check_point(model: _Model, x: np.ndarray, activity: np.ndarray,
                  objective: float, source: str) -> None:
     """``linprog``'s check of an optimal point: no NaN, and rows and bounds
     off by at most ``POINT_TOL``; raises ``SolverError`` otherwise."""
-    residual = rows.rhs - activity
-    n_ub, tol = rows.n_ub, POINT_TOL
+    residual = model.row_upper - activity
+    n_le, tol = model.n_le, POINT_TOL
     if (
         np.isnan(x).any() or math.isnan(objective) or np.isnan(residual).any()
-        or not np.all((x >= problem.lb - tol) & (x <= problem.ub + tol))
-        or (residual[:n_ub] < -tol).any() or (np.abs(residual[n_ub:]) > tol).any()
+        or not np.all((x >= model.lower - tol) & (x <= model.upper + tol))
+        or (residual[:n_le] < -tol).any() or (np.abs(residual[n_le:]) > tol).any()
     ):
         raise SolverError(f"{source} outside its constraints by more than {tol:.2e}")
 
 
-def _solve_highs(
-    problem: LpProblem,
-    log: bool,
-    time_limit: float | None = None,
-    iteration_limit: int | None = None,
-) -> Solution:
-    """Solve ``problem`` with HiGHS by dual simplex with presolve on.
-
-    An LP of fewer than ``HIGHS_DUAL_FORM_MIN_ROWS`` rows is handed over as
-    ``linprog`` hands it (``_highs_rows``), with ``linprog``'s options,
-    status mapping and final feasibility check of an optimal point. A larger
-    one is solved as its dual (``_solve_dual_form``); when the dual ends
-    infeasible or unbounded, the LP itself is solved as a small one is, and
-    that solve gives the status.
-    """
-    h = _highs_core()
-    t0 = time.perf_counter()
-    rows = _highs_rows(problem)
-    counts = {"iterations": 0, "engine": "highs", "method": "ds"}
-    if problem.num_rows >= HIGHS_DUAL_FORM_MIN_ROWS:
-        counts["method"] = "dual-form"
-        sol = _solve_dual_form(h, problem, rows, log, time_limit, iteration_limit, counts)
-        if sol is not None:
-            sol.wall_time = time.perf_counter() - t0
-            return sol
-        if time_limit:
-            time_limit = max(time_limit - (time.perf_counter() - t0), 1e-3)
-
-    highs, status, info = _run_highs(h, _highs_lp(problem, rows), log, time_limit,
-                                     iteration_limit)
-    counts["iterations"] += int(info.simplex_iteration_count) if info else 0
-    counts["wall_time"] = time.perf_counter() - t0
-    stopped = _no_point(h, highs, status, info is not None, counts)
-    if stopped is not None:
-        return stopped
-
+def _optimum(h, highs, model: _Model, col_names: list[str], counts: dict) -> Solution:
+    """The optimum ``highs`` reached on ``model``, its point checked as
+    ``linprog`` checked it, with the dual objective as ``linprog``'s
+    marginals give it: the "<=" rows, the "=" rows, then each column's dual
+    on the bound its basis status names."""
     solution = highs.getSolution()
     x = np.array(solution.col_value)
-    objective = info.objective_function_value
-    _check_point(problem, rows, x, np.array(solution.row_value), objective,
+    objective = highs.getObjectiveValue()
+    _check_point(model, x, np.array(solution.row_value), objective,
                  "HiGHS returned an optimal point")
-    # the dual objective as linprog's marginals give it: the "<=" rows, the
-    # "=" rows, then each column's dual on the bound its basis status names
-    n_ub, rhs = rows.n_ub, rows.rhs
+    n_le, rhs = model.n_le, model.row_upper
     row_dual, col_dual = np.array(solution.row_dual), np.array(solution.col_dual)
     col_status = np.array([int(s) for s in highs.getBasis().col_status])
     lower = np.where(col_status == int(h.HighsBasisStatus.kLower), col_dual, 0.0)
     upper = np.where(col_status == int(h.HighsBasisStatus.kUpper), col_dual, 0.0)
     dual = 0.0
-    for duals, bound in ((row_dual[:n_ub], rhs[:n_ub]), (row_dual[n_ub:], rhs[n_ub:]),
-                         (lower, problem.lb), (upper, problem.ub)):
+    for duals, bound in ((row_dual[:n_le], rhs[:n_le]), (row_dual[n_le:], rhs[n_le:]),
+                         (lower, model.lower), (upper, model.upper)):
         finite = np.isfinite(bound)
         dual += float(np.dot(duals[finite], bound[finite]))
-    return Solution(
-        SolveStatus.OPTIMAL,
-        x=x, col_names=problem.col_names,
-        objective=float(objective),
-        dual_objective=dual,
-        **counts,
-    )
+    return Solution(SolveStatus.OPTIMAL, x=x, col_names=col_names,
+                    objective=float(objective), dual_objective=dual, **counts)
+
+
+def _solve_highs(problem: LpProblem, log: bool, time_limit: float | None = None) -> Solution:
+    """Solve ``problem`` with HiGHS by dual simplex with presolve on.
+
+    An LP of fewer than ``HIGHS_DUAL_FORM_MIN_ROWS`` rows is handed over as
+    ``linprog`` hands it (``_highs_lp``), with ``linprog``'s options,
+    status mapping and final feasibility check of an optimal point. A larger
+    one is solved as its dual (``_solve_dual_form``); when the dual ends
+    infeasible, unbounded or failed, the LP itself is solved as a small one
+    is, and that solve gives the status.
+    """
+    h = _highs_core()
+    t0 = time.perf_counter()
+    model = _highs_lp(problem)
+    counts = {"iterations": 0, "engine": "highs", "method": "ds"}
+    sol = None
+    if problem.num_rows >= HIGHS_DUAL_FORM_MIN_ROWS:
+        counts["method"] = "dual-form"
+        sol = _solve_dual_form(h, model, problem.col_names, log, time_limit, counts)
+        if sol is None and time_limit:
+            time_limit = max(time_limit - (time.perf_counter() - t0), 1e-3)
+    if sol is None:
+        highs = _highs_object(h, model, log=log)
+        sol = _run(h, highs, time_limit, counts) or _optimum(h, highs, model,
+                                                              problem.col_names, counts)
+    sol.wall_time = time.perf_counter() - t0
+    return sol
 
 
 def _solve_dual_form(
-    h, problem: LpProblem, rows: _Rows, log: bool, time_limit: float | None,
-    iteration_limit: int | None, counts: dict,
+    h, model: _Model, col_names: list[str], log: bool, time_limit: float | None,
+    counts: dict,
 ) -> Solution | None:
-    """Solve ``problem`` as its dual (``_dual_lp``); None when the dual ends
+    """Solve ``model`` as its dual (``_dual_lp``); None when the dual ends
     neither optimal nor at a limit, so the LP must be solved itself.
 
     The point is the negated row duals of the dual solve; a folded column j
@@ -750,54 +716,54 @@ def _solve_dual_form(
     ``SolverError``. Records the dual solve's pivots and the size of the
     dual in ``counts``.
     """
-    m = rows.rhs.size
-    fold = _folding(problem, rows)
+    m, n = model.row_upper.size, model.cost.size
+    column = model.column()
+    fold = _folding(model)
     counts["dual_size"] = {"dual_rows": int(fold.kept.sum()),
                            "dual_cols": m + fold.has_l.size + fold.has_u.size,
                            "folded": fold.folded.size}
-    highs, status, info = _run_highs(h, _dual_lp(problem, rows, fold), log, time_limit,
-                                     iteration_limit)
-    counts["iterations"] = int(info.simplex_iteration_count) if info else 0
-    status_of = h.HighsModelStatus
-    if status in (status_of.kTimeLimit, status_of.kIterationLimit):
-        return Solution(SolveStatus.ITERATION_LIMIT, **counts)
-    if status != status_of.kOptimal or info is None:
-        return None
+    highs = _highs_object(h, _dual_lp(model, column, fold), log=log)
+    try:
+        stopped = _run(h, highs, time_limit, counts)
+    except SolverError:
+        return None  # the LP's own solve reports the failure
+    if stopped is not None:
+        return stopped if stopped.status is SolveStatus.ITERATION_LIMIT else None
 
     solution = highs.getSolution()
     w = np.array(solution.col_value)
-    x = np.empty(problem.num_cols)
+    x = np.empty(n)
     x[fold.kept] = -np.array(solution.row_dual)
     d = np.array(solution.col_dual)[fold.row]
     x[fold.folded] = np.maximum(0.0, -d / fold.coef)
-    objective = float(problem.cost @ x)
-    activity = np.bincount(rows.index, rows.value * x[rows.column], minlength=m)
-    _check_point(problem, rows, x, activity, objective, "the dual-form solve's point is")
+    objective = float(model.cost @ x)
+    activity = np.bincount(model.index, model.value * x[column], minlength=m)
+    _check_point(model, x, activity, objective, "the dual-form solve's point is")
     has_l, has_u, tol = fold.has_l, fold.has_u, POINT_TOL
     y, z_l, z_u = w[:m], w[m:m + has_l.size], w[m + has_l.size:]
     # the dual rows c - A^T y - z_l - z_u = 0 of the kept columns, and
     # c - a y_r >= 0 (the folded bounds) of the folded ones
-    residual = problem.cost - np.bincount(rows.column, rows.value * y[rows.index],
-                                          minlength=problem.num_cols)
+    residual = model.cost - np.bincount(column, model.value * y[model.index], minlength=n)
     residual[has_l] -= z_l
     residual[has_u] -= z_u
     if (
         np.isnan(w).any() or (np.abs(residual[fold.kept]) > tol).any()
         or (residual[fold.folded] < -tol).any()
-        or (y[: rows.n_ub] > tol).any() or (z_l < -tol).any() or (z_u > tol).any()
+        or (y[: model.n_le] > tol).any() or (z_l < -tol).any() or (z_u > tol).any()
     ):
         raise SolverError(f"the dual-form solve's dual point is outside its constraints "
                           f"by more than {tol:.2e}")
-    dual = float(rows.rhs @ y + problem.lb[has_l] @ z_l + problem.ub[has_u] @ z_u)
+    dual = float(model.row_upper @ y + model.lower[has_l] @ z_l + model.upper[has_u] @ z_u)
     if not abs(objective - dual) <= GAP_TOL * max(1.0, abs(objective)):
         raise SolverError(f"the dual-form solve's objectives {objective!r} and {dual!r} "
                           f"differ by more than {GAP_TOL:g} relative")
-    return Solution(SolveStatus.OPTIMAL, x=x, col_names=problem.col_names,
+    return Solution(SolveStatus.OPTIMAL, x=x, col_names=col_names,
                     objective=objective, dual_objective=dual, **counts)
 
 
 class _HighsNodes:
-    """Node relaxations of one binary program, warm on one HiGHS object.
+    """Node relaxations of one binary program, warm on one HiGHS object,
+    and the final LP of its incumbent, cold on the same object.
 
     The relaxation is passed once, in ``_highs_lp``'s rows, and solved by
     dual simplex with presolve off. A node sets its fixings with
@@ -805,21 +771,18 @@ class _HighsNodes:
     last solve, which a bound change leaves dual feasible, and starts the
     node's dual simplex from it. A node whose parent was not the last solve
     (a node popped from the heap, or the dive child after the primal probe)
-    first gets its parent's basis back through ``setBasis``.
-
-    HiGHS measures ``time_limit`` on the object's run clock, which keeps
-    counting across ``run()`` calls, so each node's limit is that clock's
-    reading plus the seconds left.
+    first gets its parent's basis back through ``setBasis``. Each node's
+    time limit is what ``remaining`` leaves (see ``_run``).
     """
 
-    def __init__(self, base: LpProblem, binaries: np.ndarray, remaining) -> None:
+    def __init__(self, problem: LpProblem, binaries: np.ndarray, remaining) -> None:
         h = self.h = _highs_core()
-        self.remaining, self.col_names = remaining, base.col_names
+        self.remaining, self.col_names = remaining, problem.col_names
         self.cols = binaries.astype(np.int32)
-        self.lb, self.ub = base.lb[binaries], base.ub[binaries]
-        self.highs = h._Highs()
-        self.highs.passOptions(_highs_options(h, presolve=False, log=False))
-        _pass_model(h, self.highs, _highs_lp(base, _highs_rows(base)))
+        self.model = _highs_lp(problem)
+        self.highs = _highs_object(h, self.model, presolve=False)
+        if self.highs is None:
+            raise SolverError("HiGHS refused the relaxation")
         self.held = None  # the basis the object holds, as its last solve returned it
 
     def solve(self, fixings: dict[int, int], start) -> tuple[Solution, object]:
@@ -829,28 +792,44 @@ class _HighsNodes:
         """
         t0 = time.perf_counter()
         h, highs = self.h, self.highs
-        lb, ub = self.lb.copy(), self.ub.copy()
+        lb, ub = self.model.lower[self.cols], self.model.upper[self.cols]
         at = np.searchsorted(self.cols, list(fixings))  # the binary columns ascend
         lb[at] = ub[at] = list(fixings.values())
         highs.changeColsBounds(self.cols.size, self.cols, lb, ub)
         if start is not None and start is not self.held:
             highs.setBasis(start)
-        left = self.remaining()
-        if left is not None:
-            highs.setOptionValue("time_limit", highs.getRunTime() + left)
-        ran = highs.run() != h.HighsStatus.kError
-        info = highs.getInfo()
-        counts = {"iterations": int(info.simplex_iteration_count) if ran else 0,
-                  "wall_time": time.perf_counter() - t0, "engine": "highs", "method": "ds"}
+        counts = {"iterations": 0, "engine": "highs", "method": "ds"}
         self.held = None
-        stopped = _no_point(h, highs, highs.getModelStatus(), ran, counts)
-        if stopped is not None:
-            return stopped, None
-        self.held = highs.getBasis()
-        sol = Solution(SolveStatus.OPTIMAL, x=np.array(highs.getSolution().col_value),
-                       col_names=self.col_names, objective=float(info.objective_function_value),
-                       **counts)
+        sol = _run(h, highs, self.remaining(), counts)
+        if sol is None:
+            self.held = highs.getBasis()
+            sol = Solution(SolveStatus.OPTIMAL, x=np.array(highs.getSolution().col_value),
+                           col_names=self.col_names, objective=float(highs.getObjectiveValue()),
+                           **counts)
+        sol.wall_time = time.perf_counter() - t0
         return sol, self.held
+
+    def final(self, values: np.ndarray, time_limit: float | None) -> Solution:
+        """The LP with every binary pinned to ``values``, solved as a new
+        object handed that LP would solve it.
+
+        ``clearSolver`` drops the search's basis and solution, and presolve
+        goes on, so the run starts cold; the optimum gets the check and dual
+        objective of any LP optimum (``_optimum``).
+        """
+        t0 = time.perf_counter()
+        h, highs, cols = self.h, self.highs, self.cols
+        highs.changeColsBounds(cols.size, cols, values, values)
+        highs.clearSolver()
+        highs.setOptionValue("presolve", "on")
+        lower, upper = self.model.lower.copy(), self.model.upper.copy()
+        lower[cols] = upper[cols] = values
+        model = replace(self.model, lower=lower, upper=upper)
+        counts = {"iterations": 0, "engine": "highs", "method": "ds"}
+        sol = _run(h, highs, time_limit, counts) or _optimum(h, highs, model, self.col_names,
+                                                              counts)
+        sol.wall_time = time.perf_counter() - t0
+        return sol
 
 
 # ---------------------------------------------------------------------------

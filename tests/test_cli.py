@@ -400,7 +400,9 @@ class TestManifest:
                 assert solve["engine"] == engine
                 assert "root_iterations" not in solve
             if solve["engine"] == "highs":
-                large = solve["rows"] >= ss.HIGHS_DUAL_FORM_MIN_ROWS
+                # a CNT program's final LP is solved as itself at any size
+                large = (solve["rows"] >= ss.HIGHS_DUAL_FORM_MIN_ROWS
+                         and not variant.startswith("CNT"))
                 assert solve["method"] == ("dual-form" if large else "ds")
             else:
                 assert solve["method"] == ""
@@ -653,6 +655,33 @@ class TestFailureReport:
         assert manifest["error_stage"] == "solve"
         assert [s["status"] for s in manifest["solves"]] == ["infeasible"]
         assert manifest["constraints"]["derived"]["H"] >= manifest["constraints"]["kept"]["H"]
+
+    @pytest.mark.parametrize("variant", ["TOP-S-SU", "CNT-W-SU", "FRC-O-S"])
+    def test_coincident_centroids(self, tmp_path, variant):
+        # a square inside a holed square: the two centroids coincide, so no
+        # separation direction exists between them. LP and CNT variants stop
+        # while deriving the constraints; the force baseline needs none
+        ring = [[0, 0], [3, 0], [3, 3], [0, 3], [0, 0]]
+        hole = [[1, 1], [1, 2], [2, 2], [2, 1], [1, 1]]
+        features = [
+            {"type": "Feature", "id": "a", "properties": {},
+             "geometry": {"type": "Polygon", "coordinates": [hole[::-1]]}},
+            {"type": "Feature", "id": "b", "properties": {},
+             "geometry": {"type": "Polygon", "coordinates": [ring, hole]}},
+        ]
+        map_path, csv_path = tmp_path / "map.geojson", tmp_path / "w.csv"
+        map_path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+        csv_path.write_text("region_id,function_name,value\na,f0,1\nb,f0,3\n")
+        res = run(RunConfig(str(map_path), str(csv_path), variant, out_dir=str(tmp_path / "o"),
+                            frc_max_iterations=200))
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        if variant.startswith("FRC"):
+            assert res.ok and manifest["status"] == "ok"
+            return
+        assert res.status == "error: coincident centroids for 'a' and 'b'"
+        assert res.exit_code == 1 and res.error_stage == "constraints"
+        assert (manifest["status"], manifest["error_stage"]) == (res.status, "constraints")
+        assert manifest["solves"] == []
 
     def test_ok_run_reports_no_failure(self, tmp_path, sample3_paths):
         res = run_sample(tmp_path, sample3_paths, "TOP-W-IT")

@@ -303,7 +303,7 @@ FOLDING = [
 
 @pytest.mark.parametrize("problem,folded", FOLDING)
 def test_folded_columns(problem, folded):
-    fold = ss._folding(problem, ss._highs_rows(problem))
+    fold = ss._folding(ss._highs_lp(problem))
     assert [problem.col_names[j] for j in fold.folded] == folded
     assert fold.kept.sum() == problem.num_cols - len(folded)
 
@@ -398,15 +398,15 @@ def test_dual_form_certificate_failure_raises(monkeypatch, shifts, match):
 
 
 def highs_runs(monkeypatch) -> list:
-    """Record the model passed to every HiGHS run of the backend."""
+    """Record the model of every HiGHS object the backend makes."""
     runs = []
-    real = ss._run_highs
+    real = ss._highs_object
 
-    def spy(h, model, *args):
+    def spy(h, model, *args, **kwargs):
         runs.append((model.row_upper.size, model.cost.size))
-        return real(h, model, *args)
+        return real(h, model, *args, **kwargs)
 
-    monkeypatch.setattr(ss, "_run_highs", spy)
+    monkeypatch.setattr(ss, "_highs_object", spy)
     return runs
 
 
@@ -507,8 +507,8 @@ def test_run_leaves_scipy_optimize_and_sparse_unimported(tmp_path):
         solved = []
         real = ss._solve_highs
 
-        def recording(problem, log, time_limit=None, iteration_limit=None):
-            solved.append((problem, real(problem, log, time_limit, iteration_limit)))
+        def recording(problem, log, time_limit=None):
+            solved.append((problem, real(problem, log, time_limit)))
             return solved[-1][1]
 
         ss._solve_highs = recording

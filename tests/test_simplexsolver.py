@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,17 +108,9 @@ class TestSolveLp:
             p.add_var(f"x{i}", 0.0, 10.0)
             p.add_objective(f"x{i}", -1.0)
         # starts feasible at the origin; one pivot is not enough to finish
-        sol = solve_lp(p, engine="simplex", iteration_limit=1)
+        sol = ss._solve_simplex(p, iteration_limit=1)
         assert sol.status is SolveStatus.ITERATION_LIMIT
         assert max_violation(p, sol.values) <= 1e-9
-
-    @pytest.mark.parametrize("engine", [{"engine": "highs"}, {}], ids=["highs", "default"])
-    def test_iteration_limit_reaches_highs(self, engine):
-        # presolve does not solve this LP by itself: HiGHS needs 4 pivots
-        p = sized_lp(30)
-        assert solve_lp(p, **engine).iterations > 1
-        sol = solve_lp(p, **engine, iteration_limit=1)
-        assert (sol.engine, sol.status) == ("highs", SolveStatus.ITERATION_LIMIT)
 
     def test_ill_scaled_problem(self):
         p = LpProblem()
@@ -320,12 +313,36 @@ def highs_recorder(monkeypatch):
     seen: list[float | None] = []
     real = ss._solve_highs
 
-    def spy(problem, log, time_limit=None, iteration_limit=None):
+    def spy(problem, log, time_limit=None):
         seen.append(time_limit)
-        return real(problem, log, time_limit, iteration_limit)
+        return real(problem, log, time_limit)
 
     monkeypatch.setattr(ss, "_solve_highs", spy)
     return seen
+
+
+def final_recorder(monkeypatch, seen: list | None = None, finals: list | None = None):
+    """Record the time limit of every final LP of branch and bound in
+    ``seen``, and its solution in ``finals``."""
+    seen = [] if seen is None else seen
+    real = ss._HighsNodes.final
+
+    def spy(self, values, time_limit):
+        seen.append(time_limit)
+        sol = real(self, values, time_limit)
+        if finals is not None:
+            finals.append(sol)
+        return sol
+
+    monkeypatch.setattr(ss._HighsNodes, "final", spy)
+    return seen
+
+
+def with_fixings(problem: LpProblem, fixings: dict[int, int]) -> LpProblem:
+    """``problem`` as an LP, each column in ``fixings`` pinned to its value."""
+    lb, ub = problem.lb.copy(), problem.ub.copy()
+    lb[list(fixings)] = ub[list(fixings)] = list(fixings.values())
+    return problem.with_bounds(lb, ub, binary=np.zeros(problem.num_cols, dtype=bool))
 
 
 class TestTimeLimit:
@@ -343,7 +360,7 @@ class TestTimeLimit:
         # the warm HiGHS object's run clock keeps counting across its runs,
         # so each node's limit is that clock plus what is left of the
         # search's time; the final LP is given what is left
-        seen = highs_recorder(monkeypatch)
+        seen = final_recorder(monkeypatch)
         limits = []
         real_solve = ss._HighsNodes.solve
 
@@ -412,7 +429,7 @@ class TestTimeLimit:
         # the root takes at least 0.05 s and a later node ends past the
         # deadline: the final LP still gets what the root took, not the
         # 1 ms floor of what is left
-        seen = highs_recorder(monkeypatch)
+        seen = final_recorder(monkeypatch)
         real_solve = ss._HighsNodes.solve
         deadline = time.perf_counter() + 0.2
 
@@ -436,21 +453,16 @@ class TestTimeLimit:
     def test_final_lp_gets_the_time_the_search_leaves(self, monkeypatch):
         # branching stops while twice the time the root relaxation took is
         # still left, so the final LP of the incumbent's binaries (310 rows,
-        # solved as its dual) reaches its optimum: the layout is a cold solve
-        # of those binaries. That LP may run past the limit by up to twice
-        # the root's time (milliseconds here); the slack is 0.1 s
+        # solved cold on the search's object) reaches its optimum: the
+        # layout is a cold solve of those binaries. That LP may run past the
+        # limit by up to twice the root's time (milliseconds here); the
+        # slack is 0.1 s
         from demers.layout import decode
 
         model = cnt_model("WEAK", cols=5, seed=0)
         problem = model.problem
         finals = []
-        real = ss._solve_highs
-
-        def spy(p, log, time_limit=None, iteration_limit=None):
-            finals.append(real(p, log, time_limit, iteration_limit))
-            return finals[-1]
-
-        monkeypatch.setattr(ss, "_solve_highs", spy)
+        final_recorder(monkeypatch, finals=finals)
         t0 = time.perf_counter()
         sol = solve_ilp(problem, time_limit=1.0)
         wall = time.perf_counter() - t0
@@ -459,9 +471,8 @@ class TestTimeLimit:
         assert final.optimal
         binaries = np.flatnonzero(problem.binary)
         fixed = dict(zip(binaries.tolist(), sol.x[binaries].astype(int).tolist()))
-        base = problem.with_bounds(problem.lb, problem.ub,
-                                   binary=np.zeros(problem.num_cols, dtype=bool))
-        cold = real(ss._with_fixings(base, fixed), False)
+        monkeypatch.setattr(ss, "HIGHS_DUAL_FORM_MIN_ROWS", 10**9)  # the LP itself
+        cold = ss._solve_highs(with_fixings(problem, fixed), False)
         assert decode(sol, model)[0].centers == decode(cold, model)[0].centers
         assert wall <= 1.0 + 0.1
 
@@ -678,15 +689,12 @@ def reference_solve_ilp(problem, solve_relaxation=ss._solve_simplex, node_limit=
     from dataclasses import replace
 
     binaries = [problem.col_names[j] for j in np.flatnonzero(problem.binary)]
-    base = problem.with_bounds(
-        problem.lb, problem.ub, binary=np.zeros(problem.num_cols, dtype=bool)
-    )
     iterations = refactors = 0
 
     def relax(fixings):
         nonlocal iterations, refactors
-        by_column = {base.col_index[name]: v for name, v in fixings.items()}
-        sol = solve_relaxation(ss._with_fixings(base, by_column))
+        by_column = {problem.col_index[name]: v for name, v in fixings.items()}
+        sol = solve_relaxation(with_fixings(problem, by_column))
         iterations += sol.iterations
         refactors += sol.refactors
         return sol
@@ -835,6 +843,62 @@ def test_warm_highs_and_cold_bundled_searches_reach_one_optimum(problem):
     assert (warm.engine, cold.engine) == ("highs", "simplex")
     assert warm.optimal and cold.optimal
     assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
+
+
+def assert_final_lp_is_a_fresh_solve(problem, node_limit=100_000) -> ss.Solution:
+    """Branch and bound's final LP, solved cold on its search's object,
+    against a new solve of the LP itself with the incumbent's binaries
+    pinned: the same status, pivots, point, objective and dual objective,
+    bit for bit. Returns the search's solution."""
+    finals = []
+    real = ss._HighsNodes.final
+
+    def spy(self, values, time_limit):
+        final = real(self, values, time_limit)
+        # the point as HiGHS returned it: the search rounds its binaries in
+        # place, which turns a -0.0 into 0.0
+        x = None if final.x is None else final.x.copy()
+        finals.append((values.copy(), final, x))
+        return final
+
+    with mock.patch.object(ss._HighsNodes, "final", spy):
+        sol = solve_ilp(problem, node_limit=node_limit)
+    if sol.x is None:
+        assert finals == []
+        return sol
+    [(values, final, x)] = finals
+    binaries = np.flatnonzero(problem.binary)
+    fixed = with_fixings(problem, dict(zip(binaries.tolist(), values.tolist())))
+    with mock.patch.object(ss, "HIGHS_DUAL_FORM_MIN_ROWS", 10**9):  # the LP itself
+        fresh = ss._solve_highs(fixed, False)
+    assert (final.method, final.dual_size) == (fresh.method, fresh.dual_size) == ("ds", None)
+    assert (final.status, final.iterations) == (fresh.status, fresh.iterations)
+    if fresh.optimal:
+        assert x.tobytes() == fresh.x.tobytes()
+        assert final.objective.hex() == fresh.objective.hex()
+        assert final.dual_objective.hex() == fresh.dual_objective.hex()
+        assert sol.x is final.x
+    return sol
+
+
+@settings(max_examples=150, deadline=None)
+@given(binary_programs())
+def test_final_lp_is_a_fresh_solve_on_binary_programs(problem):
+    assert_final_lp_is_a_fresh_solve(problem)
+
+
+@pytest.mark.parametrize("cols", [3, 4, 5])
+@pytest.mark.parametrize("setting", ["WEAK", "STRONG"])
+def test_final_lp_is_a_fresh_solve_on_cnt_grids(cols, setting):
+    # jittered CNT programs, each searched to at most 300 nodes; from 5x5
+    # (310 rows weak, 356 strong) the final LP is past the dual-form
+    # threshold and is still solved as itself
+    problem = cnt_model(setting, cols=cols, seed=0).problem
+    sol = assert_final_lp_is_a_fresh_solve(problem, node_limit=300)
+    assert sol.x is not None
+    assert (sol.method, sol.dual_size) == ("ds", None)
+    if cols == 5:
+        assert problem.num_rows >= ss.HIGHS_DUAL_FORM_MIN_ROWS
 
 
 def cartogram_lp(cols, rows, seed, jitter, kind, setting, stability, step=0):
