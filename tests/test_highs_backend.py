@@ -233,6 +233,19 @@ def test_status_mapping(monkeypatch, status, expected):
     assert ss._solve_highs(FEASIBLE_LP, False).status is expected
 
 
+@pytest.mark.parametrize("threshold", [0, 10**9])
+def test_refused_model(monkeypatch, threshold):
+    # HiGHS's passModel refuses a column whose lower bound is +inf: the LP
+    # reads as infeasible, on the dual form too, and a binary program whose
+    # relaxation is refused raises
+    monkeypatch.setattr(ss, "HIGHS_DUAL_FORM_MIN_ROWS", threshold)
+    p = lp([("x", INF, INF)], [({"x": 1}, "<=", 5)], {"x": 1})
+    assert ss.solve_lp(p).status is SolveStatus.INFEASIBLE
+    p.add_var("b", 0, 1, binary=True)
+    with pytest.raises(SolverError, match="HiGHS refused the relaxation"):
+        ss.solve_ilp(p)
+
+
 @pytest.mark.parametrize("status", ["kUnboundedOrInfeasible", "kSolveError", "kNotset"])
 def test_other_statuses_raise(monkeypatch, status):
     fake = core_reporting(getattr(ss._highs_core().HighsModelStatus, status))
