@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -321,21 +322,29 @@ def highs_recorder(monkeypatch):
     return seen
 
 
-def final_recorder(monkeypatch, seen: list | None = None, finals: list | None = None):
-    """Record the time limit of every final LP of branch and bound in
-    ``seen``, and its solution in ``finals``."""
-    seen = [] if seen is None else seen
+class FinalLp(NamedTuple):
+    """A final LP of branch and bound: the binaries' values, its time
+    limit, its solution, and its point as HiGHS returned it (the search
+    rounds the binaries of that solution in place, which turns a -0.0 into
+    0.0)."""
+
+    values: np.ndarray
+    time_limit: float | None
+    solution: ss.Solution
+    x: np.ndarray | None
+
+
+def final_spy(finals: list[FinalLp]):
+    """``_HighsNodes.final``, recording each final LP in ``finals``."""
     real = ss._HighsNodes.final
 
     def spy(self, values, time_limit):
-        seen.append(time_limit)
         sol = real(self, values, time_limit)
-        if finals is not None:
-            finals.append(sol)
+        x = None if sol.x is None else sol.x.copy()
+        finals.append(FinalLp(values.copy(), time_limit, sol, x))
         return sol
 
-    monkeypatch.setattr(ss._HighsNodes, "final", spy)
-    return seen
+    return spy
 
 
 def with_fixings(problem: LpProblem, fixings: dict[int, int]) -> LpProblem:
@@ -360,7 +369,8 @@ class TestTimeLimit:
         # the warm HiGHS object's run clock keeps counting across its runs,
         # so each node's limit is that clock plus what is left of the
         # search's time; the final LP is given what is left
-        seen = final_recorder(monkeypatch)
+        finals = []
+        monkeypatch.setattr(ss._HighsNodes, "final", final_spy(finals))
         limits = []
         real_solve = ss._HighsNodes.solve
 
@@ -385,7 +395,8 @@ class TestTimeLimit:
         assert len(left) >= 2
         assert all(0 < t <= 30.0 for t in left)
         assert left == sorted(left, reverse=True)
-        assert len(seen) == 1 and 0 < seen[0] <= left[-1]
+        [final] = finals
+        assert 0 < final.time_limit <= left[-1]
 
     def test_relaxation_stopped_by_limit_ends_search(self, monkeypatch):
         # HiGHS reports a relaxation cut off by its time limit as an
@@ -429,7 +440,8 @@ class TestTimeLimit:
         # the root takes at least 0.05 s and a later node ends past the
         # deadline: the final LP still gets what the root took, not the
         # 1 ms floor of what is left
-        seen = final_recorder(monkeypatch)
+        finals = []
+        monkeypatch.setattr(ss._HighsNodes, "final", final_spy(finals))
         real_solve = ss._HighsNodes.solve
         deadline = time.perf_counter() + 0.2
 
@@ -448,7 +460,8 @@ class TestTimeLimit:
             p.add_objective(nm, 1.0 + 0.1 * i)
         sol = solve_ilp(p, time_limit=0.2)
         assert sol.status is SolveStatus.NODE_LIMIT
-        assert len(seen) == 1 and seen[0] >= 0.05
+        [final] = finals
+        assert final.time_limit >= 0.05
 
     def test_final_lp_gets_the_time_the_search_leaves(self, monkeypatch):
         # branching stops while twice the time the root relaxation took is
@@ -462,13 +475,13 @@ class TestTimeLimit:
         model = cnt_model("WEAK", cols=5, seed=0)
         problem = model.problem
         finals = []
-        final_recorder(monkeypatch, finals=finals)
+        monkeypatch.setattr(ss._HighsNodes, "final", final_spy(finals))
         t0 = time.perf_counter()
         sol = solve_ilp(problem, time_limit=1.0)
         wall = time.perf_counter() - t0
         assert sol.status is SolveStatus.NODE_LIMIT
         [final] = finals
-        assert final.optimal
+        assert final.solution.optimal
         binaries = np.flatnonzero(problem.binary)
         fixed = dict(zip(binaries.tolist(), sol.x[binaries].astype(int).tolist()))
         monkeypatch.setattr(ss, "HIGHS_DUAL_FORM_MIN_ROWS", 10**9)  # the LP itself
@@ -851,22 +864,12 @@ def assert_final_lp_is_a_fresh_solve(problem, node_limit=100_000) -> ss.Solution
     pinned: the same status, pivots, point, objective and dual objective,
     bit for bit. Returns the search's solution."""
     finals = []
-    real = ss._HighsNodes.final
-
-    def spy(self, values, time_limit):
-        final = real(self, values, time_limit)
-        # the point as HiGHS returned it: the search rounds its binaries in
-        # place, which turns a -0.0 into 0.0
-        x = None if final.x is None else final.x.copy()
-        finals.append((values.copy(), final, x))
-        return final
-
-    with mock.patch.object(ss._HighsNodes, "final", spy):
+    with mock.patch.object(ss._HighsNodes, "final", final_spy(finals)):
         sol = solve_ilp(problem, node_limit=node_limit)
     if sol.x is None:
         assert finals == []
         return sol
-    [(values, final, x)] = finals
+    [(values, _, final, x)] = finals
     binaries = np.flatnonzero(problem.binary)
     fixed = with_fixings(problem, dict(zip(binaries.tolist(), values.tolist())))
     with mock.patch.object(ss, "HIGHS_DUAL_FORM_MIN_ROWS", 10**9):  # the LP itself
