@@ -144,8 +144,8 @@ class RunResult:
     constraint_counts: dict[str, dict[str, int]] | None = None
     wall_time: float = 0.0
     # seconds per pipeline stage (``ingest``, ``constraints``, ``model``,
-    # ``solve``, ...) up to the end of the run or the failure; artifact
-    # writing after the metrics is not counted, as in ``wall_time``
+    # ``solve``, ..., ``artifacts``) up to the manifest's write or the
+    # failure, as in ``wall_time``
     stage_seconds: dict[str, float] = field(default_factory=dict)
     artifacts: list[str] = field(default_factory=list)
     error_stage: str | None = None  # pipeline stage that raised, on failure
@@ -254,6 +254,7 @@ def _solve_lp_variant(
         entry = _solution_stats(sol)
         if model.problem.num_binaries:
             entry["root_iterations"] = sol.root_iterations
+            entry["final_status"] = None if sol.final_status is None else sol.final_status.value
             # the pairs the incumbent lets go: a binary at 0 forces its
             # pair's gaps to 0, so at most this many adjacencies are lost
             entry["binaries_set"] = (
@@ -412,13 +413,16 @@ def _run(config: RunConfig, warned: list[str]) -> RunResult:
             report=report,
             solver_stats=stats,
             constraint_counts=counts,
-            stage_seconds=stage.totals(),
-            wall_time=time.perf_counter() - t0,
             warnings=warned,
         )
         if out:
             stage.enter("artifacts")
             _write_artifacts(result, out, config)
+        # the time up to the manifest's own write
+        result.stage_seconds = stage.totals()
+        result.wall_time = time.perf_counter() - t0
+        if out:
+            result.artifacts.append(_write_manifest(result, out))
         return result
     except Exception as exc:  # noqa: BLE001 - per-run failures become statuses
         result = RunResult(
@@ -439,6 +443,7 @@ def _run(config: RunConfig, warned: list[str]) -> RunResult:
 
 
 def _write_artifacts(result: RunResult, out: Path, config: RunConfig) -> None:
+    """Every artifact of a finished run but its manifest."""
     for lay, routed in zip(result.layouts, result.leaders_per_layout):
         i = lay.function_index
         p_json = out / f"layout_{i}.json"
@@ -461,7 +466,7 @@ def _write_artifacts(result: RunResult, out: Path, config: RunConfig) -> None:
         encoding="utf-8",
     )
     (out / "metrics.csv").write_text(matrix_csv([result]), encoding="utf-8")
-    result.artifacts += [str(p_metrics), _write_manifest(result, out)]
+    result.artifacts.append(str(p_metrics))
 
 
 def _write_manifest(result: RunResult, out: Path) -> str:

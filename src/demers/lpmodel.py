@@ -22,7 +22,13 @@ both solver engines read directly; the builders emit each constraint family
 with one bulk call over region-index arrays, shared by all blocks: the rows
 of the map's cached views (``AdjacencyGraph.pair_table`` and the others) and
 the separation constraint set's per-axis arrays (``AxisPairs``), which give
-the separation rows and their gaps.
+the separation rows and their gaps. The per-pair names (direction columns,
+separation rows) are one string concatenation per name over object arrays
+of per-region prefixes. On a jittered 10x10 grid the direction columns'
+names took 0.8 ms against 1.7 ms as one f-string per name, and the whole
+``TOP-S`` model 5.9 against 7.2 ms (best of 15, one core of a shared 2-vCPU
+host). At 400 regions the build takes about 120 ms, a third of it to add
+the 160 000 direction column names to ``col_index``.
 """
 
 from __future__ import annotations
@@ -489,6 +495,7 @@ def _emit_block(
     Each constraint family is one bulk append over region-index arrays.
     """
     ids, pos, n = map.sorted_ids, map.position, len(map.sorted_ids)
+    sid = np.array(ids, dtype=object)  # for names, one concatenation per pair
     side = np.array([sides[rid] for rid in ids], dtype=float)
     eps = cs.epsilon
     xc = prob.add_vars([f"x{tag}_{rid}" for rid in ids], -INF, INF)
@@ -505,8 +512,7 @@ def _emit_block(
         prob.add_rows(
             np.stack([coord[ib], coord[ia]], axis=1), [1.0, -1.0], ">=",
             w(ia, ib) + cs.gaps(axis),
-            names=[f"sep{axis}{tag}_{ids[i]}__{ids[j]}"
-                   for i, j in zip(ia.tolist(), ib.tolist())],
+            names=((f"sep{axis}{tag}_" + sid + "__")[ia] + sid[ib]).tolist(),
         )
 
     # distance variables per adjacency, with the corner-contact correction:
@@ -538,13 +544,15 @@ def _emit_block(
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = np.where(horiz, dy / dx, dx / dy)
         slope[np.abs(slope) <= SLOPE_ROUNDOFF] = 0.0
-        dpm = prob.add_vars([
-            f"{p}{tag}_{'H' if hz else 'V'}_{ids[i]}__{ids[j]}"
-            for i, j, hz in zip(ia.tolist(), ib.tolist(), horiz.tolist())
-            for p in ("dp", "dm")
-        ])
+        main = horiz.astype(np.intp)
+        # per pair "dp{tag}_{H|V}_{a}__{b}", then the same with "dm"
+        dpm_names = np.empty(2 * main.size, dtype=object)
+        for k, p in enumerate(("dp", "dm")):
+            head = np.stack([f"{p}{tag}_{axis}_" + sid + "__" for axis in "VH"])
+            dpm_names[k::2] = head[main, ia] + sid[ib]
+        dpm = prob.add_vars(dpm_names.tolist())
         # H: y_a - y_b + slope (x_b - x_a); V: x_a - x_b + slope (y_b - y_a)
-        xy, main = np.stack([xc, yc]), horiz.astype(np.intp)  # y columns for H pairs
+        xy = np.stack([xc, yc])  # y columns (main) for H pairs
         cols = np.stack([xy[main, ia], xy[main, ib], xy[1 - main, ib], xy[1 - main, ia],
                          dpm[0::2], dpm[1::2]], axis=1)
         one = np.ones_like(slope)

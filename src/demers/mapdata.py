@@ -10,6 +10,16 @@ maps to a quarter of the map's bounding-box diagonal.
 ``pair_table``); separation constraints, LP model and force layout read them.
 It also sorts ``edge_list`` and scans the polygons for ``bbox`` (and
 ``diagonal``) once per map.
+
+``load_map`` finds the adjacencies in one array pass (``_adjacent_pairs``):
+a box test over all region pairs, then the collinear-overlap test over the
+edge pairs of the pairs whose boxes are near. On jittered grids the whole
+``load_map`` took 2.8 and 17 ms at 100 and 400 regions, against 6.4 and
+35 ms with the per-pair loop it replaced (best of 7, one core of a shared
+2-vCPU host); the rest is JSON parsing and the per-ring centroids. On maps
+of 3 to 9 regions it is no faster: run right after a solve, as in a
+pipeline run, its hundred-odd numpy calls cost about 0.2 ms more than the
+loop did.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +41,9 @@ Ring = list[Point]
 
 # Snapping tolerance for shared-boundary detection, relative to the map diagonal.
 ADJACENCY_SNAP = 1e-9
+# Edge pairs the adjacency test takes at a time, which bounds its memory on
+# maps of many-vertex polygons.
+EDGE_PAIR_CHUNK = 1 << 18
 
 
 class MapDataError(ValueError):
@@ -230,41 +244,69 @@ def _close_ring(ring: Ring) -> Ring:
     return ring
 
 
-def _segments(rings: list[Ring]) -> list[tuple[Point, Point]]:
-    segs = []
-    for ring in rings:
-        n = len(ring)
-        for i in range(n):
-            segs.append((ring[i], ring[(i + 1) % n]))
-    return segs
+def _edge_table(regions: list[Region]) -> tuple[np.ndarray, np.ndarray]:
+    """Every ring edge of the regions, region by region, each ring's edges
+    in ring order with the last one closing it, as rows x0, y0, x1, y1 and
+    the length ``math.hypot`` gives; and each region's first row, n + 1
+    entries."""
+    rows = [(p[0], p[1], q[0], q[1], math.hypot(q[0] - p[0], q[1] - p[1]))
+            for r in regions for ring in r.polygon
+            for p, q in zip(ring, ring[1:] + ring[:1])]
+    first = list(accumulate((sum(map(len, r.polygon)) for r in regions), initial=0))
+    return np.array(rows, dtype=float), np.array(first)
 
 
-def shared_boundary_length(a: list[Ring], b: list[Ring], tol: float) -> float:
-    """Total length of collinear overlap between the two polygons' edges.
+def _adjacent_pairs(edges: np.ndarray, first: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                    tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The list indices i < j of the regions whose edges overlap, as two arrays.
 
-    Point contact contributes no length; overlaps shorter than ``tol`` are
-    treated as snapping noise.
+    ``edges`` and ``first`` are ``_edge_table``'s, and ``lo`` and ``hi`` the
+    regions' bounding boxes, (x0, y0) and (x1, y1) per row. Regions i < j
+    touch when their boxes lie within ``tol`` of each other and some edge q
+    of j lies on the carrier line of some edge p of i, both of q's ends
+    within ``tol`` of that line, overlapping p by more than ``tol`` along it.
+    Point contact gives no overlap, and shorter overlaps are snapping noise;
+    an edge p no longer than ``tol`` has no such overlap. One array pass over
+    the box pairs, then over the edge pairs of the boxes that are near.
+    Every quantity is the same sequence of float operations per edge pair
+    as in a loop over them, with each edge's length from ``math.hypot``, so
+    each tolerance test decides alike.
     """
-    total = 0.0
-    for p0, p1 in _segments(a):
-        ux, uy = p1[0] - p0[0], p1[1] - p0[1]
-        ulen = math.hypot(ux, uy)
-        if ulen <= tol:
-            continue
-        ux, uy = ux / ulen, uy / ulen
-        for q0, q1 in _segments(b):
-            # both endpoints of the other edge must lie on the carrier line
-            d0 = abs((q0[0] - p0[0]) * uy - (q0[1] - p0[1]) * ux)
-            d1 = abs((q1[0] - p0[0]) * uy - (q1[1] - p0[1]) * ux)
-            if d0 > tol or d1 > tol:
-                continue
-            t0 = (q0[0] - p0[0]) * ux + (q0[1] - p0[1]) * uy
-            t1 = (q1[0] - p0[0]) * ux + (q1[1] - p0[1]) * uy
-            lo, hi = min(t0, t1), max(t0, t1)
-            overlap = min(hi, ulen) - max(lo, 0.0)
-            if overlap > tol:
-                total += overlap
-    return total
+    # [i, j]: box i ends left of or below box j, beyond tol
+    apart = (hi[:, None] < lo - tol).any(axis=2)
+    ia, ib = (~(apart | apart.T)).nonzero()
+    up = ia < ib
+    ia, ib = ia[up], ib[up]
+    x0, y0, x1, y1, length = edges.T
+    # a zero-length p gets a zero direction instead of 0/0; it overlaps nothing
+    nonzero = length + (length == 0)
+    ex, ey = (x1 - x0) / nonzero, (y1 - y0) / nonzero
+    # the edge pairs of region pair r are its p's (from p0[r]) by its q's
+    # (from q0[r]), numbered from end[r] - count[r]; they are taken
+    # EDGE_PAIR_CHUNK at a time
+    p0, q0 = first[ia], first[ib]
+    n_q = first[ib + 1] - q0
+    count = (first[ia + 1] - p0) * n_q
+    end = count.cumsum()
+    total = int(end[-1]) if end.size else 0
+    hits = np.zeros(ia.size, dtype=np.int64)
+    for start in range(0, total, EDGE_PAIR_CHUNK):
+        k = np.arange(start, min(start + EDGE_PAIR_CHUNK, total))
+        r = end.searchsorted(k, side="right")
+        k -= end[r] - count[r]
+        p, q = np.divmod(k, n_q[r])
+        p += p0[r]
+        q += q0[r]
+        px, py, ux, uy = x0[p], y0[p], ex[p], ey[p]
+        # both ends of q within tol of p's carrier line
+        ax, ay, bx, by = x0[q] - px, y0[q] - py, x1[q] - px, y1[q] - py
+        off = (abs(ax * uy - ay * ux) > tol) | (abs(bx * uy - by * ux) > tol)
+        t0, t1 = ax * ux + ay * uy, bx * ux + by * uy
+        overlap = (np.minimum(np.maximum(t0, t1), length[p])
+                   - np.maximum(np.minimum(t0, t1), 0.0))
+        hits += np.bincount(r[~off & (overlap > tol)], minlength=ia.size)
+    touch = hits > 0
+    return ia[touch], ib[touch]
 
 
 # ---------------------------------------------------------------------------
@@ -301,27 +343,25 @@ def load_map(geojson_path: str | Path) -> AdjacencyGraph:
             raise MapDataError(f"duplicate region id {rid!r}")
         seen.add(rid)
         part_rings = _polygon_parts(rid, feat.get("geometry"))
-        # centroid of the largest part stands in for multi-part regions
-        best = max(part_rings, key=lambda rr: polygon_centroid(rr)[1])
-        centroid, _ = polygon_centroid(best)
+        # centroid of the (first) largest part stands in for multi-part regions
+        centroid, _ = max(map(polygon_centroid, part_rings), key=lambda ca: ca[1])
         all_rings = [ring for part in part_rings for ring in part]
         regions.append(Region(id=rid, polygon=all_rings, centroid=centroid))
 
     if not regions:
         raise MapDataError("empty FeatureCollection")
 
-    boxes = {r.id: r.bbox() for r in regions}
-    x0, y0, x1, y1 = _bbox_of(boxes.values())
+    edges, first = _edge_table(regions)
+    # every ring point starts one edge: the regions' bounding boxes
+    lo = np.minimum.reduceat(edges[:, :2], first[:-1])
+    hi = np.maximum.reduceat(edges[:, :2], first[:-1])
+    (x0, y0), (x1, y1) = lo.min(axis=0).tolist(), hi.max(axis=0).tolist()
     diag = math.hypot(x1 - x0, y1 - y0)
     tol = ADJACENCY_SNAP * diag if diag > 0 else ADJACENCY_SNAP
-    edges = set()
-    for i, ra in enumerate(regions):
-        for rb in regions[i + 1 :]:
-            if not _boxes_near(boxes[ra.id], boxes[rb.id], tol):
-                continue
-            if shared_boundary_length(ra.polygon, rb.polygon, tol) > 0:
-                edges.add(frozenset((ra.id, rb.id)))
-    return AdjacencyGraph(regions=regions, edges=frozenset(edges))
+    ia, ib = _adjacent_pairs(edges, first, lo, hi, tol)
+    ids = [r.id for r in regions]
+    return AdjacencyGraph(regions=regions, edges=frozenset(
+        frozenset((ids[i], ids[j])) for i, j in zip(ia.tolist(), ib.tolist())))
 
 
 def _polygon_parts(rid: str, geom) -> list[list[Ring]]:
@@ -352,12 +392,6 @@ def _to_point(pt) -> Point:
 def _bbox_of(boxes) -> tuple[float, float, float, float]:
     x0, y0, x1, y1 = zip(*boxes)
     return min(x0), min(y0), max(x1), max(y1)
-
-
-def _boxes_near(a, b, tol: float) -> bool:
-    return not (
-        a[2] < b[0] - tol or b[2] < a[0] - tol or a[3] < b[1] - tol or b[3] < a[1] - tol
-    )
 
 
 def load_weights(

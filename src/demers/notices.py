@@ -3,7 +3,9 @@
 ``warn`` issues a ``UserWarning`` as ``warnings.warn`` does, so callers that
 catch warnings still see every one, and inside ``recording()`` it also
 appends the message to that block's list. ``cli.run`` records this way the
-metric clamping of ``metrics`` and the residual overlap of ``forcelayout``.
+metric clamping of ``metrics``, the residual overlap of ``forcelayout`` and
+a binary program's final LP that ended without an optimum
+(``simplexsolver.solve_ilp``).
 
 The list is held per thread: ``warnings.catch_warnings`` swaps process-wide
 state, and ``cli.run_matrix`` runs ``cli.run`` on several threads at once.

@@ -9,6 +9,12 @@ come from the map's cached ``pair_table`` (see ``mapdata``).
 A set stores each axis once, as region-index arrays (``AxisPairs``), which
 the LP rows, the validity check, the cycle check, the reduction and the
 leaders read. The string pairs ``H``, ``V`` and ``secondary`` are views.
+``find`` reads a pair's row from one dense pair-to-row table per axis,
+built on first use (n² int32 entries: 0.6 MB per axis at 400 regions).
+``content_id`` hashes the same JSON text the string pairs would give, put
+together from per-region strings: on a jittered 20x20 strong set (79 800
+region pairs) it took 46-59 ms, against 209-327 ms for ``json.dumps`` of
+the pairs (one core of a shared 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -108,15 +114,24 @@ class SeparationConstraintSet:
         """``_order_or_cycle`` of each axis, for ``validate_dag`` and ``reduce_transitive``."""
         return {axis: _order_or_cycle(len(self.ids), p.ia, p.ib) for axis, p in self.axes.items()}
 
+    @cached_property
+    def _rows(self) -> dict[str, np.ndarray]:
+        """Per axis, the dense (n, n) table of each pair's row, -1 where absent."""
+        n = len(self.ids)
+        rows = {}
+        for axis, p in self.axes.items():
+            table = np.full((n, n), -1, dtype=np.int32)
+            table[p.ia, p.ib] = np.arange(p.ia.size, dtype=np.int32)
+            rows[axis] = _read_only(table)
+        return rows
+
     def find(self, axis: str, a: str, b: str) -> int | None:
         """Row of the pair (a, b) in one axis's arrays, None when absent."""
         i, j = self.position.get(a), self.position.get(b)
         if i is None or j is None:
             return None
-        p = self.axes[axis]
-        lo, hi = np.searchsorted(p.ia, (i, i + 1)).tolist()
-        k = lo + int(np.searchsorted(p.ib[lo:hi], j))
-        return k if k < hi and p.ib[k] == j else None
+        k = int(self._rows[axis][i, j])
+        return k if k >= 0 else None
 
     def is_adjacent(self, a: str, b: str) -> bool:
         """Whether a pair of the set between a and b is a map adjacency."""
@@ -144,11 +159,30 @@ class SeparationConstraintSet:
     @cached_property
     def content_id(self) -> str:
         """Short hash of the pairs, secondary marks, epsilon and setting that
-        identifies the set in serialized output; computed once per set."""
-        payload = {"H": self._named("H"), "V": self._named("V"),
-                   "secondary": sorted(self.secondary),
-                   "epsilon": self.epsilon, "setting": self.setting.value}
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+        identifies the set in serialized output; computed once per set.
+
+        The hashed text is ``json.dumps`` of ``{"H": [[a, b], ...], "V": ...,
+        "secondary": sorted(self.secondary), "epsilon": ..., "setting": ...}``
+        with sorted keys, pairs in array order, which is sorted order, and
+        the secondary triples the H rows so marked, then the V rows. It is
+        put together from each id's JSON text, one string concatenation per
+        pair over object arrays.
+        """
+        enc = np.array([json.dumps(r) for r in self.ids], dtype=object)
+        tail = ", " + enc + "]"
+
+        def pairs(head: str, ia: np.ndarray, ib: np.ndarray) -> str:
+            """The pairs' list items, ``head`` a, then ", " b "]" each."""
+            return ", ".join(((head + enc)[ia] + tail[ib]).tolist())
+
+        H, V = self.axes["H"], self.axes["V"]
+        secondary = [pairs(f'["{axis}", ', p.ia[p.secondary], p.ib[p.secondary])
+                     for axis, p in (("H", H), ("V", V))]
+        payload = (f'{{"H": [{pairs("[", H.ia, H.ib)}], "V": [{pairs("[", V.ia, V.ib)}], '
+                   f'"epsilon": {json.dumps(self.epsilon)}, '
+                   f'"secondary": [{", ".join(s for s in secondary if s)}], '
+                   f'"setting": {json.dumps(self.setting.value)}}}')
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def to_dot(self) -> str:
         """DOT digraph of all constraints, secondary ones dashed."""

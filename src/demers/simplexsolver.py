@@ -135,6 +135,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import notices
 from .lpmodel import EQ, GE, LE, LpProblem
 
 INF = math.inf
@@ -184,6 +185,9 @@ class Solution:
     engine: str = ""
     method: str = ""  # HiGHS: "ds" (dual simplex) or "dual-form" (dual simplex on the dual)
     root_iterations: int = 0  # branch and bound: pivots before the first branch
+    # branch and bound: how the incumbent's final LP ended (None without one);
+    # short of OPTIMAL, the point is the node relaxation's that found it
+    final_status: SolveStatus | None = None
     # dual form: the dual HiGHS was handed, as ``dual_rows``, ``dual_cols``
     # and ``folded`` (the columns folded into bounds)
     dual_size: dict | None = None
@@ -235,7 +239,9 @@ def solve_ilp(
     Branching stops while twice the time the search took up to the end of
     its root relaxation is still left, and the final LP is given that much
     or what is left, whichever is more, so a search cut by its time limit
-    still ends with the final LP's optimum.
+    still ends with the final LP's optimum. A final LP that ends without
+    one leaves the incumbent's node point in place; ``final_status`` says
+    how it ended, and a notice (``notices.warn``) says so too.
     The node relaxations are warm started on one HiGHS object, and the
     incumbent's LP, all binaries fixed, is solved cold on that object at the
     end (see ``_HighsNodes``). A problem without binaries is one LP on HiGHS.
@@ -331,14 +337,19 @@ def solve_ilp(
         stack.append((rel.objective, {**fixings, frac_col: prefer}, basis))
 
     root_iters = total_iters if root_iters is None else root_iters
+    final_status = None
     if incumbent is not None:
         # the layout comes from the incumbent's binaries alone, not from the
         # basis the search reached them with: fix them all and solve cold
         final = relax.final(incumbent.x[binaries],
                             max(remaining(), reserve) if deadline else None)
         total_iters += final.iterations
+        final_status = final.status
         if final.status is SolveStatus.OPTIMAL:
             incumbent = _rounded(final, binaries)
+        else:
+            notices.warn(f"final LP of a binary program ended {final.status.value}; "
+                         "the point is its incumbent node's relaxation", stacklevel=2)
     counts = {"nodes": nodes, "engine": "highs", "root_iterations": root_iters,
               "iterations": total_iters, "wall_time": time.perf_counter() - t0}
     if incumbent is None:
@@ -351,6 +362,7 @@ def solve_ilp(
         objective=incumbent.objective,
         dual_objective=incumbent.dual_objective,
         method=incumbent.method,
+        final_status=final_status,
         **counts,
     )
 

@@ -426,7 +426,29 @@ class TestManifest:
         assert manifest["solves"]
         for solve in manifest["solves"]:
             assert 0 <= solve["binaries_set"] <= solve["binaries"]
+            assert solve["final_status"] == "optimal"
         assert sum(res.report.lost_counts) <= sum(s["binaries_set"] for s in manifest["solves"])
+
+    def test_cnt_final_lp_without_optimum_is_in_the_manifest(
+        self, tmp_path, sample3_paths, monkeypatch
+    ):
+        # a final LP cut short leaves the incumbent node's point: the solve
+        # entry records how the final LP ended, and the run warns
+        from demers import simplexsolver as ss
+
+        monkeypatch.setattr(
+            ss._HighsNodes, "final",
+            lambda self, values, time_limit: ss.Solution(
+                ss.SolveStatus.ITERATION_LIMIT, engine="highs", method="ds"),
+        )
+        with pytest.warns(UserWarning, match="final LP"):
+            res = run_sample(tmp_path, sample3_paths, "CNT-W-SU")
+        assert res.ok
+        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
+        [solve] = manifest["solves"]
+        assert solve["final_status"] == "iteration_limit"
+        assert solve["binaries_set"] is not None
+        assert len(manifest["warnings"]) == 1 and "final LP" in manifest["warnings"][0]
 
     def test_lp_solves_record_no_binaries_set(self, tmp_path, sample3_paths):
         res = run_sample(tmp_path, sample3_paths, "TOP-W-IT")
@@ -695,11 +717,34 @@ class TestStageSeconds:
         res = run_sample(tmp_path, sample3_paths, "TOP-S-SU")
         assert res.ok
         for name in ("ingest", "constraints", "model", "solve", "decode",
-                     "leaders", "metrics"):
+                     "leaders", "metrics", "artifacts"):
             assert res.stage_seconds[name] > 0.0, name
         assert sum(res.stage_seconds.values()) <= res.wall_time
         manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
         assert manifest["stage_seconds"] == res.stage_seconds
+
+    def test_artifact_writes_are_timed(self, tmp_path, sample3_paths, monkeypatch):
+        # the layout, SVG and metrics files are written after the metrics;
+        # the artifacts stage and wall_time count them, up to the manifest
+        import time
+
+        import demers.cli as climod
+
+        real = climod.render_svg
+
+        def slow(*args, **kw):
+            time.sleep(0.05)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(climod, "render_svg", slow)
+        res = run_sample(tmp_path, sample3_paths, "TOP-S-SU")
+        assert res.ok and len(res.layouts) == 2
+        assert res.stage_seconds["artifacts"] >= 0.1
+        assert sum(res.stage_seconds.values()) <= res.wall_time
+        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
+        assert manifest["stage_seconds"] == res.stage_seconds
+        assert manifest["wall_time"] == res.wall_time
+        assert res.artifacts[-1] == str(Path(res.config.out_dir) / "manifest.json")
 
     def test_iterative_run_adds_up_its_repeated_stages(self, tmp_path, sample3_paths):
         res = run_sample(tmp_path, sample3_paths, "TOP-W-IT")

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import overlapping_pairs, pair_gap, square_map
 from demers.layout import decode, l1_gap, validity_violations
@@ -19,7 +21,7 @@ from demers.lpmodel import (
     max_violation,
 )
 from demers.mapdata import SideLengthTable
-from demers.sepconstraints import Setting, derive_constraints
+from demers.sepconstraints import Setting, derive_constraints, reduce_transitive
 from demers.simplexsolver import SolveStatus, solve_ilp, solve_lp
 
 
@@ -430,3 +432,47 @@ class TestLpFormat:
         text = p.to_lp_format()
         assert "x with space" not in text
         assert "x_with_space" in text
+
+
+@st.composite
+def named_square_maps(draw):
+    """Square maps on distinct lattice points, with ids of several
+    characters, non-ASCII ones among them. No id holds "_": joined by the
+    names' "__" separator, such ids could name two pairs alike, and the
+    model rejects duplicate column names."""
+    ids = draw(st.lists(st.text("ab1é\"-", min_size=1, max_size=4), min_size=1,
+                        max_size=8, unique=True))
+    points = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                           min_size=len(ids), max_size=len(ids), unique=True))
+    squares = {rid: (3.0 * x, 3.0 * y, draw(st.floats(0.5, 2.0)))
+               for rid, (x, y) in zip(ids, points)}
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return square_map(squares, set(edges))
+
+
+@settings(max_examples=100, deadline=None)
+@given(named_square_maps(), st.sampled_from(list(Setting)), st.booleans())
+def test_pair_names_match_the_f_strings(g, setting, reduced):
+    # the direction columns of every map pair and the separation rows of
+    # every constraint pair, named in each block of a two-function model
+    ids = g.sorted_ids
+    cs = derive_constraints(g, 0.2, setting)
+    cs = reduce_transitive(cs) if reduced else cs
+    sides = {rid: r.polygon[0][1][0] - r.polygon[0][0][0] for rid, r in zip(g.region_ids, g.regions)}
+    problem = build_multi_lp(g, table_of(g, [sides, sides]), cs,
+                             ModelSpec(setting=setting, stability=Stability.SU)).problem
+    ia, ib, _, _, horiz = g.pair_table
+    dpm = [n for n in problem.col_names if n.startswith(("dp", "dm"))]
+    sep = [n for n in problem.row_names.values() if n.startswith("sep")]
+    want_dpm, want_sep = [], []
+    for tag in "01":
+        want_dpm += [f"{p}{tag}_{'H' if hz else 'V'}_{ids[i]}__{ids[j]}"
+                     for i, j, hz in zip(ia.tolist(), ib.tolist(), horiz.tolist())
+                     for p in ("dp", "dm")]
+        for axis in "HV":
+            p = cs.axes[axis]
+            want_sep += [f"sep{axis}{tag}_{cs.ids[i]}__{cs.ids[j]}"
+                         for i, j in zip(p.ia.tolist(), p.ib.tolist())]
+    assert dpm == want_dpm
+    assert sep == want_sep

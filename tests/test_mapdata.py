@@ -1,9 +1,14 @@
 import json
 import math
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import oracle_mapdata
 from demers.mapdata import (
+    ADJACENCY_SNAP,
     MapDataError,
     WeightKind,
     compute_epsilon,
@@ -11,7 +16,7 @@ from demers.mapdata import (
     load_weights,
     scale_weights,
 )
-from demers.synth import grid_map, lognormal_weights
+from demers.synth import grid_geojson, grid_map, lognormal_weights
 
 
 def write_geojson(path, features):
@@ -127,6 +132,149 @@ class TestLoadMap:
         m1 = load_map(write_geojson(tmp_path / "m1.geojson", feats))
         m2 = load_map(write_geojson(tmp_path / "m2.geojson", feats[::-1]))
         assert m1.edges == m2.edges
+
+
+# ---------------------------------------------------------------------------
+# the adjacency pass against the per-pair loop it replaced
+
+
+def box_ring(x0, y0, x1, y1, start=0, reverse=False):
+    """A closed rectangle ring from corner ``start``, either orientation."""
+    corners = [[x0, y0], [x1, y0], [x1, y1], [x0, y1]]
+    corners = corners[start:] + corners[:start]
+    if reverse:
+        corners.reverse()
+    return corners + [corners[0]]
+
+
+@st.composite
+def jittered_grids(draw):
+    doc = grid_geojson(draw(st.integers(1, 7)), draw(st.integers(1, 7)),
+                       jitter=draw(st.sampled_from([0.0, 0.15, 0.3, 0.9])),
+                       seed=draw(st.integers(0, 50)))
+    return doc["features"]
+
+
+@st.composite
+def rectangle_partitions(draw):
+    """Guillotine partitions of a box: T-junctions, where one long edge
+    meets several short ones, and cuts near each other."""
+    rects = [(0.0, 0.0, draw(st.floats(0.5, 20.0)), draw(st.floats(0.5, 20.0)))]
+    for _ in range(draw(st.integers(0, 14))):
+        x0, y0, x1, y1 = rects.pop(draw(st.integers(0, len(rects) - 1)))
+        t = draw(st.floats(0.02, 0.98))
+        if draw(st.booleans()):
+            xm = x0 + t * (x1 - x0)
+            rects += [(x0, y0, xm, y1), (xm, y0, x1, y1)]
+        else:
+            ym = y0 + t * (y1 - y0)
+            rects += [(x0, y0, x1, ym), (x0, ym, x1, y1)]
+    return [feature(f"p{k}", [box_ring(*r, draw(st.integers(0, 3)), draw(st.booleans()))])
+            for k, r in enumerate(rects)]
+
+
+@st.composite
+def slanted_grids(draw):
+    """Grids whose shared vertices are moved, so edges are slanted; some
+    cells are cut into two triangles, some edges get a midpoint on one
+    side only, collinear with the other side's edge up to round-off, and
+    some rings repeat a vertex, an edge of length zero."""
+    cols, rows = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    shift = st.floats(-0.3, 0.3)
+    pts = {(i, j): (i + draw(shift), j + draw(shift))
+           for i in range(cols + 1) for j in range(rows + 1)}
+    feats = []
+    for i in range(cols):
+        for j in range(rows):
+            ring = [pts[i, j], pts[i + 1, j], pts[i + 1, j + 1], pts[i, j + 1]]
+            if draw(st.booleans()):
+                (x0, y0), (x1, y1) = ring[1], ring[2]
+                ring.insert(2, ((x0 + x1) / 2, (y0 + y1) / 2))
+            if len(ring) == 4 and draw(st.booleans()):
+                a, b, c, d = ring
+                halves = [[a, b, c], [a, c, d]] if draw(st.booleans()) else [[a, b, d], [b, c, d]]
+                feats += [feature(f"c{i}x{j}{h}", [[list(p) for p in half]])
+                          for h, half in zip("ab", halves)]
+                continue
+            if draw(st.booleans()):
+                k = draw(st.integers(0, len(ring) - 1))
+                ring.insert(k, ring[k])
+            feats.append(feature(f"c{i}x{j}", [[list(p) for p in ring]]))
+    return feats
+
+
+@st.composite
+def near_contacts(draw):
+    """Unit squares (scaled) that share an edge, a corner or nothing, each
+    nudged by a few snapping tolerances: gaps, overlaps and shared lengths
+    around the tolerance itself."""
+    scale = draw(st.sampled_from([1.0, 3.7, 1e-3, 1e4]))
+    nudge = st.floats(-4.0, 4.0).map(lambda k: k * ADJACENCY_SNAP * 3.0 * scale)
+    feats = [feature("a", [box_ring(0.0, 0.0, scale, scale)])]
+    for k, (cx, cy) in enumerate(draw(st.lists(
+            st.sampled_from([(1, 0), (0, 1), (1, 1), (-1, 1), (1, -1), (0, -1)]),
+            min_size=1, max_size=4, unique=True))):
+        x, y = cx * scale + draw(nudge), cy * scale + draw(nudge)
+        w, h = scale + draw(nudge), scale + draw(nudge)
+        feats.append(feature(f"n{k}", [box_ring(x, y, x + w, y + h,
+                                                draw(st.integers(0, 3)), draw(st.booleans()))]))
+    return feats
+
+
+@st.composite
+def holes_and_parts(draw):
+    """A frame with a hole, a square that fills the hole or sits inside it,
+    and a MultiPolygon whose parts touch the frame, a square or nothing."""
+    h = draw(st.floats(0.2, 0.8))
+    frame = [box_ring(-2.0, -2.0, 2.0, 2.0), box_ring(-h, -h, h, h, reverse=True)]
+    inner = h * draw(st.sampled_from([1.0, 0.5, 1.0 - 1e-12]))
+    parts = [[box_ring(2.0, -1.0, 3.0, draw(st.floats(-0.5, 2.0)))],
+             [box_ring(10.0, 0.0, 11.0, 1.0)]]
+    if draw(st.booleans()):
+        parts.append([box_ring(11.0, 0.0, 12.0, 1.0), box_ring(11.2, 0.2, 11.8, 0.8)])
+    feats = [feature("frame", frame), feature("hole", [box_ring(-inner, -inner, inner, inner)]),
+             feature("multi", parts, "MultiPolygon")]
+    if draw(st.booleans()):
+        feats.append(feature("east", [box_ring(12.0, 0.0, 13.0, 1.0)]))
+    return feats
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(jittered_grids(), rectangle_partitions(), slanted_grids(), near_contacts(),
+                 holes_and_parts()).flatmap(st.permutations))
+def test_adjacency_matches_the_pair_loop(tmp_path, features):
+    path = write_geojson(tmp_path / "m.geojson", features)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a zero-length edge divides nothing by zero
+        g = load_map(path)
+    assert g.edges == oracle_mapdata.adjacency_edges(g.regions)
+
+
+@pytest.mark.parametrize("cols", [10, 20])
+def test_adjacency_matches_the_pair_loop_on_large_grids(tmp_path, cols):
+    doc = grid_geojson(cols, cols, jitter=0.3, seed=0)
+    g = load_map(write_geojson(tmp_path / "m.geojson", doc["features"]))
+    assert g.edges == oracle_mapdata.adjacency_edges(g.regions)
+    assert len(g.edges) == 2 * cols * (cols - 1)
+
+
+def test_adjacency_matches_the_pair_loop_on_bundled_maps(sample3_paths, luxembourg_paths):
+    for path, _ in (sample3_paths, luxembourg_paths):
+        g = load_map(path)
+        assert g.edges == oracle_mapdata.adjacency_edges(g.regions)
+
+
+def test_adjacency_takes_edge_pairs_in_chunks(tmp_path, monkeypatch):
+    # a chunk smaller than the edge pairs of one region pair: the chunks
+    # still find every edge
+    import demers.mapdata as md
+
+    doc = grid_geojson(4, 3, jitter=0.3, seed=2)
+    path = write_geojson(tmp_path / "m.geojson", doc["features"])
+    whole = load_map(path).edges
+    monkeypatch.setattr(md, "EDGE_PAIR_CHUNK", 5)
+    assert load_map(path).edges == whole == oracle_mapdata.adjacency_edges(load_map(path).regions)
 
 
 class TestLoadWeights:

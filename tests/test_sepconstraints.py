@@ -519,3 +519,53 @@ def test_cycles_and_reductions_match_frozen_oracle(cs):
         return
     red = reduce_transitive(cs)
     assert (red.H, red.V, red.secondary) == (want.H, want.V, want.secondary)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_square_maps(), st.sampled_from(list(Setting)), st.booleans())
+def test_find_matches_a_linear_scan(g, setting, reduced):
+    # every ordered pair of ids, unknown ids included, in each axis: the
+    # row of the pair in that axis's arrays, or None
+    try:
+        cs = derive_constraints(g, 0.1, setting)
+    except ConstraintError:
+        return
+    cs = reduce_transitive(cs) if reduced else cs
+    names = [*cs.ids, "unknown"]
+    for axis in "HV":
+        p = cs.axes[axis]
+        rows = [(cs.ids[i], cs.ids[j]) for i, j in zip(p.ia.tolist(), p.ib.tolist())]
+        for a in names:
+            for b in names:
+                want = next((k for k, pair in enumerate(rows) if pair == (a, b)), None)
+                assert cs.find(axis, a, b) == want, (axis, a, b)
+
+
+def test_content_id_matches_the_oracle_on_a_large_strong_set():
+    # a jittered 12x12 grid, strong setting: 10 296 pairs, some secondary
+    # in each axis, and an epsilon from scaled weights
+    import oracle_sepconstraints as oracle
+    from demers.mapdata import compute_epsilon, scale_weights
+    from demers.synth import grid_map, lognormal_weights
+
+    g = grid_map(12, jitter=0.3, seed=3)
+    eps = compute_epsilon(scale_weights(lognormal_weights(g, k=1, seed=3), g), g)
+    new, old = derive_constraints(g, eps, Setting.STRONG), oracle.derive_constraints(
+        g, eps, Setting.STRONG)
+    assert all(p.secondary.any() for p in new.axes.values())
+    assert new.content_id == oracle.constraint_set_id(old)
+    lp = reduce_transitive(new)
+    assert lp.content_id == oracle.constraint_set_id(oracle.SeparationConstraintSet(
+        lp.H, lp.V, lp.secondary, eps, Setting.STRONG, g.edges))
+
+
+def test_content_id_of_sets_built_by_hand():
+    # ids that JSON escapes, an empty axis, secondary pairs in V only and
+    # an integer epsilon
+    import oracle_sepconstraints as oracle
+
+    H, V = set(), {("a\"b", "c\\d"), ("é", "\n")}
+    for eps, secondary in ((0, ()), (0.25, {("V", "é", "\n")})):
+        cs = SeparationConstraintSet.from_pairs(H, V, secondary, eps, Setting.STRONG)
+        assert cs.content_id == oracle.constraint_set_id(oracle.SeparationConstraintSet(
+            frozenset(H), frozenset(V), frozenset(secondary), eps, Setting.STRONG, frozenset()))

@@ -397,6 +397,42 @@ class TestTimeLimit:
         assert left == sorted(left, reverse=True)
         [final] = finals
         assert 0 < final.time_limit <= left[-1]
+        assert sol.final_status is SolveStatus.OPTIMAL
+
+    def test_final_lp_without_optimum_keeps_the_node_point_and_says_so(self, monkeypatch):
+        # a final LP cut short by its limit leaves the incumbent node's
+        # point; the solution records how that LP ended, and a notice
+        # says so
+        from demers import notices
+
+        monkeypatch.setattr(
+            ss._HighsNodes, "final",
+            lambda self, values, time_limit: ss.Solution(
+                SolveStatus.ITERATION_LIMIT, iterations=3, engine="highs", method="ds"),
+        )
+        p = LpProblem()
+        names = [f"b{i}" for i in range(4)]
+        for nm in names:
+            p.add_var(nm, 0, 1, binary=True)
+        p.add_constraint({nm: 2 for nm in names}, ">=", 3)
+        for i, nm in enumerate(names):
+            p.add_objective(nm, 1.0 + 0.1 * i)
+        with notices.recording() as warned, pytest.warns(UserWarning, match="final LP"):
+            sol = solve_ilp(p, time_limit=30.0)
+        assert sol.optimal and sol.final_status is SolveStatus.ITERATION_LIMIT
+        assert sol.objective == pytest.approx(2.1)
+        assert sol.x.tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert warned == [
+            "final LP of a binary program ended iteration_limit; "
+            "the point is its incumbent node's relaxation"
+        ]
+
+    def test_search_without_incumbent_has_no_final_lp(self):
+        p = LpProblem()
+        p.add_var("b", 0, 1, binary=True)
+        p.add_constraint({"b": 1.0}, ">=", 2.0)
+        sol = solve_ilp(p)
+        assert sol.status is SolveStatus.INFEASIBLE and sol.final_status is None
 
     def test_relaxation_stopped_by_limit_ends_search(self, monkeypatch):
         # HiGHS reports a relaxation cut off by its time limit as an
