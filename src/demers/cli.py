@@ -177,7 +177,7 @@ def _solution_stats(sol: Solution) -> dict:
         "method": sol.method,
         "dual_objective": sol.dual_objective,
         "wall_time": sol.wall_time,
-        **(sol.dual_size or {}),
+        **(sol.dual_form or {}),
     }
 
 

@@ -79,10 +79,11 @@ attribute converts each array to a ``std::vector``, which took 3.8 ms for
 the dual of the 100-region ``ladder`` LP against 0.42 ms for the arrays
 (median of 15, one BLAS thread), with the same pivots after.
 
-HiGHS runs dual simplex with presolve on. An LP of fewer than
-``HIGHS_DUAL_FORM_MIN_ROWS`` (250) rows goes in as it is. A larger one goes
-in as its dual (``_dual_lp``): one column per row, one unit column per
-finite bound of a kept column, and one equality row per kept column. The
+HiGHS runs dual simplex. An LP of fewer than ``HIGHS_DUAL_FORM_MIN_ROWS``
+(250) rows goes in as it is, with presolve on. A larger one goes in as the
+dual of its merged form (``_solve_dual_form``), fully reduced, with
+presolve off: one column per row, one unit column per finite bound of a
+kept column, and one equality row per kept column. The
 all-pairs direction terms make the cartogram LPs grow as n^2, one "=" row
 ``expr - dp + dm = 0`` and two nonnegative columns per region pair. Each
 of those columns lies in that row only, so its dual row ``a y_r + z_l = c``
@@ -100,13 +101,35 @@ the dual solve; a folded column j of row r is ``max(0, -d_r / a_j)``, where
 d_r is the reduced cost of y_r, nonzero only when y_r sits on a folded
 bound. It comes with a checked certificate (see ``_solve_dual_form``).
 
-Through ``cli.run``, on one BLAS thread, the dual form solved the jittered
-TOP-S-SU grids of 100 regions (7 179 rows) in 0.064 s, 196 regions
-(25 057 rows) in 0.47 s and 400 regions in 1.6 s, with the pivots of the
-unfolded dual, which took 0.092, 0.59 and 2.1 s; peak RSS at 400 regions
-fell from 373 to 222 MB. Dual simplex on the 100-region LP itself took
-1.9 s. The threshold is where the dual form starts to
-win: on the jittered 3x3 to 5x5 grids' TOP and ORG LPs, weak and strong,
+ORG's displacement and the SU, CO and IT stability terms are L1 distances:
+one column p >= 0 with cost w in two "<=" rows ``a x - c p <= t`` and
+``-a x - c p <= -t``, which say ``c p >= |a x - t|`` (an L1 pair,
+``_l1_pairs``). Before the dual is built, ``_merged`` writes each pair as
+one "=" row ``a x - c p + c m = t`` with a new column m >= 0 of cost w. p
+and m are then column singletons of that row, so the fold turns them into
+the bounds ``[-w/c, w/c]`` of its dual column u: the pair's two dual
+columns, p's dual row and p's unit column become one bounded column, and
+the LP's p is ``p + m``. (In the LP's own dual, u is ``min(u, 0)`` on the
+first row and ``min(-u, 0)`` on the second.) With both reductions made,
+HiGHS's presolve has little left to remove: on the folded 7x7 TOP-S-SU
+dual (266 rows) it found only the 2 dependent rows of the translation
+freedom, then postsolved and solved the LP again from the postsolved
+basis, and on the unmerged 7x7 k = 2 ORG-W-SU dual it removed 336 of 826
+rows. So the dual goes in with presolve off.
+
+Through ``cli.run``, on one BLAS thread (median of 3, jittered grids, seed
+0), the dual form solved the TOP-S-SU LPs of 100 regions (7 179 rows),
+196 regions (25 057 rows) and 400 regions (96 697 rows) in 0.034, 0.36 and
+0.99 s, against 0.059, 0.46 and 1.46 s with presolve on and without the
+merge; peak RSS at 400 regions fell from 240 to 167 MB. The merge pays
+most on the coupled LPs: at 100 regions and k = 4, ORG-W-SU (28 312 rows,
+1 400 pairs merged) fell from 2.40 to 0.21 s, TOP-S-SU from 0.55 to 0.24 s,
+and at 49 regions ORG-S-CO from 0.090 to 0.068 s. Presolve off without the
+merge made both ORG LPs slower: 2.35-2.48 -> 3.29-3.71 s and 0.081-0.091
+-> 0.154-0.162 s (two runs of 3), so the two go together. Dual simplex on the
+100-region TOP-S-SU LP itself took 1.9 s. The threshold is where the dual
+form started to win, measured with presolve on and before the merge: on
+the jittered 3x3 to 5x5 grids' TOP and ORG LPs, weak and strong,
 seeds 0-2 (median of 15 solves, one BLAS thread), the LP itself took
 0.75-1.02 times as long as its dual form at 120-158 rows, 1.09-1.84 times
 as long at 336-418 rows (0.85 on one 418-row ORG draw) and 1.10-4.1 times
@@ -188,9 +211,11 @@ class Solution:
     # branch and bound: how the incumbent's final LP ended (None without one);
     # short of OPTIMAL, the point is the node relaxation's that found it
     final_status: SolveStatus | None = None
-    # dual form: the dual HiGHS was handed, as ``dual_rows``, ``dual_cols``
-    # and ``folded`` (the columns folded into bounds)
-    dual_size: dict | None = None
+    # dual form: the dual HiGHS was handed, as ``dual_rows``, ``dual_cols``,
+    # ``folded`` (the columns folded into bounds) and ``merged`` (the L1
+    # pairs merged into one row each), and ``dual_status``, how its solve
+    # ended: "optimal", or what sent the LP to its own solve
+    dual_form: dict | None = None
     refactors: int = 0  # dense basis inverses the bundled simplex computed
 
     @property
@@ -510,6 +535,91 @@ def _highs_lp(problem: LpProblem) -> _Model:
 
 
 @dataclass(frozen=True)
+class _Pairs:
+    """The L1 pairs ``_merged`` merges: each pair's column ``col``, with
+    the entry ``-coef`` in its rows ``first`` and ``second``."""
+
+    col: np.ndarray
+    coef: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+
+
+def _l1_pairs(model: _Model, column: np.ndarray) -> _Pairs:
+    """The columns that are an L1 distance over two "<=" rows.
+
+    Such a column p has ``lb == 0``, ``ub == inf`` and two entries, both the
+    same ``-c < 0``, in "<=" rows ``a x - c p <= t`` and ``-a x - c p <= -t``:
+    the other entries of the two rows are exact negatives of each other, and
+    so are their right-hand sides. Together they say ``c p >= |a x - t|``.
+    No other such column can share either row, as its two entries would
+    have to be negatives of each other. ``column`` is ``model.column()``.
+    """
+    start, value, rhs = model.start, model.value, model.row_upper
+    col = np.flatnonzero((np.diff(start) == 2) & (model.lower == 0.0) & (model.upper == INF))
+    r1, r2 = model.index[start[col]], model.index[start[col] + 1]
+    v1, v2 = value[start[col]], value[start[col] + 1]
+    n_le = model.n_le
+    ok = (v1 == v2) & (v1 < 0.0) & (r1 < n_le) & (r2 < n_le) & (rhs[r1] == -rhs[r2])
+    col, r1, r2, coef = col[ok], r1[ok], r2[ok], -v1[ok]
+    # the candidate rows' entries, by row and, within a row, by column
+    in_pair = np.zeros(rhs.size, dtype=bool)
+    in_pair[r1] = in_pair[r2] = True
+    at = np.flatnonzero(in_pair[model.index])
+    at = at[np.lexsort((column[at], model.index[at]))]
+    row = model.index[at]
+    s1, s2 = np.searchsorted(row, r1), np.searchsorted(row, r2)
+    size = np.searchsorted(row, r1, side="right") - s1
+    same = size == np.searchsorted(row, r2, side="right") - s2
+    col, coef, r1, r2, s1, s2, size = (a[same] for a in (col, coef, r1, r2, s1, s2, size))
+    # entry by entry, the same column, with the same value at p and the
+    # negated value elsewhere
+    owner = np.repeat(np.arange(col.size), size)
+    offset = np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size)
+    e1, e2 = at[s1[owner] + offset], at[s2[owner] + offset]
+    own = column[e1] == col[owner]
+    match = (column[e1] == column[e2]) & np.where(own, value[e1] == value[e2],
+                                                  value[e1] == -value[e2])
+    good = np.bincount(owner, ~match, minlength=col.size) == 0
+    return _Pairs(col[good], coef[good], r1[good], r2[good])
+
+
+def _merged(model: _Model, column: np.ndarray, pairs: _Pairs) -> tuple[_Model, np.ndarray]:
+    """``model`` with each L1 pair's two rows merged into one "=" row, and
+    that merged model's ``column()``.
+
+    The pair ``a x - c p <= t``, ``-a x - c p <= -t`` becomes the row
+    ``a x - c p + c m = t`` with a new column m, ``0 <= m`` and the cost of
+    p: its ``p - m`` is ``(a x - t) / c``, so at an optimum ``p + m`` is
+    ``|a x - t| / c``, the least p allowed. p and m lie in that row only,
+    and ``_folding`` folds both. The kept "<=" rows come first, in order,
+    then the "=" rows, then the merged rows in the order of ``pairs``, and
+    the m columns come after the model's, in that order too.
+    """
+    m, n, n_le = model.row_upper.size, model.cost.size, model.n_le
+    k = pairs.col.size
+    if not k:
+        return model, column
+    paired = np.zeros(m, dtype=bool)
+    paired[pairs.first] = paired[pairs.second] = True
+    order = np.concatenate([np.flatnonzero(~paired[:n_le]), np.arange(n_le, m), pairs.first])
+    renumber = np.full(m, -1, dtype=np.int32)
+    renumber[order] = np.arange(order.size)
+    keep = renumber[model.index] >= 0  # the second rows' entries go
+    index = np.concatenate([renumber[model.index[keep]], renumber[pairs.first]])
+    merged_column = np.concatenate([column[keep], n + np.arange(k)])
+    row_upper = model.row_upper[order]
+    row_lower = row_upper.copy()
+    row_lower[: n_le - 2 * k] = -INF
+    merged = _Model(np.concatenate([model.cost, model.cost[pairs.col]]),
+                    np.concatenate([model.lower, np.zeros(k)]),
+                    np.concatenate([model.upper, np.full(k, INF)]),
+                    row_lower, row_upper, _starts(merged_column, n + k), index,
+                    np.concatenate([model.value[keep], pairs.coef]))
+    return merged, merged_column
+
+
+@dataclass(frozen=True)
 class _Folding:
     """The columns ``_dual_lp`` folds into bounds, each with its row and
     its coefficient there, and the other columns: ``kept``, a mask of the
@@ -586,6 +696,16 @@ def _dual_lp(model: _Model, column: np.ndarray, fold: _Folding) -> _Model:
 def _highs_object(h, model: _Model, presolve: bool = True, log: bool = False):
     """A new HiGHS object holding ``model``, set up as ``linprog`` sets it
     up for dual simplex; None when HiGHS refuses the model.
+
+    ``presolve`` stays on for an LP solved as itself. It is off for the
+    branch and bound relaxation, which restarts warm from a basis, and for
+    the dual form: ``_solve_dual_form`` hands over a dual with its L1 pairs
+    merged and its column singletons folded, where presolve found little
+    more to remove (2 dependent rows of a TOP dual) and then paid for a
+    postsolve and a second solve. With the merge and presolve off, the
+    7x7 k = 2 ORG-W-SU dual fell from 826 to 532 rows and its solve from
+    32-35 to 30-31 ms, and the 10x10 TOP-S-SU dual's solve from 79 to
+    46-48 ms (median of 9, one BLAS thread).
 
     With ``log``, HiGHS hands each log line to this module's logger and
     prints nothing. The object keeps its own copy of ``model``, so a copy
@@ -685,14 +805,15 @@ def _optimum(h, highs, model: _Model, col_names: list[str], counts: dict) -> Sol
 
 
 def _solve_highs(problem: LpProblem, log: bool, time_limit: float | None = None) -> Solution:
-    """Solve ``problem`` with HiGHS by dual simplex with presolve on.
+    """Solve ``problem`` with HiGHS by dual simplex.
 
     An LP of fewer than ``HIGHS_DUAL_FORM_MIN_ROWS`` rows is handed over as
     ``linprog`` hands it (``_highs_lp``), with ``linprog``'s options,
-    status mapping and final feasibility check of an optimal point. A larger
-    one is solved as its dual (``_solve_dual_form``); when the dual ends
-    infeasible, unbounded or failed, the LP itself is solved as a small one
-    is, and that solve gives the status.
+    presolve on, status mapping and final feasibility check of an optimal
+    point. A larger one is solved as its dual (``_solve_dual_form``); when
+    the dual ends infeasible, unbounded or failed, the LP itself is solved
+    as a small one is, that solve gives the status, and ``dual_status`` in
+    ``Solution.dual_form`` says how the dual ended.
     """
     h = _highs_core()
     t0 = time.perf_counter()
@@ -716,56 +837,69 @@ def _solve_dual_form(
     h, model: _Model, col_names: list[str], log: bool, time_limit: float | None,
     counts: dict,
 ) -> Solution | None:
-    """Solve ``model`` as its dual (``_dual_lp``); None when the dual ends
-    neither optimal nor at a limit, so the LP must be solved itself.
+    """Solve ``model`` as the dual of its merged form; None when the dual
+    ends neither optimal nor at a limit, so the LP must be solved itself.
 
-    The point is the negated row duals of the dual solve; a folded column j
-    of row r, with coefficient a there, is ``max(0, -d_r / a)``, where d_r
-    is the reduced cost of y_r. It comes with a checked certificate: the
-    point passes ``linprog``'s check, the dual point meets its own rows,
-    signs and folded bounds within the same allowance, and the two
-    objectives differ by at most ``GAP_TOL``. A failed check raises
-    ``SolverError``. Records the dual solve's pivots and the size of the
-    dual in ``counts``.
+    Its L1 pairs are merged first (``_l1_pairs``, ``_merged``), and the
+    merged model goes to HiGHS as its dual (``_dual_lp``), with presolve
+    off. The merged point is the negated row duals of the dual solve; a
+    folded column j of row r, with coefficient a there, is
+    ``max(0, -d_r / a)``, where d_r is the reduced cost of y_r. A pair's
+    column p is then ``p + m`` of the merged point. It comes with a checked
+    certificate: the point passes ``linprog``'s check on ``model``'s own
+    rows and bounds, the dual point meets the merged model's dual rows,
+    signs and folded bounds within the same allowance, and its objective
+    differs from ``model``'s at the point by at most ``GAP_TOL``. A failed
+    check raises ``SolverError``. Records the dual solve's pivots, the size
+    of the dual and how its solve ended in ``counts``.
     """
-    m, n = model.row_upper.size, model.cost.size
+    n = model.cost.size
     column = model.column()
-    fold = _folding(model)
-    counts["dual_size"] = {"dual_rows": int(fold.kept.sum()),
-                           "dual_cols": m + fold.has_l.size + fold.has_u.size,
-                           "folded": fold.folded.size}
-    highs = _highs_object(h, _dual_lp(model, column, fold), log=log)
+    pairs = _l1_pairs(model, column)
+    merged, merged_column = _merged(model, column, pairs)
+    k, m = pairs.col.size, merged.row_upper.size
+    fold = _folding(merged)
+    info = counts["dual_form"] = {
+        "dual_rows": int(fold.kept.sum()), "dual_cols": m + fold.has_l.size + fold.has_u.size,
+        "folded": fold.folded.size - 2 * k, "merged": k, "dual_status": "failed",
+    }
+    highs = _highs_object(h, _dual_lp(merged, merged_column, fold), presolve=False, log=log)
     try:
         stopped = _run(h, highs, time_limit, counts)
     except SolverError:
         return None  # the LP's own solve reports the failure
     if stopped is not None:
+        info["dual_status"] = stopped.status.value
         return stopped if stopped.status is SolveStatus.ITERATION_LIMIT else None
+    info["dual_status"] = SolveStatus.OPTIMAL.value
 
     solution = highs.getSolution()
     w = np.array(solution.col_value)
-    x = np.empty(n)
-    x[fold.kept] = -np.array(solution.row_dual)
+    xm = np.empty(n + k)
+    xm[fold.kept] = -np.array(solution.row_dual)
     d = np.array(solution.col_dual)[fold.row]
-    x[fold.folded] = np.maximum(0.0, -d / fold.coef)
+    xm[fold.folded] = np.maximum(0.0, -d / fold.coef)
+    x = xm[:n]
+    x[pairs.col] += xm[n:]
     objective = float(model.cost @ x)
-    activity = np.bincount(model.index, model.value * x[column], minlength=m)
+    activity = np.bincount(model.index, model.value * x[column], minlength=model.row_upper.size)
     _check_point(model, x, activity, objective, "the dual-form solve's point is")
     has_l, has_u, tol = fold.has_l, fold.has_u, POINT_TOL
     y, z_l, z_u = w[:m], w[m:m + has_l.size], w[m + has_l.size:]
     # the dual rows c - A^T y - z_l - z_u = 0 of the kept columns, and
     # c - a y_r >= 0 (the folded bounds) of the folded ones
-    residual = model.cost - np.bincount(column, model.value * y[model.index], minlength=n)
+    residual = merged.cost - np.bincount(merged_column, merged.value * y[merged.index],
+                                         minlength=n + k)
     residual[has_l] -= z_l
     residual[has_u] -= z_u
     if (
         np.isnan(w).any() or (np.abs(residual[fold.kept]) > tol).any()
         or (residual[fold.folded] < -tol).any()
-        or (y[: model.n_le] > tol).any() or (z_l < -tol).any() or (z_u > tol).any()
+        or (y[: merged.n_le] > tol).any() or (z_l < -tol).any() or (z_u > tol).any()
     ):
         raise SolverError(f"the dual-form solve's dual point is outside its constraints "
                           f"by more than {tol:.2e}")
-    dual = float(model.row_upper @ y + model.lower[has_l] @ z_l + model.upper[has_u] @ z_u)
+    dual = float(merged.row_upper @ y + merged.lower[has_l] @ z_l + merged.upper[has_u] @ z_u)
     if not abs(objective - dual) <= GAP_TOL * max(1.0, abs(objective)):
         raise SolverError(f"the dual-form solve's objectives {objective!r} and {dual!r} "
                           f"differ by more than {GAP_TOL:g} relative")

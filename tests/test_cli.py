@@ -336,7 +336,7 @@ class TestManifest:
         for solve in manifest["solves"]:
             assert solve["engine"] == "highs"
             assert solve["method"] == "ds"  # far below the dual-form size
-            assert not {"dual_rows", "dual_cols", "folded"} & solve.keys()
+            assert not {"dual_rows", "dual_cols", "folded", "merged", "dual_status"} & solve.keys()
             assert solve["dual_objective"] == pytest.approx(solve["objective"], rel=1e-9)
 
     @pytest.mark.parametrize("threshold,method", [(0, "dual-form"), (10**9, "ds")])
@@ -369,8 +369,51 @@ class TestManifest:
         [solve] = manifest["solves"]
         assert solve["method"] == "dual-form"
         assert solve["folded"] == 2 * (100 * 99 // 2)
+        assert (solve["merged"], solve["dual_status"]) == (0, "optimal")  # TOP has no L1 pairs
         assert solve["dual_rows"] == solve["cols"] - solve["folded"]
         assert solve["dual_cols"] >= solve["rows"]
+
+    def test_dual_form_solves_record_the_merged_pairs(self, tmp_path):
+        # the jittered 4x4 ORG-W-SU LP at k = 2 goes to HiGHS as its dual,
+        # with each displacement pair (2 axes x 16 regions x 2 blocks) and
+        # each coupling pair (2 axes x 16 regions) merged into one row
+        from demers import simplexsolver as ss
+        from demers.synth import write_instance
+
+        map_path, csv_path = write_instance(tmp_path / "grid", 4, 0, k=2, rows=4, jitter=0.3)
+        res = run(RunConfig(str(map_path), str(csv_path), "ORG-W-SU", out_dir=str(tmp_path / "o")))
+        assert res.ok
+        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
+        [solve] = manifest["solves"]
+        assert solve["rows"] >= ss.HIGHS_DUAL_FORM_MIN_ROWS
+        assert solve["method"] == "dual-form"
+        assert (solve["merged"], solve["dual_status"]) == (2 * 16 * 2 + 2 * 16, "optimal")
+        assert solve["folded"] == 2 * 2 * (16 * 15 // 2)
+        assert solve["dual_rows"] == solve["cols"] - solve["folded"] - solve["merged"]
+
+    def test_dual_form_fallback_records_the_dual_status(self, tmp_path, sample3_paths, monkeypatch):
+        # a dual that ends unbounded sends the LP to its own solve, which
+        # gives the answer; the entry says so
+        from demers import simplexsolver as ss
+
+        monkeypatch.setattr(ss, "HIGHS_DUAL_FORM_MIN_ROWS", 0)
+        real, runs = ss._run, []
+
+        def first_unbounded(h, highs, time_limit, counts):
+            runs.append(highs)
+            if len(runs) == 1:
+                return ss.Solution(ss.SolveStatus.UNBOUNDED, **counts)
+            return real(h, highs, time_limit, counts)
+
+        monkeypatch.setattr(ss, "_run", first_unbounded)
+        res = run_sample(tmp_path, sample3_paths, "ORG-W-SU")
+        assert res.ok
+        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
+        [solve] = manifest["solves"]
+        assert len(runs) == 2
+        assert (solve["method"], solve["status"]) == ("dual-form", "optimal")
+        assert solve["dual_status"] == "unbounded"
+        assert solve["merged"] > 0
 
     @pytest.mark.parametrize("variant", ["TOP-S-SU", "CNT-W-SU"])
     @pytest.mark.parametrize("engine", ["highs", "simplex"])

@@ -20,6 +20,7 @@ import types
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -321,6 +322,79 @@ def test_folded_columns(problem, folded):
     assert fold.kept.sum() == problem.num_cols - len(folded)
 
 
+# LPs for the merge of L1 pairs, each with the columns ``_l1_pairs`` must
+# merge. ORG's displacement: p >= |x - 2|, with x >= 3
+DISPLACEMENT_LP = lp([("x", -INF, INF), ("p", 0.0, INF)],
+                     [({"x": 1, "p": -1}, "<=", 2), ({"x": -1, "p": -1}, "<=", -2),
+                      ({"x": 1}, ">=", 3)], {"p": 1})
+# SU/CO's coupling: 2 c >= |x - y|, with x in [1, 4] and y in [-4, 0]
+COUPLING_LP = lp([("x", 1.0, 4.0), ("y", -4.0, 0.0), ("c", 0.0, INF)],
+                 [({"x": 1, "y": -1, "c": -2}, "<=", 0), ({"y": 1, "x": -1, "c": -2}, "<=", 0)],
+                 {"c": 3})
+# p >= |x| with t = 0, its second row written mirrored as x + p >= 0,
+# which the ">=" flip turns into -x - p <= -0.0
+MIRRORED_LP = lp([("x", 1.0, 3.0), ("p", 0.0, INF)],
+                 [({"x": 1, "p": -1}, "<=", 0), ({"x": 1, "p": 1}, ">=", 0)], {"p": 1, "x": 1})
+# TOP's h: x_a - x_b - h <= w on both sides, the same nonzero right-hand side
+TOP_PAIR_LP = lp([("xa", 0.0, 5.0), ("xb", 0.0, 1.0), ("h", 0.0, INF)],
+                 [({"xa": 1, "xb": -1, "h": -1}, "<=", 1.5),
+                  ({"xb": 1, "xa": -1, "h": -1}, "<=", 1.5)], {"h": 1, "xa": -1})
+# the displacement pair with p in a third row
+THIRD_ENTRY_LP = lp([("x", -INF, INF), ("p", 0.0, INF), ("z", 0.0, INF)],
+                    [({"x": 1, "p": -1}, "<=", 2), ({"x": -1, "p": -1}, "<=", -2),
+                     ({"p": 1, "z": 1}, "<=", 5), ({"x": 1}, ">=", 3)], {"p": 1, "z": -1})
+# the displacement pair as two "=" rows: x - p = 2 and -x - p = -2 fix p = 0
+EQUALITY_PAIR_LP = lp([("x", -INF, INF), ("p", 0.0, INF)],
+                      [({"x": 1, "p": -1}, "=", 2), ({"x": -1, "p": -1}, "=", -2)], {"p": 1})
+# y enters both rows with the same sign: p >= |x - 2| - y does not hold
+NOT_NEGATED_LP = lp([("x", -INF, INF), ("y", 0.0, 1.0), ("p", 0.0, INF)],
+                    [({"x": 1, "y": 1, "p": -1}, "<=", 2), ({"x": -1, "y": 1, "p": -1}, "<=", -2),
+                     ({"x": 1}, ">=", 3)], {"p": 1, "y": -1})
+# y in the second row only: its entries are the first row's and one more
+LONGER_ROW_LP = lp([("x", -INF, INF), ("p", 0.0, INF), ("y", 0.0, 1.0)],
+                   [({"x": 1, "p": -1}, "<=", 2), ({"x": -1, "p": -1, "y": 1}, "<=", -2),
+                    ({"x": 1}, ">=", 3)], {"p": 1, "y": -1})
+# p and q share both rows, p + q >= |x - 2|: each is the other's entry of
+# the same sign, so neither row is merged twice, nor at all
+SHARED_ROWS_LP = lp([("x", -INF, INF), ("p", 0.0, INF), ("q", 0.0, INF)],
+                    [({"x": 1, "p": -1, "q": -1}, "<=", 2),
+                     ({"x": -1, "p": -1, "q": -1}, "<=", -2), ({"x": 1}, ">=", 3)],
+                    {"p": 1, "q": 2})
+MERGING = [
+    (DISPLACEMENT_LP, ["p"]),
+    (COUPLING_LP, ["c"]),
+    (MIRRORED_LP, ["p"]),
+    (TOP_PAIR_LP, []),
+    (THIRD_ENTRY_LP, []),
+    (EQUALITY_PAIR_LP, []),
+    (NOT_NEGATED_LP, []),
+    (LONGER_ROW_LP, []),
+    (SHARED_ROWS_LP, []),
+]
+
+
+@pytest.mark.parametrize("problem,merged", MERGING)
+def test_merged_columns(monkeypatch, problem, merged):
+    # each pair's two "<=" rows become one "=" row, its column and the new
+    # one folded into that row's dual bounds; the merged LP, solved as its
+    # dual, agrees with the LP itself
+    model = ss._highs_lp(problem)
+    column = model.column()
+    pairs = ss._l1_pairs(model, column)
+    assert [problem.col_names[j] for j in pairs.col] == merged
+    merged_model, merged_column = ss._merged(model, column, pairs)
+    k = len(merged)
+    assert merged_model.row_upper.size == problem.num_rows - k
+    assert merged_model.n_le == model.n_le - 2 * k
+    assert (merged_column == merged_model.column()).all()
+    fold = ss._folding(merged_model)
+    assert set(pairs.col) | set(problem.num_cols + np.arange(k)) <= set(fold.folded)
+    monkeypatch.setattr(ss, "HIGHS_DUAL_FORM_MIN_ROWS", 0)
+    sol = ss._solve_highs(problem, False)
+    assert (sol.dual_form["merged"], sol.dual_form["dual_status"]) == (k, "optimal")
+    assert_dual_form_agrees(problem, sol, oracle_highs.solve_highs(problem, False))
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(
     cartogram_lps().map(lambda case: (case[0].problem, *case)),
@@ -335,6 +409,10 @@ def test_folded_columns(problem, folded):
 @example((BOUNDED_SINGLETONS_LP, None, None))
 @example((NEGATIVE_COEF_LP, None, None))
 @example((ON_BOUND_LP, None, None))
+@example((DISPLACEMENT_LP, None, None))
+@example((COUPLING_LP, None, None))
+@example((MIRRORED_LP, None, None))
+@example((SHARED_ROWS_LP, None, None))
 def test_dual_form_matches_the_linprog_oracle(case):
     # every LP on the dual form, held to the frozen dual simplex path; a
     # cartogram LP's layouts decode valid from the recovered point
@@ -364,11 +442,45 @@ def test_dual_form_recovers_the_direction_pairs(case):
     assert (sol.method, sol.status) == ("dual-form", SolveStatus.OPTIMAL)
     values = sol.values
     exprs = direction_exprs(problem, values)
-    assert sol.dual_size["folded"] == 2 * len(exprs) > 0
+    assert sol.dual_form["folded"] == 2 * len(exprs) > 0
     for dp, expr in exprs.items():
         dm = "dm" + dp[2:]
         assert abs(values[dp] - values[dm] - expr) <= ss.POINT_TOL
         assert min(values[dp], values[dm]) <= ss.POINT_TOL
+
+
+def has_l1_terms(case) -> bool:
+    """Whether a ``cartogram_lps`` model has displacement (ORG, IT) or
+    coupling (SU) columns."""
+    from demers.lpmodel import ObjectiveKind, Stability
+
+    spec = case[0].spec
+    return spec.objective_kind is ObjectiveKind.ORG or spec.stability is not Stability.NONE
+
+
+@settings(max_examples=30, deadline=None)
+@given(cartogram_lps().filter(has_l1_terms))
+def test_dual_form_recovers_the_l1_pairs(case):
+    # every displacement and coupling column is an L1 pair, merged into one
+    # "=" row; its recovered value is |a x - t| / c of both of its rows
+    problem = case[0].problem
+    with mock.patch.object(ss, "HIGHS_DUAL_FORM_MIN_ROWS", 0):
+        sol = ss._solve_highs(problem, False)
+    assert (sol.method, sol.status) == ("dual-form", SolveStatus.OPTIMAL)
+    values = sol.values
+    l1 = {name for name in problem.col_names if name.startswith(("px", "py", "cx", "cy"))}
+    assert sol.dual_form["merged"] == len(l1) > 0
+    rows = 0
+    for con in problem.constraints:
+        [p] = [name for name, _ in con.coeffs if name in l1] or [None]
+        if p is None:
+            continue
+        assert con.relation == "<="
+        c = -dict(con.coeffs)[p]
+        expr = sum(k * values[name] for name, k in con.coeffs if name != p) - con.rhs
+        assert abs(values[p] - abs(expr) / c) <= ss.POINT_TOL
+        rows += 1
+    assert rows == 2 * len(l1)
 
 
 # min x + y over x + y >= 1 in the box [0, 4]^2: optimum 1
@@ -380,6 +492,12 @@ GAP_LP = lp([("x", 0.0, 4.0), ("y", 0.0, 4.0)], [({"x": 1, "y": 1}, ">=", 1)],
 FOLDED_LP = lp([("x", 0.0, 4.0), ("p", 0.0, INF), ("q", 0.0, INF)],
                [({"p": -1, "q": 1}, "=", 2), ({"x": 1}, "=", 1)],
                {"x": 1, "p": 1, "q": 1})
+# min 3 p over 2 p >= |0 - 4|, an L1 pair without other entries: optimum 6.
+# Its merged row -2 p + 2 m = 4 is the dual's only column, y_0 in
+# [-3/2, 3/2] (w / c = 3/2), in no dual row, and at 3/2 at the optimum
+MERGED_LP = lp([("p", 0.0, INF)], [({"p": -2}, "<=", 4), ({"p": -2}, "<=", -4)], {"p": 3})
+# problem: (objective, folded, merged)
+CERTIFIED = {GAP_LP: (1.0, 0, 0), FOLDED_LP: (3.0, 2, 0), MERGED_LP: (6.0, 0, 1)}
 
 
 @pytest.mark.parametrize("shifts,match", [
@@ -395,6 +513,8 @@ FOLDED_LP = lp([("x", 0.0, 4.0), ("p", 0.0, INF), ("q", 0.0, INF)],
     # leaves row 0 off by 1
     ({"problem": FOLDED_LP, "col_dual_shift": 1.0},
      "dual-form solve's point is outside its constraints"),
+    # MERGED_LP's y_0 moves from 3/2 to 2, past m's folded bound w / c
+    ({"problem": MERGED_LP, "col_shift": 0.5}, "dual point is outside its constraints"),
 ])
 def test_dual_form_certificate_failure_raises(monkeypatch, shifts, match):
     shifts = dict(shifts)
@@ -402,8 +522,8 @@ def test_dual_form_certificate_failure_raises(monkeypatch, shifts, match):
     monkeypatch.setattr(ss, "HIGHS_DUAL_FORM_MIN_ROWS", 0)
     sol = ss._solve_highs(problem, False)
     assert sol.method == "dual-form"
-    assert sol.objective == (3.0 if problem is FOLDED_LP else 1.0)
-    assert sol.dual_size["folded"] == (2 if problem is FOLDED_LP else 0)
+    info = sol.dual_form
+    assert (sol.objective, info["folded"], info["merged"]) == CERTIFIED[problem]
     fake = core_reporting(**shifts)
     monkeypatch.setattr(ss, "_highs_core", lambda: fake)
     with pytest.raises(SolverError, match=match):

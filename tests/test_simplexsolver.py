@@ -910,7 +910,7 @@ def assert_final_lp_is_a_fresh_solve(problem, node_limit=100_000) -> ss.Solution
     fixed = with_fixings(problem, dict(zip(binaries.tolist(), values.tolist())))
     with mock.patch.object(ss, "HIGHS_DUAL_FORM_MIN_ROWS", 10**9):  # the LP itself
         fresh = ss._solve_highs(fixed, False)
-    assert (final.method, final.dual_size) == (fresh.method, fresh.dual_size) == ("ds", None)
+    assert (final.method, final.dual_form) == (fresh.method, fresh.dual_form) == ("ds", None)
     assert (final.status, final.iterations) == (fresh.status, fresh.iterations)
     if fresh.optimal:
         assert x.tobytes() == fresh.x.tobytes()
@@ -935,7 +935,7 @@ def test_final_lp_is_a_fresh_solve_on_cnt_grids(cols, setting):
     problem = cnt_model(setting, cols=cols, seed=0).problem
     sol = assert_final_lp_is_a_fresh_solve(problem, node_limit=300)
     assert sol.x is not None
-    assert (sol.method, sol.dual_size) == ("ds", None)
+    assert (sol.method, sol.dual_form) == ("ds", None)
     if cols == 5:
         assert problem.num_rows >= ss.HIGHS_DUAL_FORM_MIN_ROWS
 
