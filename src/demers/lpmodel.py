@@ -1,12 +1,13 @@
 """Translate maps, side lengths and separation constraints into LPs/ILPs.
 
 One variable block per weight function: square centers (x, y), L1 distance
-variables for adjacent pairs, directional-deviation variables, and optional
-origin-displacement or inter-block stability variables. Objectives cover
-total adjacent distance (TOP), origin displacement (ORG) and lost-adjacency
-count (CNT, with binaries). ``ModelSpec`` picks the objective, setting and
-stability scheme; the weights between the terms are the module constants
-``SECONDARY_WEIGHT``, ``ADJACENT_DIRECTION_BOOST`` and ``STABILITY_WEIGHT``.
+variables for adjacent pairs (TOP and CNT), directional-deviation
+variables, and optional origin-displacement or inter-block stability
+variables. Objectives cover total adjacent distance (TOP), origin
+displacement (ORG) and lost-adjacency count (CNT, with binaries).
+``ModelSpec`` picks the objective, setting and stability scheme; the
+weights between the terms are the module constants ``SECONDARY_WEIGHT``,
+``ADJACENT_DIRECTION_BOOST`` and ``STABILITY_WEIGHT``.
 
 A direction term is one equality row per map pair, ``expr - dp + dm = 0``,
 over two nonnegative columns that each cost the term's weight. For fixed
@@ -519,7 +520,9 @@ def _emit_block(
     # the off-axis distance only reaches zero once the squares share a
     # boundary segment at least epsilon long. The primary axis is the map's
     # rule, ``pair_table.horiz``, at the pair's row (np.triu_indices order).
-    edges = map.edge_list()
+    # Only TOP and CNT price them; in ORG they would cost nothing and bind
+    # nothing
+    edges = map.edge_list() if spec.objective_kind is not ObjectiveKind.ORG else []
     ea, eb = np.array([(pos[a], pos[b]) for a, b in edges], dtype=np.int64).reshape(-1, 2).T
     on_v = ~map.pair_table.horiz[ea * (2 * n - ea - 1) // 2 + eb - ea - 1]
     hv = prob.add_vars(

@@ -81,7 +81,7 @@ the dual of the 100-region ``ladder`` LP against 0.42 ms for the arrays
 
 HiGHS runs dual simplex. An LP of fewer than ``HIGHS_DUAL_FORM_MIN_ROWS``
 (250) rows goes in as it is, with presolve on. A larger one goes in as the
-dual of its merged form (``_solve_dual_form``), fully reduced, with
+dual of its split form (``_solve_dual_form``), fully reduced, with
 presolve off: one column per row, one unit column per finite bound of a
 kept column, and one equality row per kept column. The
 all-pairs direction terms make the cartogram LPs grow as n^2, one "=" row
@@ -92,51 +92,58 @@ bound on the row's dual column y_r, ``c / a`` from above for ``a > 0`` and
 from below for ``a < 0``, and gives it no dual row and no unit column: the
 column-singleton reduction of Andersen & Andersen ("Presolving in linear
 programming", Math. Programming 71, 1995), done once while the dual is
-built. A column is folded when it has one entry, in an "=" row, ``lb == 0``
-and ``ub == inf``, and no earlier column was folded on its coefficient's
-side of that row (``_folding``). The dual of the jittered 400-region
-TOP-S-SU LP (96 697 rows) then has 2 320 rows, where HiGHS's presolve had
-to fold 159 600 rows itself. The LP's point is the negated row duals of
-the dual solve; a folded column j of row r is ``max(0, -d_r / a_j)``, where
-d_r is the reduced cost of y_r, nonzero only when y_r sits on a folded
-bound. It comes with a checked certificate (see ``_solve_dual_form``).
+built. A column is folded when it has one entry, ``lb == 0`` and
+``ub == inf``, its entry is in an "=" row or negative in a "<=" row, and
+no earlier column was folded on its coefficient's side of that row
+(``_folding``); a "<=" row's ``y_r <= 0`` is its upper side. The LP's
+point is the negated row duals of the dual solve; a folded column j of row
+r is ``max(0, -d_r / a_j)``, where d_r is the reduced cost of y_r, nonzero
+only when y_r sits on a folded bound. It comes with a checked certificate
+(see ``_solve_dual_form``).
 
-ORG's displacement and the SU, CO and IT stability terms are L1 distances:
-one column p >= 0 with cost w in two "<=" rows ``a x - c p <= t`` and
-``-a x - c p <= -t``, which say ``c p >= |a x - t|`` (an L1 pair,
-``_l1_pairs``). Before the dual is built, ``_merged`` writes each pair as
-one "=" row ``a x - c p + c m = t`` with a new column m >= 0 of cost w. p
-and m are then column singletons of that row, so the fold turns them into
-the bounds ``[-w/c, w/c]`` of its dual column u: the pair's two dual
-columns, p's dual row and p's unit column become one bounded column, and
-the LP's p is ``p + m``. (In the LP's own dual, u is ``min(u, 0)`` on the
-first row and ``min(-u, 0)`` on the second.) With both reductions made,
-HiGHS's presolve has little left to remove: on the folded 7x7 TOP-S-SU
-dual (266 rows) it found only the 2 dependent rows of the translation
-freedom, then postsolved and solved the LP again from the postsolved
-basis, and on the unmerged 7x7 k = 2 ORG-W-SU dual it removed 336 of 826
-rows. So the dual goes in with presolve off.
+The model's L1 distances are each one column p >= 0 with cost w in two
+"<=" rows ``a x - c p <= t1`` and ``-a x - c p <= t2`` whose other entries
+are exact negatives: ORG's displacement and the SU, CO and IT stability terms,
+``c p >= |a x - t|`` (``t1 + t2 = 0``), and TOP's adjacency distances h
+and v, ``c h >= max(0, |a x| - t)`` (``t1 = t2 >= 0``). With
+``t1 + t2 >= 0`` the two rows never both need p > 0, so ``_split`` gives
+the second row a new column q of cost w and p keeps the first: the optimum
+is the same, and the LP's p is ``p + q``. p and q are then negative
+singletons of "<=" rows, and the fold turns each into the bound
+``y_r >= -w/c`` beside ``y_r <= 0``. (CNT's h and v also sit in a big-M
+row and stay as they are.) What is left of a TOP, ORG, SU, CO or IT dual
+is one row per centre column, 2 n k: 800 rows for the jittered 400-region
+TOP-S-SU LP (96 697 rows), where HiGHS's presolve had to fold 159 600 rows
+itself, and 200 for the 100-region one, where merging only the
+``t1 + t2 = 0`` pairs into one "=" row each left 560. HiGHS's presolve
+has little left to remove from such a dual: on the folded 7x7 TOP-S-SU
+dual, before the split (266 rows), it found only the 2 dependent rows of
+the translation freedom, then postsolved and solved the LP again from the
+postsolved basis. So the dual goes in with presolve off.
 
-Through ``cli.run``, on one BLAS thread (median of 3, jittered grids, seed
-0), the dual form solved the TOP-S-SU LPs of 100 regions (7 179 rows),
-196 regions (25 057 rows) and 400 regions (96 697 rows) in 0.034, 0.36 and
-0.99 s, against 0.059, 0.46 and 1.46 s with presolve on and without the
-merge; peak RSS at 400 regions fell from 240 to 167 MB. The merge pays
-most on the coupled LPs: at 100 regions and k = 4, ORG-W-SU (28 312 rows,
-1 400 pairs merged) fell from 2.40 to 0.21 s, TOP-S-SU from 0.55 to 0.24 s,
-and at 49 regions ORG-S-CO from 0.090 to 0.068 s. Presolve off without the
-merge made both ORG LPs slower: 2.35-2.48 -> 3.29-3.71 s and 0.081-0.091
--> 0.154-0.162 s (two runs of 3), so the two go together. Dual simplex on the
-100-region TOP-S-SU LP itself took 1.9 s. The threshold is where the dual
-form started to win, measured with presolve on and before the merge: on
-the jittered 3x3 to 5x5 grids' TOP and ORG LPs, weak and strong,
-seeds 0-2 (median of 15 solves, one BLAS thread), the LP itself took
-0.75-1.02 times as long as its dual form at 120-158 rows, 1.09-1.84 times
-as long at 336-418 rows (0.85 on one 418-row ORG draw) and 1.10-4.1 times
-as long at 760-932 rows. Every LP of the ``exact`` benchmark and of the
-``lp_layout_*`` goldens has at most 144 rows and goes in as it is. A CNT
-program's final LP has no direction terms to fold and is solved as itself
-on the search's object at any size.
+Through ``cli.run``, on one BLAS thread (jittered grids, seed 0, median
+of 3 runs in each of three alternating fresh processes, in one hour on a
+shared host), the split dual solved the TOP-S-SU LPs of 100, 196 and 400
+regions (7 179, 25 057 and 96 697 rows) in 0.034, 0.52 and 0.86 s, against
+0.049, 0.54 and 1.11 s with only the ``t1 + t2 = 0`` pairs reduced, each
+merged into one "=" row. At 100 regions and k = 4, ORG-W-SU took 0.28 s
+against 0.36 s (2.40 s before either reduction, with presolve on) and
+TOP-S-SU 0.21 against 0.27 s; at 49 regions and k = 4, ORG-S-CO took
+0.068 against 0.11 s. Peak RSS at 400 regions was 171 MB against 168 MB
+(240 MB with presolve on). Presolve off without any pair reduced made the
+ORG LPs slower: 2.35-2.48 -> 3.29-3.71 s and 0.081-0.091 -> 0.154-0.162 s
+(two runs of 3), so a reduction and presolve off go together. Dual simplex
+on the 100-region TOP-S-SU LP itself took 1.9 s. The threshold is where
+the dual form started to win, measured with presolve on and before any
+pair was reduced: on the jittered 3x3 to 5x5 grids' TOP and ORG LPs, weak
+and strong, seeds 0-2 (median of 15 solves, one BLAS thread), the LP
+itself took 0.75-1.02 times as long as its dual form at 120-158 rows,
+1.09-1.84 times as long at 336-418 rows (0.85 on one 418-row ORG draw) and
+1.10-4.1 times as long at 760-932 rows; with the split the dual form is
+smaller still, and the threshold was not measured again. Every LP of the
+``exact`` benchmark and of the ``lp_layout_*`` goldens has at most 144
+rows and goes in as it is. A CNT program's final LP has no direction terms
+to fold and is solved as itself on the search's object at any size.
 """
 
 from __future__ import annotations
@@ -212,9 +219,10 @@ class Solution:
     # short of OPTIMAL, the point is the node relaxation's that found it
     final_status: SolveStatus | None = None
     # dual form: the dual HiGHS was handed, as ``dual_rows``, ``dual_cols``,
-    # ``folded`` (the columns folded into bounds) and ``merged`` (the L1
-    # pairs merged into one row each), and ``dual_status``, how its solve
-    # ended: "optimal", or what sent the LP to its own solve
+    # ``folded`` (the columns folded into bounds, a split column once per
+    # half) and ``split`` (the distance columns split in two), so
+    # ``dual_rows == cols + split - folded``, and ``dual_status``, how its
+    # solve ended: "optimal", or what sent the LP to its own solve
     dual_form: dict | None = None
     refactors: int = 0  # dense basis inverses the bundled simplex computed
 
@@ -534,34 +542,26 @@ def _highs_lp(problem: LpProblem) -> _Model:
                   _starts(column, n), index, value)
 
 
-@dataclass(frozen=True)
-class _Pairs:
-    """The L1 pairs ``_merged`` merges: each pair's column ``col``, with
-    the entry ``-coef`` in its rows ``first`` and ``second``."""
+def _split(model: _Model, column: np.ndarray) -> np.ndarray:
+    """The distance columns, which split into two column singletons.
 
-    col: np.ndarray
-    coef: np.ndarray
-    first: np.ndarray
-    second: np.ndarray
-
-
-def _l1_pairs(model: _Model, column: np.ndarray) -> _Pairs:
-    """The columns that are an L1 distance over two "<=" rows.
-
-    Such a column p has ``lb == 0``, ``ub == inf`` and two entries, both the
-    same ``-c < 0``, in "<=" rows ``a x - c p <= t`` and ``-a x - c p <= -t``:
-    the other entries of the two rows are exact negatives of each other, and
-    so are their right-hand sides. Together they say ``c p >= |a x - t|``.
-    No other such column can share either row, as its two entries would
-    have to be negatives of each other. ``column`` is ``model.column()``.
+    A distance column p has ``lb == 0``, ``ub == inf`` and two entries, in
+    "<=" rows ``a x - c1 p <= t1`` and ``-a x - c2 p <= t2`` with
+    ``c1, c2 > 0``: the other entries of the two rows are exact negatives of
+    each other, and ``t1 + t2 >= 0``. Both rows can need ``p > 0`` only if
+    ``t1 < a x < -t2``, which that rules out. So p can keep the first row
+    and a new column q, with p's cost and bounds, take the second: the
+    optimum is the same, and the LP's p is ``p + q``. No other column of
+    the two rows is a singleton, and no other such column can share either
+    row, as its two entries would have to be negatives of each other.
+    ``column`` is ``model.column()``.
     """
     start, value, rhs = model.start, model.value, model.row_upper
     col = np.flatnonzero((np.diff(start) == 2) & (model.lower == 0.0) & (model.upper == INF))
-    r1, r2 = model.index[start[col]], model.index[start[col] + 1]
-    v1, v2 = value[start[col]], value[start[col] + 1]
-    n_le = model.n_le
-    ok = (v1 == v2) & (v1 < 0.0) & (r1 < n_le) & (r2 < n_le) & (rhs[r1] == -rhs[r2])
-    col, r1, r2, coef = col[ok], r1[ok], r2[ok], -v1[ok]
+    r1, r2 = model.index[start[col]], model.index[start[col] + 1]  # r1 < r2
+    ok = ((value[start[col]] < 0.0) & (value[start[col] + 1] < 0.0) & (r2 < model.n_le)
+          & (rhs[r1] + rhs[r2] >= 0.0))
+    col, r1, r2 = col[ok], r1[ok], r2[ok]
     # the candidate rows' entries, by row and, within a row, by column
     in_pair = np.zeros(rhs.size, dtype=bool)
     in_pair[r1] = in_pair[r2] = True
@@ -571,60 +571,23 @@ def _l1_pairs(model: _Model, column: np.ndarray) -> _Pairs:
     s1, s2 = np.searchsorted(row, r1), np.searchsorted(row, r2)
     size = np.searchsorted(row, r1, side="right") - s1
     same = size == np.searchsorted(row, r2, side="right") - s2
-    col, coef, r1, r2, s1, s2, size = (a[same] for a in (col, coef, r1, r2, s1, s2, size))
-    # entry by entry, the same column, with the same value at p and the
-    # negated value elsewhere
+    col, s1, s2, size = col[same], s1[same], s2[same], size[same]
+    # entry by entry, the same column, with the negated value but at p
     owner = np.repeat(np.arange(col.size), size)
     offset = np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size)
     e1, e2 = at[s1[owner] + offset], at[s2[owner] + offset]
-    own = column[e1] == col[owner]
-    match = (column[e1] == column[e2]) & np.where(own, value[e1] == value[e2],
-                                                  value[e1] == -value[e2])
-    good = np.bincount(owner, ~match, minlength=col.size) == 0
-    return _Pairs(col[good], coef[good], r1[good], r2[good])
-
-
-def _merged(model: _Model, column: np.ndarray, pairs: _Pairs) -> tuple[_Model, np.ndarray]:
-    """``model`` with each L1 pair's two rows merged into one "=" row, and
-    that merged model's ``column()``.
-
-    The pair ``a x - c p <= t``, ``-a x - c p <= -t`` becomes the row
-    ``a x - c p + c m = t`` with a new column m, ``0 <= m`` and the cost of
-    p: its ``p - m`` is ``(a x - t) / c``, so at an optimum ``p + m`` is
-    ``|a x - t| / c``, the least p allowed. p and m lie in that row only,
-    and ``_folding`` folds both. The kept "<=" rows come first, in order,
-    then the "=" rows, then the merged rows in the order of ``pairs``, and
-    the m columns come after the model's, in that order too.
-    """
-    m, n, n_le = model.row_upper.size, model.cost.size, model.n_le
-    k = pairs.col.size
-    if not k:
-        return model, column
-    paired = np.zeros(m, dtype=bool)
-    paired[pairs.first] = paired[pairs.second] = True
-    order = np.concatenate([np.flatnonzero(~paired[:n_le]), np.arange(n_le, m), pairs.first])
-    renumber = np.full(m, -1, dtype=np.int32)
-    renumber[order] = np.arange(order.size)
-    keep = renumber[model.index] >= 0  # the second rows' entries go
-    index = np.concatenate([renumber[model.index[keep]], renumber[pairs.first]])
-    merged_column = np.concatenate([column[keep], n + np.arange(k)])
-    row_upper = model.row_upper[order]
-    row_lower = row_upper.copy()
-    row_lower[: n_le - 2 * k] = -INF
-    merged = _Model(np.concatenate([model.cost, model.cost[pairs.col]]),
-                    np.concatenate([model.lower, np.zeros(k)]),
-                    np.concatenate([model.upper, np.full(k, INF)]),
-                    row_lower, row_upper, _starts(merged_column, n + k), index,
-                    np.concatenate([model.value[keep], pairs.coef]))
-    return merged, merged_column
+    match = (column[e1] == column[e2]) & ((column[e1] == col[owner])
+                                          | (value[e1] == -value[e2]))
+    return col[np.bincount(owner, ~match, minlength=col.size) == 0]
 
 
 @dataclass(frozen=True)
 class _Folding:
     """The columns ``_dual_lp`` folds into bounds, each with its row and
-    its coefficient there, and the other columns: ``kept``, a mask of the
-    columns that are rows of the dual, and ``has_l``/``has_u``, the columns
-    with a unit column for a finite lower and for a finite upper bound."""
+    its coefficient there (a split column twice, once per row), and the
+    other columns: ``kept``, a mask of the columns that are rows of the
+    dual, and ``has_l``/``has_u``, the columns with a unit column for a
+    finite lower and for a finite upper bound."""
 
     folded: np.ndarray
     row: np.ndarray
@@ -634,26 +597,32 @@ class _Folding:
     has_u: np.ndarray
 
 
-def _folding(model: _Model) -> _Folding:
+def _folding(model: _Model, split: np.ndarray) -> _Folding:
     """The columns whose dual row becomes a bound on one dual column.
 
-    A column is folded when it has one entry, in an "=" row, ``lb == 0``,
-    ``ub == inf``, and is the first such column with that coefficient's
-    sign in that row: its dual row ``a y_r + z_l = c`` with ``z_l >= 0``
-    only says ``a y_r <= c``, a bound on ``y_r``, and a row takes one bound
-    from each side.
+    A column is folded when it has one entry, ``lb == 0`` and
+    ``ub == inf``, its entry is in an "=" row or negative in a "<=" row,
+    and it is the first such column with that coefficient's sign in that
+    row: its dual row ``a y_r + z_l = c`` with ``z_l >= 0`` only says
+    ``a y_r <= c``, a bound on ``y_r``, and a row takes one bound from each
+    side. A "<=" row's ``y_r <= 0`` takes its upper side. Each ``split``
+    column (``_split``) is folded as the two singletons it splits into, its
+    entry in its first row and its entry in its second.
     """
     lb, ub = model.lower, model.upper
     single = np.flatnonzero((np.diff(model.start) == 1) & (lb == 0.0) & (ub == INF))
     at = model.start[single]
     row, coef = model.index[at], model.value[at]
-    eligible = (row >= model.n_le) & (coef != 0.0)
+    eligible = (coef < 0.0) | ((coef > 0.0) & (row >= model.n_le))
     single, row, coef = single[eligible], row[eligible], coef[eligible]
     # the first candidate per row and side; candidates ascend by column
     first = np.sort(np.unique(2 * row + (coef > 0), return_index=True)[1])
+    at = np.concatenate([model.start[split], model.start[split] + 1])
+    folded = np.concatenate([single[first], split, split])
     kept = np.ones(lb.size, dtype=bool)
-    kept[single[first]] = False
-    return _Folding(single[first], row[first], coef[first], kept,
+    kept[folded] = False
+    return _Folding(folded, np.concatenate([row[first], model.index[at]]),
+                    np.concatenate([coef[first], model.value[at]]), kept,
                     np.flatnonzero(np.isfinite(lb) & kept), np.flatnonzero(np.isfinite(ub)))
 
 
@@ -668,7 +637,8 @@ def _dual_lp(model: _Model, column: np.ndarray, fold: _Folding) -> _Model:
     a kept column, in the order of ``fold.has_l`` and ``fold.has_u``. Each
     dual row is a kept column, in column order. A folded column j, with
     ``a`` in row r, bounds y_r instead: ``y_r <= c_j / a`` for ``a > 0``,
-    ``y_r >= c_j / a`` for ``a < 0``.
+    ``y_r >= c_j / a`` for ``a < 0``; a split column bounds both of its
+    rows' duals.
     """
     m, n_le = model.row_upper.size, model.n_le
     has_l, has_u, kept = fold.has_l, fold.has_u, fold.kept
@@ -699,13 +669,15 @@ def _highs_object(h, model: _Model, presolve: bool = True, log: bool = False):
 
     ``presolve`` stays on for an LP solved as itself. It is off for the
     branch and bound relaxation, which restarts warm from a basis, and for
-    the dual form: ``_solve_dual_form`` hands over a dual with its L1 pairs
-    merged and its column singletons folded, where presolve found little
-    more to remove (2 dependent rows of a TOP dual) and then paid for a
-    postsolve and a second solve. With the merge and presolve off, the
-    7x7 k = 2 ORG-W-SU dual fell from 826 to 532 rows and its solve from
-    32-35 to 30-31 ms, and the 10x10 TOP-S-SU dual's solve from 79 to
-    46-48 ms (median of 9, one BLAS thread).
+    the dual form: ``_solve_dual_form`` hands over a dual with its
+    distance columns split and its column singletons folded, where
+    presolve found little more to remove (2 dependent rows of a TOP dual)
+    and then paid for a postsolve and a second solve. Split and folded, the
+    10x10 TOP-S-SU dual fell from 560 to 200 rows (1 127 to 710 pivots) and
+    its solve from 38-62 to 29-42 ms, and the 7x7 k = 2 ORG-W-SU dual, its
+    model without h and v, from 532 to 196 rows and 27-42 to 20-25 ms
+    (median of 21 solves in each of three alternating processes per side,
+    one BLAS thread, on a shared 2-vCPU host).
 
     With ``log``, HiGHS hands each log line to this module's logger and
     prints nothing. The object keeps its own copy of ``model``, so a copy
@@ -837,33 +809,31 @@ def _solve_dual_form(
     h, model: _Model, col_names: list[str], log: bool, time_limit: float | None,
     counts: dict,
 ) -> Solution | None:
-    """Solve ``model`` as the dual of its merged form; None when the dual
+    """Solve ``model`` as the dual of its split form; None when the dual
     ends neither optimal nor at a limit, so the LP must be solved itself.
 
-    Its L1 pairs are merged first (``_l1_pairs``, ``_merged``), and the
-    merged model goes to HiGHS as its dual (``_dual_lp``), with presolve
-    off. The merged point is the negated row duals of the dual solve; a
-    folded column j of row r, with coefficient a there, is
-    ``max(0, -d_r / a)``, where d_r is the reduced cost of y_r. A pair's
-    column p is then ``p + m`` of the merged point. It comes with a checked
-    certificate: the point passes ``linprog``'s check on ``model``'s own
-    rows and bounds, the dual point meets the merged model's dual rows,
-    signs and folded bounds within the same allowance, and its objective
+    Its distance columns are split (``_split``) and folded with its column
+    singletons, and the dual goes to HiGHS (``_dual_lp``), with presolve
+    off. The point is the negated row duals of the dual solve; a folded
+    column j of row r, with coefficient a there, is ``max(0, -d_r / a)``,
+    where d_r is the reduced cost of y_r, and a split column is the sum of
+    its two halves. It comes with a checked certificate: the point passes
+    ``linprog``'s check on ``model``'s own rows and bounds, the dual point
+    meets the split form's dual rows, signs and folded bounds (both halves
+    of a split column) within the same allowance, and its objective
     differs from ``model``'s at the point by at most ``GAP_TOL``. A failed
     check raises ``SolverError``. Records the dual solve's pivots, the size
     of the dual and how its solve ended in ``counts``.
     """
-    n = model.cost.size
+    n, m = model.cost.size, model.row_upper.size
     column = model.column()
-    pairs = _l1_pairs(model, column)
-    merged, merged_column = _merged(model, column, pairs)
-    k, m = pairs.col.size, merged.row_upper.size
-    fold = _folding(merged)
+    split = _split(model, column)
+    fold = _folding(model, split)
     info = counts["dual_form"] = {
         "dual_rows": int(fold.kept.sum()), "dual_cols": m + fold.has_l.size + fold.has_u.size,
-        "folded": fold.folded.size - 2 * k, "merged": k, "dual_status": "failed",
+        "folded": fold.folded.size, "split": split.size, "dual_status": "failed",
     }
-    highs = _highs_object(h, _dual_lp(merged, merged_column, fold), presolve=False, log=log)
+    highs = _highs_object(h, _dual_lp(model, column, fold), presolve=False, log=log)
     try:
         stopped = _run(h, highs, time_limit, counts)
     except SolverError:
@@ -875,31 +845,28 @@ def _solve_dual_form(
 
     solution = highs.getSolution()
     w = np.array(solution.col_value)
-    xm = np.empty(n + k)
-    xm[fold.kept] = -np.array(solution.row_dual)
     d = np.array(solution.col_dual)[fold.row]
-    xm[fold.folded] = np.maximum(0.0, -d / fold.coef)
-    x = xm[:n]
-    x[pairs.col] += xm[n:]
+    x = np.zeros(n)
+    x[fold.kept] = -np.array(solution.row_dual)
+    np.add.at(x, fold.folded, np.maximum(0.0, -d / fold.coef))
     objective = float(model.cost @ x)
-    activity = np.bincount(model.index, model.value * x[column], minlength=model.row_upper.size)
+    activity = np.bincount(model.index, model.value * x[column], minlength=m)
     _check_point(model, x, activity, objective, "the dual-form solve's point is")
     has_l, has_u, tol = fold.has_l, fold.has_u, POINT_TOL
     y, z_l, z_u = w[:m], w[m:m + has_l.size], w[m + has_l.size:]
     # the dual rows c - A^T y - z_l - z_u = 0 of the kept columns, and
     # c - a y_r >= 0 (the folded bounds) of the folded ones
-    residual = merged.cost - np.bincount(merged_column, merged.value * y[merged.index],
-                                         minlength=n + k)
+    residual = model.cost - np.bincount(column, model.value * y[model.index], minlength=n)
     residual[has_l] -= z_l
     residual[has_u] -= z_u
     if (
         np.isnan(w).any() or (np.abs(residual[fold.kept]) > tol).any()
-        or (residual[fold.folded] < -tol).any()
-        or (y[: merged.n_le] > tol).any() or (z_l < -tol).any() or (z_u > tol).any()
+        or (model.cost[fold.folded] - fold.coef * y[fold.row] < -tol).any()
+        or (y[: model.n_le] > tol).any() or (z_l < -tol).any() or (z_u > tol).any()
     ):
         raise SolverError(f"the dual-form solve's dual point is outside its constraints "
                           f"by more than {tol:.2e}")
-    dual = float(merged.row_upper @ y + merged.lower[has_l] @ z_l + merged.upper[has_u] @ z_u)
+    dual = float(model.row_upper @ y + model.lower[has_l] @ z_l + model.upper[has_u] @ z_u)
     if not abs(objective - dual) <= GAP_TOL * max(1.0, abs(objective)):
         raise SolverError(f"the dual-form solve's objectives {objective!r} and {dual!r} "
                           f"differ by more than {GAP_TOL:g} relative")

@@ -336,7 +336,7 @@ class TestManifest:
         for solve in manifest["solves"]:
             assert solve["engine"] == "highs"
             assert solve["method"] == "ds"  # far below the dual-form size
-            assert not {"dual_rows", "dual_cols", "folded", "merged", "dual_status"} & solve.keys()
+            assert not {"dual_rows", "dual_cols", "folded", "split", "dual_status"} & solve.keys()
             assert solve["dual_objective"] == pytest.approx(solve["objective"], rel=1e-9)
 
     @pytest.mark.parametrize("threshold,method", [(0, "dual-form"), (10**9, "ds")])
@@ -359,7 +359,10 @@ class TestManifest:
 
     def test_dual_form_solves_record_the_dual(self, tmp_path):
         # the jittered 10x10 TOP-S-SU LP goes to HiGHS as its dual, with both
-        # columns of each of its 4 950 direction pairs folded into bounds
+        # columns of each of its 4 950 direction pairs folded into bounds,
+        # and its distance columns h and v (one each per adjacency) split in
+        # two, both halves folded
+        from demers.mapdata import load_map
         from demers.synth import write_instance
 
         map_path, csv_path = write_instance(tmp_path / "grid", 10, 0, k=1, rows=10, jitter=0.3)
@@ -368,15 +371,16 @@ class TestManifest:
         manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
         [solve] = manifest["solves"]
         assert solve["method"] == "dual-form"
-        assert solve["folded"] == 2 * (100 * 99 // 2)
-        assert (solve["merged"], solve["dual_status"]) == (0, "optimal")  # TOP has no L1 pairs
-        assert solve["dual_rows"] == solve["cols"] - solve["folded"]
+        assert solve["split"] == 2 * len(load_map(map_path).edge_list()) > 0
+        assert solve["folded"] == 2 * (100 * 99 // 2) + 2 * solve["split"]
+        assert solve["dual_status"] == "optimal"
+        assert solve["dual_rows"] == solve["cols"] + solve["split"] - solve["folded"]
         assert solve["dual_cols"] >= solve["rows"]
 
-    def test_dual_form_solves_record_the_merged_pairs(self, tmp_path):
+    def test_dual_form_solves_record_the_split_pairs(self, tmp_path):
         # the jittered 4x4 ORG-W-SU LP at k = 2 goes to HiGHS as its dual,
         # with each displacement pair (2 axes x 16 regions x 2 blocks) and
-        # each coupling pair (2 axes x 16 regions) merged into one row
+        # each coupling pair (2 axes x 16 regions) split in two
         from demers import simplexsolver as ss
         from demers.synth import write_instance
 
@@ -387,9 +391,25 @@ class TestManifest:
         [solve] = manifest["solves"]
         assert solve["rows"] >= ss.HIGHS_DUAL_FORM_MIN_ROWS
         assert solve["method"] == "dual-form"
-        assert (solve["merged"], solve["dual_status"]) == (2 * 16 * 2 + 2 * 16, "optimal")
-        assert solve["folded"] == 2 * 2 * (16 * 15 // 2)
-        assert solve["dual_rows"] == solve["cols"] - solve["folded"] - solve["merged"]
+        assert (solve["split"], solve["dual_status"]) == (2 * 16 * 2 + 2 * 16, "optimal")
+        assert solve["folded"] == 2 * 2 * (16 * 15 // 2) + 2 * solve["split"]
+        assert solve["dual_rows"] == solve["cols"] + solve["split"] - solve["folded"]
+
+    @pytest.mark.parametrize("cols,k,variant", [(5, 1, "TOP-S-SU"), (4, 4, "ORG-S-CO")])
+    def test_dual_form_keeps_one_row_per_centre_column(self, tmp_path, cols, k, variant):
+        # every column but the centres is folded into the dual's bounds,
+        # whole or as the two halves of its split
+        from demers.synth import write_instance
+
+        map_path, csv_path = write_instance(tmp_path / "grid", cols, 0, k=k, rows=cols,
+                                            jitter=0.3)
+        res = run(RunConfig(str(map_path), str(csv_path), variant, out_dir=str(tmp_path / "o")))
+        assert res.ok
+        manifest = json.loads((Path(res.config.out_dir) / "manifest.json").read_text())
+        [solve] = manifest["solves"]
+        assert (solve["method"], solve["dual_status"]) == ("dual-form", "optimal")
+        assert solve["dual_rows"] == solve["cols"] + solve["split"] - solve["folded"]
+        assert solve["dual_rows"] == 2 * cols * cols * k  # a cols x cols grid
 
     def test_dual_form_fallback_records_the_dual_status(self, tmp_path, sample3_paths, monkeypatch):
         # a dual that ends unbounded sends the LP to its own solve, which
@@ -413,7 +433,7 @@ class TestManifest:
         assert len(runs) == 2
         assert (solve["method"], solve["status"]) == ("dual-form", "optimal")
         assert solve["dual_status"] == "unbounded"
-        assert solve["merged"] > 0
+        assert solve["split"] > 0
 
     @pytest.mark.parametrize("variant", ["TOP-S-SU", "CNT-W-SU"])
     @pytest.mark.parametrize("engine", ["highs", "simplex"])
